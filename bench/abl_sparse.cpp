@@ -1,5 +1,5 @@
-// Ablation — sparse contention engine (docs/PERF.md, "Sparse contention
-// engine"). Two layers:
+// Ablation — sparse contention engine (docs/PERF.md, "Contention
+// updater"). Two layers:
 //
 //  1. Scale probes: one 100k-node ER instance (Q = 5 chunks) solved end
 //     to end under kSparse at radius 2 and 3 — a size where the dense n²

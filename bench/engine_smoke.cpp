@@ -28,7 +28,6 @@
 
 #include <sys/resource.h>
 
-#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -38,6 +37,7 @@
 #include "core/approx.h"
 #include "graph/generators.h"
 #include "steiner/steiner.h"
+#include "util/hash.h"
 #include "util/rng.h"
 
 namespace {
@@ -45,20 +45,10 @@ namespace {
 using namespace faircache;
 using graph::NodeId;
 
-std::uint64_t fnv1a(std::uint64_t h, std::uint64_t x) {
-  for (int b = 0; b < 8; ++b) {
-    h ^= (x >> (8 * b)) & 0xff;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
 std::uint64_t tree_hash(const steiner::SteinerTree& tree) {
-  std::uint64_t h = 14695981039346656037ULL;
-  for (graph::EdgeId e : tree.edges) {
-    h = fnv1a(h, static_cast<std::uint64_t>(e));
-  }
-  return fnv1a(h, std::bit_cast<std::uint64_t>(tree.cost));
+  util::Fnv1a h(util::Fnv1a::kOffsetBasis);
+  for (graph::EdgeId e : tree.edges) h.value(static_cast<std::uint64_t>(e));
+  return h.value(tree.cost).digest();
 }
 
 struct Fixture {
@@ -114,14 +104,14 @@ std::vector<Fixture> make_fixtures() {
 // Placement + objective probe of one end-to-end run: hashes every chunk's
 // cache-node ids and the bit pattern of its solver objective.
 std::uint64_t run_hash(const core::FairCachingResult& result) {
-  std::uint64_t h = 14695981039346656037ULL;
+  util::Fnv1a h(util::Fnv1a::kOffsetBasis);
   for (const core::ChunkPlacement& placement : result.placements) {
     for (NodeId v : placement.cache_nodes) {
-      h = fnv1a(h, static_cast<std::uint64_t>(v));
+      h.value(static_cast<std::uint64_t>(v));
     }
-    h = fnv1a(h, std::bit_cast<std::uint64_t>(placement.solver_objective));
+    h.value(placement.solver_objective);
   }
-  return h;
+  return h.digest();
 }
 
 // End-to-end checks 3 and 4: thread-determinism of every (engine, mode)

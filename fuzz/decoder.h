@@ -93,14 +93,14 @@ inline void decode_problem(const std::uint8_t* data, std::size_t size,
       (span_byte & 0x80) != 0 ? core::ContentionMode::kRebuild
                               : core::ContentionMode::kIncremental;
   // The sparse byte drives the sparse contention engine: its low two bits
-  // escalate the mode (1 → kSparse, 2 → kAuto, else the span byte's
+  // escalate the mode (1 → kSparse, 2 → kIncremental, else the span byte's
   // choice stands), the remaining six are the truncation radius — 0
   // (unbounded) through 63, far past any 32-node diameter.
   const std::uint8_t sparse_byte = in.u8();
   if ((sparse_byte & 0x3) == 1) {
     out.config.instance.contention_mode = core::ContentionMode::kSparse;
   } else if ((sparse_byte & 0x3) == 2) {
-    out.config.instance.contention_mode = core::ContentionMode::kAuto;
+    out.config.instance.contention_mode = core::ContentionMode::kIncremental;
   }
   out.config.instance.contention_radius = sparse_byte >> 2;
   // The guard byte sweeps the integrity-guard configuration: low two bits

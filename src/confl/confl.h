@@ -51,7 +51,7 @@ struct ConflInstance {
   // memory and per-round work scale with the materialized pairs. With
   // every reachable pair materialized (radius ≥ diameter) the solve is
   // bit-identical to the dense engine on connected instances; the root's
-  // row must always be untruncated (SparseContentionOptions::full_row).
+  // row must always be untruncated (ContentionUpdaterOptions::full_row).
   metrics::SparseContention sparse_cost;
   // Dissemination cost per edge of `network`.
   std::vector<double> edge_cost;

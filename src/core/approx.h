@@ -43,10 +43,9 @@ struct SolveReport {
   int chunks_total = 0;
   // The contention engine the chunk loop actually ran
   // (ChunkInstanceEngine::mode_used()): the configured
-  // `instance.contention_mode` with kAuto resolved and the
-  // hop-shortest-only engines' kRebuild fallback applied — so callers can
-  // tell when e.g. kMinContention silently demoted kIncremental/kSparse
-  // to a per-chunk rebuild. Never kAuto.
+  // `instance.contention_mode` with the hop-shortest-only engines' kRebuild
+  // fallback applied — so callers can tell when e.g. kMinContention
+  // silently demoted kIncremental/kSparse to a per-chunk rebuild.
   ContentionMode contention_mode_used = ContentionMode::kRebuild;
   // Chunks placed by the greedy fallback instead of the ConFL solver,
   // ascending. Empty for a completed run.

@@ -1,14 +1,15 @@
 #pragma once
 
 // Audit half of the integrity-guard runtime (docs/ROBUSTNESS.md,
-// "Integrity guard"). The stateful contention engines maintain incremental
-// checksums over their guarded blocks (util/integrity.h); an EngineGuard
-// owned by core::ChunkInstanceEngine periodically (a) recomputes those
-// checksums from the actual buffers and (b) cross-validates a few sampled
-// rows against the stateless kRebuild arithmetic. Any mismatch quarantines
-// the stateful updater: the engine drops the poisoned state and the next
-// update re-pins fresh trees — the exact stateless rebuild — so every
-// intermediate result remains a valid placement.
+// "Integrity guard"). The stateful contention updater maintains
+// incremental checksums over its guarded blocks (util/integrity.h); an
+// EngineGuard owned by core::ChunkInstanceEngine periodically (a)
+// recomputes those checksums from the actual buffers and (b)
+// cross-validates a few sampled rows against the stateless kRebuild
+// arithmetic. Any mismatch quarantines the updater: the engine drops the
+// poisoned state and the next update re-pins fresh trees — the exact
+// stateless rebuild — so every intermediate result remains a valid
+// placement.
 //
 // Audits are budget-charged: cadence picks which builds audit, and
 // budget_share caps cumulative audit time as a fraction of the engine's
@@ -21,6 +22,7 @@
 #include <vector>
 
 #include "graph/graph.h"
+#include "metrics/contention_updater.h"
 #include "util/integrity.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
@@ -84,10 +86,8 @@ struct CorruptionReport {
   }
 };
 
-// Per-engine audit scheduler + verdict bookkeeping. The audited updater
-// only needs the integrity surface the metrics updaters share: ready(),
-// checksums_enabled(), maintained_digest(), recompute_digest(),
-// verify_row(), graph().
+// Per-engine audit scheduler + verdict bookkeeping over the integrity
+// surface of metrics::ContentionUpdater.
 class EngineGuard {
  public:
   EngineGuard() = default;
@@ -115,8 +115,7 @@ class EngineGuard {
   // Runs one audit; false means corruption was found and the caller must
   // quarantine. Row sampling is deterministic in build_index, so a given
   // corruption is caught at the same build at any thread count.
-  template <typename Updater>
-  bool audit(const Updater& updater, int build_index) {
+  bool audit(const metrics::ContentionUpdater& updater, int build_index) {
     util::Stopwatch timer;
     ++report_.audits;
     bool ok = true;

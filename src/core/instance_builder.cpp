@@ -1,7 +1,5 @@
 #include "core/instance_builder.h"
 
-#include <algorithm>
-#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -94,89 +92,51 @@ util::Status validate_sparse_node_limit(int num_nodes) {
   return util::Status();  // OK
 }
 
-ContentionMode choose_contention_mode(const graph::Graph& g, int radius) {
-  const int n = g.num_nodes();
-  // Dense incremental is unbeatable while the n×n matrix is small, and is
-  // the only choice when nothing bounds the rows.
-  if (n <= 2048 || radius <= 0) return ContentionMode::kIncremental;
-  // Past the dense memory wall the sparse engine is the only one that
-  // scales, whatever the fill.
-  if (n > 16384) return ContentionMode::kSparse;
-  // In between, estimate the mean row fill from truncated BFS balls around
-  // ≤ 32 evenly spaced sources.
-  const graph::CsrAdjacency adj = graph::build_csr(g);
-  const int samples = std::min(n, 32);
-  const int stride = std::max(1, n / samples);
-  std::vector<int> stamp(static_cast<std::size_t>(n), 0);
-  std::vector<int> depth(static_cast<std::size_t>(n));
-  std::vector<graph::NodeId> queue;
-  queue.reserve(static_cast<std::size_t>(n));
-  int gen = 0;
-  std::int64_t ball_total = 0;
-  int taken = 0;
-  for (graph::NodeId src = 0; src < n && taken < samples;
-       src += stride, ++taken) {
-    ++gen;
-    queue.clear();
-    stamp[static_cast<std::size_t>(src)] = gen;
-    depth[static_cast<std::size_t>(src)] = 0;
-    queue.push_back(src);
-    for (std::size_t head = 0; head < queue.size(); ++head) {
-      const graph::NodeId v = queue[head];
-      const int dv = depth[static_cast<std::size_t>(v)];
-      if (dv >= radius) continue;
-      for (int e = adj.offset[v]; e < adj.offset[v + 1]; ++e) {
-        const auto w = static_cast<std::size_t>(adj.neighbor[e]);
-        if (stamp[w] == gen) continue;
-        stamp[w] = gen;
-        depth[w] = dv + 1;
-        queue.push_back(adj.neighbor[e]);
-      }
-    }
-    ball_total += static_cast<std::int64_t>(queue.size());
-  }
-  const double fill = taken == 0 ? 1.0
-                                 : static_cast<double>(ball_total) /
-                                       (static_cast<double>(taken) * n);
-  return fill <= 0.25 ? ContentionMode::kSparse
-                      : ContentionMode::kIncremental;
-}
-
 ChunkInstanceEngine::ChunkInstanceEngine(const FairCachingProblem& problem,
                                          const InstanceOptions& options)
     : problem_(&problem), options_(options) {
   mode_used_ = options_.contention_mode;
-  if (mode_used_ == ContentionMode::kAuto) {
-    mode_used_ = problem_->network != nullptr
-                     ? choose_contention_mode(*problem_->network,
-                                              options_.contention_radius)
-                     : ContentionMode::kRebuild;
-  }
-  // The delta-patching engines pin hop-shortest BFS trees; kMinContention
-  // paths depend on the weights themselves, so both fall back to the
+  // The updater pins hop-shortest BFS trees; kMinContention paths depend
+  // on the weights themselves, so both stateful modes fall back to the
   // stateless rebuild (surfaced through mode_used()).
   if (options_.path_policy != metrics::PathPolicy::kHopShortest ||
       problem_->network == nullptr) {
     mode_used_ = ContentionMode::kRebuild;
   }
   guard_ = EngineGuard(options_.guard);
-  if (mode_used_ == ContentionMode::kIncremental) {
-    updater_ = std::make_unique<metrics::ContentionUpdater>(
-        *problem_->network, options_.threads, options_.guard.enabled);
-  } else if (mode_used_ == ContentionMode::kSparse) {
-    // kAuto can resolve to kSparse past the dense memory wall, so the
-    // 24-bit column limit is re-checked on the *resolved* mode and
-    // surfaced as a typed error from build(), never a CHECK abort.
+  if (mode_used_ == ContentionMode::kRebuild) return;
+  if (mode_used_ == ContentionMode::kSparse) {
+    // The 24-bit column limit surfaces as a typed error from build(),
+    // never a CHECK abort inside the updater.
     init_status_ = validate_sparse_node_limit(problem_->network->num_nodes());
     if (!init_status_.ok()) return;
-    metrics::SparseContentionOptions sparse_options;
-    sparse_options.radius = options_.contention_radius;
-    sparse_options.full_row = problem_->producer;
-    sparse_options.threads = options_.threads;
-    sparse_options.checksums = options_.guard.enabled;
-    sparse_updater_ = std::make_unique<metrics::SparseContentionUpdater>(
-        *problem_->network, sparse_options);
   }
+  updater_ = make_updater(options_.guard.enabled);
+}
+
+std::unique_ptr<metrics::ContentionUpdater> ChunkInstanceEngine::make_updater(
+    bool checksums) const {
+  metrics::ContentionUpdaterOptions updater_options;
+  updater_options.radius = options_.contention_radius;
+  updater_options.full_row = problem_->producer;
+  updater_options.threads = options_.threads;
+  updater_options.checksums = checksums;
+  return std::make_unique<metrics::ContentionUpdater>(
+      *problem_->network,
+      mode_used_ == ContentionMode::kSparse ? metrics::ContentionLayout::kCsr
+                                            : metrics::ContentionLayout::kDense,
+      updater_options);
+}
+
+double ChunkInstanceEngine::update_updater(const metrics::CacheState& state) {
+  const double tree_before = updater_->tree_build_seconds();
+  const double delta_before = updater_->delta_apply_seconds();
+  updater_->update(state);
+  const double tree = updater_->tree_build_seconds() - tree_before;
+  const double delta = updater_->delta_apply_seconds() - delta_before;
+  stats_.tree_seconds += tree;
+  stats_.delta_seconds += delta;
+  return tree + delta;
 }
 
 util::Result<confl::ConflInstance> ChunkInstanceEngine::build(
@@ -195,36 +155,15 @@ util::Result<confl::ConflInstance> ChunkInstanceEngine::build(
   // it can drive (or overrun) the delta sweep it indexes.
   guard_tick(build_index);
   if (updater_ != nullptr) {
-    const double tree_before = updater_->tree_build_seconds();
-    const double delta_before = updater_->delta_apply_seconds();
-    updater_->update(state);
-    const double spent = updater_->tree_build_seconds() - tree_before +
-                         updater_->delta_apply_seconds() - delta_before;
-    stats_.tree_seconds += updater_->tree_build_seconds() - tree_before;
-    stats_.delta_seconds += updater_->delta_apply_seconds() - delta_before;
+    const double spent = update_updater(state);
     if (recovering_) {
       guard_.add_recovery_seconds(spent);
       recovering_ = false;
     }
-    instance.assign_cost = updater_->take_matrix();
-    instance.edge_cost = updater_->take_edge_costs();
-  } else if (sparse_updater_ != nullptr) {
-    const double tree_before = sparse_updater_->tree_build_seconds();
-    const double delta_before = sparse_updater_->delta_apply_seconds();
-    sparse_updater_->update(state);
-    const double spent =
-        sparse_updater_->tree_build_seconds() - tree_before +
-        sparse_updater_->delta_apply_seconds() - delta_before;
-    stats_.tree_seconds +=
-        sparse_updater_->tree_build_seconds() - tree_before;
-    stats_.delta_seconds +=
-        sparse_updater_->delta_apply_seconds() - delta_before;
-    if (recovering_) {
-      guard_.add_recovery_seconds(spent);
-      recovering_ = false;
-    }
-    instance.sparse_cost = sparse_updater_->take_store();
-    instance.edge_cost = sparse_updater_->take_edge_costs();
+    metrics::ContentionBuffers lent = updater_->take();
+    instance.assign_cost = std::move(lent.dense);
+    instance.sparse_cost = std::move(lent.csr);
+    instance.edge_cost = std::move(lent.edge_cost);
   } else {
     util::Stopwatch timer;
     metrics::ContentionMatrix contention(*problem_->network, state,
@@ -238,15 +177,11 @@ util::Result<confl::ConflInstance> ChunkInstanceEngine::build(
 }
 
 void ChunkInstanceEngine::reclaim(confl::ConflInstance&& instance) {
-  if (updater_ != nullptr) {
-    updater_->restore(std::move(instance.assign_cost),
-                      std::move(instance.edge_cost));
-  } else if (sparse_updater_ != nullptr) {
-    sparse_updater_->restore(std::move(instance.sparse_cost),
-                             std::move(instance.edge_cost));
-    guard_.set_stale_restores(stale_restore_base_ +
-                              sparse_updater_->stale_restores());
-  }
+  if (updater_ == nullptr) return;
+  updater_->restore({std::move(instance.assign_cost),
+                     std::move(instance.sparse_cost),
+                     std::move(instance.edge_cost)});
+  guard_.set_stale_restores(stale_restore_base_ + updater_->stale_restores());
 }
 
 util::Status ChunkInstanceEngine::sync(const metrics::CacheState& state) {
@@ -258,79 +193,47 @@ util::Status ChunkInstanceEngine::sync(const metrics::CacheState& state) {
     return util::Status::invalid_input("state / network size mismatch");
   }
   if (updater_ != nullptr) {
-    const double tree_before = updater_->tree_build_seconds();
-    const double delta_before = updater_->delta_apply_seconds();
-    updater_->update(state);
-    stats_.tree_seconds += updater_->tree_build_seconds() - tree_before;
-    stats_.delta_seconds += updater_->delta_apply_seconds() - delta_before;
-  } else if (sparse_updater_ != nullptr) {
-    const double tree_before = sparse_updater_->tree_build_seconds();
-    const double delta_before = sparse_updater_->delta_apply_seconds();
-    sparse_updater_->update(state);
-    stats_.tree_seconds +=
-        sparse_updater_->tree_build_seconds() - tree_before;
-    stats_.delta_seconds +=
-        sparse_updater_->delta_apply_seconds() - delta_before;
-  } else {
-    std::vector<int> counts = state.stored_counts();
-    if (query_matrix_ == nullptr || counts != query_counts_) {
-      util::Stopwatch timer;
-      query_matrix_ = std::make_unique<metrics::ContentionMatrix>(
-          *problem_->network, state, options_.path_policy, options_.threads);
-      query_counts_ = std::move(counts);
-      stats_.tree_seconds += timer.elapsed_seconds();
-    }
+    update_updater(state);
+    return util::Status();  // OK
+  }
+  std::vector<int> counts = state.stored_counts();
+  if (query_matrix_ == nullptr || counts != query_counts_) {
+    util::Stopwatch timer;
+    query_matrix_ = std::make_unique<metrics::ContentionMatrix>(
+        *problem_->network, state, options_.path_policy, options_.threads);
+    query_counts_ = std::move(counts);
+    stats_.tree_seconds += timer.elapsed_seconds();
   }
   return util::Status();  // OK
 }
 
 bool ChunkInstanceEngine::query_ready() const {
-  if (updater_ != nullptr) return updater_->ready();
-  if (sparse_updater_ != nullptr) return sparse_updater_->ready();
-  return query_matrix_ != nullptr;
+  return updater_ != nullptr ? updater_->ready() : query_matrix_ != nullptr;
 }
 
 double ChunkInstanceEngine::query_cost(graph::NodeId i,
                                        graph::NodeId j) const {
   FAIRCACHE_DCHECK(query_ready());
-  if (updater_ != nullptr) return updater_->cost(i, j);
-  if (sparse_updater_ != nullptr) return sparse_updater_->store().cost_at(i, j);
-  return query_matrix_->cost(i, j);
+  return updater_ != nullptr ? updater_->cost(i, j)
+                             : query_matrix_->cost(i, j);
 }
 
 void ChunkInstanceEngine::guard_tick(int build_index) {
-  if (!options_.guard.enabled) return;
-  const double build_seconds = stats_.tree_seconds + stats_.delta_seconds;
-  if (updater_ != nullptr && updater_->ready()) {
-    if (!guard_.audit_due(build_index, build_seconds)) return;
-    if (guard_.audit(*updater_, build_index)) return;
-    guard_.note_quarantine(build_index);
-    recovering_ = true;
-    updater_ = std::make_unique<metrics::ContentionUpdater>(
-        *problem_->network, options_.threads, /*checksums=*/true);
-  } else if (sparse_updater_ != nullptr && sparse_updater_->ready()) {
-    if (!guard_.audit_due(build_index, build_seconds)) return;
-    if (guard_.audit(*sparse_updater_, build_index)) return;
-    guard_.note_quarantine(build_index);
-    recovering_ = true;
-    stale_restore_base_ += sparse_updater_->stale_restores();
-    metrics::SparseContentionOptions sparse_options;
-    sparse_options.radius = options_.contention_radius;
-    sparse_options.full_row = problem_->producer;
-    sparse_options.threads = options_.threads;
-    sparse_options.checksums = true;
-    sparse_updater_ = std::make_unique<metrics::SparseContentionUpdater>(
-        *problem_->network, sparse_options);
+  if (!options_.guard.enabled || updater_ == nullptr || !updater_->ready()) {
+    return;
   }
+  const double build_seconds = stats_.tree_seconds + stats_.delta_seconds;
+  if (!guard_.audit_due(build_index, build_seconds)) return;
+  if (guard_.audit(*updater_, build_index)) return;
+  guard_.note_quarantine(build_index);
+  recovering_ = true;
+  stale_restore_base_ += updater_->stale_restores();
+  updater_ = make_updater(/*checksums=*/true);
 }
 
 bool ChunkInstanceEngine::corrupt_for_testing(
     const util::StateCorruption& corruption) {
-  if (updater_ != nullptr) return updater_->corrupt_for_testing(corruption);
-  if (sparse_updater_ != nullptr) {
-    return sparse_updater_->corrupt_for_testing(corruption);
-  }
-  return false;
+  return updater_ != nullptr && updater_->corrupt_for_testing(corruption);
 }
 
 }  // namespace faircache::core

@@ -6,13 +6,13 @@
 // *current* cache state, which is how Algorithm 1 couples consecutive
 // chunks (caching a chunk raises a node's f_i and its 1+S(k) factor).
 //
-// Two contention engines produce those costs. kRebuild constructs a fresh
-// metrics::ContentionMatrix per chunk — the stateless reference path.
-// kIncremental keeps a metrics::ContentionUpdater alive across the chunk
-// loop: BFS trees are pinned once and each later chunk only applies the
-// sparse weight deltas from the nodes the previous placement touched
-// (docs/PERF.md, "Incremental instance engine"). On the paper's
-// integer-valued contention weights both engines are bit-identical.
+// kRebuild constructs a fresh metrics::ContentionMatrix per chunk — the
+// stateless reference path. kIncremental and kSparse keep one
+// metrics::ContentionUpdater alive across the chunk loop (dense and CSR row
+// layouts respectively): BFS trees are pinned once and each later chunk
+// only applies the weight deltas from the nodes the previous placement
+// touched (docs/PERF.md, "Contention updater"). On the paper's
+// integer-valued contention weights the engines are bit-identical.
 
 #include <functional>
 #include <memory>
@@ -22,7 +22,6 @@
 #include "core/problem.h"
 #include "metrics/contention_updater.h"
 #include "metrics/fairness.h"
-#include "metrics/sparse_contention.h"
 #include "util/status.h"
 
 namespace faircache::core {
@@ -32,29 +31,26 @@ class ChunkInstanceEngine;
 // How the per-chunk contention costs are produced across a chunk loop.
 // Every mode except kSparse yields a dense n×n ConflInstance::assign_cost;
 // kSparse yields ConflInstance::sparse_cost candidate rows instead. The
-// engine's resolved choice (fallbacks applied, kAuto decided) is surfaced
-// by ChunkInstanceEngine::mode_used() and SolveReport::contention_mode_used.
+// engine's resolved choice (fallbacks applied) is surfaced by
+// ChunkInstanceEngine::mode_used() and SolveReport::contention_mode_used.
 enum class ContentionMode {
-  // Delta-patch a persistent ContentionUpdater (pinned BFS trees). The
-  // default: exact on integer-valued weights, and the full build phase of
-  // every chunk after the first drops from O(n·m) to one linear sweep.
-  // Applies only under PathPolicy::kHopShortest; kMinContention paths
-  // depend on the weights themselves and fall back to kRebuild
-  // (mode_used() reports the fallback).
+  // Delta-patch a persistent dense-layout ContentionUpdater (pinned BFS
+  // trees). The default: exact on integer-valued weights, and the full
+  // build phase of every chunk after the first drops from O(n·m) to one
+  // linear sweep. Applies only under PathPolicy::kHopShortest;
+  // kMinContention paths depend on the weights themselves and fall back to
+  // kRebuild (mode_used() reports the fallback).
   kIncremental,
   // Fresh ContentionMatrix per chunk — the reference engine, bit-identical
   // to the historical per-chunk rebuild at any thread count.
   kRebuild,
-  // Sparse candidate-row engine (metrics::SparseContentionUpdater): only
+  // The same updater over the CSR layout (metrics::SparseContention): only
   // pairs within `contention_radius` hops are materialized, breaking the
   // O(n²) memory wall (docs/PERF.md). Hop-shortest only (falls back to
   // kRebuild otherwise, like kIncremental). With radius ≥ the graph
   // diameter the placements are bit-identical to kIncremental on
   // connected networks.
   kSparse,
-  // Density-adaptive choice between kIncremental and kSparse per problem,
-  // from n and the radius-estimated row fill (choose_contention_mode).
-  kAuto,
 };
 
 struct InstanceOptions {
@@ -74,12 +70,12 @@ struct InstanceOptions {
   // ApproxFairCaching's chunk loop). The stateless
   // try_build_chunk_instance below always rebuilds regardless.
   ContentionMode contention_mode = ContentionMode::kIncremental;
-  // Hop radius for kSparse/kAuto: each facility row materializes only the
+  // Hop radius for kSparse: each facility row materializes only the
   // clients within this many hops (the producer's row is always full so
   // the dual growth terminates). ≤ 0 = unbounded — every reachable pair,
   // the bit-identical-to-dense setting.
   int contention_radius = 0;
-  // Integrity-guard configuration for the stateful engines: audit cadence,
+  // Integrity-guard configuration for the contention updater: audit cadence,
   // sampled rows, audit-time budget (core/engine_guard.h and
   // docs/ROBUSTNESS.md, "Integrity guard"). Defaults keep checksums
   // maintained and audit every 16th build.
@@ -91,18 +87,10 @@ struct InstanceOptions {
   std::function<void(ChunkInstanceEngine&, int)> pre_build_hook;
 };
 
-// Resolves ContentionMode::kAuto for one network: kIncremental when the
-// dense matrix is cheap (n ≤ 2048) or the radius is unbounded, kSparse
-// when n is past the dense memory wall (n > 16384), and in between by
-// sampling truncated BFS balls from ≤ 32 evenly spaced sources — sparse
-// wins when the estimated row fill is ≤ 25% (the pasl-style density
-// cutoff; see docs/PERF.md for the calibration).
-ContentionMode choose_contention_mode(const graph::Graph& g, int radius);
-
 // Typed guard on the sparse store's packed 24-bit column limit:
 // kInvalidInput when `num_nodes >= SparseContention::kMaxNodes`. Applied
 // by try_build_chunk_instance / ChunkInstanceEngine whenever the sparse
-// engine is requested or resolved, instead of aborting inside the builder.
+// engine is requested, instead of aborting inside the builder.
 util::Status validate_sparse_node_limit(int num_nodes);
 
 // Where the contention-build time went, cumulative over an engine's life:
@@ -175,13 +163,10 @@ class ChunkInstanceEngine {
 
   // True when build() delta-patches (kIncremental or kSparse under
   // hop-shortest paths).
-  bool incremental() const {
-    return updater_ != nullptr || sparse_updater_ != nullptr;
-  }
+  bool incremental() const { return updater_ != nullptr; }
 
-  // The contention mode build() actually runs: the requested mode with
-  // kAuto resolved (choose_contention_mode) and the hop-shortest-only
-  // engines' kRebuild fallback applied. Never kAuto.
+  // The contention mode build() actually runs: the requested mode with the
+  // hop-shortest-only engines' kRebuild fallback applied.
   ContentionMode mode_used() const { return mode_used_; }
 
   const InstanceBuildStats& stats() const { return stats_; }
@@ -190,7 +175,7 @@ class ChunkInstanceEngine {
   // recovery time (core/engine_guard.h). Clean when nothing was detected.
   const CorruptionReport& guard_report() const { return guard_.report(); }
 
-  // Test-only fault hook: forwards to the live stateful updater's
+  // Test-only fault hook: forwards to the live updater's
   // corrupt_for_testing (sim/state_faults.h drives this through
   // InstanceOptions::pre_build_hook). False in kRebuild mode (stateless —
   // nothing persists to corrupt) or before the first build.
@@ -204,15 +189,21 @@ class ChunkInstanceEngine {
   // update() re-pins fresh trees with the stateless rebuild arithmetic.
   void guard_tick(int build_index);
 
+  // A fresh updater in the layout of mode_used_.
+  std::unique_ptr<metrics::ContentionUpdater> make_updater(
+      bool checksums) const;
+  // update() on the live updater, charging the build time to stats_;
+  // returns the seconds spent.
+  double update_updater(const metrics::CacheState& state);
+
   const FairCachingProblem* problem_;
   InstanceOptions options_;
   ContentionMode mode_used_ = ContentionMode::kRebuild;
-  // Set at construction when the resolved mode cannot run at all (sparse
-  // 24-bit column limit); build() then fails fast with this status.
+  // Set at construction when the mode cannot run at all (sparse 24-bit
+  // column limit); build() then fails fast with this status.
   util::Status init_status_;
-  // At most one of these is non-null, per mode_used_.
+  // Non-null in kIncremental / kSparse (dense / CSR layout).
   std::unique_ptr<metrics::ContentionUpdater> updater_;
-  std::unique_ptr<metrics::SparseContentionUpdater> sparse_updater_;
   // kRebuild-mode query cache for sync()/query_cost(): the dense matrix of
   // the last synced state plus the stored counts it reflects (rebuilt only
   // when they change). Never set in the stateful modes.

@@ -100,8 +100,8 @@ class OnlineFairCaching {
   // insert/retire/adopt preserves this.
   util::Status verify_consistency() const;
 
-  // The contention engine the inserts actually run (kAuto resolved,
-  // kRebuild fallback applied) and its integrity-guard activity.
+  // The contention engine the inserts actually run (kRebuild fallback
+  // applied) and its integrity-guard activity.
   ContentionMode contention_mode_used() const { return engine_.mode_used(); }
   const CorruptionReport& guard_report() const {
     return engine_.guard_report();

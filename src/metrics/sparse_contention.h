@@ -1,7 +1,7 @@
 #pragma once
 
 // Sparse (candidate-list) contention costs — the O(n²)-wall breaker for
-// 100k-node instances (docs/PERF.md, "Sparse contention engine").
+// 100k-node instances (docs/PERF.md, "Contention updater").
 //
 // Under PathPolicy::kHopShortest a client j only ever connects to a
 // facility i within a bounded number of hops: beyond a contention radius r
@@ -26,21 +26,15 @@
 //     reachable pair is materialized and the store is entry-for-entry
 //     bit-identical to the dense ContentionMatrix.
 //
-// SparseContentionUpdater mirrors metrics::ContentionUpdater incrementally:
-// it pins the truncated BFS trees once per topology (preorder subtree
-// intervals per row, aligned with the CSR slots) and applies cache-state
-// weight deltas as range-adds — O(row + |D| log row) per row instead of a
-// BFS. Builds are sharded by Voronoi region (graph::voronoi_partition over
-// evenly spaced seeds) so parallel workers walk topologically clustered
-// sources while writing disjoint CSR row blocks.
+// metrics::ContentionUpdater (ContentionLayout::kCsr) builds and
+// delta-patches this store.
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
 #include "graph/graph.h"
-#include "metrics/cache_state.h"
-#include "util/integrity.h"
-#include "util/matrix.h"
+#include "graph/shortest_paths.h"
 
 namespace faircache::metrics {
 
@@ -67,7 +61,9 @@ struct SparseContention {
   // Build stamp of the pinning updater (process-unique, monotone). A
   // restore() whose stamp does not match the updater's current pinned
   // trees — a buffer taken against an older topology or an earlier
-  // rebuild — is dropped and the next update() rebuilds from scratch.
+  // rebuild — is dropped and the next update() rebuilds from scratch. The
+  // dense layout lends an otherwise empty store that carries only this
+  // stamp (metrics::ContentionBuffers).
   std::uint64_t epoch = 0;
   std::vector<std::int64_t> row_offset;  // size n + 1
   std::vector<std::uint32_t> packed;     // (col << 8) | hop, ascending col
@@ -85,141 +81,14 @@ struct SparseContention {
   // c_ij by binary search over row i; graph::kInfCost when the pair is not
   // materialized (out of radius / unreachable). O(log row) — for tests and
   // evaluators, not solver hot loops (those iterate rows).
-  double cost_at(graph::NodeId i, graph::NodeId j) const;
-};
-
-// Options fixed at updater construction (they shape the pinned trees).
-struct SparseContentionOptions {
-  // Hop truncation radius per source row; ≤ 0 builds every row full.
-  int radius = 0;
-  // Source whose row is always built untruncated (the ConFL root), so the
-  // dual growth can freeze every client onto the pre-opened root.
-  // kInvalidNode (or an out-of-range id) disables the exemption.
-  graph::NodeId full_row = graph::kInvalidNode;
-  // Worker threads for builds and delta sweeps (0 = the
-  // util::parallel_threads() default). Bit-identical at any setting.
-  int threads = 0;
-  // Maintain integrity digests across builds and delta sweeps (~3 integer
-  // ops per touched entry); disable only when no core::EngineGuard will
-  // ever audit this updater.
-  bool checksums = true;
-};
-
-// Incremental sparse-contention maintenance across a chunk loop — the
-// ContentionUpdater contract (pin trees once, delta-patch per chunk,
-// take/restore buffer hand-off) over the CSR store above.
-class SparseContentionUpdater {
- public:
-  // The graph must outlive the updater and must not change topology.
-  // Requires g.num_nodes() < SparseContention::kMaxNodes (24-bit columns).
-  explicit SparseContentionUpdater(const graph::Graph& g,
-                                   SparseContentionOptions options = {});
-  ~SparseContentionUpdater();
-
-  SparseContentionUpdater(const SparseContentionUpdater&) = delete;
-  SparseContentionUpdater& operator=(const SparseContentionUpdater&) = delete;
-
-  // Brings the owned store and edge costs in sync with `state`. First call
-  // (or any call after take_* without restore) performs the sharded full
-  // build and pins the truncated trees; later calls apply weight deltas as
-  // preorder range-adds per row. No-op when no node weight changed.
-  void update(const CacheState& state);
-
-  const graph::Graph& graph() const { return *graph_; }
-  const SparseContention& store() const { return store_; }
-  const std::vector<double>& edge_costs() const { return edge_cost_; }
-  double max_cost() const { return store_.max_cost; }
-
-  // Zero-copy hand-off for instance building (the ContentionUpdater
-  // contract): steal the buffers, solve on them, hand them back so the
-  // next update() can delta-patch. An update() with outstanding buffers
-  // falls back to a full rebuild.
-  SparseContention take_store() { return std::move(store_); }
-  std::vector<double> take_edge_costs() { return std::move(edge_cost_); }
-  void restore(SparseContention store, std::vector<double> edge_cost);
-
-  // Cumulative wall-clock split of update() work: full sharded builds vs
-  // delta sweeps. Surfaced per run in core::SolveReport.
-  double tree_build_seconds() const { return tree_build_seconds_; }
-  double delta_apply_seconds() const { return delta_apply_seconds_; }
-
-  // --- Integrity-guard surface (core::EngineGuard; docs/ROBUSTNESS.md,
-  // "Integrity guard"). ---
-
-  // True once update() has built and the buffers are home (not taken).
-  bool ready() const { return built_ && !store_.empty() && !pre_.empty(); }
-  bool checksums_enabled() const { return options_.checksums; }
-
-  // The digests the incremental bookkeeping believes are current. Only
-  // meaningful when checksums_enabled() and ready().
-  const util::StateDigest& maintained_digest() const { return digest_; }
-
-  // Recomputes every block digest from the actual buffers (parallel over
-  // rows, bit-identical at any thread count). Divergence from
-  // maintained_digest() means some state mutated outside update().
-  util::StateDigest recompute_digest() const;
-
-  // Stateless recompute of row i's truncated BFS from the tracked weights
-  // (the exact kRebuild arithmetic); true when the stored packed entries
-  // and costs match bitwise.
-  bool verify_row(graph::NodeId i) const;
-
-  // Test-only fault hook (sim::StateFaultInjector): mutates one guarded
-  // slot *without* updating the maintained checksums. False when the
-  // corruption class does not apply or nothing is built yet.
-  bool corrupt_for_testing(const util::StateCorruption& corruption);
-
-  // Restores dropped because the buffer's epoch stamp did not match the
-  // current pinned trees (each drop forces a rebuild on the next update).
-  int stale_restores() const { return stale_restores_; }
-
- private:
-  struct Workspace;  // per-worker scratch, defined in the .cpp
-
-  // BFS depth limit for row i (INT_MAX for the full row / unbounded mode).
-  int row_limit(graph::NodeId i) const;
-
-  void build_full(const std::vector<double>& weight);
-  void apply_deltas(const std::vector<std::pair<graph::NodeId, double>>& d);
-
-  // Digest of the aux block (row maxima, global max, and the store's
-  // epoch/shape scalars) — O(n), recomputed after every sweep.
-  std::uint64_t aux_digest() const;
-  std::uint64_t weight_digest() const;
-
-  const graph::Graph* graph_ = nullptr;
-  SparseContentionOptions options_;
-  graph::CsrAdjacency adj_;
-
-  SparseContention store_;
-  std::vector<double> edge_cost_;
-
-  // Voronoi-region build sharding: shard s builds the sources
-  // region_order_[region_begin_[s] .. region_begin_[s+1]) — workers walk
-  // topologically clustered sources, outputs land in disjoint CSR rows.
-  std::vector<graph::NodeId> region_order_;
-  std::vector<std::size_t> region_begin_;
-
-  // Pinned truncated trees, aligned with store_.packed: pre_/end_ give the
-  // preorder subtree interval of a row entry's node within its row's
-  // truncated BFS tree; order_ maps a row's preorder position back to the
-  // local (ascending-col) slot index inside that row.
-  std::vector<std::int32_t> pre_;
-  std::vector<std::int32_t> end_;
-  std::vector<std::uint32_t> order_;
-  std::vector<double> row_max_;
-
-  std::vector<double> weight_;  // w_k(1+S(k)) the costs currently reflect
-  bool built_ = false;
-  util::StateDigest digest_;  // maintained block checksums (checksums only)
-
-  // Epoch of the currently pinned trees (assigned fresh per build_full
-  // from a process-wide counter) and the stale-restore drop count.
-  std::uint64_t epoch_ = 0;
-  int stale_restores_ = 0;
-
-  double tree_build_seconds_ = 0.0;
-  double delta_apply_seconds_ = 0.0;
+  double cost_at(graph::NodeId i, graph::NodeId j) const {
+    const std::uint32_t* base = packed.data();
+    const std::uint32_t* end = base + row_end(i);
+    const std::uint32_t* it = std::lower_bound(
+        base + row_begin(i), end, static_cast<std::uint32_t>(j) << kHopBits);
+    if (it == end || col_of(*it) != j) return graph::kInfCost;
+    return cost[static_cast<std::size_t>(it - base)];
+  }
 };
 
 }  // namespace faircache::metrics

@@ -7,6 +7,7 @@
 #include "metrics/evaluator.h"
 #include "metrics/fairness_stats.h"
 #include "util/check.h"
+#include "util/hash.h"
 #include "util/rng.h"
 
 namespace faircache::sim {
@@ -373,39 +374,22 @@ FaultPlan churn_to_fault_plan(const ChurnPlan& plan, int rounds_per_tick) {
   return faults;
 }
 
-namespace {
-
-void hash_bytes(std::uint64_t& h, const void* data, std::size_t len) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < len; ++i) {
-    h ^= bytes[i];
-    h *= 1099511628211ULL;
-  }
-}
-
-template <typename T>
-void hash_value(std::uint64_t& h, T value) {
-  hash_bytes(h, &value, sizeof(value));
-}
-
-}  // namespace
-
 std::uint64_t ChurnTimeline::hash() const {
-  std::uint64_t h = 1469598103934665603ULL;
+  util::Fnv1a h;
   for (const ChurnSample& s : samples_) {
-    hash_value(h, s.time);
-    hash_value(h, static_cast<int>(s.phase));
-    hash_value(h, s.alive_nodes);
-    hash_value(h, s.component_nodes);
-    hash_value(h, s.total_stored);
-    hash_value(h, s.reachable_fraction);
-    hash_value(h, s.mean_hops);
-    hash_value(h, s.unreachable_pairs);
-    hash_value(h, s.component_cost);
-    hash_value(h, s.jain);
-    hash_value(h, s.gini);
+    h.value(s.time);
+    h.value(static_cast<int>(s.phase));
+    h.value(s.alive_nodes);
+    h.value(s.component_nodes);
+    h.value(s.total_stored);
+    h.value(s.reachable_fraction);
+    h.value(s.mean_hops);
+    h.value(s.unreachable_pairs);
+    h.value(s.component_cost);
+    h.value(s.jain);
+    h.value(s.gini);
   }
-  return h;
+  return h.digest();
 }
 
 namespace {
@@ -531,25 +515,25 @@ util::Result<ChurnRunResult> run_churn(const core::FairCachingProblem& problem,
 }
 
 std::uint64_t churn_result_hash(const ChurnRunResult& result) {
-  std::uint64_t h = result.timeline.hash();
+  util::Fnv1a h(result.timeline.hash());
   for (const core::RepairReport& r : result.reports) {
-    hash_value(h, static_cast<int>(r.stop_reason.code()));
-    hash_value(h, r.replicas_lost);
-    hash_value(h, r.replicas_restored);
-    hash_value(h, r.chunks_affected);
-    hash_value(h, r.chunks_local);
-    hash_value(h, r.chunks_resolved);
-    hash_value(h, r.chunks_unrepaired);
-    hash_value(h, r.unservable_pairs);
-    hash_value(h, r.work_units);
-    hash_value(h, r.cost_before);
-    hash_value(h, r.cost_after);
+    h.value(static_cast<int>(r.stop_reason.code()));
+    h.value(r.replicas_lost);
+    h.value(r.replicas_restored);
+    h.value(r.chunks_affected);
+    h.value(r.chunks_local);
+    h.value(r.chunks_resolved);
+    h.value(r.chunks_unrepaired);
+    h.value(r.unservable_pairs);
+    h.value(r.work_units);
+    h.value(r.cost_before);
+    h.value(r.cost_after);
   }
   for (NodeId v = 0; v < result.state.num_nodes(); ++v) {
-    hash_value(h, v);
-    for (metrics::ChunkId c : result.state.chunks_on(v)) hash_value(h, c);
+    h.value(v);
+    for (metrics::ChunkId c : result.state.chunks_on(v)) h.value(c);
   }
-  return h;
+  return h.digest();
 }
 
 }  // namespace faircache::sim

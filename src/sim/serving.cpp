@@ -8,6 +8,7 @@
 #include "core/validate.h"
 #include "graph/shortest_paths.h"
 #include "metrics/fairness_stats.h"
+#include "util/hash.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
 
@@ -17,19 +18,6 @@ namespace {
 
 using graph::NodeId;
 using metrics::ChunkId;
-
-void hash_bytes(std::uint64_t& h, const void* data, std::size_t len) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < len; ++i) {
-    h ^= bytes[i];
-    h *= 1099511628211ULL;
-  }
-}
-
-template <typename T>
-void hash_value(std::uint64_t& h, T value) {
-  hash_bytes(h, &value, sizeof(value));
-}
 
 util::Status validate_config(const core::FairCachingProblem& problem,
                              const ServingConfig& config) {
@@ -276,34 +264,34 @@ util::Result<ServingResult> ServingEngine::run(ServingPolicy* policy) {
 }
 
 std::uint64_t serving_result_hash(const ServingResult& result) {
-  std::uint64_t h = 1469598103934665603ULL;
-  hash_bytes(h, result.policy.data(), result.policy.size());
-  hash_value(h, result.totals.requests);
-  hash_value(h, result.totals.hits_local);
-  hash_value(h, result.totals.hits_relay);
-  hash_value(h, result.totals.producer_fetches);
-  hash_value(h, result.totals.inserts);
-  hash_value(h, result.totals.evictions);
-  hash_value(h, result.totals.reopt_ticks);
-  hash_value(h, result.totals.degraded_chunks);
-  hash_value(h, result.totals.drift_events);
-  hash_value(h, result.totals.total_cost);
+  util::Fnv1a h;
+  h.bytes(result.policy.data(), result.policy.size());
+  h.value(result.totals.requests);
+  h.value(result.totals.hits_local);
+  h.value(result.totals.hits_relay);
+  h.value(result.totals.producer_fetches);
+  h.value(result.totals.inserts);
+  h.value(result.totals.evictions);
+  h.value(result.totals.reopt_ticks);
+  h.value(result.totals.degraded_chunks);
+  h.value(result.totals.drift_events);
+  h.value(result.totals.total_cost);
   for (const ServingSample& s : result.series) {
-    hash_value(h, s.request_end);
-    hash_value(h, s.window_local);
-    hash_value(h, s.window_relay);
-    hash_value(h, s.window_producer);
-    hash_value(h, s.window_cost);
-    hash_value(h, s.jain);
-    hash_value(h, s.gini);
-    hash_value(h, s.total_stored);
+    h.value(s.request_end);
+    h.value(s.window_local);
+    h.value(s.window_relay);
+    h.value(s.window_producer);
+    h.value(s.window_cost);
+    h.value(s.jain);
+    h.value(s.gini);
+    h.value(s.total_stored);
   }
   for (NodeId v = 0; v < result.state.num_nodes(); ++v) {
-    hash_value(h, v);
-    for (ChunkId c : result.state.chunks_on(v)) hash_value(h, c);
+    h.value(v);
+    for (ChunkId c : result.state.chunks_on(v)) h.value(c);
   }
-  hash_value(h, static_cast<int>(result.contention_mode_used));
-  return h;
+  h.value(static_cast<int>(result.contention_mode_used));
+  return h.digest();
 }
 
 }  // namespace faircache::sim

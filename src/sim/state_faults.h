@@ -34,7 +34,7 @@ enum class StateFaultClass {
   kDroppedDelta,     // perturb one tracked weight (a lost update)
   kEdgeCostBitFlip,  // flip bits of one dissemination edge cost
   kTruncatedBuffer,  // drop trailing entries from a guarded buffer
-  kStaleEpochRestore,  // tamper the sparse store's epoch stamp
+  kStaleEpochRestore,  // tamper the lent buffers' epoch stamp
 };
 
 // One scheduled corruption: apply `cls` right before the engine's
@@ -57,8 +57,8 @@ util::Status validate_state_fault_plan(const StateFaultPlan& plan);
 // Executes a StateFaultPlan against one engine. Bind with attach() before
 // the first build(); the injector must outlive the engine's option copy's
 // last build() call. Faults whose class does not apply to the engine's
-// resolved mode (e.g. kStaleEpochRestore on the dense engine, any fault
-// in stateless kRebuild mode) are counted as skipped, not errors.
+// resolved mode (any fault in stateless kRebuild mode) are counted as
+// skipped, not errors.
 class StateFaultInjector {
  public:
   explicit StateFaultInjector(StateFaultPlan plan);

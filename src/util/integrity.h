@@ -2,13 +2,13 @@
 
 // Incremental checksums over guarded engine state blocks — the detection
 // half of the integrity-guard runtime (docs/ROBUSTNESS.md, "Integrity
-// guard"). The stateful engines (metrics::ContentionUpdater,
-// metrics::SparseContentionUpdater) pin BFS trees once per topology and
-// patch costs forever after; a silently corrupted entry (bit flip, dropped
-// delta, bad take/restore, out-of-contract caller) would poison every
-// subsequent solve. Each engine therefore maintains a StateDigest over its
-// guarded blocks and core::EngineGuard periodically recomputes it from the
-// actual buffers; any divergence quarantines the engine.
+// guard"). The stateful metrics::ContentionUpdater (dense and CSR row
+// layouts alike) pins BFS trees once per topology and patches costs forever
+// after; a silently corrupted entry (bit flip, dropped delta, bad
+// take/restore, out-of-contract caller) would poison every subsequent
+// solve. The updater therefore maintains a StateDigest over its guarded
+// blocks and core::EngineGuard periodically recomputes it from the actual
+// buffers; any divergence quarantines the updater.
 //
 // Digest scheme: an order-independent slot-weighted sum mod 2^64,
 //
@@ -127,7 +127,7 @@ struct StateCorruption {
     kWeight,    // XOR `bits` into one tracked node weight (dropped delta)
     kEdgeCost,  // XOR `bits` into one dissemination edge cost
     kTruncate,  // drop `bits` (≥ 1) trailing entries from a guarded buffer
-    kEpoch,     // XOR `bits` into the sparse store's epoch stamp
+    kEpoch,     // XOR `bits` into the lent buffers' epoch stamp
   };
 
   Block block = Block::kCost;

@@ -24,6 +24,7 @@
 #include "graph/generators.h"
 #include "sim/distributed.h"
 #include "util/check.h"
+#include "util/hash.h"
 
 namespace faircache::sim {
 namespace {
@@ -41,24 +42,13 @@ core::FairCachingProblem make_problem(const Graph& g, NodeId producer,
   return problem;
 }
 
-std::uint64_t fnv1a(const void* data, std::size_t len, std::uint64_t h) {
-  const auto* b = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < len; ++i) {
-    h ^= b[i];
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
 std::uint64_t placement_hash(const metrics::CacheState& state) {
-  std::uint64_t h = 1469598103934665603ULL;
+  util::Fnv1a h;
   for (NodeId v = 0; v < state.num_nodes(); ++v) {
-    h = fnv1a(&v, sizeof(v), h);
-    for (metrics::ChunkId c : state.chunks_on(v)) {
-      h = fnv1a(&c, sizeof(c), h);
-    }
+    h.value(v);
+    for (metrics::ChunkId c : state.chunks_on(v)) h.value(c);
   }
-  return h;
+  return h.digest();
 }
 
 // --- (a) Zero-churn bit-identity. --------------------------------------
@@ -72,18 +62,16 @@ TEST(ZeroChurnGoldenTest, AppxOutputBitIdenticalToPinnedHash) {
   const core::FairCachingProblem problem = make_problem(g, 9, 5, 5);
   core::ApproxFairCaching appx;
   const core::FairCachingResult result = appx.run(problem);
-  std::uint64_t h = 1469598103934665603ULL;
+  util::Fnv1a h;
   for (const auto& p : result.placements) {
-    h = fnv1a(&p.chunk, sizeof(p.chunk), h);
-    for (NodeId v : p.cache_nodes) h = fnv1a(&v, sizeof(v), h);
-    h = fnv1a(&p.solver_objective, sizeof(p.solver_objective), h);
+    h.value(p.chunk);
+    for (NodeId v : p.cache_nodes) h.value(v);
+    h.value(p.solver_objective);
   }
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    for (metrics::ChunkId c : result.state.chunks_on(v)) {
-      h = fnv1a(&c, sizeof(c), h);
-    }
+    for (metrics::ChunkId c : result.state.chunks_on(v)) h.value(c);
   }
-  EXPECT_EQ(h, 0xc181c06e1755612dULL);
+  EXPECT_EQ(h.digest(), 0xc181c06e1755612dULL);
 }
 
 TEST(ZeroChurnGoldenTest, EmptyPlanRunLeavesPlacementUntouched) {

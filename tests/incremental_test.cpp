@@ -1,23 +1,22 @@
 // Tests for the incremental per-chunk instance engine: the
 // metrics::ContentionUpdater (delta range-adds over pinned BFS trees) must
-// track a freshly built ContentionMatrix exactly — the paper's contention
-// weights are integer-valued, so the delta path is not just "within
-// tolerance" but bit-identical — and core::ChunkInstanceEngine /
-// ApproxFairCaching must produce the same placements in kIncremental and
-// kRebuild modes at any thread count.
+// track a freshly built ContentionMatrix exactly on every row layout — the
+// paper's contention weights are integer-valued, so the delta path is not
+// just "within tolerance" but bit-identical — and
+// core::ChunkInstanceEngine / ApproxFairCaching must produce the same
+// placements in kIncremental and kRebuild modes at any thread count.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstring>
 #include <vector>
 
+#include "contention_checks.h"
 #include "core/approx.h"
 #include "core/instance_builder.h"
 #include "graph/generators.h"
-#include "graph/shortest_paths.h"
-#include "metrics/contention.h"
 #include "metrics/contention_updater.h"
+#include "util/hash.h"
 #include "util/rng.h"
 
 namespace faircache {
@@ -25,49 +24,41 @@ namespace {
 
 using graph::Graph;
 using graph::NodeId;
+using metrics::ContentionBuffers;
+using metrics::ContentionLayout;
+using metrics::ContentionUpdater;
+using testutil::expect_matches_rebuild;
 
-// FNV-1a over raw bytes — the same determinism probe bench/engine_smoke
-// uses for solver outputs.
-std::uint64_t fnv1a(const void* data, std::size_t size,
-                    std::uint64_t hash = 1469598103934665603ULL) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < size; ++i) {
-    hash ^= bytes[i];
-    hash *= 1099511628211ULL;
-  }
-  return hash;
-}
+// Every updater test runs over this table: the dense layout, a truncated
+// CSR layout and a full-row CSR layout.
+struct LayoutCase {
+  const char* name;
+  ContentionLayout layout;
+  int radius;
+};
+constexpr LayoutCase kLayouts[] = {
+    {"dense", ContentionLayout::kDense, 0},
+    {"csr-r2", ContentionLayout::kCsr, 2},
+    {"csr-unbounded", ContentionLayout::kCsr, 0},
+};
 
-std::uint64_t matrix_hash(const util::Matrix<double>& m) {
-  return fnv1a(m.data(), m.size() * sizeof(double));
-}
-
-// Asserts the updater's whole view (matrix, edge costs, max) is exactly a
-// fresh ContentionMatrix of the same state.
-void expect_matches_rebuild(const Graph& g,
-                            const metrics::ContentionUpdater& updater,
-                            const metrics::CacheState& state) {
-  metrics::ContentionMatrix fresh(g, state);
-  ASSERT_EQ(updater.matrix().rows(), fresh.matrix().rows());
-  ASSERT_EQ(updater.matrix().cols(), fresh.matrix().cols());
-  const auto n = fresh.matrix().rows();
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      ASSERT_EQ(updater.matrix()(i, j), fresh.matrix()(i, j))
-          << "entry (" << i << ", " << j << ")";
-    }
-  }
-  ASSERT_EQ(updater.edge_costs(), fresh.edge_costs());
-  ASSERT_EQ(updater.max_cost(), fresh.max_cost());
+ContentionUpdater make_updater(const Graph& g, const LayoutCase& c,
+                               int threads = 0) {
+  metrics::ContentionUpdaterOptions options;
+  options.radius = c.radius;
+  options.full_row = 0;  // the producer of every fixture below
+  options.threads = threads;
+  return ContentionUpdater(g, c.layout, options);
 }
 
 // Random add/remove churn on `state`, comparing the updater against a full
-// rebuild after every step.
-void churn_and_check(const Graph& g, util::Rng& rng, int steps,
-                     int capacity = 3) {
-  const NodeId producer = 0;
-  metrics::CacheState state(g.num_nodes(), capacity, producer);
-  metrics::ContentionUpdater updater(g);
+// rebuild — the ContentionMatrix and a fresh updater of the same layout —
+// after every step.
+void churn_and_check(const Graph& g, const LayoutCase& c, util::Rng& rng,
+                     int steps, int capacity = 3) {
+  SCOPED_TRACE(c.name);
+  metrics::CacheState state(g.num_nodes(), capacity, /*producer=*/0);
+  ContentionUpdater updater = make_updater(g, c);
   updater.update(state);
   expect_matches_rebuild(g, updater, state);
 
@@ -85,117 +76,173 @@ void churn_and_check(const Graph& g, util::Rng& rng, int steps,
         state.remove(v, chunk);
       }
     }
-    updater.update(state);
+    updater.update(state);  // delta path after the first call
     expect_matches_rebuild(g, updater, state);
+    ContentionUpdater fresh = make_updater(g, c);
+    fresh.update(state);
+    ASSERT_EQ(testutil::buffer_hash(updater), testutil::buffer_hash(fresh))
+        << "step " << step;
   }
+  EXPECT_GT(updater.delta_apply_seconds(), 0.0);
 }
 
 TEST(ContentionUpdaterTest, GridChurnMatchesRebuildExactly) {
-  util::Rng rng(11);
-  churn_and_check(graph::make_grid(7, 6), rng, 12);
+  for (const LayoutCase& c : kLayouts) {
+    util::Rng rng(11);
+    churn_and_check(graph::make_grid(7, 6), c, rng, 12);
+  }
 }
 
 TEST(ContentionUpdaterTest, ErdosRenyiChurnMatchesRebuildExactly) {
-  util::Rng rng(29);
-  for (const double p : {0.08, 0.2, 0.5}) {
-    churn_and_check(graph::make_erdos_renyi(24, p, rng), rng, 8);
+  for (const LayoutCase& c : kLayouts) {
+    util::Rng rng(29);
+    for (const double p : {0.08, 0.2, 0.5}) {
+      churn_and_check(graph::make_erdos_renyi(24, p, rng), c, rng, 8);
+    }
   }
 }
 
 TEST(ContentionUpdaterTest, DisconnectedGraphsKeepInfiniteEntries) {
   // Sparse ER graphs are usually disconnected (isolated nodes included):
   // unreachable pairs must stay kInfCost through every delta round.
-  util::Rng rng(83);
-  for (int round = 0; round < 4; ++round) {
-    const Graph g = graph::make_erdos_renyi(20, 0.06, rng);
-    churn_and_check(g, rng, 6);
+  for (const LayoutCase& c : kLayouts) {
+    util::Rng rng(83);
+    for (int round = 0; round < 4; ++round) {
+      const Graph g = graph::make_erdos_renyi(20, 0.06, rng);
+      churn_and_check(g, c, rng, 6);
+    }
   }
 }
 
 TEST(ContentionUpdaterTest, RemovalOnlySequenceMatchesRebuild) {
   const Graph g = graph::make_grid(5, 5);
-  metrics::CacheState state(g.num_nodes(), 4, 0);
-  for (NodeId v = 1; v < g.num_nodes(); v += 2) {
-    state.add(v, 0);
-    state.add(v, 1);
-  }
-  metrics::ContentionUpdater updater(g);
-  updater.update(state);
-  for (NodeId v = 1; v < g.num_nodes(); v += 2) {
-    state.remove(v, 0);
+  for (const LayoutCase& c : kLayouts) {
+    SCOPED_TRACE(c.name);
+    metrics::CacheState state(g.num_nodes(), 4, 0);
+    for (NodeId v = 1; v < g.num_nodes(); v += 2) {
+      state.add(v, 0);
+      state.add(v, 1);
+    }
+    ContentionUpdater updater = make_updater(g, c);
     updater.update(state);
-    expect_matches_rebuild(g, updater, state);
+    for (NodeId v = 1; v < g.num_nodes(); v += 2) {
+      state.remove(v, 0);
+      updater.update(state);
+      expect_matches_rebuild(g, updater, state);
+    }
   }
 }
 
 TEST(ContentionUpdaterTest, NoChangeUpdateIsANoOp) {
   const Graph g = graph::make_grid(4, 4);
-  metrics::CacheState state(g.num_nodes(), 3, 0);
-  metrics::ContentionUpdater updater(g);
-  updater.update(state);
-  const double tree = updater.tree_build_seconds();
-  const double delta = updater.delta_apply_seconds();
-  updater.update(state);  // same weights: no sweep at all
-  EXPECT_EQ(updater.tree_build_seconds(), tree);
-  EXPECT_EQ(updater.delta_apply_seconds(), delta);
-  expect_matches_rebuild(g, updater, state);
+  for (const LayoutCase& c : kLayouts) {
+    SCOPED_TRACE(c.name);
+    metrics::CacheState state(g.num_nodes(), 3, 0);
+    ContentionUpdater updater = make_updater(g, c);
+    updater.update(state);
+    const double tree = updater.tree_build_seconds();
+    const double delta = updater.delta_apply_seconds();
+    updater.update(state);  // same weights: no sweep at all
+    EXPECT_EQ(updater.tree_build_seconds(), tree);
+    EXPECT_EQ(updater.delta_apply_seconds(), delta);
+    expect_matches_rebuild(g, updater, state);
+  }
 }
 
 TEST(ContentionUpdaterTest, ThreadCountNeverChangesAnyBit) {
   util::Rng rng(7);
   const Graph g = graph::make_erdos_renyi(30, 0.15, rng);
-  std::vector<std::uint64_t> hashes;
-  for (const int threads : {1, 2, 8}) {
-    metrics::CacheState state(g.num_nodes(), 3, 0);
-    metrics::ContentionUpdater updater(g, threads);
-    updater.update(state);
-    std::uint64_t h = matrix_hash(updater.matrix());
-    util::Rng churn(7);  // same churn sequence for every thread count
-    for (int step = 0; step < 10; ++step) {
-      const auto v = static_cast<NodeId>(
-          churn.bounded(static_cast<std::uint64_t>(g.num_nodes())));
-      const auto chunk = static_cast<metrics::ChunkId>(step % 4);
-      if (state.can_cache(v, chunk)) state.add(v, chunk);
+  for (const LayoutCase& c : kLayouts) {
+    SCOPED_TRACE(c.name);
+    std::vector<std::uint64_t> hashes;
+    for (const int threads : {1, 2, 8}) {
+      metrics::CacheState state(g.num_nodes(), 3, 0);
+      ContentionUpdater updater = make_updater(g, c, threads);
       updater.update(state);
-      h = fnv1a(&h, sizeof(h), matrix_hash(updater.matrix()));
+      util::Fnv1a h;
+      h.value(testutil::buffer_hash(updater));
+      util::Rng churn(7);  // same churn sequence for every thread count
+      for (int step = 0; step < 10; ++step) {
+        const auto v = static_cast<NodeId>(
+            churn.bounded(static_cast<std::uint64_t>(g.num_nodes())));
+        const auto chunk = static_cast<metrics::ChunkId>(step % 4);
+        if (state.can_cache(v, chunk)) state.add(v, chunk);
+        updater.update(state);
+        h.value(testutil::buffer_hash(updater));
+      }
+      hashes.push_back(h.digest());
     }
-    hashes.push_back(h);
+    EXPECT_EQ(hashes[0], hashes[1]);
+    EXPECT_EQ(hashes[0], hashes[2]);
   }
-  EXPECT_EQ(hashes[0], hashes[1]);
-  EXPECT_EQ(hashes[0], hashes[2]);
 }
 
 TEST(ContentionUpdaterTest, TakeRestoreRoundTripKeepsDeltaPath) {
   const Graph g = graph::make_grid(5, 4);
-  metrics::CacheState state(g.num_nodes(), 3, 0);
-  metrics::ContentionUpdater updater(g);
-  updater.update(state);
+  for (const LayoutCase& c : kLayouts) {
+    SCOPED_TRACE(c.name);
+    metrics::CacheState state(g.num_nodes(), 3, 0);
+    ContentionUpdater updater = make_updater(g, c);
+    updater.update(state);
 
-  util::Matrix<double> taken = updater.take_matrix();
-  std::vector<double> edges = updater.take_edge_costs();
-  updater.restore(std::move(taken), std::move(edges));
+    ContentionBuffers lent = updater.take();
+    EXPECT_FALSE(updater.ready());
+    updater.restore(std::move(lent));
+    EXPECT_TRUE(updater.ready());
 
-  state.add(5, 0);
-  const double tree_before = updater.tree_build_seconds();
-  updater.update(state);
-  // Restored buffers delta-patch: no second full build happened.
-  EXPECT_EQ(updater.tree_build_seconds(), tree_before);
-  expect_matches_rebuild(g, updater, state);
+    state.add(5, 0);
+    state.add(17, 3);
+    const double tree_before = updater.tree_build_seconds();
+    updater.update(state);
+    // Restored buffers delta-patch: no second full build happened.
+    EXPECT_EQ(updater.tree_build_seconds(), tree_before);
+    EXPECT_EQ(updater.stale_restores(), 0);
+    expect_matches_rebuild(g, updater, state);
+  }
 }
 
 TEST(ContentionUpdaterTest, LostBuffersFallBackToFullRebuild) {
   const Graph g = graph::make_grid(5, 4);
-  metrics::CacheState state(g.num_nodes(), 3, 0);
-  metrics::ContentionUpdater updater(g);
-  updater.update(state);
+  for (const LayoutCase& c : kLayouts) {
+    SCOPED_TRACE(c.name);
+    metrics::CacheState state(g.num_nodes(), 3, 0);
+    ContentionUpdater updater = make_updater(g, c);
+    updater.update(state);
 
-  (void)updater.take_matrix();  // never restored
-  (void)updater.take_edge_costs();
-  state.add(7, 0);
-  const double tree_before = updater.tree_build_seconds();
-  updater.update(state);
-  EXPECT_GT(updater.tree_build_seconds(), tree_before);  // rebuilt in full
-  expect_matches_rebuild(g, updater, state);
+    (void)updater.take();  // never restored
+    state.add(7, 0);
+    const double tree_before = updater.tree_build_seconds();
+    updater.update(state);
+    EXPECT_GT(updater.tree_build_seconds(), tree_before);  // rebuilt in full
+    expect_matches_rebuild(g, updater, state);
+  }
+}
+
+TEST(ContentionUpdaterTest, StaleRestoreAfterRebuildIsDropped) {
+  // Buffers taken before a later full build belong to the old pinning:
+  // handing them back must not replace the fresh buffers, or the next
+  // delta sweep patches costs of the wrong state.
+  const Graph g = graph::make_grid(6, 6);
+  for (const LayoutCase& c : kLayouts) {
+    SCOPED_TRACE(c.name);
+    ContentionUpdater updater = make_updater(g, c);
+    metrics::CacheState state(g.num_nodes(), 3, /*producer=*/0);
+    state.add(8, 0);
+    updater.update(state);  // s1
+    ContentionBuffers old = updater.take();
+
+    state.add(14, 1);
+    state.add(27, 2);
+    updater.update(state);  // s2: a full rebuild, the buffers are out
+    updater.restore(std::move(old));
+    EXPECT_EQ(updater.stale_restores(), 1);
+    EXPECT_TRUE(updater.ready());
+
+    state.add(3, 0);
+    state.remove(8, 0);
+    updater.update(state);  // s3: delta sweep over the s2 buffers
+    expect_matches_rebuild(g, updater, state);
+  }
 }
 
 // ------------------------------------------------- ChunkInstanceEngine ---
@@ -273,6 +320,43 @@ TEST(ChunkInstanceEngineTest, ValidationMatchesStatelessBuilder) {
   const metrics::CacheState state = problem.make_initial_state();
   EXPECT_TRUE(demand_engine.build(state, 1).ok());
   EXPECT_FALSE(demand_engine.build(state, 2).ok());  // missing demand row
+}
+
+TEST(ChunkInstanceEngineTest, ReclaimOfSupersededInstanceIsDropped) {
+  // build, build without reclaim (the engine rebuilds), then reclaim the
+  // first instance: its buffers belong to the superseded pinning and must
+  // not come back, or the next build delta-patches stale costs.
+  const Graph g = graph::make_grid(6, 6);
+  const core::FairCachingProblem problem = grid_problem(g);
+  for (const core::ContentionMode mode :
+       {core::ContentionMode::kIncremental, core::ContentionMode::kSparse}) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    core::InstanceOptions options;
+    options.contention_mode = mode;
+    options.contention_radius = 2;
+    core::ChunkInstanceEngine engine(problem, options);
+    metrics::CacheState state = problem.make_initial_state();
+    util::Result<confl::ConflInstance> first = engine.build(state, 0);
+    ASSERT_TRUE(first.ok());
+    state.add(8, 0);
+    state.add(21, 0);
+    util::Result<confl::ConflInstance> second = engine.build(state, 1);
+    ASSERT_TRUE(second.ok());
+    engine.reclaim(std::move(first).value());
+    EXPECT_EQ(engine.guard_report().stale_restores, 1);
+
+    state.add(14, 1);
+    state.add(30, 1);
+    util::Result<confl::ConflInstance> third = engine.build(state, 2);
+    ASSERT_TRUE(third.ok());
+    core::ChunkInstanceEngine fresh(problem, options);
+    const util::Result<confl::ConflInstance> ref = fresh.build(state, 2);
+    ASSERT_TRUE(ref.ok());
+    EXPECT_TRUE(third.value().assign_cost == ref.value().assign_cost);
+    EXPECT_EQ(third.value().sparse_cost.packed, ref.value().sparse_cost.packed);
+    EXPECT_EQ(third.value().sparse_cost.cost, ref.value().sparse_cost.cost);
+    EXPECT_EQ(third.value().edge_cost, ref.value().edge_cost);
+  }
 }
 
 // ---------------------------------------------------- end-to-end solves ---

@@ -14,12 +14,12 @@
 
 #include <gtest/gtest.h>
 
+#include "contention_checks.h"
 #include "core/approx.h"
 #include "core/instance_builder.h"
 #include "core/repair.h"
 #include "graph/generators.h"
 #include "metrics/cache_state.h"
-#include "metrics/contention_updater.h"
 #include "metrics/sparse_contention.h"
 #include "sim/state_faults.h"
 #include "util/integrity.h"
@@ -44,28 +44,7 @@ using sim::StateFault;
 using sim::StateFaultClass;
 using sim::StateFaultInjector;
 using sim::StateFaultPlan;
-
-std::uint64_t fnv1a(const void* data, std::size_t size,
-                    std::uint64_t hash = 1469598103934665603ULL) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < size; ++i) {
-    hash ^= bytes[i];
-    hash *= 1099511628211ULL;
-  }
-  return hash;
-}
-
-std::uint64_t placement_hash(const FairCachingResult& result) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const core::ChunkPlacement& p : result.placements) {
-    h = fnv1a(&p.chunk, sizeof(p.chunk), h);
-    h = fnv1a(p.cache_nodes.data(),
-              p.cache_nodes.size() * sizeof(NodeId), h);
-    h = fnv1a(p.assignment.data(), p.assignment.size() * sizeof(NodeId), h);
-    h = fnv1a(&p.solver_objective, sizeof(double), h);
-  }
-  return h;
-}
+using testutil::placement_hash;
 
 // Nightly chaos CI randomizes this via the environment; the default keeps
 // local runs reproducible. Always logged so a red run can be replayed.
@@ -240,17 +219,6 @@ TEST_P(ChaosMatrixTest, EveryClassDetectedAndRecoveredToRebuildGolden) {
     const RunOutcome out =
         run_solve(g, mode, paranoid_guard(), /*threads=*/0, &injector);
     const CorruptionReport& guard = out.report.guard;
-
-    if (mode == ContentionMode::kIncremental &&
-        cls == StateFaultClass::kStaleEpochRestore) {
-      // Dense buffers carry no epoch stamp: the injector reports the
-      // class as inapplicable and the run stays clean.
-      EXPECT_EQ(injector.injected(), 0);
-      EXPECT_EQ(injector.skipped(), 1);
-      EXPECT_TRUE(guard.clean());
-      EXPECT_EQ(out.hash, golden.hash);
-      continue;
-    }
 
     EXPECT_EQ(injector.injected(), 1);
     EXPECT_EQ(injector.skipped(), 0);

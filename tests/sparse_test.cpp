@@ -1,24 +1,25 @@
-// Tests for the sparse contention engine (metrics::SparseContention /
-// SparseContentionUpdater), its wiring through core::ChunkInstanceEngine
-// (ContentionMode::kSparse / kAuto), the sparse-aware ConFL solver path,
-// and the large-n Erdős–Rényi skip sampler the 100k benches rely on.
+// Tests for the sparse contention engine (metrics::SparseContention built
+// by the CSR-layout ContentionUpdater), its wiring through
+// core::ChunkInstanceEngine (ContentionMode::kSparse), the sparse-aware
+// ConFL solver path, and the large-n Erdős–Rényi skip sampler the 100k
+// benches rely on. The layout-generic updater tests live in
+// incremental_test; the CSR cases here pin radii and fixtures its layout
+// table does not reach.
 
 #include <algorithm>
 #include <cstdint>
-#include <cstring>
-#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "confl/confl.h"
+#include "contention_checks.h"
 #include "core/approx.h"
 #include "core/instance_builder.h"
 #include "graph/generators.h"
-#include "graph/shortest_paths.h"
-#include "metrics/contention.h"
-#include "metrics/sparse_contention.h"
+#include "metrics/contention_updater.h"
 #include "util/deadline.h"
+#include "util/hash.h"
 #include "util/rng.h"
 
 namespace faircache {
@@ -33,51 +34,19 @@ using core::SolveReport;
 using graph::Graph;
 using graph::NodeId;
 using metrics::CacheState;
-using metrics::ContentionMatrix;
+using metrics::ContentionBuffers;
+using metrics::ContentionLayout;
+using metrics::ContentionUpdater;
+using metrics::ContentionUpdaterOptions;
 using metrics::SparseContention;
-using metrics::SparseContentionOptions;
-using metrics::SparseContentionUpdater;
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
-std::uint64_t fnv1a(const void* data, std::size_t size,
-                    std::uint64_t hash = 1469598103934665603ULL) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < size; ++i) {
-    hash ^= bytes[i];
-    hash *= 1099511628211ULL;
-  }
-  return hash;
-}
-
-std::uint64_t store_hash(const SparseContention& s) {
-  std::uint64_t h = fnv1a(s.row_offset.data(),
-                          s.row_offset.size() * sizeof(s.row_offset[0]));
-  h = fnv1a(s.packed.data(), s.packed.size() * sizeof(s.packed[0]), h);
-  h = fnv1a(s.cost.data(), s.cost.size() * sizeof(s.cost[0]), h);
-  h = fnv1a(&s.max_cost, sizeof(s.max_cost), h);
-  return h;
-}
+using testutil::buffer_hash;
+using testutil::expect_matches_rebuild;
+using testutil::placement_hash;
 
 std::uint64_t edge_hash(const Graph& g) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const graph::Edge& e : g.edges()) {
-    h = fnv1a(&e.u, sizeof(e.u), h);
-    h = fnv1a(&e.v, sizeof(e.v), h);
-  }
-  return h;
-}
-
-std::uint64_t placement_hash(const FairCachingResult& result) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const core::ChunkPlacement& p : result.placements) {
-    h = fnv1a(&p.chunk, sizeof(p.chunk), h);
-    h = fnv1a(p.cache_nodes.data(),
-              p.cache_nodes.size() * sizeof(NodeId), h);
-    h = fnv1a(p.assignment.data(), p.assignment.size() * sizeof(NodeId), h);
-    h = fnv1a(&p.solver_objective, sizeof(double), h);
-  }
-  return h;
+  util::Fnv1a h;
+  for (const graph::Edge& e : g.edges()) h.value(e.u).value(e.v);
+  return h.digest();
 }
 
 // A churned cache state exercising non-trivial contention weights,
@@ -99,41 +68,6 @@ CacheState churned_state(const Graph& g, util::Rng& rng, int steps,
   return state;
 }
 
-// Expects every materialized pair to match the dense matrix bit-for-bit
-// and every in-radius pair to be materialized.
-void expect_matches_dense(const Graph& g, const SparseContentionUpdater& u,
-                          const CacheState& state) {
-  const ContentionMatrix dense(g, state);
-  const SparseContention& s = u.store();
-  const int n = g.num_nodes();
-  std::vector<int> hops(static_cast<std::size_t>(n));
-  std::vector<NodeId> queue;
-  for (NodeId i = 0; i < n; ++i) {
-    graph::bfs_hops(g, i, hops.data(), queue);
-    const bool full = s.radius <= 0 || i == s.full_row;
-    for (NodeId j = 0; j < n; ++j) {
-      const int hop = hops[static_cast<std::size_t>(j)];
-      const bool reachable = hop != graph::kUnreachable;
-      const bool in_store = reachable && (full || hop <= s.radius);
-      const double sparse_cost = s.cost_at(i, j);
-      if (in_store) {
-        ASSERT_EQ(sparse_cost, dense.cost(i, j))
-            << "entry (" << i << ", " << j << ")";
-      } else {
-        ASSERT_EQ(sparse_cost, kInf)
-            << "entry (" << i << ", " << j << ") should be absent";
-      }
-    }
-  }
-  ASSERT_EQ(u.edge_costs().size(), dense.edge_costs().size());
-  for (std::size_t e = 0; e < dense.edge_costs().size(); ++e) {
-    ASSERT_EQ(u.edge_costs()[e], dense.edge_costs()[e]) << "edge " << e;
-  }
-  if (s.radius <= 0) {
-    EXPECT_EQ(u.max_cost(), dense.max_cost());
-  }
-}
-
 FairCachingProblem grid_problem(const Graph& g, int chunks = 5) {
   FairCachingProblem problem;
   problem.network = &g;
@@ -149,9 +83,9 @@ TEST(SparseContentionTest, FullRadiusMatchesDenseMatrixExactly) {
   const Graph g = graph::make_grid(7, 6);
   util::Rng rng(11);
   const CacheState state = churned_state(g, rng, 120);
-  SparseContentionUpdater updater(g, SparseContentionOptions{});
+  ContentionUpdater updater(g, ContentionLayout::kCsr);
   updater.update(state);
-  expect_matches_dense(g, updater, state);
+  expect_matches_rebuild(g, updater, state);
   // Unbounded rows on a connected graph materialize every pair.
   const SparseContention& s = updater.store();
   EXPECT_EQ(s.row_offset.back(),
@@ -164,20 +98,20 @@ TEST(SparseContentionTest, TruncatedRadiusMatchesDenseWithinBall) {
   util::Rng rng(83);
   const Graph g = graph::make_erdos_renyi(60, 0.06, rng);
   const CacheState state = churned_state(g, rng, 150);
-  SparseContentionOptions options;
+  ContentionUpdaterOptions options;
   options.radius = 2;
   options.full_row = 0;
-  SparseContentionUpdater updater(g, options);
+  ContentionUpdater updater(g, ContentionLayout::kCsr, options);
   updater.update(state);
-  expect_matches_dense(g, updater, state);
+  expect_matches_rebuild(g, updater, state);
 }
 
 TEST(SparseContentionTest, FullRowStaysUntruncated) {
   const Graph g = graph::make_grid(8, 8);  // diameter 14 >> radius
-  SparseContentionOptions options;
+  ContentionUpdaterOptions options;
   options.radius = 1;
   options.full_row = 5;
-  SparseContentionUpdater updater(g, options);
+  ContentionUpdater updater(g, ContentionLayout::kCsr, options);
   updater.update(CacheState(g.num_nodes(), 3, /*producer=*/5));
   const SparseContention& s = updater.store();
   // The exempt row covers the whole (connected) graph; other rows only
@@ -191,12 +125,12 @@ TEST(SparseContentionTest, RadiusAtLeastDiameterEqualsUnbounded) {
   util::Rng rng(17);
   const CacheState state = churned_state(g, rng, 90);
 
-  SparseContentionUpdater unbounded(g, SparseContentionOptions{});
+  ContentionUpdater unbounded(g, ContentionLayout::kCsr);
   unbounded.update(state);
 
-  SparseContentionOptions options;
+  ContentionUpdaterOptions options;
   options.radius = 9;
-  SparseContentionUpdater at_diameter(g, options);
+  ContentionUpdater at_diameter(g, ContentionLayout::kCsr, options);
   at_diameter.update(state);
 
   EXPECT_EQ(unbounded.store().row_offset, at_diameter.store().row_offset);
@@ -207,13 +141,15 @@ TEST(SparseContentionTest, RadiusAtLeastDiameterEqualsUnbounded) {
 
 // ------------------------------------------------------- delta patching --
 
+// The layout-table tests in incremental_test run radius 2 and unbounded;
+// this one covers a radius-3 ball under heavier removal churn.
 TEST(SparseContentionTest, ChurnMatchesFreshRebuildExactly) {
   const Graph g = graph::make_grid(7, 6);
   util::Rng rng(29);
-  SparseContentionOptions options;
+  ContentionUpdaterOptions options;
   options.radius = 3;
   options.full_row = 0;
-  SparseContentionUpdater incremental(g, options);
+  ContentionUpdater incremental(g, ContentionLayout::kCsr, options);
   CacheState state(g.num_nodes(), 3, /*producer=*/0);
   incremental.update(state);
   for (int step = 0; step < 25; ++step) {
@@ -229,7 +165,7 @@ TEST(SparseContentionTest, ChurnMatchesFreshRebuildExactly) {
       }
     }
     incremental.update(state);  // delta path after the first call
-    SparseContentionUpdater fresh(g, options);
+    ContentionUpdater fresh(g, ContentionLayout::kCsr, options);
     fresh.update(state);  // full sharded build
     ASSERT_EQ(incremental.store().packed, fresh.store().packed)
         << "step " << step;
@@ -245,41 +181,39 @@ TEST(SparseContentionTest, ChurnMatchesFreshRebuildExactly) {
 
 TEST(SparseContentionTest, TakeRestoreRoundTripKeepsDeltaPath) {
   const Graph g = graph::make_grid(6, 6);
-  SparseContentionOptions options;
+  ContentionUpdaterOptions options;
   options.radius = 2;
   options.full_row = 0;
-  SparseContentionUpdater updater(g, options);
+  ContentionUpdater updater(g, ContentionLayout::kCsr, options);
   CacheState state(g.num_nodes(), 3, /*producer=*/0);
   updater.update(state);
   const double builds_before = updater.tree_build_seconds();
 
-  SparseContention store = updater.take_store();
-  std::vector<double> edges = updater.take_edge_costs();
+  ContentionBuffers lent = updater.take();
   EXPECT_TRUE(updater.store().empty());
-  updater.restore(std::move(store), std::move(edges));
+  updater.restore(std::move(lent));
 
   state.add(7, 1);
   state.add(20, 3);
   updater.update(state);
   // The round trip kept the pinned trees: no new full build happened.
   EXPECT_EQ(updater.tree_build_seconds(), builds_before);
-  expect_matches_dense(g, updater, state);
+  expect_matches_rebuild(g, updater, state);
 }
 
 TEST(SparseContentionTest, LostBuffersFallBackToFullRebuild) {
   const Graph g = graph::make_grid(6, 6);
-  SparseContentionOptions options;
+  ContentionUpdaterOptions options;
   options.radius = 2;
   options.full_row = 0;
-  SparseContentionUpdater updater(g, options);
+  ContentionUpdater updater(g, ContentionLayout::kCsr, options);
   CacheState state(g.num_nodes(), 3, /*producer=*/0);
   updater.update(state);
 
-  (void)updater.take_store();  // buffers never handed back
-  (void)updater.take_edge_costs();
+  (void)updater.take();  // buffers never handed back
   state.add(3, 0);
   updater.update(state);  // must recover via a full rebuild
-  expect_matches_dense(g, updater, state);
+  expect_matches_rebuild(g, updater, state);
 }
 
 TEST(SparseContentionTest, CrossTopologyRestoreTriggersRebuild) {
@@ -290,28 +224,27 @@ TEST(SparseContentionTest, CrossTopologyRestoreTriggersRebuild) {
   util::Rng rng(101);
   const Graph g1 = graph::make_grid(6, 6);
   const Graph g2 = graph::make_erdos_renyi(36, 0.12, rng);  // same n
-  SparseContentionOptions options;
+  ContentionUpdaterOptions options;
   options.radius = 2;
   options.full_row = 0;
 
-  SparseContentionUpdater u1(g1, options);
-  SparseContentionUpdater u2(g2, options);
+  ContentionUpdater u1(g1, ContentionLayout::kCsr, options);
+  ContentionUpdater u2(g2, ContentionLayout::kCsr, options);
   CacheState state(36, 3, /*producer=*/0);
   u1.update(state);
   u2.update(state);
 
-  (void)u2.take_store();  // u2's own buffers are lost...
-  (void)u2.take_edge_costs();
-  u2.restore(u1.take_store(), u1.take_edge_costs());  // ...and g1's offered
+  (void)u2.take();        // u2's own buffers are lost...
+  u2.restore(u1.take());  // ...and g1's offered
   EXPECT_EQ(u2.stale_restores(), 1);
   EXPECT_TRUE(u2.store().empty());  // stale buffers dropped, not adopted
 
   state.add(7, 1);
   u2.update(state);  // full rebuild on g2
-  expect_matches_dense(g2, u2, state);
-  SparseContentionUpdater fresh(g2, options);
+  expect_matches_rebuild(g2, u2, state);
+  ContentionUpdater fresh(g2, ContentionLayout::kCsr, options);
   fresh.update(state);
-  EXPECT_EQ(store_hash(u2.store()), store_hash(fresh.store()));
+  EXPECT_EQ(buffer_hash(u2), buffer_hash(fresh));
 }
 
 TEST(SparseContentionTest, RestoreAfterRebuildIsDroppedAsStale) {
@@ -319,23 +252,22 @@ TEST(SparseContentionTest, RestoreAfterRebuildIsDroppedAsStale) {
   // the rebuild minted a new epoch, so the late hand-back is stale and
   // must not clobber the fresher state.
   const Graph g = graph::make_grid(6, 6);
-  SparseContentionOptions options;
+  ContentionUpdaterOptions options;
   options.radius = 2;
   options.full_row = 0;
-  SparseContentionUpdater updater(g, options);
+  ContentionUpdater updater(g, ContentionLayout::kCsr, options);
   CacheState state(g.num_nodes(), 3, /*producer=*/0);
   updater.update(state);
 
-  SparseContention old_store = updater.take_store();
-  std::vector<double> old_edges = updater.take_edge_costs();
+  ContentionBuffers old = updater.take();
   state.add(3, 0);
   updater.update(state);  // rebuilds, bumping the updater's epoch
-  const std::uint64_t fresh_hash = store_hash(updater.store());
+  const std::uint64_t fresh_hash = buffer_hash(updater);
 
-  updater.restore(std::move(old_store), std::move(old_edges));
+  updater.restore(std::move(old));
   EXPECT_EQ(updater.stale_restores(), 1);
-  EXPECT_EQ(store_hash(updater.store()), fresh_hash);  // kept its own state
-  expect_matches_dense(g, updater, state);
+  EXPECT_EQ(buffer_hash(updater), fresh_hash);  // kept its own state
+  expect_matches_rebuild(g, updater, state);
 }
 
 TEST(SparseContentionTest, ThreadCountNeverChangesAnyBit) {
@@ -344,13 +276,13 @@ TEST(SparseContentionTest, ThreadCountNeverChangesAnyBit) {
   const CacheState state = churned_state(g, rng, 200);
   std::uint64_t reference = 0;
   for (const int threads : {1, 2, 8}) {
-    SparseContentionOptions options;
+    ContentionUpdaterOptions options;
     options.radius = 3;
     options.full_row = 0;
     options.threads = threads;
-    SparseContentionUpdater updater(g, options);
+    ContentionUpdater updater(g, ContentionLayout::kCsr, options);
     updater.update(state);
-    const std::uint64_t h = store_hash(updater.store());
+    const std::uint64_t h = buffer_hash(updater);
     if (threads == 1) {
       reference = h;
     } else {
@@ -472,7 +404,7 @@ TEST(SparseConflTest, EndToEndSparseMatchesIncrementalAtAnyThreadCount) {
   }
 }
 
-// ------------------------------------------------- mode surfacing / auto --
+// ---------------------------------------------------------- mode surfacing --
 
 // Satellite 1: the silent kRebuild fallback of the delta-patching engines
 // under kMinContention is surfaced through SolveReport.
@@ -508,33 +440,6 @@ TEST(ContentionModeTest, EngineReportsResolvedMode) {
   core::ChunkInstanceEngine fallback_engine(problem, options);
   EXPECT_EQ(fallback_engine.mode_used(), ContentionMode::kRebuild);
   EXPECT_FALSE(fallback_engine.incremental());
-
-  // kAuto resolves on a small grid to dense incremental — never kAuto.
-  options.path_policy = metrics::PathPolicy::kHopShortest;
-  options.contention_mode = ContentionMode::kAuto;
-  core::ChunkInstanceEngine auto_engine(problem, options);
-  EXPECT_EQ(auto_engine.mode_used(), ContentionMode::kIncremental);
-}
-
-TEST(ContentionModeTest, AutoSelectorFollowsDensityCutoffs) {
-  // Small n: dense always wins.
-  EXPECT_EQ(core::choose_contention_mode(graph::make_grid(10, 10), 2),
-            ContentionMode::kIncremental);
-  // Unbounded radius: sparse has no truncation to exploit.
-  const Graph big_grid = graph::make_grid(60, 60);  // n = 3600
-  EXPECT_EQ(core::choose_contention_mode(big_grid, 0),
-            ContentionMode::kIncremental);
-  // Mid-size grid with a small radius: sampled fill ≈ 25/3600 → sparse.
-  EXPECT_EQ(core::choose_contention_mode(big_grid, 3),
-            ContentionMode::kSparse);
-  // Mid-size dense ball: a complete-ish radius covers everything → dense.
-  const Graph clique = graph::make_complete(2100);
-  EXPECT_EQ(core::choose_contention_mode(clique, 3),
-            ContentionMode::kIncremental);
-  // Past the dense memory wall sparse is forced whatever the fill.
-  const Graph huge = graph::make_grid(130, 130);  // n = 16900
-  EXPECT_EQ(core::choose_contention_mode(huge, 1),
-            ContentionMode::kSparse);
 }
 
 // ----------------------------------------------------- degraded fallback --
