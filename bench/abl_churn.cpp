@@ -107,8 +107,10 @@ void print_timeline(const ScenarioOutcome& outcome) {
 // Quality of the final placement, repair on vs off, on the same final
 // topology. Within the producer's component every chunk is always
 // *reachable* (the producer serves it), so the quality axis is hop
-// distance and contention cost, not raw coverage.
-void print_final_comparison(const core::FairCachingProblem& problem,
+// distance and contention cost, not raw coverage. Returns false when a
+// deterministic check fails (reachability, guarded vs unguarded hash); the
+// timing line is informational.
+bool print_final_comparison(const core::FairCachingProblem& problem,
                             const ScenarioOutcome& outcome) {
   const sim::ChurnSample& on = outcome.with_repair.timeline.samples().back();
   const sim::ChurnSample& off = outcome.no_repair.timeline.samples().back();
@@ -169,11 +171,13 @@ void print_final_comparison(const core::FairCachingProblem& problem,
             << ": total repair time below one re-solve per event\n"
             << (guard_ok ? "PASS" : "FAIL")
             << ": guarded churn_result_hash bit-identical to unguarded\n";
+  return reach_ok && guard_ok;
 }
 
 }  // namespace
 
 int main() {
+  bool ok = true;
   std::cout << "Ablation — self-healing churn runtime (docs/CHURN.md)\n\n";
 
   // --- Scenario 1: departure waves on a random geometric network. ---
@@ -195,7 +199,7 @@ int main() {
                  "geometric n = 60, Q = 4, capacity = 3\n\n";
     const ScenarioOutcome outcome = run_scenario(problem, initial, plan);
     print_timeline(outcome);
-    print_final_comparison(problem, outcome);
+    ok = print_final_comparison(problem, outcome) && ok;
   }
 
   // --- Scenario 2: crash windows + link outages on a grid. ---
@@ -221,12 +225,12 @@ int main() {
                  "departure, 7x7 grid, Q = 5, capacity = 4\n\n";
     const ScenarioOutcome outcome = run_scenario(problem, initial, plan);
     print_timeline(outcome);
-    print_final_comparison(problem, outcome);
+    ok = print_final_comparison(problem, outcome) && ok;
   }
 
   std::cout << "\nEvict-only keeps the placement *valid* but increasingly "
                "producer-bound;\nthe repair engine restores nearby replicas "
                "for a small, budgeted fraction\nof the work a full re-solve "
                "would spend after every event.\n";
-  return 0;
+  return ok ? 0 : 1;
 }

@@ -1,202 +1,11 @@
 #include "core/approx.h"
 
 #include <algorithm>
-#include <limits>
 
-#include "graph/shortest_paths.h"
-#include "util/parallel.h"
+#include "core/rehost.h"
 #include "util/stopwatch.h"
 
 namespace faircache::core {
-
-namespace {
-
-using graph::NodeId;
-
-// Degraded-mode cache set for a chunk the ConFL solver never reached: the
-// greedy hop-count facility heuristic (the "Hopc" baseline's core move,
-// re-derived here because core cannot link the baselines module).
-// Starting from the existing copies of the chunk (producer + holders),
-// repeatedly add the capacity-respecting node with the largest net gain
-//     Σ_j max(0, hops(j, nearest copy) − hops(j, v)) − hops(v, nearest copy)
-// — access-delay savings minus a λ = 1 dissemination penalty for shipping
-// the chunk to v — until no node nets a strict improvement. The penalty is
-// what stops the set from degenerating to "cache everywhere" (the self
-// term alone always pays for a free node). Selection respects can_cache,
-// so later chunks spread onto nodes the earlier fallback chunks filled
-// up. Smallest-id tie-breaks keep it deterministic.
-//
-// `hops` is graph::all_pairs_hops over the validated (connected) network,
-// so every entry is finite.
-std::vector<NodeId> greedy_fallback_set(const util::Matrix<int>& hops,
-                                        const metrics::CacheState& state,
-                                        metrics::ChunkId chunk,
-                                        NodeId producer) {
-  const std::size_t n = hops.rows();
-  const int* producer_row = hops[static_cast<std::size_t>(producer)];
-  std::vector<int> nearest(producer_row, producer_row + n);
-  std::vector<char> chosen(n, 0);
-  chosen[static_cast<std::size_t>(producer)] = 1;
-  for (NodeId h : state.holders(chunk)) {
-    chosen[static_cast<std::size_t>(h)] = 1;
-    const int* row = hops[static_cast<std::size_t>(h)];
-    for (std::size_t j = 0; j < n; ++j) {
-      nearest[j] = std::min(nearest[j], row[j]);
-    }
-  }
-  std::vector<NodeId> set;
-  while (true) {
-    long best_gain = 0;
-    NodeId best_v = graph::kInvalidNode;
-    for (std::size_t v = 0; v < n; ++v) {
-      if (chosen[v] || !state.can_cache(static_cast<NodeId>(v), chunk)) {
-        continue;
-      }
-      const int* row = hops[v];
-      long gain = -static_cast<long>(nearest[v]);  // dissemination penalty
-      for (std::size_t j = 0; j < n; ++j) {
-        gain += std::max(0, nearest[j] - row[j]);
-      }
-      if (gain > best_gain) {
-        best_gain = gain;
-        best_v = static_cast<NodeId>(v);
-      }
-    }
-    if (best_v == graph::kInvalidNode) break;
-    chosen[static_cast<std::size_t>(best_v)] = 1;
-    set.push_back(best_v);
-    const int* row = hops[static_cast<std::size_t>(best_v)];
-    for (std::size_t j = 0; j < n; ++j) {
-      nearest[j] = std::min(nearest[j], row[j]);
-    }
-  }
-  std::sort(set.begin(), set.end());
-  return set;
-}
-
-// Sparse twin of greedy_fallback_set for kSparse runs, where the dense
-// all-pairs hop matrix would be exactly the O(n²) allocation the mode
-// exists to avoid. Same greedy move and tie-breaks; the differences are
-// representational:
-//   * nearest-copy distances come from one multi-source BFS (producer +
-//     holders) and are re-relaxed by a BFS from each newly chosen node;
-//   * a candidate's access-delay saving is summed over its truncated BFS
-//     ball (the contention radius) — savings beyond the radius are
-//     forfeited, mirroring the cost model the solver itself ran under.
-// On a connected network with an unbounded radius the gains equal the
-// dense fallback's, so the chosen sets agree.
-std::vector<NodeId> sparse_greedy_fallback_set(
-    const graph::Graph& g, const graph::CsrAdjacency& adj,
-    const metrics::CacheState& state, metrics::ChunkId chunk, NodeId producer,
-    int radius, int threads) {
-  const auto n = static_cast<std::size_t>(g.num_nodes());
-  const int limit = radius > 0 ? radius : g.num_nodes();
-  const int* offset = adj.offset.data();
-  const NodeId* neighbor = adj.neighbor.data();
-
-  // Distance to the nearest existing copy; improvements-only BFS keeps it
-  // current as the set grows. The validated network is connected, so every
-  // entry is finite after the first sweep.
-  std::vector<int> nearest(n, std::numeric_limits<int>::max());
-  std::vector<NodeId> wave;
-  wave.reserve(n);
-  auto relax = [&]() {
-    for (std::size_t head = 0; head < wave.size(); ++head) {
-      const NodeId v = wave[head];
-      const int dv = nearest[static_cast<std::size_t>(v)];
-      for (int e = offset[v]; e < offset[v + 1]; ++e) {
-        const auto w = static_cast<std::size_t>(neighbor[e]);
-        if (nearest[w] > dv + 1) {
-          nearest[w] = dv + 1;
-          wave.push_back(neighbor[e]);
-        }
-      }
-    }
-    wave.clear();
-  };
-  std::vector<char> chosen(n, 0);
-  auto seed = [&](NodeId v) {
-    chosen[static_cast<std::size_t>(v)] = 1;
-    if (nearest[static_cast<std::size_t>(v)] != 0) {
-      nearest[static_cast<std::size_t>(v)] = 0;
-      wave.push_back(v);
-    }
-  };
-  seed(producer);
-  for (NodeId h : state.holders(chunk)) seed(h);
-  relax();
-
-  struct Scratch {
-    std::vector<int> stamp;
-    std::vector<int> depth;
-    std::vector<NodeId> queue;
-    int gen = 0;
-  };
-  const int workers = util::resolve_parallel_threads(threads, n);
-  std::vector<Scratch> ws(static_cast<std::size_t>(workers));
-  for (Scratch& w : ws) {
-    w.stamp.assign(n, 0);
-    w.depth.resize(n);
-    w.queue.reserve(n);
-  }
-  constexpr long long kNotCandidate = std::numeric_limits<long long>::min();
-  std::vector<long long> gain(n);
-
-  std::vector<NodeId> set;
-  while (true) {
-    util::parallel_for(
-        n,
-        [&](std::size_t v, int worker) {
-          gain[v] = kNotCandidate;
-          if (chosen[v] || !state.can_cache(static_cast<NodeId>(v), chunk)) {
-            return;
-          }
-          Scratch& w = ws[static_cast<std::size_t>(worker)];
-          const int gen = ++w.gen;
-          long long sum = -static_cast<long long>(nearest[v]);
-          w.queue.clear();
-          w.stamp[v] = gen;
-          w.depth[v] = 0;
-          w.queue.push_back(static_cast<NodeId>(v));
-          for (std::size_t head = 0; head < w.queue.size(); ++head) {
-            const NodeId u = w.queue[head];
-            const auto uu = static_cast<std::size_t>(u);
-            const int du = w.depth[uu];
-            if (nearest[uu] > du) sum += nearest[uu] - du;
-            if (du >= limit) continue;
-            for (int e = offset[u]; e < offset[u + 1]; ++e) {
-              const auto nb = static_cast<std::size_t>(neighbor[e]);
-              if (w.stamp[nb] == gen) continue;
-              w.stamp[nb] = gen;
-              w.depth[nb] = du + 1;
-              w.queue.push_back(neighbor[e]);
-            }
-          }
-          gain[v] = sum;
-        },
-        workers);
-    long long best_gain = 0;
-    NodeId best_v = graph::kInvalidNode;
-    for (std::size_t v = 0; v < n; ++v) {  // ascending: smallest-id ties win
-      if (gain[v] != kNotCandidate && gain[v] > best_gain) {
-        best_gain = gain[v];
-        best_v = static_cast<NodeId>(v);
-      }
-    }
-    if (best_v == graph::kInvalidNode) break;
-    chosen[static_cast<std::size_t>(best_v)] = 1;
-    set.push_back(best_v);
-    if (nearest[static_cast<std::size_t>(best_v)] != 0) {
-      nearest[static_cast<std::size_t>(best_v)] = 0;
-      wave.push_back(best_v);
-      relax();
-    }
-  }
-  std::sort(set.begin(), set.end());
-  return set;
-}
-
-}  // namespace
 
 FairCachingResult ApproxFairCaching::run(const FairCachingProblem& problem) {
   util::Result<FairCachingResult> result = solve(problem);
@@ -274,41 +83,30 @@ util::Result<FairCachingResult> ApproxFairCaching::solve(
   if (chunk < problem.num_chunks) {
     // Anytime degradation: the budget ran out with chunks left. Keep every
     // ConFL placement made so far and fill the remainder with the greedy
-    // fallback set — the result stays feasible (can_cache guards every
-    // insertion) and the report says exactly what happened.
+    // re-host set (core/rehost.h) — the result stays feasible (can_cache
+    // guards every pick; later chunks spread onto nodes the earlier ones
+    // left free) and the report says exactly what happened.
     rep.stop_reason = budget.status("appx chunk loop");
     util::Stopwatch phase;
-    if (engine.mode_used() == ContentionMode::kSparse) {
-      // A sparse run must degrade sparsely too: the dense all-pairs hop
-      // matrix is exactly the O(n²) allocation kSparse exists to avoid.
-      const graph::CsrAdjacency adj = graph::build_csr(*problem.network);
-      for (; chunk < problem.num_chunks; ++chunk) {
-        ChunkPlacement placement;
-        placement.chunk = chunk;
-        for (graph::NodeId v : sparse_greedy_fallback_set(
-                 *problem.network, adj, result.state, chunk, problem.producer,
-                 config_.instance.contention_radius,
-                 config_.instance.threads)) {
-          result.state.add(v, chunk);
-          placement.cache_nodes.push_back(v);
-        }
-        rep.degraded_chunks.push_back(chunk);
-        result.placements.push_back(std::move(placement));
-      }
-    } else {
-      const util::Matrix<int> hops =
-          graph::all_pairs_hops(*problem.network, config_.instance.threads);
-      for (; chunk < problem.num_chunks; ++chunk) {
-        ChunkPlacement placement;
-        placement.chunk = chunk;
-        for (graph::NodeId v : greedy_fallback_set(
-                 hops, result.state, chunk, problem.producer)) {
-          result.state.add(v, chunk);
-          placement.cache_nodes.push_back(v);
-        }
-        rep.degraded_chunks.push_back(chunk);
-        result.placements.push_back(std::move(placement));
-      }
+    // The fallback runs after expiry, so it runs unbudgeted. A sparse run
+    // keeps its locality restriction: savings beyond the contention radius
+    // are forfeited, as in the cost model the solver itself ran under.
+    const graph::CsrAdjacency adj = graph::build_csr(*problem.network);
+    const int radius = engine.mode_used() == ContentionMode::kSparse
+                           ? config_.instance.contention_radius
+                           : 0;
+    for (; chunk < problem.num_chunks; ++chunk) {
+      ChunkPlacement placement;
+      placement.chunk = chunk;
+      placement.cache_nodes =
+          greedy_rehost(adj, result.state, chunk, nullptr, radius,
+                        problem.network->num_nodes(),
+                        config_.instance.threads)
+              .chosen;
+      std::sort(placement.cache_nodes.begin(), placement.cache_nodes.end());
+      for (graph::NodeId v : placement.cache_nodes) result.state.add(v, chunk);
+      rep.degraded_chunks.push_back(chunk);
+      result.placements.push_back(std::move(placement));
     }
     rep.fallback_seconds = phase.elapsed_seconds();
   }

@@ -49,13 +49,16 @@ util::Result<OnlineStepResult> OnlineFairCaching::try_insert_chunk(
     }
   }
 
-  const confl::ConflSolution solution =
-      confl::solve_confl(instance, config_.approx.confl);
+  util::Result<confl::ConflSolution> solved =
+      confl::try_solve_confl(instance, config_.approx.confl);
   engine_.reclaim(std::move(instance));
+  // A solver failure (e.g. dual growth hit its round cap) leaves the
+  // placement, ages and published ids untouched.
+  if (!solved.ok()) return solved.status();
 
   OnlineStepResult step;
   step.chunk = chunk;
-  for (NodeId v : solution.open_facilities) {
+  for (NodeId v : solved.value().open_facilities) {
     auto& age_list = ages_[static_cast<std::size_t>(v)];
     if (state_.full(v)) {
       if (config_.replacement != ReplacementPolicy::kEvictOldest ||
@@ -157,33 +160,40 @@ double OnlineFairCaching::access_cost(metrics::ChunkId chunk) {
   return total;
 }
 
-FetchDecision OnlineFairCaching::fetch(NodeId requester,
-                                       metrics::ChunkId chunk) {
+FetchDecision cheapest_copy(const ChunkInstanceEngine& engine,
+                            const metrics::CacheState& state,
+                            NodeId requester, metrics::ChunkId chunk) {
   FetchDecision decision;
-  if (requester == state_.producer() || state_.holds(requester, chunk)) {
+  if (requester == state.producer() || state.holds(requester, chunk)) {
     decision.source = requester;
-    decision.cost = 0.0;
     decision.local = true;
-    decision.from_producer = requester == state_.producer();
+    decision.from_producer = requester == state.producer();
     return decision;
   }
-  FAIRCACHE_CHECK(sync_queries().ok(), "engine sync failed");
-  for (NodeId i : state_.holders(chunk)) {
-    const double c = engine_.query_cost(i, requester);
+  for (NodeId i : state.holders(chunk)) {
+    const double c = engine.query_cost(i, requester);
     if (decision.source == graph::kInvalidNode || c < decision.cost) {
       decision.source = i;
       decision.cost = c;
     }
   }
-  const double producer_cost =
-      engine_.query_cost(state_.producer(), requester);
+  const double producer_cost = engine.query_cost(state.producer(), requester);
   if (decision.source == graph::kInvalidNode ||
       producer_cost < decision.cost) {
-    decision.source = state_.producer();
+    decision.source = state.producer();
     decision.cost = producer_cost;
   }
-  decision.from_producer = decision.source == state_.producer();
+  decision.from_producer = decision.source == state.producer();
   return decision;
+}
+
+FetchDecision OnlineFairCaching::fetch(NodeId requester,
+                                       metrics::ChunkId chunk) {
+  // Local hits never query the engine, so they skip the lazy resync.
+  if (requester != state_.producer() && !state_.holds(requester, chunk)) {
+    FAIRCACHE_CHECK(sync_queries().ok(), "engine sync failed");
+  }
+  return cheapest_copy(engine_, state_, requester, chunk);
 }
 
 util::Status OnlineFairCaching::verify_consistency() const {

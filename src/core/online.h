@@ -56,6 +56,14 @@ struct FetchDecision {
   bool from_producer = false;
 };
 
+// The cheapest-copy decision for `requester` under `state`, priced by the
+// engine's query_cost (which must be synced to `state` unless the request
+// is a local hit). Shared by OnlineFairCaching::fetch and the serving
+// engine's external-policy path.
+FetchDecision cheapest_copy(const ChunkInstanceEngine& engine,
+                            const metrics::CacheState& state,
+                            graph::NodeId requester, metrics::ChunkId chunk);
+
 class OnlineFairCaching {
  public:
   OnlineFairCaching(const FairCachingProblem& problem, OnlineConfig config);

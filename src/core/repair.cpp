@@ -1,14 +1,10 @@
 #include "core/repair.h"
 
-#include <algorithm>
-#include <limits>
-
 #include "core/instance_builder.h"
+#include "core/rehost.h"
 #include "core/validate.h"
 #include "graph/shortest_paths.h"
 #include "util/check.h"
-#include "util/matrix.h"
-#include "util/parallel.h"
 #include "util/stopwatch.h"
 
 namespace faircache::core {
@@ -22,31 +18,8 @@ bool is_alive(const std::vector<char>& alive, NodeId v) {
   return alive[static_cast<std::size_t>(v)] != 0;
 }
 
-// BFS hop distances from `source` that never routes through dead nodes.
-// Writes kUnreachable for dead nodes and nodes cut off from the source.
-void alive_bfs_row(const graph::Graph& g, const std::vector<char>& alive,
-                   NodeId source, int* dist) {
-  const auto n = static_cast<std::size_t>(g.num_nodes());
-  std::fill(dist, dist + n, graph::kUnreachable);
-  if (!is_alive(alive, source)) return;
-  std::vector<NodeId> frontier;
-  dist[static_cast<std::size_t>(source)] = 0;
-  frontier.push_back(source);
-  std::size_t head = 0;
-  while (head < frontier.size()) {
-    const NodeId v = frontier[head++];
-    for (NodeId w : g.neighbors(v)) {
-      if (!is_alive(alive, w)) continue;
-      if (dist[static_cast<std::size_t>(w)] == graph::kUnreachable) {
-        dist[static_cast<std::size_t>(w)] =
-            dist[static_cast<std::size_t>(v)] + 1;
-        frontier.push_back(w);
-      }
-    }
-  }
-}
-
-// Multi-source variant: hop distance to the nearest of `sources`.
+// Hop distance to the nearest of `sources`, never routing through dead
+// nodes; kUnreachable for dead nodes and nodes cut off from every source.
 std::vector<int> alive_multi_bfs(const graph::Graph& g,
                                  const std::vector<char>& alive,
                                  const std::vector<NodeId>& sources) {
@@ -209,33 +182,19 @@ util::Result<RepairReport> PlacementRepairEngine::repair(
                   report.chunks_affected);
   }
 
-  // --- Phase 1: local re-hosting. One hop-matrix build feeds every
-  // chunk's greedy pass; rows are independent, so the build runs under
-  // the budget and the whole matrix is discarded if it expires mid-loop
-  // (a torn matrix must never influence placement decisions). ---
+  // --- Phase 1: local re-hosting — per affected chunk, the greedy re-host
+  // move (core/rehost.h) over BFS balls of the alive topology, capped at
+  // the replicas the chunk lost. The set-up charge covers the adjacency
+  // build; a pass the budget cuts short keeps the picks it already made. ---
   phase.reset();
   charge(static_cast<std::uint64_t>(n));
   if (budget.expired()) {
-    return finish(budget.status("repair hop matrix"),
+    return finish(budget.status("repair local pass"),
                   report.chunks_affected);
   }
-  util::Matrix<int> hops(static_cast<std::size_t>(n),
-                         static_cast<std::size_t>(n));
-  util::parallel_for(
-      static_cast<std::size_t>(n),
-      [&](std::size_t v) {
-        alive_bfs_row(snapshot, alive, static_cast<NodeId>(v), hops[v]);
-      },
-      threads, budget);
-  if (budget.expired()) {
-    // The loop may have returned with rows unwritten; nothing below may
-    // read them (the parallel_for cancellation contract).
-    return finish(budget.status("repair hop matrix"),
-                  report.chunks_affected);
-  }
+  const graph::CsrAdjacency adj = graph::build_csr(snapshot);
 
   std::vector<ChunkId> escalate;
-  std::vector<long> gain(static_cast<std::size_t>(n));
   bool truncated = false;
   std::size_t next_chunk = 0;
   for (; next_chunk < affected.size(); ++next_chunk) {
@@ -244,63 +203,17 @@ util::Result<RepairReport> PlacementRepairEngine::repair(
       truncated = true;
       break;
     }
-    std::vector<NodeId> sources = state.holders(c);
-    sources.push_back(producer);
-    std::vector<int> nearest = alive_multi_bfs(snapshot, alive, sources);
-
-    int restored = 0;
-    bool chunk_truncated = false;
-    while (restored < lost[static_cast<std::size_t>(c)]) {
-      charge(static_cast<std::uint64_t>(n));
-      if (budget.expired()) {
-        chunk_truncated = true;
-        break;
-      }
-      util::parallel_for(
-          static_cast<std::size_t>(n),
-          [&](std::size_t vi) {
-            const auto v = static_cast<NodeId>(vi);
-            gain[vi] = std::numeric_limits<long>::min();
-            if (!is_alive(alive, v) || !state.can_cache(v, c)) return;
-            const int reach = nearest[vi];
-            if (reach == graph::kUnreachable) return;  // no copy to fetch
-            const int* row = hops[vi];
-            long g = -static_cast<long>(reach);  // dissemination penalty
-            for (std::size_t j = 0; j < static_cast<std::size_t>(n); ++j) {
-              const int nj = nearest[j];
-              if (nj == graph::kUnreachable || row[j] >= nj) continue;
-              g += nj - row[j];
-            }
-            gain[vi] = g;
-          },
-          threads, budget);
-      if (budget.expired()) {
-        // Partial gain array — discard it rather than act on torn data.
-        chunk_truncated = true;
-        break;
-      }
-      long best_gain = 0;
-      NodeId best_v = graph::kInvalidNode;
-      for (std::size_t vi = 0; vi < static_cast<std::size_t>(n); ++vi) {
-        if (gain[vi] > best_gain) {
-          best_gain = gain[vi];
-          best_v = static_cast<NodeId>(vi);
-        }
-      }
-      if (best_v == graph::kInvalidNode) break;  // no net improvement left
-      state.add(best_v, c);
-      ++restored;
-      ++report.replicas_restored;
-      const int* row = hops[static_cast<std::size_t>(best_v)];
-      for (std::size_t j = 0; j < static_cast<std::size_t>(n); ++j) {
-        nearest[j] = std::min(nearest[j], row[j]);
-      }
-    }
-    if (chunk_truncated) {
+    const int lost_c = lost[static_cast<std::size_t>(c)];
+    const RehostResult rehost = greedy_rehost(
+        adj, state, c, &alive, /*radius=*/0, lost_c, threads, budget);
+    report.work_units += rehost.work_units;
+    for (NodeId v : rehost.chosen) state.add(v, c);
+    report.replicas_restored += static_cast<int>(rehost.chosen.size());
+    if (rehost.truncated) {
       truncated = true;
       break;
     }
-    if (restored >= lost[static_cast<std::size_t>(c)]) {
+    if (static_cast<int>(rehost.chosen.size()) >= lost_c) {
       ++report.chunks_local;
     } else if (options_.level == RepairLevel::kLocalThenResolve) {
       escalate.push_back(c);

@@ -12,8 +12,9 @@
 //      expired budget) and counted as lost replicas per chunk.
 //   1. Local re-hosting: for each affected chunk, replacement copies are
 //      placed greedily on alive, capacity-respecting, reachable nodes that
-//      maximize the net hop-distance saving (the same move as the anytime
-//      greedy fallback in core/approx), up to the number of replicas lost.
+//      maximize the net hop-distance saving, up to the number of replicas
+//      lost — core::greedy_rehost (core/rehost.h), the move the anytime
+//      fallback in core/approx also runs, in O(n + m) memory.
 //   2. Escalation: a chunk whose local pass could not restore every lost
 //      replica is re-solved from scratch — one per-chunk ConFL solve over
 //      the producer's alive component through core::ChunkInstanceEngine,
@@ -50,7 +51,7 @@ struct RepairOptions {
   RepairLevel level = RepairLevel::kLocalThenResolve;
   // Solver configuration for escalation re-solves (contention engine,
   // Steiner engine, fairness model). `approx.instance.threads` also drives
-  // the parallel hop-matrix build and candidate scans of the local pass.
+  // the parallel candidate sweeps of the local pass.
   ApproxConfig approx;
 };
 
@@ -70,8 +71,8 @@ struct RepairReport {
   // Nothing can restore these until connectivity returns; they are the
   // graceful-degradation residue, not a repair failure.
   long unservable_pairs = 0;
-  // Deterministic work units charged (BFS rows, candidate scans, re-solve
-  // nodes) — the "repair work" compared against a full re-solve in
+  // Deterministic work units charged (detection, local set-up, candidate
+  // sweeps, re-solve nodes) — the "repair work" compared against a full re-solve in
   // bench/abl_churn.
   std::uint64_t work_units = 0;
   // Total contention cost on the producer's alive component before and
@@ -81,7 +82,7 @@ struct RepairReport {
   double cost_before = -1.0;
   double cost_after = -1.0;
   double detect_seconds = 0.0;   // eviction + reachability scan
-  double local_seconds = 0.0;    // hop matrix + greedy re-hosting
+  double local_seconds = 0.0;    // greedy re-hosting (BFS-ball sweeps)
   double resolve_seconds = 0.0;  // escalation ConFL solves
   double total_seconds = 0.0;
   // Integrity-guard activity of the escalation engines, merged across all

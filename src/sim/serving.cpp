@@ -103,37 +103,6 @@ class DriftingDemand {
   std::optional<TraceSampler> sampler_;
 };
 
-// Cheapest-source decision against an external policy's placement,
-// mirroring OnlineFairCaching::fetch over the shared query engine.
-core::FetchDecision fetch_external(core::ChunkInstanceEngine& engine,
-                                   const metrics::CacheState& state,
-                                   const Request& request) {
-  core::FetchDecision decision;
-  if (request.node == state.producer() ||
-      state.holds(request.node, request.chunk)) {
-    decision.source = request.node;
-    decision.local = true;
-    decision.from_producer = request.node == state.producer();
-    return decision;
-  }
-  for (NodeId i : state.holders(request.chunk)) {
-    const double c = engine.query_cost(i, request.node);
-    if (decision.source == graph::kInvalidNode || c < decision.cost) {
-      decision.source = i;
-      decision.cost = c;
-    }
-  }
-  const double producer_cost =
-      engine.query_cost(state.producer(), request.node);
-  if (decision.source == graph::kInvalidNode ||
-      producer_cost < decision.cost) {
-    decision.source = state.producer();
-    decision.cost = producer_cost;
-  }
-  decision.from_producer = decision.source == state.producer();
-  return decision;
-}
-
 }  // namespace
 
 ServingEngine::ServingEngine(const core::FairCachingProblem& problem,
@@ -219,7 +188,8 @@ util::Result<ServingResult> ServingEngine::run(ServingPolicy* policy) {
         }
         external_dirty = false;
       }
-      decision = fetch_external(query_engine, policy->state(), request);
+      decision = core::cheapest_copy(query_engine, policy->state(),
+                                     request.node, request.chunk);
     }
 
     if (decision.local) {

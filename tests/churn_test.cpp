@@ -16,6 +16,8 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
+#include <string>
 #include <thread>
 
 #include "core/approx.h"
@@ -508,6 +510,77 @@ TEST(RepairCancellationTest, WorkCapSweepAlwaysLeavesValidDeterministicState) {
       } else {
         EXPECT_EQ(h, first_hash) << "cap " << cap << " not deterministic";
       }
+    }
+  }
+}
+
+// The local pass's re-host move on a seeded departure wave (connected ER,
+// n = 120, 36 departures): every RepairReport counter and the repaired
+// placement, pinned unlimited and under two work caps that cut the local
+// pass short after its first and fourth candidate sweeps, at 1 and 4
+// threads. The pins were recorded against the former all-pairs alive-hop
+// matrix implementation.
+TEST(RepairGoldenTest, DepartureWaveRepairIsPinned) {
+  util::Rng rng(77);
+  const Graph g = graph::make_erdos_renyi(120, 0.05, rng);
+  ASSERT_TRUE(g.is_connected());
+  const core::FairCachingProblem problem = make_problem(g, 0, 4, 3);
+  core::ApproxFairCaching appx;
+  const metrics::CacheState solved = appx.run(problem).state;
+  ChurnSimulator sim(g, make_departure_waves(120, 0, 3, 12, 1, 5));
+  while (!sim.done()) sim.advance();
+  const Graph snapshot = sim.snapshot();
+
+  // Detection charges one unit per chunk, the local pass n at set-up and n
+  // before every candidate sweep; a cap one below the k-th sweep's total
+  // stops the pass right after that sweep's charge.
+  const std::uint64_t n = 120;
+  const std::uint64_t q = 4;
+  const struct {
+    std::uint64_t cap;
+    const char* report;
+  } goldens[] = {
+      {util::kNoWorkCap,
+       "stop=0 lost=21 restored=21 affected=4 local=4 resolved=0 "
+       "unrepaired=0 stranded=2 work=2644 placement=8db793336df9e643"},
+      {q + n + 2 * n - 1,
+       "stop=5 lost=21 restored=1 affected=4 local=0 resolved=0 "
+       "unrepaired=4 stranded=2 work=364 placement=b37243575be7ead2"},
+      {q + n + 5 * n - 1,
+       "stop=5 lost=21 restored=4 affected=4 local=0 resolved=0 "
+       "unrepaired=4 stranded=2 work=724 placement=21eb0a9393541e52"},
+  };
+  for (const auto& golden : goldens) {
+    for (const int threads : {1, 4}) {
+      core::RepairOptions options;
+      options.approx.instance.threads = threads;
+      core::PlacementRepairEngine engine(options);
+      metrics::CacheState state = solved;
+      const util::RunBudget budget =
+          golden.cap == util::kNoWorkCap
+              ? util::RunBudget()
+              : util::RunBudget::work_units(golden.cap);
+      const auto repaired =
+          engine.repair(snapshot, sim.alive(), problem.num_chunks, state,
+                        budget);
+      ASSERT_TRUE(repaired.ok()) << repaired.status().message();
+      const core::RepairReport& r = repaired.value();
+      ASSERT_TRUE(
+          core::validate_placement(state, problem.num_chunks, &sim.alive())
+              .ok());
+      char text[256];
+      std::snprintf(text, sizeof(text),
+                    "stop=%d lost=%d restored=%d affected=%d local=%d "
+                    "resolved=%d unrepaired=%d stranded=%ld work=%llu "
+                    "placement=%016llx",
+                    static_cast<int>(r.stop_reason.code()), r.replicas_lost,
+                    r.replicas_restored, r.chunks_affected, r.chunks_local,
+                    r.chunks_resolved, r.chunks_unrepaired,
+                    r.unservable_pairs,
+                    static_cast<unsigned long long>(r.work_units),
+                    static_cast<unsigned long long>(placement_hash(state)));
+      EXPECT_EQ(std::string(text), golden.report)
+          << "cap " << golden.cap << ", " << threads << " threads";
     }
   }
 }

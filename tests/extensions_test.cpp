@@ -164,6 +164,26 @@ TEST(OnlineTest, DuplicateInsertIsTypedError) {
   EXPECT_TRUE(online.verify_consistency().ok());
 }
 
+TEST(OnlineTest, SolverFailureIsTypedStatusNotAThrow) {
+  // One round of dual growth cannot converge on a 6x6 grid: the insert must
+  // report it as a typed status and leave the placement untouched.
+  const Graph g = graph::make_grid(6, 6);
+  const auto problem = make_problem(g, 0, 0, 2);
+  core::OnlineConfig config;
+  config.approx.confl.max_rounds = 1;
+  core::OnlineFairCaching online(problem, config);
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    util::StatusCode code = util::StatusCode::kOk;
+    EXPECT_NO_THROW(code = online.try_insert_chunk(0).code());
+    // A failed insert does not publish the id: a retry fails the same way
+    // instead of reporting a duplicate.
+    EXPECT_EQ(code, util::StatusCode::kResourceExhausted)
+        << "attempt " << attempt;
+    EXPECT_EQ(online.state().total_stored(), 0);
+    EXPECT_TRUE(online.verify_consistency().ok());
+  }
+}
+
 TEST(OnlineTest, EvictRetireReinsertInterleavingsStayConsistent) {
   const Graph g = graph::make_grid(3, 3);
   const auto problem = make_problem(g, 4, 0, 1);

@@ -231,6 +231,19 @@ TEST(ServingTest, RejectsMalformedConfigs) {
             util::StatusCode::kInvalidInput);
 }
 
+TEST(ServingTest, InsertSolverFailureIsTypedStatusNotAThrow) {
+  // The first insert cannot converge in one round of dual growth: run()
+  // returns the solver's typed status.
+  const Graph g = graph::make_grid(6, 6);
+  const auto problem = make_problem(g, 0, 3, 2);
+  sim::ServingConfig config = short_config(100);
+  config.online.approx.confl.max_rounds = 1;
+  sim::ServingEngine engine(problem, config);
+  util::StatusCode code = util::StatusCode::kOk;
+  EXPECT_NO_THROW(code = engine.run().code());
+  EXPECT_EQ(code, util::StatusCode::kResourceExhausted);
+}
+
 // ------------------------------------------------- Adaptive baseline math
 
 TEST(AdaptiveGradientTest, GradientPullsPopularChunkToRequester) {

@@ -464,6 +464,42 @@ TEST(SparseFallbackTest, ExpiredBudgetFallbackMatchesDenseFallback) {
     hashes[index++] = placement_hash(result.value());
   }
   EXPECT_EQ(hashes[0], hashes[1]);
+  // Both modes run one re-host routine now, so the comparison above alone
+  // would be vacuous: pin the placement the former dense fallback made.
+  EXPECT_EQ(hashes[0], 0x8353a5ab7f0f11e3ULL);
+}
+
+// The pure fallback (every chunk degraded) on a connected ER network,
+// pinned to the placements of the former all-pairs-matrix fallback
+// (kIncremental) and of the former truncated-ball fallback (kSparse r=2).
+TEST(SparseFallbackTest, PureFallbackPlacementsArePinned) {
+  util::Rng rng(11);
+  const Graph g = graph::make_erdos_renyi(200, 0.025, rng);
+  ASSERT_TRUE(g.is_connected());
+  const FairCachingProblem problem = grid_problem(g, 5);
+  const struct {
+    ContentionMode mode;
+    int radius;
+    std::uint64_t hash;
+  } cases[] = {{ContentionMode::kIncremental, 0, 0x0140fa995b0744deULL},
+               {ContentionMode::kSparse, 2, 0x6f3677dc981bfabdULL}};
+  for (const auto& c : cases) {
+    for (const int threads : {1, 4}) {
+      ApproxConfig config;
+      config.instance.contention_mode = c.mode;
+      config.instance.contention_radius = c.radius;
+      config.instance.threads = threads;
+      ApproxFairCaching algorithm(config);
+      SolveReport report;
+      auto result =
+          algorithm.solve(problem, util::RunBudget::work_units(0), &report);
+      ASSERT_TRUE(result.ok());
+      EXPECT_EQ(static_cast<int>(report.degraded_chunks.size()),
+                problem.num_chunks);
+      EXPECT_EQ(placement_hash(result.value()), c.hash)
+          << "radius " << c.radius << ", " << threads << " threads";
+    }
+  }
 }
 
 TEST(SparseFallbackTest, TruncatedFallbackStillCoversEveryChunk) {
