@@ -30,7 +30,7 @@ void run(core::ReplacementPolicy policy, const char* label,
   int unplaced_chunks = 0;
   for (int t = 0; t < kStream; ++t) {
     if (t >= kWindow) online.retire_chunk(t - kWindow);
-    const auto step = online.insert_chunk(t);
+    const auto step = online.try_insert_chunk(t).value();
     placed_copies += static_cast<int>(step.cache_nodes.size());
     unplaced_chunks += step.cache_nodes.empty() ? 1 : 0;
     live_access += online.access_cost(t);

@@ -52,9 +52,11 @@ void BM_SolveConfl(benchmark::State& state) {
   const core::FairCachingProblem problem = grid_problem(g, 1);
   const metrics::CacheState cache(g.num_nodes(), 5, /*producer=*/0);
   const confl::ConflInstance instance =
-      core::build_chunk_instance(problem, cache, core::InstanceOptions{});
+      core::try_build_chunk_instance(problem, cache, core::InstanceOptions{})
+          .value();
   for (auto _ : state) {
-    const confl::ConflSolution solution = confl::solve_confl(instance);
+    const confl::ConflSolution solution =
+        confl::try_solve_confl(instance).value();
     benchmark::DoNotOptimize(solution.total());
   }
   state.SetLabel(std::to_string(g.num_nodes()) + " nodes");

@@ -338,8 +338,10 @@ int main() {
     for (int e = 0; e < 2; ++e) {
       std::uint64_t hash1 = 0;
       for (const int threads : {1, 2, 8}) {
-        const auto tree = steiner::steiner_mst_approx(
-            f.graph, f.weight, f.terminals, threads, engines[e]);
+        const auto tree =
+            steiner::try_steiner_mst_approx(f.graph, f.weight, f.terminals,
+                                            threads, {}, engines[e])
+                .value();
         const std::uint64_t h = tree_hash(tree);
         if (threads == 1) {
           hash1 = h;

@@ -70,8 +70,9 @@ double placement_cost(const Graph& g, NodeId producer,
   if (!open.empty()) {
     std::vector<NodeId> terminals = open;
     terminals.push_back(producer);
-    tree = steiner::steiner_mst_approx(g, costs.edge_weight, terminals,
-                                       threads)
+    tree = steiner::try_steiner_mst_approx(g, costs.edge_weight, terminals,
+                                           threads)
+               .value()
                .cost;
   }
   return access + lambda * tree;

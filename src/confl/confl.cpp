@@ -84,6 +84,9 @@ util::Status validate_confl_options(const ConflOptions& options) {
   if (options.span_threshold < 1) {
     return Status::invalid_input("span threshold must be ≥ 1");
   }
+  if (options.max_rounds < 0) {
+    return Status::invalid_input("max_rounds must be ≥ 0 (0 derives it)");
+  }
   return Status();
 }
 
@@ -158,7 +161,9 @@ int derive_max_rounds(const ConflInstance& instance,
     const double to_root = rows.cost(s);
     if (to_root != kInfCost) worst = std::max(worst, to_root);
   }
-  return static_cast<int>(std::ceil(worst / options.alpha_step)) + 2;
+  // Clamped like the event-driven bound: a tiny step would overflow int.
+  const double bound = std::ceil(worst / options.alpha_step) + 2.0;
+  return bound > INT_MAX ? INT_MAX : static_cast<int>(bound);
 }
 
 // Runs Phase 2 (Steiner tree over the ADMIN set, cheapest-facility
@@ -256,7 +261,7 @@ double tight_rate(const std::vector<Slot>& tight, Slot rb, const Rows& rows,
 }
 
 // One facility's next-event candidate, shared by the active-set engine
-// (solve_confl) and the dense reference (solve_confl_reference): while f_i
+// (try_solve_confl) and the dense reference (solve_confl_reference): while f_i
 // is uncovered, the time until payments complete; afterwards, the time
 // until the M-th SPAN request. `tight` must hold the slots of the
 // facility's tight unfrozen clients in ascending client order, `rate` must
@@ -878,16 +883,6 @@ util::Result<ConflSolution> try_solve_confl_impl(const ConflInstance& instance,
 
 }  // namespace
 
-ConflSolution solve_confl(const ConflInstance& instance,
-                          const ConflOptions& options) {
-  util::Result<ConflSolution> result = try_solve_confl(instance, options);
-  if (!result.ok()) {
-    util::check_failed("try_solve_confl(...).ok()", __FILE__, __LINE__,
-                       result.status().message());
-  }
-  return std::move(result).value();
-}
-
 util::Result<ConflSolution> try_solve_confl(const ConflInstance& instance,
                                             const ConflOptions& options,
                                             const util::RunBudget& budget) {
@@ -905,7 +900,7 @@ util::Result<ConflSolution> try_solve_confl(const ConflInstance& instance,
 
 // The original dense engine: per-client α vector, per-round rescans of
 // every (facility, client) pair. Kept as the behavioural reference for
-// solve_confl — both must produce bit-identical solutions. Dense-only by
+// try_solve_confl — both must produce bit-identical solutions. Dense-only by
 // design: differential tests build the dense twin of a sparse instance.
 ConflSolution solve_confl_reference(const ConflInstance& instance,
                                     const ConflOptions& options) {

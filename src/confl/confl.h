@@ -22,7 +22,7 @@
 //   start, which guarantees termination.
 //
 //   Phase 2: the ADMIN set A is connected to the root by a Steiner tree
-//   (steiner::steiner_mst_approx over `edge_scale`-scaled edge costs), and
+//   (steiner::try_steiner_mst_approx over `edge_scale`-scaled edge costs), and
 //   every client is re-assigned to its cheapest facility in A ∪ {root}.
 
 #include <vector>
@@ -92,6 +92,7 @@ struct ConflOptions {
   // SPAN requests required before a facility opens (the paper's M).
   int span_threshold = 3;
   // Safety valve on growth rounds; 0 derives it from max assignment cost.
+  // Negative values are rejected as kInvalidInput.
   int max_rounds = 0;
   // Worker threads for the parallelisable set-up work (event-list builds,
   // Phase 2 Steiner shortest paths). 0 = the util::parallel_threads()
@@ -132,6 +133,13 @@ struct ConflSolution {
   }
 };
 
+// Non-throwing validation of an instance / options against the documented
+// domain (sizes, root range, positive steps, non-negative round cap, ...).
+// try_solve_confl returns these as kInvalidInput; solve_confl_reference
+// enforces them with FAIRCACHE_CHECK.
+util::Status validate_confl_instance(const ConflInstance& instance);
+util::Status validate_confl_options(const ConflOptions& options);
+
 // Runs the primal–dual approximation on one ConFL instance.
 //
 // The implementation is the active-set engine: it tracks the compacted
@@ -139,30 +147,22 @@ struct ConflSolution {
 // tight-client lists, so each growth round costs O(active pairs) instead
 // of O(n²). Its output is bit-identical to solve_confl_reference below on
 // every instance (see tests/perf_core_test.cpp).
-ConflSolution solve_confl(const ConflInstance& instance,
-                          const ConflOptions& options = {});
-
-// Non-throwing validation of an instance / options against the documented
-// domain (sizes, root range, positive steps, ...). These are the exact
-// predicates the throwing entry points enforce with FAIRCACHE_CHECK.
-util::Status validate_confl_instance(const ConflInstance& instance);
-util::Status validate_confl_options(const ConflOptions& options);
-
-// Non-throwing, budget-aware variant of solve_confl. Malformed input comes
-// back as kInvalidInput; an expired util::RunBudget as its own reason
-// (kCancelled / kDeadlineExceeded / kResourceExhausted); a dual growth that
-// fails to converge within max_rounds as kResourceExhausted. The budget is
-// polled once per growth round (one work unit charged per round), in the
-// event-list build fan-out, and inside the Phase 2 Steiner construction. A
-// run that completes under an unexpired budget is bit-identical to
-// solve_confl — budget checks never touch the solver arithmetic.
+//
+// Malformed input comes back as kInvalidInput; an expired util::RunBudget
+// as its own reason (kCancelled / kDeadlineExceeded / kResourceExhausted);
+// a dual growth that fails to converge within max_rounds as
+// kResourceExhausted. The budget is polled once per growth round (one work
+// unit charged per round), in the event-list build fan-out, and inside the
+// Phase 2 Steiner construction. A run that completes under an unexpired
+// budget is bit-identical to an unbudgeted one — budget checks never touch
+// the solver arithmetic.
 util::Result<ConflSolution> try_solve_confl(
     const ConflInstance& instance, const ConflOptions& options = {},
     const util::RunBudget& budget = {});
 
 // Reference implementation: the original dense engine that rescans every
 // (facility, client) pair each round. Kept for differential testing of the
-// active-set solver; prefer solve_confl everywhere else.
+// active-set solver; prefer try_solve_confl everywhere else.
 ConflSolution solve_confl_reference(const ConflInstance& instance,
                                     const ConflOptions& options = {});
 

@@ -8,12 +8,7 @@
 namespace faircache::core {
 
 FairCachingResult ApproxFairCaching::run(const FairCachingProblem& problem) {
-  util::Result<FairCachingResult> result = solve(problem);
-  if (!result.ok()) {
-    util::check_failed("solve(problem).ok()", __FILE__, __LINE__,
-                       result.status().message());
-  }
-  return std::move(result).value();
+  return solve(problem).value();
 }
 
 util::Result<FairCachingResult> ApproxFairCaching::solve(

@@ -53,19 +53,6 @@ confl::ConflInstance instance_shell(const FairCachingProblem& problem,
 
 }  // namespace
 
-confl::ConflInstance build_chunk_instance(const FairCachingProblem& problem,
-                                          const metrics::CacheState& state,
-                                          const InstanceOptions& options,
-                                          metrics::ChunkId chunk) {
-  util::Result<confl::ConflInstance> result =
-      try_build_chunk_instance(problem, state, options, chunk);
-  if (!result.ok()) {
-    util::check_failed("try_build_chunk_instance(...).ok()", __FILE__,
-                       __LINE__, result.status().message());
-  }
-  return std::move(result).value();
-}
-
 util::Result<confl::ConflInstance> try_build_chunk_instance(
     const FairCachingProblem& problem, const metrics::CacheState& state,
     const InstanceOptions& options, metrics::ChunkId chunk) {

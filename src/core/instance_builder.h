@@ -103,16 +103,9 @@ struct InstanceBuildStats {
 
 // The returned instance borrows `problem.network`; it must outlive the
 // instance. `chunk` selects the demand row when `options.demand` is set.
-// Always uses the kRebuild engine (stateless, one-shot).
-confl::ConflInstance build_chunk_instance(const FairCachingProblem& problem,
-                                          const metrics::CacheState& state,
-                                          const InstanceOptions& options,
-                                          metrics::ChunkId chunk = 0);
-
-// Non-throwing variant for untrusted input: kInvalidInput for a missing
-// network, a state sized for a different network, or a demand matrix
-// without a row for `chunk`. A successful build is identical to
-// build_chunk_instance.
+// Always uses the kRebuild engine (stateless, one-shot). kInvalidInput for
+// a missing network, a state sized for a different network, or a demand
+// matrix without a row for `chunk`.
 util::Result<confl::ConflInstance> try_build_chunk_instance(
     const FairCachingProblem& problem, const metrics::CacheState& state,
     const InstanceOptions& options, metrics::ChunkId chunk = 0);

@@ -85,15 +85,6 @@ util::Result<OnlineStepResult> OnlineFairCaching::try_insert_chunk(
   return step;
 }
 
-OnlineStepResult OnlineFairCaching::insert_chunk(metrics::ChunkId chunk) {
-  util::Result<OnlineStepResult> step = try_insert_chunk(chunk);
-  if (!step.ok()) {
-    util::check_failed("try_insert_chunk(...).ok()", __FILE__, __LINE__,
-                       step.status().message());
-  }
-  return std::move(step).value();
-}
-
 void OnlineFairCaching::retire_chunk(metrics::ChunkId chunk) {
   for (NodeId v = 0; v < state_.num_nodes(); ++v) {
     if (v == state_.producer() || !state_.holds(v, chunk)) continue;

@@ -75,9 +75,6 @@ class OnlineFairCaching {
   // frees the id for re-publication (an updated version of the chunk).
   util::Result<OnlineStepResult> try_insert_chunk(metrics::ChunkId chunk);
 
-  // Throwing wrapper around try_insert_chunk for trusted callers.
-  OnlineStepResult insert_chunk(metrics::ChunkId chunk);
-
   // Drops an outdated chunk from every cache and frees its id.
   void retire_chunk(metrics::ChunkId chunk);
 

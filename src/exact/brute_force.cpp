@@ -15,8 +15,10 @@ core::FairCachingResult BruteForceCaching::run(
   all_proven_optimal_ = true;
 
   for (metrics::ChunkId chunk = 0; chunk < problem.num_chunks; ++chunk) {
-    const confl::ConflInstance instance = core::build_chunk_instance(
-        problem, result.state, config_.instance, chunk);
+    const confl::ConflInstance instance =
+        core::try_build_chunk_instance(problem, result.state, config_.instance,
+                                       chunk)
+            .value();
     const ExactConflSolution solution =
         solve_confl_exact(instance, config_.exact);
     all_proven_optimal_ = all_proven_optimal_ && solution.proven_optimal;

@@ -197,7 +197,7 @@ ExactConflSolution solve_confl_exact(const confl::ConflInstance& instance,
   confl::ConflSolution warm;
   bool have_warm = false;
   if (options.warm_start_with_primal_dual) {
-    warm = confl::solve_confl(instance, options.primal_dual);
+    warm = confl::try_solve_confl(instance, options.primal_dual).value();
     have_warm = true;
     // The MILP objective of the warm solution: re-evaluate under the same
     // cheapest-assignment rule the MILP optimizes.

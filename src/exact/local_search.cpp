@@ -22,7 +22,9 @@ double set_objective(const confl::ConflInstance& instance,
     terminals.push_back(instance.root);
     std::vector<double> scaled = instance.edge_cost;
     for (double& w : scaled) w *= instance.edge_scale;
-    tree = steiner::steiner_mst_approx(*instance.network, scaled, terminals)
+    tree = steiner::try_steiner_mst_approx(*instance.network, scaled,
+                                           terminals)
+               .value()
                .cost;
   }
   return confl::evaluate_confl_objective(instance, open, tree);
@@ -100,9 +102,11 @@ core::FairCachingResult LocalSearchCaching::run(
 
   for (metrics::ChunkId chunk = 0; chunk < problem.num_chunks; ++chunk) {
     const confl::ConflInstance instance =
-        core::build_chunk_instance(problem, result.state, config_.instance, chunk);
+        core::try_build_chunk_instance(problem, result.state, config_.instance,
+                                       chunk)
+            .value();
     // Seed with the primal–dual solution, then hill-climb.
-    const confl::ConflSolution seed = confl::solve_confl(instance);
+    const confl::ConflSolution seed = confl::try_solve_confl(instance).value();
     const std::vector<NodeId> open =
         improve_chunk(instance, seed.open_facilities, config_.max_passes);
 

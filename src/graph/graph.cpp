@@ -12,12 +12,7 @@ Graph::Graph(int num_nodes) {
 }
 
 EdgeId Graph::add_edge(NodeId u, NodeId v) {
-  util::Result<EdgeId> result = try_add_edge(u, v);
-  if (!result.ok()) {
-    util::check_failed("try_add_edge(u, v).ok()", __FILE__, __LINE__,
-                       result.status().message());
-  }
-  return result.value();
+  return try_add_edge(u, v).value();
 }
 
 util::Result<EdgeId> Graph::try_add_edge(NodeId u, NodeId v) {

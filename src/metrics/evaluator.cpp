@@ -94,8 +94,10 @@ PlacementEvaluation evaluate_placement(const graph::Graph& g,
     }
 
     // Dissemination phase: Steiner tree from the producer to all holders.
-    const steiner::SteinerTree tree = steiner::steiner_mst_approx(
-        g, contention.edge_costs(), sources, options.threads);
+    const steiner::SteinerTree tree =
+        steiner::try_steiner_mst_approx(g, contention.edge_costs(), sources,
+                                        options.threads)
+            .value();
     ce.dissemination_cost = tree.cost;
 
     eval.access_cost += ce.access_cost;
@@ -107,7 +109,9 @@ PlacementEvaluation evaluate_placement(const graph::Graph& g,
 
 DegradationReport make_degradation_report(double coverage,
                                           const PlacementEvaluation& degraded,
-                                          const PlacementEvaluation& baseline) {
+                                          const PlacementEvaluation& baseline,
+                                          util::Status protocol_outcome,
+                                          long forced_freezes) {
   DegradationReport report;
   report.coverage = coverage;
   report.baseline_cost = baseline.total();
@@ -117,16 +121,6 @@ DegradationReport make_degradation_report(double coverage,
       report.baseline_cost > 0.0
           ? report.degraded_cost / report.baseline_cost
           : 1.0;
-  return report;
-}
-
-DegradationReport make_degradation_report(double coverage,
-                                          const PlacementEvaluation& degraded,
-                                          const PlacementEvaluation& baseline,
-                                          util::Status protocol_outcome,
-                                          long forced_freezes) {
-  DegradationReport report =
-      make_degradation_report(coverage, degraded, baseline);
   report.protocol_outcome = std::move(protocol_outcome);
   report.forced_freezes = forced_freezes;
   return report;

@@ -77,16 +77,12 @@ struct DegradationReport {
   long forced_freezes = 0;  // stragglers frozen by the round watchdog
 };
 
-DegradationReport make_degradation_report(double coverage,
-                                          const PlacementEvaluation& degraded,
-                                          const PlacementEvaluation& baseline);
-
-// Overload carrying the protocol's typed termination outcome and watchdog
-// counter (the three-argument form reports an OK outcome).
+// `protocol_outcome` and `forced_freezes` carry the protocol's typed
+// termination outcome and watchdog counter; the defaults report an OK run.
 DegradationReport make_degradation_report(double coverage,
                                           const PlacementEvaluation& degraded,
                                           const PlacementEvaluation& baseline,
-                                          util::Status protocol_outcome,
-                                          long forced_freezes);
+                                          util::Status protocol_outcome = {},
+                                          long forced_freezes = 0);
 
 }  // namespace faircache::metrics

@@ -162,7 +162,8 @@ DisseminationResult simulate_dissemination_phase(
     std::vector<NodeId> terminals = holders;
     terminals.push_back(state.producer());
     const steiner::SteinerTree tree =
-        steiner::steiner_mst_approx(g, contention.edge_costs(), terminals);
+        steiner::try_steiner_mst_approx(g, contention.edge_costs(), terminals)
+            .value();
 
     // Tree adjacency; BFS from the producer defines forwarding order.
     std::vector<std::vector<NodeId>> tree_adj(

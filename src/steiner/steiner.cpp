@@ -289,19 +289,6 @@ std::vector<EdgeId> prune_non_terminal_leaves(
   return tree_edges;
 }
 
-SteinerTree steiner_mst_approx(const Graph& g,
-                               const std::vector<double>& edge_weight,
-                               std::vector<NodeId> terminals, int threads,
-                               Engine engine) {
-  util::Result<SteinerTree> result = try_steiner_mst_approx(
-      g, edge_weight, std::move(terminals), threads, {}, engine);
-  if (!result.ok()) {
-    util::check_failed("try_steiner_mst_approx(...).ok()", __FILE__, __LINE__,
-                       result.status().message());
-  }
-  return std::move(result).value();
-}
-
 util::Result<SteinerTree> try_steiner_mst_approx(
     const Graph& g, const std::vector<double>& edge_weight,
     std::vector<NodeId> terminals, int threads,

@@ -6,7 +6,7 @@
 // chosen edges' contention costs.
 //
 // Implementations:
-//  * `steiner_mst_approx` — a 2-approximation with two selectable engines
+//  * `try_steiner_mst_approx` — a 2-approximation with two selectable engines
 //    (`Engine` below): the classic Kou–Markowsky–Berman metric-closure MST
 //    construction, and Mehlhorn's Voronoi-partition variant that reaches
 //    the same ratio from a single multi-source Dijkstra sweep. The paper
@@ -54,26 +54,21 @@ struct SteinerTree {
 };
 
 // 2-approximate Steiner tree connecting `terminals` (deduplicated; must be
-// non-empty and mutually reachable). A single terminal yields an empty tree.
-// Under kClosureKmb the per-terminal shortest-path trees are computed in
-// parallel (threads == 0 means the util::parallel_threads() default);
-// kVoronoi runs one serial multi-source sweep. Either engine's result is
-// bit-identical at any thread count.
-SteinerTree steiner_mst_approx(const graph::Graph& g,
-                               const std::vector<double>& edge_weight,
-                               std::vector<graph::NodeId> terminals,
-                               int threads = 0,
-                               Engine engine = Engine::kClosureKmb);
-
-// Non-throwing, budget-aware variant of steiner_mst_approx. Malformed
-// input yields kInvalidInput, mutually unreachable terminals kInfeasible,
-// and an expired util::RunBudget the budget's own reason (kCancelled /
-// kDeadlineExceeded / kResourceExhausted). One work unit is charged per
-// shortest-path source under kClosureKmb (the budget is polled in the
-// fan-out, workers draining between sources, and once per closure-MST
-// round); kVoronoi charges a single unit for its one multi-source sweep
-// and is polled between pipeline phases. A run that completes under an
-// unexpired budget is bit-identical to steiner_mst_approx.
+// non-empty). A single terminal yields an empty tree. Under kClosureKmb the
+// per-terminal shortest-path trees are computed in parallel (threads == 0
+// means the util::parallel_threads() default); kVoronoi runs one serial
+// multi-source sweep. Either engine's result is bit-identical at any
+// thread count.
+//
+// Malformed input yields kInvalidInput, mutually unreachable terminals
+// kInfeasible, and an expired util::RunBudget the budget's own reason
+// (kCancelled / kDeadlineExceeded / kResourceExhausted). One work unit is
+// charged per shortest-path source under kClosureKmb (the budget is polled
+// in the fan-out, workers draining between sources, and once per
+// closure-MST round); kVoronoi charges a single unit for its one
+// multi-source sweep and is polled between pipeline phases. A run that
+// completes under an unexpired budget is bit-identical to an unbudgeted
+// one.
 util::Result<SteinerTree> try_steiner_mst_approx(
     const graph::Graph& g, const std::vector<double>& edge_weight,
     std::vector<graph::NodeId> terminals, int threads = 0,

@@ -9,12 +9,18 @@
 // deadline, a cancellation request, or a work-unit cap (util/deadline.h).
 //
 // Conventions:
-//   * `try_*` entry points (graph::Graph::try_add_edge,
-//     confl::try_solve_confl, steiner::try_steiner_mst_approx,
-//     core::try_build_chunk_instance, core::ApproxFairCaching::solve)
-//     return Status / Result<T> and never throw for these failure classes;
-//   * the historical throwing entry points keep their exact behaviour and
-//     are implemented on top of the try_ variants.
+//   * each operation has one entry point that returns Status / Result<T>
+//     and never throws for these failure classes (confl::try_solve_confl,
+//     steiner::try_steiner_mst_approx, core::try_build_chunk_instance,
+//     core::OnlineFairCaching::try_insert_chunk,
+//     core::ApproxFairCaching::solve, graph::Graph::try_add_edge);
+//   * a trusted caller that treats failure as a bug writes
+//     `try_…(…).value()`: on an error result value() throws CheckError
+//     carrying the status code and message. Bind the value, not a
+//     reference: value() on a temporary returns a T&& into it;
+//   * the only throwing forms left are the ones an interface or the
+//     graph generators need (CachingAlgorithm::run, Graph::add_edge), each
+//     a one-line `.value()` over its Result-returning twin.
 
 #include <ostream>
 #include <string>
@@ -108,16 +114,18 @@ class Result {
     return ok() ? StatusCode::kOk : std::get<Status>(data_).code();
   }
 
+  // On an error result these throw CheckError naming the held status
+  // ("... — invalid-input: edge endpoint out of range").
   const T& value() const& {
-    FAIRCACHE_CHECK(ok(), "Result::value() on an error result");
+    require_value();
     return std::get<T>(data_);
   }
   T& value() & {
-    FAIRCACHE_CHECK(ok(), "Result::value() on an error result");
+    require_value();
     return std::get<T>(data_);
   }
   T&& value() && {
-    FAIRCACHE_CHECK(ok(), "Result::value() on an error result");
+    require_value();
     return std::get<T>(std::move(data_));
   }
 
@@ -126,6 +134,13 @@ class Result {
   }
 
  private:
+  void require_value() const {
+    if (!ok()) {
+      check_failed("Result::value() on an error result", __FILE__, __LINE__,
+                   std::get<Status>(data_).to_string());
+    }
+  }
+
   std::variant<T, Status> data_;
 };
 

@@ -70,7 +70,7 @@ TEST(ConflTest, AllFromRootWhenNoFacilityAllowed) {
   const NodeId root = 4;
   ConflInstance instance =
       make_instance(g, root, std::vector<double>(9, kInf));
-  const ConflSolution s = solve_confl(instance);
+  const ConflSolution s = try_solve_confl(instance).value();
   expect_valid_solution(instance, s);
   EXPECT_TRUE(s.open_facilities.empty());
   EXPECT_DOUBLE_EQ(s.facility_cost, 0.0);
@@ -87,7 +87,7 @@ TEST(ConflTest, HugeSpanThresholdForcesRootOnly) {
       make_instance(g, 0, std::vector<double>(16, 0.0));
   ConflOptions options;
   options.span_threshold = 100;  // unreachable
-  const ConflSolution s = solve_confl(instance, options);
+  const ConflSolution s = try_solve_confl(instance, options).value();
   expect_valid_solution(instance, s);
   EXPECT_TRUE(s.open_facilities.empty());
 }
@@ -100,7 +100,7 @@ TEST(ConflTest, OpensRemoteClusterFacility) {
       make_instance(g, 0, std::vector<double>(12, 0.0));
   ConflOptions options;
   options.span_threshold = 2;
-  const ConflSolution s = solve_confl(instance, options);
+  const ConflSolution s = try_solve_confl(instance, options).value();
   expect_valid_solution(instance, s);
   ASSERT_FALSE(s.open_facilities.empty());
   // Some far node must be served by a non-root facility.
@@ -111,7 +111,7 @@ TEST(ConflTest, AssignmentNeverWorseThanRootDirect) {
   const Graph g = graph::make_grid(4, 4);
   ConflInstance instance =
       make_instance(g, 5, std::vector<double>(16, 0.5));
-  const ConflSolution s = solve_confl(instance);
+  const ConflSolution s = try_solve_confl(instance).value();
   expect_valid_solution(instance, s);
   for (NodeId j = 0; j < 16; ++j) {
     const NodeId i = s.assignment[static_cast<std::size_t>(j)];
@@ -125,14 +125,14 @@ TEST(ConflTest, DeterministicAcrossRuns) {
   const Graph g = graph::make_grid(5, 5);
   ConflInstance instance =
       make_instance(g, 12, std::vector<double>(25, 0.25));
-  const ConflSolution a = solve_confl(instance);
-  const ConflSolution b = solve_confl(instance);
+  const ConflSolution a = try_solve_confl(instance).value();
+  const ConflSolution b = try_solve_confl(instance).value();
   EXPECT_EQ(a.open_facilities, b.open_facilities);
   EXPECT_EQ(a.assignment, b.assignment);
   EXPECT_DOUBLE_EQ(a.total(), b.total());
 }
 
-// Pins the two growth loops (active-set solve_confl and the dense
+// Pins the two growth loops (active-set try_solve_confl and the dense
 // reference) to the exact same per-round time advances in both growth
 // modes. The event-driven deltas flow through one shared
 // facility_event_delta helper plus the tightness event heap; any drift
@@ -148,7 +148,7 @@ TEST(ConflTest, GrowthTraceIdenticalAcrossEnginesInBothModes) {
     std::vector<double> fast_trace;
     std::vector<double> ref_trace;
     options.growth_trace = &fast_trace;
-    const ConflSolution fast = solve_confl(instance, options);
+    const ConflSolution fast = try_solve_confl(instance, options).value();
     options.growth_trace = &ref_trace;
     const ConflSolution ref = solve_confl_reference(instance, options);
     EXPECT_EQ(fast.rounds, ref.rounds);
@@ -166,8 +166,8 @@ TEST(ConflTest, ExpensiveFacilitiesOpenLess) {
       make_instance(g, 12, std::vector<double>(25, 0.0));
   ConflInstance expensive =
       make_instance(g, 12, std::vector<double>(25, 50.0));
-  const auto s_cheap = solve_confl(cheap);
-  const auto s_expensive = solve_confl(expensive);
+  const auto s_cheap = try_solve_confl(cheap).value();
+  const auto s_expensive = try_solve_confl(expensive).value();
   EXPECT_GE(s_cheap.open_facilities.size(),
             s_expensive.open_facilities.size());
 }
@@ -178,7 +178,7 @@ TEST(ConflTest, RoundsBoundedByMaxCostOverStep) {
       make_instance(g, 0, std::vector<double>(16, 0.0));
   ConflOptions options;
   options.alpha_step = 1.0;
-  const ConflSolution s = solve_confl(instance, options);
+  const ConflSolution s = try_solve_confl(instance, options).value();
   double worst_to_root = 0.0;
   for (NodeId j = 0; j < 16; ++j) {
     worst_to_root = std::max(worst_to_root, instance.assign_cost[0][j]);
@@ -200,8 +200,8 @@ TEST(ConflTest, SmallerStepNeverHurtsMuch) {
   fine.alpha_step = 0.5;
   fine.beta_step = 0.5;
   fine.gamma_step = 0.5;
-  const double c = solve_confl(instance, coarse).total();
-  const double f = solve_confl(instance, fine).total();
+  const double c = try_solve_confl(instance, coarse).value().total();
+  const double f = try_solve_confl(instance, fine).value().total();
   EXPECT_LE(f, c * 1.5 + 1e-9);
 }
 
@@ -209,7 +209,7 @@ TEST(ConflTest, EvaluateObjectiveMatchesSolutionTotals) {
   const Graph g = graph::make_grid(4, 4);
   ConflInstance instance =
       make_instance(g, 3, std::vector<double>(16, 0.75));
-  const ConflSolution s = solve_confl(instance);
+  const ConflSolution s = try_solve_confl(instance).value();
   const double eval = evaluate_confl_objective(
       instance, s.open_facilities, s.tree_cost);
   EXPECT_NEAR(eval, s.total(), 1e-9);
@@ -219,8 +219,8 @@ TEST(ConflTest, EdgeScaleRaisesTreeCostOnly) {
   const Graph g = graph::make_path(8);
   ConflInstance a = make_instance(g, 0, std::vector<double>(8, 0.0), 1.0);
   ConflInstance b = make_instance(g, 0, std::vector<double>(8, 0.0), 3.0);
-  const ConflSolution sa = solve_confl(a);
-  const ConflSolution sb = solve_confl(b);
+  const ConflSolution sa = try_solve_confl(a).value();
+  const ConflSolution sb = try_solve_confl(b).value();
   if (!sa.open_facilities.empty() &&
       sb.open_facilities == sa.open_facilities) {
     EXPECT_NEAR(sb.tree_cost, 3.0 * sa.tree_cost, 1e-9);
@@ -253,7 +253,7 @@ TEST_P(ConflRandomTest, ValidAndBeatsNaiveBound) {
   ConflInstance instance = make_instance(net.graph, root, fcost);
   ConflOptions options;
   options.span_threshold = static_cast<int>(rng.uniform_int(1, 4));
-  const ConflSolution s = solve_confl(instance, options);
+  const ConflSolution s = try_solve_confl(instance, options).value();
   expect_valid_solution(instance, s);
 
   double root_only = 0.0;
@@ -277,7 +277,7 @@ TEST(ConflEventDrivenTest, ValidSolutionOnGrid) {
       make_instance(g, 12, std::vector<double>(25, 0.5));
   ConflOptions options;
   options.growth = GrowthMode::kEventDriven;
-  const ConflSolution s = solve_confl(instance, options);
+  const ConflSolution s = try_solve_confl(instance, options).value();
   expect_valid_solution(instance, s);
 }
 
@@ -290,13 +290,13 @@ TEST(ConflEventDrivenTest, MatchesSmallStepLimit) {
 
   ConflOptions event;
   event.growth = GrowthMode::kEventDriven;
-  const ConflSolution se = solve_confl(instance, event);
+  const ConflSolution se = try_solve_confl(instance, event).value();
 
   ConflOptions fine;
   fine.alpha_step = 1.0 / 64.0;
   fine.beta_step = 1.0 / 64.0;
   fine.gamma_step = 4.0 / 64.0;
-  const ConflSolution sf = solve_confl(instance, fine);
+  const ConflSolution sf = try_solve_confl(instance, fine).value();
 
   EXPECT_EQ(se.open_facilities, sf.open_facilities);
   EXPECT_NEAR(se.total(), sf.total(), 1e-6);
@@ -312,8 +312,8 @@ TEST(ConflEventDrivenTest, FewerRoundsThanFineFixedStep) {
   fine.alpha_step = 1.0 / 32.0;
   fine.beta_step = 1.0 / 32.0;
   fine.gamma_step = 4.0 / 32.0;
-  EXPECT_LT(solve_confl(instance, event).rounds,
-            solve_confl(instance, fine).rounds);
+  EXPECT_LT(try_solve_confl(instance, event).value().rounds,
+            try_solve_confl(instance, fine).value().rounds);
 }
 
 TEST(ConflEventDrivenTest, RootOnlyWithInfiniteFacilities) {
@@ -321,7 +321,7 @@ TEST(ConflEventDrivenTest, RootOnlyWithInfiniteFacilities) {
   ConflInstance instance = make_instance(g, 0, std::vector<double>(6, kInf));
   ConflOptions options;
   options.growth = GrowthMode::kEventDriven;
-  const ConflSolution s = solve_confl(instance, options);
+  const ConflSolution s = try_solve_confl(instance, options).value();
   EXPECT_TRUE(s.open_facilities.empty());
   for (NodeId j = 0; j < 6; ++j) {
     EXPECT_EQ(s.assignment[static_cast<std::size_t>(j)], 0);
@@ -345,8 +345,8 @@ TEST_P(EventDrivenSweepTest, CloseToFixedStep) {
   ConflInstance instance = make_instance(net.graph, root, fcost);
   ConflOptions event;
   event.growth = GrowthMode::kEventDriven;
-  const ConflSolution se = solve_confl(instance, event);
-  const ConflSolution sf = solve_confl(instance, ConflOptions{});
+  const ConflSolution se = try_solve_confl(instance, event).value();
+  const ConflSolution sf = try_solve_confl(instance, ConflOptions{}).value();
   expect_valid_solution(instance, se);
   expect_valid_solution(instance, sf);
   EXPECT_LT(se.total(), 2.0 * sf.total() + 1e-9);

@@ -57,7 +57,7 @@ TEST(InstanceBuilderTest, FacilityCostsTrackState) {
   state.add(0, 1);
 
   const confl::ConflInstance instance =
-      build_chunk_instance(problem, state, InstanceOptions{});
+      try_build_chunk_instance(problem, state, InstanceOptions{}).value();
   EXPECT_EQ(instance.root, 4);
   EXPECT_DOUBLE_EQ(instance.facility_cost[0], 2.0 / 2.0);  // 2/(4−2)
   EXPECT_DOUBLE_EQ(instance.facility_cost[1], 0.0);

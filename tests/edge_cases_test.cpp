@@ -124,8 +124,8 @@ TEST(ConflWeightEdgeCasesTest, UnitWeightsMatchUnweighted) {
   confl::ConflInstance plain = weighted;
   plain.client_weight.clear();
 
-  const auto a = confl::solve_confl(weighted);
-  const auto b = confl::solve_confl(plain);
+  const auto a = confl::try_solve_confl(weighted).value();
+  const auto b = confl::try_solve_confl(plain).value();
   EXPECT_EQ(a.open_facilities, b.open_facilities);
   EXPECT_DOUBLE_EQ(a.total(), b.total());
 }
@@ -134,13 +134,15 @@ TEST(ConflWeightEdgeCasesTest, RejectsNegativeWeight) {
   const Graph g = graph::make_path(3);
   confl::ConflInstance instance =
       weighted_instance(g, 0, {1.0, -1.0, 1.0});
-  EXPECT_THROW(confl::solve_confl(instance), util::CheckError);
+  EXPECT_EQ(confl::try_solve_confl(instance).code(),
+            util::StatusCode::kInvalidInput);
 }
 
 TEST(ConflWeightEdgeCasesTest, RejectsWrongSizeWeights) {
   const Graph g = graph::make_path(3);
   confl::ConflInstance instance = weighted_instance(g, 0, {1.0, 1.0});
-  EXPECT_THROW(confl::solve_confl(instance), util::CheckError);
+  EXPECT_EQ(confl::try_solve_confl(instance).code(),
+            util::StatusCode::kInvalidInput);
 }
 
 TEST(ConflWeightEdgeCasesTest, ScalingWeightsScalesAssignmentCost) {
@@ -149,8 +151,8 @@ TEST(ConflWeightEdgeCasesTest, ScalingWeightsScalesAssignmentCost) {
       weighted_instance(g, 4, std::vector<double>(9, 1.0));
   confl::ConflInstance doubled =
       weighted_instance(g, 4, std::vector<double>(9, 2.0));
-  const auto a = confl::solve_confl(base);
-  const auto b = confl::solve_confl(doubled);
+  const auto a = confl::try_solve_confl(base).value();
+  const auto b = confl::try_solve_confl(doubled).value();
   // Doubling all weights doubles the weighted assignment cost for the
   // same facility structure (openings may differ only via γ timing, which
   // scales uniformly, so the sets match).
@@ -202,7 +204,7 @@ TEST(SteinerEdgeCasesTest, AllNodesTerminalsIsSpanningTree) {
   std::vector<double> w(static_cast<std::size_t>(g.num_edges()), 1.0);
   std::vector<NodeId> all;
   for (NodeId v = 0; v < 9; ++v) all.push_back(v);
-  const auto tree = steiner::steiner_mst_approx(g, w, all);
+  const auto tree = steiner::try_steiner_mst_approx(g, w, all).value();
   EXPECT_EQ(tree.edges.size(), 8u);
   EXPECT_DOUBLE_EQ(tree.cost, 8.0);
 }

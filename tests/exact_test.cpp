@@ -198,7 +198,8 @@ TEST_P(ApproximationRatioTest, PrimalDualWithinProvenRatio) {
 
   const confl::ConflInstance instance =
       make_instance(net.graph, root, fcost);
-  const confl::ConflSolution approx = confl::solve_confl(instance);
+  const confl::ConflSolution approx =
+      confl::try_solve_confl(instance).value();
   const ExactConflSolution opt = solve_confl_exact(instance);
   ASSERT_TRUE(opt.proven_optimal);
   ASSERT_GT(opt.objective, 0.0);
@@ -234,7 +235,8 @@ TEST_P(WeightedExactTest, MilpMatchesEnumerationAndRatioHolds) {
   ASSERT_TRUE(opt.proven_optimal);
   EXPECT_NEAR(opt.objective, enumerate_optimum(instance), 1e-5);
 
-  const confl::ConflSolution approx = confl::solve_confl(instance);
+  const confl::ConflSolution approx =
+      confl::try_solve_confl(instance).value();
   ASSERT_GT(opt.objective, 0.0);
   EXPECT_LE(approx.total(), 6.55 * opt.objective + 1e-6);
   EXPECT_GE(approx.total(), opt.objective - 1e-6);

@@ -72,8 +72,10 @@ TEST(LocalSearchTest, MatchesMilpOnSmallInstances) {
     exact::LocalSearchCaching local;
     const auto local_result = local.run(problem);
 
-    const confl::ConflInstance instance = core::build_chunk_instance(
-        problem, problem.make_initial_state(), core::InstanceOptions{});
+    const confl::ConflInstance instance =
+        core::try_build_chunk_instance(problem, problem.make_initial_state(),
+                                       core::InstanceOptions{})
+            .value();
     const exact::ExactConflSolution opt =
         exact::solve_confl_exact(instance);
     ASSERT_TRUE(opt.proven_optimal);
@@ -92,7 +94,7 @@ TEST(OnlineTest, InsertAndRetire) {
   const Graph g = graph::make_grid(4, 4);
   const auto problem = make_problem(g, 0, 0, 2);
   core::OnlineFairCaching online(problem, core::OnlineConfig{});
-  const auto step = online.insert_chunk(0);
+  const auto step = online.try_insert_chunk(0).value();
   EXPECT_FALSE(step.cache_nodes.empty());
   EXPECT_GT(online.state().total_stored(), 0);
   online.retire_chunk(0);
@@ -105,7 +107,8 @@ TEST(OnlineTest, NoReplacementClogsCaches) {
   core::OnlineFairCaching online(problem, core::OnlineConfig{});
   int placed = 0;
   for (int chunk = 0; chunk < 12; ++chunk) {
-    placed += online.insert_chunk(chunk).cache_nodes.empty() ? 0 : 1;
+    placed +=
+        online.try_insert_chunk(chunk).value().cache_nodes.empty() ? 0 : 1;
   }
   EXPECT_EQ(online.total_evictions(), 0);
   // At most 8 cacheable nodes with capacity 1: later chunks go unplaced.
@@ -124,7 +127,8 @@ TEST(OnlineTest, EvictOldestKeepsServing) {
   core::OnlineFairCaching online(problem, config);
   int placed = 0;
   for (int chunk = 0; chunk < 12; ++chunk) {
-    placed += online.insert_chunk(chunk).cache_nodes.empty() ? 0 : 1;
+    placed +=
+        online.try_insert_chunk(chunk).value().cache_nodes.empty() ? 0 : 1;
   }
   EXPECT_GT(online.total_evictions(), 0);
   EXPECT_EQ(placed, 12);  // every chunk finds a home via eviction
@@ -139,7 +143,7 @@ TEST(OnlineTest, AccessCostDropsWhenCached) {
   const auto problem = make_problem(g, 0, 0, 3);
   core::OnlineFairCaching online(problem, core::OnlineConfig{});
   const double before = online.access_cost(0);
-  online.insert_chunk(0);
+  online.try_insert_chunk(0).value();
   EXPECT_LE(online.access_cost(0), before);
 }
 
@@ -230,7 +234,8 @@ TEST(OnlineTest, RebuildModeMatchesLegacyStatelessLoop) {
   long clock = 0;
   for (int chunk = 0; chunk < 10; ++chunk) {
     confl::ConflInstance instance =
-        core::build_chunk_instance(problem, state, config.approx.instance);
+        core::try_build_chunk_instance(problem, state, config.approx.instance)
+            .value();
     for (NodeId v = 0; v < state.num_nodes(); ++v) {
       if (v == state.producer() || !state.full(v) ||
           state.capacity(v) == 0 || state.holds(v, chunk)) {
@@ -242,7 +247,7 @@ TEST(OnlineTest, RebuildModeMatchesLegacyStatelessLoop) {
           config.eviction_penalty + used / (cap - used);
     }
     const confl::ConflSolution solution =
-        confl::solve_confl(instance, config.approx.confl);
+        confl::try_solve_confl(instance, config.approx.confl).value();
     for (NodeId v : solution.open_facilities) {
       auto& age_list = ages[static_cast<std::size_t>(v)];
       if (state.full(v)) {

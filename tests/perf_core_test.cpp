@@ -1,6 +1,6 @@
 // Tests for the parallel, allocation-lean solver core: util::Matrix,
 // util::parallel_for, the CSR/partial Dijkstra fast paths, and — most
-// importantly — the determinism contract: the active-set solve_confl is
+// importantly — the determinism contract: the active-set try_solve_confl is
 // bit-identical to the dense reference engine and to itself at every
 // thread count.
 
@@ -345,7 +345,8 @@ TEST(SolveConflEquivalenceTest, ActiveSetMatchesReferenceOnRandomInstances) {
     options.steiner_engine = trial % 2 == 0 ? steiner::Engine::kClosureKmb
                                             : steiner::Engine::kVoronoi;
     SCOPED_TRACE("trial " + std::to_string(trial));
-    const confl::ConflSolution fast = confl::solve_confl(instance, options);
+    const confl::ConflSolution fast =
+        confl::try_solve_confl(instance, options).value();
     const confl::ConflSolution ref =
         confl::solve_confl_reference(instance, options);
     expect_identical_solutions(fast, ref);
@@ -361,16 +362,20 @@ TEST(SolveConflEquivalenceTest, ThreadCountDoesNotChangeSolution) {
   problem.uniform_capacity = 5;
   const metrics::CacheState state(g.num_nodes(), 5, 0);
   const confl::ConflInstance instance =
-      core::build_chunk_instance(problem, state, core::InstanceOptions{});
+      core::try_build_chunk_instance(problem, state, core::InstanceOptions{})
+          .value();
 
   confl::ConflOptions options;
   options.growth = confl::GrowthMode::kEventDriven;
   options.threads = 1;
-  const confl::ConflSolution serial = confl::solve_confl(instance, options);
+  const confl::ConflSolution serial =
+      confl::try_solve_confl(instance, options).value();
   options.threads = 2;
-  const confl::ConflSolution two = confl::solve_confl(instance, options);
+  const confl::ConflSolution two =
+      confl::try_solve_confl(instance, options).value();
   options.threads = 8;
-  const confl::ConflSolution eight = confl::solve_confl(instance, options);
+  const confl::ConflSolution eight =
+      confl::try_solve_confl(instance, options).value();
   expect_identical_solutions(serial, two);
   expect_identical_solutions(serial, eight);
 }
@@ -387,15 +392,18 @@ TEST(SolveConflEquivalenceTest, VoronoiEngineThreadInvariantAndMatchesRef) {
   problem.uniform_capacity = 5;
   const metrics::CacheState state(g.num_nodes(), 5, 0);
   const confl::ConflInstance instance =
-      core::build_chunk_instance(problem, state, core::InstanceOptions{});
+      core::try_build_chunk_instance(problem, state, core::InstanceOptions{})
+          .value();
 
   confl::ConflOptions options;
   options.growth = confl::GrowthMode::kEventDriven;
   options.steiner_engine = steiner::Engine::kVoronoi;
   options.threads = 1;
-  const confl::ConflSolution serial = confl::solve_confl(instance, options);
+  const confl::ConflSolution serial =
+      confl::try_solve_confl(instance, options).value();
   options.threads = 8;
-  const confl::ConflSolution eight = confl::solve_confl(instance, options);
+  const confl::ConflSolution eight =
+      confl::try_solve_confl(instance, options).value();
   expect_identical_solutions(serial, eight);
   const confl::ConflSolution ref =
       confl::solve_confl_reference(instance, options);
@@ -484,8 +492,10 @@ TEST(SteinerTest, ThreadCountDoesNotChangeTree) {
   std::vector<NodeId> terminals;
   for (NodeId v = 0; v < g.num_nodes(); v += 5) terminals.push_back(v);
 
-  const auto serial = steiner::steiner_mst_approx(g, weight, terminals, 1);
-  const auto parallel = steiner::steiner_mst_approx(g, weight, terminals, 8);
+  const auto serial =
+      steiner::try_steiner_mst_approx(g, weight, terminals, 1).value();
+  const auto parallel =
+      steiner::try_steiner_mst_approx(g, weight, terminals, 8).value();
   EXPECT_EQ(serial.edges, parallel.edges);
   EXPECT_EQ(serial.cost, parallel.cost);  // bitwise
 }
@@ -501,14 +511,19 @@ TEST(SteinerTest, VoronoiEngineThreadCountDoesNotChangeTree) {
   std::vector<NodeId> terminals;
   for (NodeId v = 0; v < g.num_nodes(); v += 5) terminals.push_back(v);
 
-  const auto serial = steiner::steiner_mst_approx(
-      g, weight, terminals, 1, steiner::Engine::kVoronoi);
-  const auto parallel = steiner::steiner_mst_approx(
-      g, weight, terminals, 8, steiner::Engine::kVoronoi);
+  const auto serial =
+      steiner::try_steiner_mst_approx(g, weight, terminals, 1, {},
+                                      steiner::Engine::kVoronoi)
+          .value();
+  const auto parallel =
+      steiner::try_steiner_mst_approx(g, weight, terminals, 8, {},
+                                      steiner::Engine::kVoronoi)
+          .value();
   EXPECT_EQ(serial.edges, parallel.edges);
   EXPECT_EQ(serial.cost, parallel.cost);  // bitwise
   // Never worse than twice the KMB tree (both ≤ 2·OPT, and KMB ≥ OPT).
-  const auto kmb = steiner::steiner_mst_approx(g, weight, terminals);
+  const auto kmb =
+      steiner::try_steiner_mst_approx(g, weight, terminals).value();
   EXPECT_LE(serial.cost, 2.0 * kmb.cost + 1e-9);
 }
 

@@ -75,6 +75,13 @@ TEST(ResultTest, HoldsValueOrStatus) {
   EXPECT_EQ(bad.code(), StatusCode::kInvalidInput);
   EXPECT_EQ(bad.value_or(-1), -1);
   EXPECT_THROW(bad.value(), util::CheckError);
+  try {
+    (void)bad.value();
+  } catch (const util::CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("invalid-input: nope"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(ResultTest, OkStatusIsRejected) {
@@ -271,6 +278,30 @@ TEST(TrySolveConflTest, BadOptionsAreTyped) {
   options.span_threshold = 0;
   EXPECT_EQ(confl::try_solve_confl(instance, options).code(),
             StatusCode::kInvalidInput);
+  options.span_threshold = 3;
+  options.max_rounds = -1;
+  EXPECT_EQ(confl::try_solve_confl(instance, options).code(),
+            StatusCode::kInvalidInput);
+}
+
+TEST(TrySolveConflTest, TinyFixedStepClampsTheDerivedRoundCap) {
+  const Graph g = graph::make_ring(4);
+  std::vector<double> edge_costs;
+  util::Matrix<double> assign;
+  const confl::ConflInstance instance = tiny_instance(g, edge_costs, assign);
+  confl::ConflOptions options;
+  options.growth = confl::GrowthMode::kFixedStep;
+  // ceil(1.0 / alpha_step) + 2 exceeds INT_MAX: the derived cap must clamp
+  // rather than wrap, so growth runs until the budget, not the cap, stops it.
+  options.alpha_step = 1e-10;
+  const RunBudget budget = RunBudget::work_units(64);
+  const util::Result<confl::ConflSolution> result =
+      confl::try_solve_confl(instance, options, budget);
+  EXPECT_EQ(result.code(), budget.check());
+  EXPECT_NE(result.status().message().find("confl dual growth"),
+            std::string::npos)
+      << result.status();
+  EXPECT_GT(budget.work_charged(), 0u);
 }
 
 TEST(TrySolveConflTest, ExpiredBudgetIsTypedNotThrown) {
@@ -285,21 +316,23 @@ TEST(TrySolveConflTest, ExpiredBudgetIsTypedNotThrown) {
   EXPECT_EQ(result.code(), StatusCode::kDeadlineExceeded);
 }
 
-TEST(TrySolveConflTest, CompletedRunMatchesThrowingEntryPoint) {
+TEST(TrySolveConflTest, CompletedBudgetedRunMatchesUnbudgeted) {
   const Graph g = graph::make_ring(6);
   std::vector<double> edge_costs;
   util::Matrix<double> assign;
   const confl::ConflInstance instance = tiny_instance(g, edge_costs, assign);
 
-  const confl::ConflSolution via_throwing = confl::solve_confl(instance);
+  const util::Result<confl::ConflSolution> unbudgeted =
+      confl::try_solve_confl(instance);
   const util::Result<confl::ConflSolution> via_budget =
       confl::try_solve_confl(instance, {}, RunBudget::wall_clock(3600.0));
+  ASSERT_TRUE(unbudgeted.ok());
   ASSERT_TRUE(via_budget.ok());
   EXPECT_EQ(via_budget.value().open_facilities,
-            via_throwing.open_facilities);
-  EXPECT_EQ(via_budget.value().assignment, via_throwing.assignment);
-  EXPECT_EQ(via_budget.value().total(), via_throwing.total());
-  EXPECT_EQ(via_budget.value().rounds, via_throwing.rounds);
+            unbudgeted.value().open_facilities);
+  EXPECT_EQ(via_budget.value().assignment, unbudgeted.value().assignment);
+  EXPECT_EQ(via_budget.value().total(), unbudgeted.value().total());
+  EXPECT_EQ(via_budget.value().rounds, unbudgeted.value().rounds);
 }
 
 TEST(TrySteinerTest, InvalidAndInfeasibleAreTyped) {

@@ -320,9 +320,9 @@ TEST(SparseConflTest, FullRadiusSolveBitIdenticalToDense) {
     EXPECT_TRUE(sparse_instance.value().sparse());
 
     const confl::ConflSolution dense =
-        confl::solve_confl(dense_instance.value(), confl_options);
+        confl::try_solve_confl(dense_instance.value(), confl_options).value();
     const confl::ConflSolution sparse =
-        confl::solve_confl(sparse_instance.value(), confl_options);
+        confl::try_solve_confl(sparse_instance.value(), confl_options).value();
 
     EXPECT_EQ(dense.open_facilities, sparse.open_facilities);
     EXPECT_EQ(dense.assignment, sparse.assignment);

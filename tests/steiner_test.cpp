@@ -47,21 +47,22 @@ void expect_valid_tree(const Graph& g, const SteinerTree& tree,
 
 TEST(SteinerApproxTest, SingleTerminalEmptyTree) {
   const Graph g = make_grid(3, 3);
-  const auto tree = steiner_mst_approx(g, unit_weights(g), {4});
+  const auto tree = try_steiner_mst_approx(g, unit_weights(g), {4}).value();
   EXPECT_TRUE(tree.edges.empty());
   EXPECT_DOUBLE_EQ(tree.cost, 0.0);
 }
 
 TEST(SteinerApproxTest, TwoTerminalsIsShortestPath) {
   const Graph g = make_grid(3, 3);
-  const auto tree = steiner_mst_approx(g, unit_weights(g), {0, 8});
+  const auto tree = try_steiner_mst_approx(g, unit_weights(g), {0, 8}).value();
   EXPECT_DOUBLE_EQ(tree.cost, 4.0);  // 4 hops across the grid
   expect_valid_tree(g, tree, {0, 8});
 }
 
 TEST(SteinerApproxTest, DuplicateTerminalsDeduplicated) {
   const Graph g = make_grid(3, 3);
-  const auto tree = steiner_mst_approx(g, unit_weights(g), {0, 8, 0, 8});
+  const auto tree =
+      try_steiner_mst_approx(g, unit_weights(g), {0, 8, 0, 8}).value();
   EXPECT_DOUBLE_EQ(tree.cost, 4.0);
 }
 
@@ -71,7 +72,7 @@ TEST(SteinerApproxTest, CornersOfGridUseSteinerNodes) {
   // touch intermediate non-terminal nodes.
   const Graph g = make_grid(3, 3);
   const std::vector<NodeId> corners{0, 2, 6, 8};
-  const auto tree = steiner_mst_approx(g, unit_weights(g), corners);
+  const auto tree = try_steiner_mst_approx(g, unit_weights(g), corners).value();
   expect_valid_tree(g, tree, corners);
   EXPECT_GE(tree.cost, 6.0 - 1e-9);
   EXPECT_LE(tree.cost, 2.0 * 6.0 + 1e-9);  // 2-approx bound
@@ -91,7 +92,7 @@ TEST(SteinerApproxTest, WeightedAvoidsExpensiveEdges) {
   w[static_cast<std::size_t>(e02)] = 100.0;
   w[static_cast<std::size_t>(e03)] = 1.0;
   w[static_cast<std::size_t>(e32)] = 1.0;
-  const auto tree = steiner_mst_approx(g, w, {0, 2});
+  const auto tree = try_steiner_mst_approx(g, w, {0, 2}).value();
   EXPECT_DOUBLE_EQ(tree.cost, 2.0);  // through node 3
 }
 
@@ -99,12 +100,12 @@ TEST(SteinerApproxTest, DisconnectedTerminalsRejected) {
   Graph g(4);
   g.add_edge(0, 1);
   g.add_edge(2, 3);
-  EXPECT_THROW(
-      steiner_mst_approx(g, unit_weights(g), {0, 3}),
-      util::CheckError);
-  EXPECT_THROW(
-      steiner_mst_approx(g, unit_weights(g), {0, 3}, 0, Engine::kVoronoi),
-      util::CheckError);
+  EXPECT_EQ(try_steiner_mst_approx(g, unit_weights(g), {0, 3}).code(),
+            util::StatusCode::kInfeasible);
+  EXPECT_EQ(try_steiner_mst_approx(g, unit_weights(g), {0, 3}, 0, {},
+                                   Engine::kVoronoi)
+                .code(),
+            util::StatusCode::kInfeasible);
 }
 
 // ------------------------------------------------ Voronoi engine fixtures --
@@ -113,13 +114,22 @@ TEST(SteinerVoronoiTest, MatchesKnownGridCosts) {
   const Graph g = make_grid(3, 3);
   const auto w = unit_weights(g);
   EXPECT_TRUE(
-      steiner_mst_approx(g, w, {4}, 0, Engine::kVoronoi).edges.empty());
+      try_steiner_mst_approx(g, w, {4}, 0, {}, Engine::kVoronoi)
+          .value()
+          .edges.empty());
   EXPECT_DOUBLE_EQ(
-      steiner_mst_approx(g, w, {0, 8}, 0, Engine::kVoronoi).cost, 4.0);
+      try_steiner_mst_approx(g, w, {0, 8}, 0, {}, Engine::kVoronoi)
+          .value()
+          .cost,
+      4.0);
   EXPECT_DOUBLE_EQ(
-      steiner_mst_approx(g, w, {0, 8, 0, 8}, 0, Engine::kVoronoi).cost, 4.0);
+      try_steiner_mst_approx(g, w, {0, 8, 0, 8}, 0, {}, Engine::kVoronoi)
+          .value()
+          .cost,
+      4.0);
   const auto corners =
-      steiner_mst_approx(g, w, {0, 2, 6, 8}, 0, Engine::kVoronoi);
+      try_steiner_mst_approx(g, w, {0, 2, 6, 8}, 0, {}, Engine::kVoronoi)
+          .value();
   expect_valid_tree(g, corners, {0, 2, 6, 8});
   EXPECT_GE(corners.cost, 6.0 - 1e-9);
   EXPECT_LE(corners.cost, 2.0 * 6.0 + 1e-9);
@@ -132,8 +142,9 @@ TEST(SteinerVoronoiTest, MatchesKnownGridCosts) {
 TEST(SteinerVoronoiTest, PinnedDeterministicOutputs) {
   {
     const Graph g = make_grid(3, 3);
-    const auto tree = steiner_mst_approx(g, unit_weights(g), {0, 2, 6, 8}, 0,
-                                         Engine::kVoronoi);
+    const auto tree = try_steiner_mst_approx(g, unit_weights(g), {0, 2, 6, 8},
+                                             0, {}, Engine::kVoronoi)
+                          .value();
     EXPECT_EQ(tree.edges, (std::vector<EdgeId>{0, 1, 2, 4, 6, 9}));
     EXPECT_EQ(std::bit_cast<std::uint64_t>(tree.cost),
               0x4018000000000000ULL);  // 6.0
@@ -144,7 +155,8 @@ TEST(SteinerVoronoiTest, PinnedDeterministicOutputs) {
     std::vector<double> w(static_cast<std::size_t>(g.num_edges()));
     for (auto& x : w) x = rng.uniform(0.5, 4.0);
     const auto tree =
-        steiner_mst_approx(g, w, {0, 5, 10, 15}, 0, Engine::kVoronoi);
+        try_steiner_mst_approx(g, w, {0, 5, 10, 15}, 0, {}, Engine::kVoronoi)
+            .value();
     EXPECT_EQ(tree.edges, (std::vector<EdgeId>{1, 7, 10, 16, 18, 20}));
     EXPECT_EQ(std::bit_cast<std::uint64_t>(tree.cost),
               0x40209072dc3aa384ULL);  // 8.2821263143139348
@@ -168,9 +180,10 @@ TEST(SteinerVoronoiTest, WithinTwiceKmbOnRandomInstances) {
       terminals.push_back(v);
     }
     SCOPED_TRACE("trial " + std::to_string(trial));
-    const auto kmb = steiner_mst_approx(net.graph, w, terminals);
+    const auto kmb = try_steiner_mst_approx(net.graph, w, terminals).value();
     const auto vor =
-        steiner_mst_approx(net.graph, w, terminals, 0, Engine::kVoronoi);
+        try_steiner_mst_approx(net.graph, w, terminals, 0, {}, Engine::kVoronoi)
+            .value();
     expect_valid_tree(net.graph, vor, terminals);
     EXPECT_LE(vor.cost, 2.0 * kmb.cost + 1e-9);
   }
@@ -272,7 +285,7 @@ TEST_P(SteinerRatioTest, ApproxWithinTwiceExact) {
   for (Engine engine : {Engine::kClosureKmb, Engine::kVoronoi}) {
     SCOPED_TRACE(engine == Engine::kVoronoi ? "kVoronoi" : "kClosureKmb");
     const auto approx =
-        steiner_mst_approx(net.graph, w, terminals, 0, engine);
+        try_steiner_mst_approx(net.graph, w, terminals, 0, {}, engine).value();
     expect_valid_tree(net.graph, approx, terminals);
     EXPECT_GE(approx.cost, exact - 1e-6);
     EXPECT_LE(approx.cost, 2.0 * exact + 1e-6);
