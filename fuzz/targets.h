@@ -11,8 +11,10 @@
 
 namespace faircache::fuzz {
 
-// Decode → validate → build one ConFL instance. Never throws or aborts on
-// any input; malformed problems must come back as typed statuses.
+// Decode → validate → build one ConFL instance → solve it. Never throws
+// or aborts on any input; malformed problems must come back as typed
+// statuses. Aborts when a valid instance fails to solve or when
+// try_solve_confl differs from solve_confl_reference.
 int run_instance_target(const std::uint8_t* data, std::size_t size);
 
 // Decode → validate → anytime solve under a tiny work-unit budget.

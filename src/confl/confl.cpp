@@ -47,6 +47,34 @@ util::Status validate_confl_instance(const ConflInstance& instance) {
         s.packed.size() != s.cost.size()) {
       return Status::invalid_input("sparse cost row data mismatch");
     }
+    if (s.row_offset.front() != 0) {
+      return Status::invalid_input("sparse cost rows must start at 0");
+    }
+    // One pass over the rows: offsets never fall and stay inside `packed`,
+    // and each row's columns are in range and strictly ascending — the
+    // slot order the engine relies on.
+    const auto entries = static_cast<std::int64_t>(s.packed.size());
+    for (NodeId i = 0; i < n; ++i) {
+      const std::int64_t rb = s.row_begin(i);
+      const std::int64_t re = s.row_end(i);
+      if (re < rb || re > entries) {
+        return Status::invalid_input(
+            "sparse cost row offsets must ascend within the store");
+      }
+      NodeId prev = kInvalidNode;
+      for (std::int64_t t = rb; t < re; ++t) {
+        const NodeId j = metrics::SparseContention::col_of(
+            s.packed[static_cast<std::size_t>(t)]);
+        if (j >= n) {
+          return Status::invalid_input("sparse cost column out of range");
+        }
+        if (j <= prev) {
+          return Status::invalid_input(
+              "sparse cost row columns must strictly ascend");
+        }
+        prev = j;
+      }
+    }
   } else {
     if (static_cast<int>(instance.assign_cost.rows()) != n) {
       return Status::invalid_input("assignment cost rows mismatch");
@@ -325,11 +353,23 @@ double facility_event_delta(double fi, double paid_i, double rate,
 //     monotone cursors.
 //   * Freezing onto open facilities uses an incrementally-maintained
 //     cheapest-open-facility (c, i) per client, updated on each opening.
+//   * Payments, relay bids, openings and the event-mode delta walk `live`,
+//     the ascending ids of the openable facilities with a non-empty tight
+//     list, instead of every openable facility: on a local instance a
+//     client is tight with only a few nearby facilities. The reference
+//     does nothing for a facility with no tight client, and `live` keeps
+//     the ascending order, so openings (and the freezes they trigger)
+//     happen in the reference sequence.
+//   * The payment walk counts each facility's SPANs; the opening walk
+//     skips a facility whose count is below M. Between the two only
+//     freezes happen, which can only lower the count, so the skip never
+//     misses an opening.
 //
-// Payments still walk tight slots in ascending (facility, client) order,
-// which keeps every floating-point accumulation in the reference order.
-// Under SparseRows every loop that walked a dense row walks the row's
-// candidate list instead, so a round costs O(materialized active pairs).
+// Payments still walk tight slots in ascending client order within each
+// facility, and no sum crosses facilities, which keeps every
+// floating-point accumulation in the reference order. Under SparseRows
+// every loop that walked a dense row walks the row's candidate list
+// instead, so a round costs O(materialized active pairs).
 template <typename Rows>
 util::Result<ConflSolution> try_solve_confl_impl(const ConflInstance& instance,
                                                  const ConflOptions& options,
@@ -399,6 +439,39 @@ util::Result<ConflSolution> try_solve_confl_impl(const ConflInstance& instance,
   // tight[i]: ascending slots of clients tight with openable facility i.
   // Frozen entries are skipped (and compacted away) lazily.
   std::vector<std::vector<Slot>> tight(un);
+
+  // live: ascending ids of the openable facilities whose tight list may be
+  // non-empty (in_live marks membership). Every facility with a non-empty
+  // list is in it, so the per-round walks over live see exactly the
+  // facilities a walk over `openable` would act on, in the same order.
+  // Appends queue new ids in live_new; merge_live folds them in once per
+  // round, and the end-of-round compaction drops opened or emptied ones.
+  std::vector<NodeId> live;
+  std::vector<NodeId> live_new;
+  std::vector<NodeId> live_scratch;
+  std::vector<char> in_live(un, 0);
+  // span_count[i]: SPANs (γ + 1e-12 ≥ c) in i's tight list at its last
+  // step-3 walk, or kUnknownSpans after an append. Until the next append it
+  // is an upper bound: γ only rises in step 3, which recounts, and freezes
+  // only remove entries. Step 4 skips a facility whose bound is below M.
+  constexpr int kUnknownSpans = INT_MAX;
+  std::vector<int> span_count(un, kUnknownSpans);
+  auto note_append = [&](NodeId i) {
+    span_count[static_cast<std::size_t>(i)] = kUnknownSpans;
+    if (!in_live[static_cast<std::size_t>(i)]) {
+      in_live[static_cast<std::size_t>(i)] = 1;
+      live_new.push_back(i);
+    }
+  };
+  auto merge_live = [&]() {
+    if (live_new.empty()) return;
+    std::sort(live_new.begin(), live_new.end());
+    live_scratch.resize(live.size() + live_new.size());
+    std::merge(live.begin(), live.end(), live_new.begin(), live_new.end(),
+               live_scratch.begin());
+    live.swap(live_scratch);
+    live_new.clear();
+  };
 
   const int max_rounds = derive_max_rounds(instance, options, rows);
   const double beta_rate = options.beta_step / options.alpha_step;
@@ -511,11 +584,14 @@ util::Result<ConflSolution> try_solve_confl_impl(const ConflInstance& instance,
             tl.push_back(b[t].second);
           }
         }
-        merge_tight_tail(tl, mid);
+        if (tl.size() > mid) {
+          merge_tight_tail(tl, mid);
+          note_append(i);
+        }
       }
       p = q;
     }
-    b.clear();
+    std::vector<std::pair<NodeId, Slot>>().swap(b);  // release: never refilled
   };
 
   // ---- Event-driven tight-event scheduler --------------------------------
@@ -582,6 +658,7 @@ util::Result<ConflSolution> try_solve_confl_impl(const ConflInstance& instance,
       tl.insert(tl.end(), newly.begin(), newly.end());
       merge_tight_tail(tl, mid);
       rate_stamp[static_cast<std::size_t>(i)] = 0;  // membership changed
+      note_append(i);
     }
   };
 
@@ -626,7 +703,8 @@ util::Result<ConflSolution> try_solve_confl_impl(const ConflInstance& instance,
       delta = arr[p].first - alpha;
       break;
     }
-    for (NodeId i : openable) {
+    // Facilities off `live` have empty tight lists: no event.
+    for (NodeId i : live) {
       auto& tl = tight[static_cast<std::size_t>(i)];
       const Slot rb = rows.row_begin(i);
       const double fi = instance.facility_cost[static_cast<std::size_t>(i)];
@@ -695,6 +773,7 @@ util::Result<ConflSolution> try_solve_confl_impl(const ConflInstance& instance,
     extend_horizon(std::max(0, std::min(16, max_rounds)));
     process_bucket(0);  // pairs tight at α = 0 (zero-cost pairs)
   }
+  merge_live();
 
   ConflSolution solution;
   solution.assignment.assign(un, kInvalidNode);
@@ -729,6 +808,7 @@ util::Result<ConflSolution> try_solve_confl_impl(const ConflInstance& instance,
       alpha = a_seq[static_cast<std::size_t>(k)];
       process_bucket(k);
     }
+    merge_live();
     if (options.growth_trace != nullptr) {
       options.growth_trace->push_back(delta);
     }
@@ -749,15 +829,17 @@ util::Result<ConflSolution> try_solve_confl_impl(const ConflInstance& instance,
 
     // 3. Payments and relay bids toward unopened facilities (lines 19–20):
     // tight clients pay β until f_i is covered, then raise γ. Ascending
-    // (facility, client) order — the reference accumulation order.
+    // client order within each facility — the reference accumulation
+    // order; no sum crosses facilities. The walk also counts the SPANs it
+    // keeps, the bound step 4 reads.
     if (delta > 0) {
-      for (NodeId i : openable) {
+      for (NodeId i : live) {
         auto& tl = tight[static_cast<std::size_t>(i)];
-        if (tl.empty()) continue;
         const Slot rb = rows.row_begin(i);
         const double fi =
             instance.facility_cost[static_cast<std::size_t>(i)];
         double& pi = paid[static_cast<std::size_t>(i)];
+        int spans = 0;
         std::size_t out = 0;
         for (Slot s : tl) {
           const NodeId j = rows.col(s, rb);
@@ -772,8 +854,10 @@ util::Result<ConflSolution> try_solve_confl_impl(const ConflInstance& instance,
             // facilities toward demand hot-spots.
             gamma[s] += weight(j) * gamma_rate * delta;
           }
+          if (gamma[s] + 1e-12 >= rows.cost(s)) ++spans;
         }
         tl.resize(out);
+        span_count[static_cast<std::size_t>(i)] = spans;
       }
     }
 
@@ -783,11 +867,16 @@ util::Result<ConflSolution> try_solve_confl_impl(const ConflInstance& instance,
     // facilities from opening for the same client set. Every SPAN holder is
     // tight (γ only grows for tight clients; a zero-cost pair is tight from
     // round 0), so counting within the tight list matches the reference's
-    // all-clients scan.
+    // all-clients scan. Walking `live` in ascending order keeps the
+    // reference's opening (and so freezing) sequence; a facility whose
+    // SPAN bound is already below M cannot open and is not walked.
     bool opened = false;
-    for (NodeId i : openable) {
+    for (NodeId i : live) {
       const double fi = instance.facility_cost[static_cast<std::size_t>(i)];
       if (paid[static_cast<std::size_t>(i)] + 1e-12 < fi) continue;
+      if (span_count[static_cast<std::size_t>(i)] < options.span_threshold) {
+        continue;
+      }
       auto& tl = tight[static_cast<std::size_t>(i)];
       const Slot rb = rows.row_begin(i);
       int spans = 0;
@@ -849,8 +938,8 @@ util::Result<ConflSolution> try_solve_confl_impl(const ConflInstance& instance,
       if (!event) far[static_cast<std::size_t>(i)].clear();
     }
 
-    // Compact the active/openable lists so later rounds only touch live
-    // entries.
+    // Compact the active/openable/live lists so later rounds only touch
+    // live entries.
     if (froze) {
       ++stamp;  // frozen members invalidate every cached payment rate
       std::size_t out = 0;
@@ -865,6 +954,18 @@ util::Result<ConflSolution> try_solve_confl_impl(const ConflInstance& instance,
         if (!open[static_cast<std::size_t>(i)]) openable[out++] = i;
       }
       openable.resize(out);
+    }
+    {
+      std::size_t out = 0;
+      for (NodeId i : live) {
+        if (!open[static_cast<std::size_t>(i)] &&
+            !tight[static_cast<std::size_t>(i)].empty()) {
+          live[out++] = i;
+        } else {
+          in_live[static_cast<std::size_t>(i)] = 0;
+        }
+      }
+      live.resize(out);
     }
   }
   solution.rounds = round;

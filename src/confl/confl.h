@@ -144,9 +144,15 @@ util::Status validate_confl_options(const ConflOptions& options);
 //
 // The implementation is the active-set engine: it tracks the compacted
 // lists of unfrozen clients and openable facilities plus per-facility
-// tight-client lists, so each growth round costs O(active pairs) instead
-// of O(n²). Its output is bit-identical to solve_confl_reference below on
-// every instance (see tests/perf_core_test.cpp).
+// tight-client lists. The per-round payment, relay-bid and opening steps
+// walk only the `live` facilities, those with a non-empty tight list, in
+// ascending id order, and the opening step skips a facility whose SPAN
+// count from the payment step is already below span_threshold. A round
+// thus costs O(active clients + live facilities + their tight entries)
+// instead of O(n²) or O(openable facilities). Neither shortcut changes an
+// operation or its order, so the output is bit-identical to
+// solve_confl_reference below on every instance (see
+// tests/perf_core_test.cpp, tests/sparse_test.cpp and the fuzz corpus).
 //
 // Malformed input comes back as kInvalidInput; an expired util::RunBudget
 // as its own reason (kCancelled / kDeadlineExceeded / kResourceExhausted);

@@ -6,13 +6,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "confl/confl.h"
 #include "core/approx.h"
 #include "core/validate.h"
 #include "graph/generators.h"
+#include "metrics/sparse_contention.h"
 #include "sim/distributed.h"
 #include "steiner/steiner.h"
 #include "util/deadline.h"
@@ -281,6 +284,84 @@ TEST(TrySolveConflTest, BadOptionsAreTyped) {
   options.span_threshold = 3;
   options.max_rounds = -1;
   EXPECT_EQ(confl::try_solve_confl(instance, options).code(),
+            StatusCode::kInvalidInput);
+}
+
+// tiny_instance's costs as a full-row sparse store, the form the sparse
+// validator accepts; each defect case below breaks one of its rules.
+confl::ConflInstance tiny_sparse_instance(
+    const Graph& g, std::vector<double>& edge_cost_storage) {
+  util::Matrix<double> assign;
+  confl::ConflInstance instance = tiny_instance(g, edge_cost_storage, assign);
+  instance.assign_cost = util::Matrix<double>();
+  const int n = g.num_nodes();
+  metrics::SparseContention& s = instance.sparse_cost;
+  s.num_nodes = n;
+  s.row_offset.push_back(0);
+  for (int i = 0; i < n; ++i) {
+    for (int j = 0; j < n; ++j) {
+      s.packed.push_back(static_cast<std::uint32_t>(j)
+                         << metrics::SparseContention::kHopBits);
+      s.cost.push_back(
+          assign(static_cast<std::size_t>(i), static_cast<std::size_t>(j)));
+    }
+    s.row_offset.push_back(static_cast<std::int64_t>(s.packed.size()));
+  }
+  return instance;
+}
+
+TEST(TrySolveConflTest, WellFormedSparseStoreSolves) {
+  const Graph g = graph::make_ring(4);
+  std::vector<double> edge_costs;
+  const confl::ConflInstance instance = tiny_sparse_instance(g, edge_costs);
+  ASSERT_TRUE(instance.sparse());
+  EXPECT_TRUE(confl::try_solve_confl(instance).ok());
+}
+
+TEST(TrySolveConflTest, SparseRowsNotStartingAtZeroAreTyped) {
+  const Graph g = graph::make_ring(4);
+  std::vector<double> edge_costs;
+  confl::ConflInstance instance = tiny_sparse_instance(g, edge_costs);
+  instance.sparse_cost.row_offset[0] = 1;
+  EXPECT_EQ(confl::try_solve_confl(instance).code(),
+            StatusCode::kInvalidInput);
+}
+
+TEST(TrySolveConflTest, FallingSparseRowOffsetIsTyped) {
+  const Graph g = graph::make_ring(4);
+  std::vector<double> edge_costs;
+  confl::ConflInstance instance = tiny_sparse_instance(g, edge_costs);
+  // Row 1 ends past the store; row 2 then starts there and falls back.
+  instance.sparse_cost.row_offset[2] = 100;
+  EXPECT_EQ(confl::try_solve_confl(instance).code(),
+            StatusCode::kInvalidInput);
+  instance.sparse_cost.row_offset[2] = 3;  // below row 1's start (4)
+  EXPECT_EQ(confl::try_solve_confl(instance).code(),
+            StatusCode::kInvalidInput);
+}
+
+TEST(TrySolveConflTest, SparseColumnOutOfRangeIsTyped) {
+  const Graph g = graph::make_ring(4);
+  std::vector<double> edge_costs;
+  confl::ConflInstance instance = tiny_sparse_instance(g, edge_costs);
+  // The last entry of the last row names client 4 of a 4-node network.
+  instance.sparse_cost.packed.back() = 4u
+                                       << metrics::SparseContention::kHopBits;
+  EXPECT_EQ(confl::try_solve_confl(instance).code(),
+            StatusCode::kInvalidInput);
+}
+
+TEST(TrySolveConflTest, SparseColumnsNotAscendingAreTyped) {
+  const Graph g = graph::make_ring(4);
+  std::vector<double> edge_costs;
+  confl::ConflInstance instance = tiny_sparse_instance(g, edge_costs);
+  std::vector<std::uint32_t>& packed = instance.sparse_cost.packed;
+  std::swap(packed[5], packed[6]);  // row 1: clients 0, 2, 1, 3
+  EXPECT_EQ(confl::try_solve_confl(instance).code(),
+            StatusCode::kInvalidInput);
+  std::swap(packed[5], packed[6]);
+  packed[6] = packed[5];  // row 1: clients 0, 1, 1, 3 (a repeat)
+  EXPECT_EQ(confl::try_solve_confl(instance).code(),
             StatusCode::kInvalidInput);
 }
 

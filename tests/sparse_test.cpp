@@ -359,6 +359,76 @@ Graph connected_erdos_renyi(int n, double p, util::Rng& rng) {
   return g;
 }
 
+// The dense twin of a sparse instance: the same costs in an n×n matrix,
+// +inf wherever the store has no entry (outside the radius).
+confl::ConflInstance dense_twin(const confl::ConflInstance& sparse) {
+  confl::ConflInstance dense = sparse;
+  dense.sparse_cost = SparseContention{};
+  const auto n = static_cast<std::size_t>(sparse.network->num_nodes());
+  dense.assign_cost = util::Matrix<double>(n, n, graph::kInfCost);
+  const SparseContention& s = sparse.sparse_cost;
+  for (NodeId i = 0; i < static_cast<NodeId>(n); ++i) {
+    for (std::int64_t t = s.row_begin(i); t < s.row_end(i); ++t) {
+      const auto slot = static_cast<std::size_t>(t);
+      dense.assign_cost(static_cast<std::size_t>(i),
+                        static_cast<std::size_t>(
+                            SparseContention::col_of(s.packed[slot]))) =
+          s.cost[slot];
+    }
+  }
+  return dense;
+}
+
+// The truncated sparse path the 100k benchmark runs (radius 2), against
+// the dense reference engine on the same costs: a churned state makes
+// facility costs non-zero, so payments run before any SPAN.
+TEST(SparseConflTest, TruncatedRadiusSolveBitIdenticalToDenseReference) {
+  util::Rng rng(2024);
+  const Graph g = connected_erdos_renyi(300, 0.02, rng);
+  const FairCachingProblem problem = grid_problem(g);
+  const CacheState state = churned_state(g, rng, 600, /*capacity=*/5);
+
+  core::InstanceOptions options;
+  options.contention_mode = ContentionMode::kSparse;
+  options.contention_radius = 2;
+  core::ChunkInstanceEngine engine(problem, options);
+  auto instance = engine.build(state, /*chunk=*/0);
+  ASSERT_TRUE(instance.ok());
+  ASSERT_TRUE(instance.value().sparse());
+  ASSERT_LT(instance.value().sparse_cost.packed.size(),
+            static_cast<std::size_t>(g.num_nodes()) * g.num_nodes());
+  const confl::ConflInstance dense = dense_twin(instance.value());
+  const std::vector<double>& f = instance.value().facility_cost;
+  ASSERT_TRUE(std::any_of(f.begin(), f.end(), [](double fi) {
+    return fi > 0 && fi != graph::kInfCost;
+  }));
+
+  std::size_t opened = 0;
+  for (const confl::GrowthMode growth :
+       {confl::GrowthMode::kFixedStep, confl::GrowthMode::kEventDriven}) {
+    for (int span_threshold = 1; span_threshold <= 4; ++span_threshold) {
+      confl::ConflOptions confl_options;
+      confl_options.growth = growth;
+      confl_options.span_threshold = span_threshold;
+      const confl::ConflSolution sparse =
+          confl::try_solve_confl(instance.value(), confl_options).value();
+      const confl::ConflSolution reference =
+          confl::solve_confl_reference(dense, confl_options);
+      const auto label = ::testing::Message()
+                         << "growth=" << static_cast<int>(growth)
+                         << " M=" << span_threshold;
+      EXPECT_EQ(sparse.open_facilities, reference.open_facilities) << label;
+      EXPECT_EQ(sparse.assignment, reference.assignment) << label;
+      EXPECT_EQ(sparse.rounds, reference.rounds) << label;
+      EXPECT_EQ(sparse.facility_cost, reference.facility_cost) << label;
+      EXPECT_EQ(sparse.assignment_cost, reference.assignment_cost) << label;
+      EXPECT_EQ(sparse.tree_cost, reference.tree_cost) << label;
+      opened += sparse.open_facilities.size();
+    }
+  }
+  EXPECT_GT(opened, 0u);
+}
+
 // Golden-hash agreement — kSparse with radius ≥ diameter is bit-identical
 // to kIncremental end to end, at 1, 2 and 8 threads, on a grid and a
 // connected ER fixture.
