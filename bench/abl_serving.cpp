@@ -21,6 +21,7 @@
 #include "bench_common.h"
 #include "graph/generators.h"
 #include "sim/serving.h"
+#include "util/parallel.h"
 
 namespace {
 
@@ -86,9 +87,8 @@ int run_smoke() {
   std::uint64_t adaptive_hash[2] = {0, 0};
   const int thread_counts[2] = {1, 3};
   for (int i = 0; i < 2; ++i) {
+    util::set_parallel_threads(thread_counts[i]);
     sim::ServingConfig threaded = config;
-    threaded.online.approx.instance.threads = thread_counts[i];
-    threaded.online.approx.confl.threads = thread_counts[i];
     sim::ServingEngine engine(problem, threaded);
     auto online = engine.run();
     if (!online.ok()) {
@@ -109,6 +109,7 @@ int run_smoke() {
     }
     adaptive_hash[i] = sim::serving_result_hash(adaptive_run.value());
   }
+  util::set_parallel_threads(0);
   if (online_hash[0] != online_hash[1]) {
     std::printf("FAIL: online serving hash differs across thread counts\n");
     ++failures;

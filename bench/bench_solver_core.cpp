@@ -9,8 +9,9 @@
 //   * ApproxRun*      — ApproxFairCaching end to end, Q = 5 chunks, under
 //                       the default engines and the reference fallbacks
 //
-// Run `bench/run_benches.sh` to produce BENCH_solver_core.json at the repo
-// root; docs/PERF.md records the before/after numbers for this PR.
+// A development tool with no committed output: the timings of record are
+// the repository benchmark's records in benchmark/baseline/ (docs/PERF.md,
+// "Running the benchmarks").
 
 #include <benchmark/benchmark.h>
 

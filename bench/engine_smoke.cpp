@@ -38,6 +38,7 @@
 #include "graph/generators.h"
 #include "steiner/steiner.h"
 #include "util/hash.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 
 namespace {
@@ -139,11 +140,10 @@ int check_end_to_end(const Fixture& f) {
     for (int m = 0; m < 3; ++m) {
       std::uint64_t hash1 = 0;
       for (const int threads : {1, 2, 8}) {
+        util::set_parallel_threads(threads);
         core::ApproxConfig config;
         config.confl.steiner_engine = engines[e];
-        config.confl.threads = threads;
         config.instance.contention_mode = modes[m];
-        config.instance.threads = threads;
         core::FairCachingResult result =
             core::ApproxFairCaching(config).run(problem);
         const std::uint64_t h = run_hash(result);
@@ -159,6 +159,7 @@ int check_end_to_end(const Fixture& f) {
           ++failures;
         }
       }
+      util::set_parallel_threads(0);
       mode_hash[m] = hash1;
       std::printf("%-18s appx %-11s %-12s hash=%016llx\n", f.name.c_str(),
                   engine_name[e], mode_name[m],
@@ -338,9 +339,10 @@ int main() {
     for (int e = 0; e < 2; ++e) {
       std::uint64_t hash1 = 0;
       for (const int threads : {1, 2, 8}) {
+        util::set_parallel_threads(threads);
         const auto tree =
             steiner::try_steiner_mst_approx(f.graph, f.weight, f.terminals,
-                                            threads, {}, engines[e])
+                                            0, {}, engines[e])
                 .value();
         const std::uint64_t h = tree_hash(tree);
         if (threads == 1) {
@@ -355,6 +357,7 @@ int main() {
           ++failures;
         }
       }
+      util::set_parallel_threads(0);
       std::printf("%-18s %-11s cost=%.6f hash=%016llx edges=%zu\n",
                   f.name.c_str(), engine_name[e], trees[e].cost,
                   static_cast<unsigned long long>(tree_hash(trees[e])),

@@ -1,68 +1,32 @@
 #!/usr/bin/env bash
-# Runs the solver-core microbenchmarks (BENCH_solver_core.json), the
-# anytime-budget ablation (BENCH_abl_deadline.txt), the churn-repair
-# ablation (BENCH_abl_churn.txt), the sparse-contention ablation
-# (BENCH_abl_sparse.txt) and the trace-serving ablation
+# Runs the anytime-budget ablation (BENCH_abl_deadline.txt), the
+# churn-repair ablation (BENCH_abl_churn.txt), the sparse-contention
+# ablation (BENCH_abl_sparse.txt) and the trace-serving ablation
 # (BENCH_abl_serving.txt) and writes them at the repo root. Usage:
 #
 #   bench/run_benches.sh [build-dir]
 #
 # The build dir defaults to ./build and must already contain
-# bench/bench_solver_core, bench/abl_deadline, bench/abl_churn,
-# bench/abl_sparse and bench/abl_serving (configure with the top-level
-# CMakeLists and build those targets first).
+# bench/abl_deadline, bench/abl_churn, bench/abl_sparse and
+# bench/abl_serving (configure with the top-level CMakeLists and build
+# those targets first). The bench_solver_core microbenchmarks are a
+# development tool with no committed output; the timings of record are
+# the benchmark/ records (benchmark/README.md).
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 build_dir="${1:-${repo_root}/build}"
-bench_bin="${build_dir}/bench/bench_solver_core"
-deadline_bin="${build_dir}/bench/abl_deadline"
-churn_bin="${build_dir}/bench/abl_churn"
-sparse_bin="${build_dir}/bench/abl_sparse"
-serving_bin="${build_dir}/bench/abl_serving"
+ablations=(deadline churn sparse serving)
 
-if [[ ! -x "${bench_bin}" ]]; then
-  echo "error: ${bench_bin} not found; build the bench_solver_core target" >&2
-  exit 1
-fi
-if [[ ! -x "${deadline_bin}" ]]; then
-  echo "error: ${deadline_bin} not found; build the abl_deadline target" >&2
-  exit 1
-fi
-if [[ ! -x "${churn_bin}" ]]; then
-  echo "error: ${churn_bin} not found; build the abl_churn target" >&2
-  exit 1
-fi
-if [[ ! -x "${sparse_bin}" ]]; then
-  echo "error: ${sparse_bin} not found; build the abl_sparse target" >&2
-  exit 1
-fi
-if [[ ! -x "${serving_bin}" ]]; then
-  echo "error: ${serving_bin} not found; build the abl_serving target" >&2
-  exit 1
-fi
+for name in "${ablations[@]}"; do
+  if [[ ! -x "${build_dir}/bench/abl_${name}" ]]; then
+    echo "error: ${build_dir}/bench/abl_${name} not found;" \
+      "build the abl_${name} target" >&2
+    exit 1
+  fi
+done
 
-"${bench_bin}" \
-  --benchmark_repetitions=3 \
-  --benchmark_report_aggregates_only=true \
-  --benchmark_format=json \
-  --benchmark_out_format=json \
-  --benchmark_out="${repo_root}/BENCH_solver_core.json"
-
-echo "wrote ${repo_root}/BENCH_solver_core.json"
-
-"${deadline_bin}" > "${repo_root}/BENCH_abl_deadline.txt"
-
-echo "wrote ${repo_root}/BENCH_abl_deadline.txt"
-
-"${churn_bin}" > "${repo_root}/BENCH_abl_churn.txt"
-
-echo "wrote ${repo_root}/BENCH_abl_churn.txt"
-
-"${sparse_bin}" > "${repo_root}/BENCH_abl_sparse.txt"
-
-echo "wrote ${repo_root}/BENCH_abl_sparse.txt"
-
-"${serving_bin}" > "${repo_root}/BENCH_abl_serving.txt"
-
-echo "wrote ${repo_root}/BENCH_abl_serving.txt"
+for name in "${ablations[@]}"; do
+  "${build_dir}/bench/abl_${name}" > "${repo_root}/BENCH_abl_${name}.txt"
+  echo "wrote ${repo_root}/BENCH_abl_${name}.txt"
+done

@@ -17,8 +17,19 @@
 #include "core/problem.h"
 #include "graph/graph.h"
 #include "sim/serving.h"
+#include "util/parallel.h"
 
 namespace faircache::fuzz {
+
+// Pins the process-wide thread count to 1 for one target body, so fuzz
+// iterations stay serial and cheap; the destructor restores the default.
+class SerialScope {
+ public:
+  SerialScope() { util::set_parallel_threads(1); }
+  ~SerialScope() { util::set_parallel_threads(0); }
+  SerialScope(const SerialScope&) = delete;
+  SerialScope& operator=(const SerialScope&) = delete;
+};
 
 class ByteReader {
  public:
@@ -113,8 +124,6 @@ inline void decode_problem(const std::uint8_t* data, std::size_t size,
   out.config.instance.guard.cadence = guard_byte & 0x3;
   out.config.instance.guard.sampled_rows = (guard_byte >> 2) & 0x3;
   out.config.instance.guard.budget_share = 1.0;
-  out.config.confl.threads = 1;
-  out.config.instance.threads = 1;
 
   // The serving byte drives the trace-replay harness (fuzz_serving): bit 0
   // picks the replacement policy, bit 1 enables demand drift, bits 2–3 the

@@ -24,6 +24,7 @@ bool same_bits(double a, double b) {
 }  // namespace
 
 int run_instance_target(const std::uint8_t* data, std::size_t size) {
+  const SerialScope serial;
   DecodedProblem d;
   decode_problem(data, size, d);
 

@@ -16,6 +16,7 @@
 namespace faircache::fuzz {
 
 int run_serving_target(const std::uint8_t* data, std::size_t size) {
+  const SerialScope serial;
   DecodedProblem d;
   decode_problem(data, size, d);
 

@@ -14,6 +14,7 @@
 namespace faircache::fuzz {
 
 int run_solve_target(const std::uint8_t* data, std::size_t size) {
+  const SerialScope serial;
   DecodedProblem d;
   decode_problem(data, size, d);
 

@@ -28,7 +28,7 @@ MetricCosts metric_costs(const Graph& g, const BaselineConfig& config) {
   MetricCosts costs;
   const auto n = static_cast<std::size_t>(g.num_nodes());
   if (config.metric == BaselineMetric::kHopCount) {
-    const util::Matrix<int> hops = graph::all_pairs_hops(g, config.threads);
+    const util::Matrix<int> hops = graph::all_pairs_hops(g);
     costs.dist.assign(n, n, 0.0);
     for (std::size_t i = 0; i < n; ++i) {
       const int* hrow = hops[i];
@@ -43,9 +43,7 @@ MetricCosts metric_costs(const Graph& g, const BaselineConfig& config) {
   } else {
     // Contention with an empty cache (S ≡ 0): the Sung et al. model.
     metrics::CacheState empty(g.num_nodes(), 1, /*producer=*/0);
-    metrics::ContentionMatrix contention(g, empty,
-                                         metrics::PathPolicy::kHopShortest,
-                                         config.threads);
+    metrics::ContentionMatrix contention(g, empty);
     costs.dist = contention.take_matrix();
     costs.edge_weight = contention.take_edge_costs();
   }
@@ -54,8 +52,7 @@ MetricCosts metric_costs(const Graph& g, const BaselineConfig& config) {
 
 double placement_cost(const Graph& g, NodeId producer,
                       const std::vector<NodeId>& open,
-                      const MetricCosts& costs, double lambda,
-                      int threads = 1) {
+                      const MetricCosts& costs, double lambda) {
   double access = 0.0;
   const double* prow = costs.dist[static_cast<std::size_t>(producer)];
   for (NodeId j = 0; j < g.num_nodes(); ++j) {
@@ -70,8 +67,7 @@ double placement_cost(const Graph& g, NodeId producer,
   if (!open.empty()) {
     std::vector<NodeId> terminals = open;
     terminals.push_back(producer);
-    tree = steiner::try_steiner_mst_approx(g, costs.edge_weight, terminals,
-                                           threads)
+    tree = steiner::try_steiner_mst_approx(g, costs.edge_weight, terminals)
                .value()
                .cost;
   }
@@ -91,13 +87,12 @@ std::vector<NodeId> select_cache_set(const Graph& g, NodeId producer,
 
   const auto n = static_cast<std::size_t>(g.num_nodes());
   std::vector<NodeId> open;
-  double current =
-      placement_cost(g, producer, open, costs, tree_weight, config.threads);
+  double current = placement_cost(g, producer, open, costs, tree_weight);
 
   // Candidate evaluations are independent: score them all in parallel,
   // then pick the winner with the reference's ascending-id scan (so ties
   // still resolve to the smaller id).
-  const int threads = util::resolve_parallel_threads(config.threads, n);
+  const int threads = util::resolve_parallel_threads(0, n);
   std::vector<std::vector<NodeId>> scratch(static_cast<std::size_t>(threads));
   std::vector<double> cand_cost(n);
 

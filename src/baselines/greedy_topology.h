@@ -41,10 +41,6 @@ struct BaselineConfig {
   // automatically from the problem's capacity; select_cache_set treats 0
   // as 1.
   double dissemination_load_factor = 0.0;
-  // Worker threads for the distance-matrix build and the greedy candidate
-  // scan (0 = the util::parallel_threads() default). The chosen set is
-  // bit-identical at any setting.
-  int threads = 0;
 };
 
 // One greedy selection round on an arbitrary graph: returns the chosen

@@ -95,8 +95,7 @@ util::Result<FairCachingResult> ApproxFairCaching::solve(
       placement.chunk = chunk;
       placement.cache_nodes =
           greedy_rehost(adj, result.state, chunk, nullptr, radius,
-                        problem.network->num_nodes(),
-                        config_.instance.threads)
+                        problem.network->num_nodes())
               .chosen;
       std::sort(placement.cache_nodes.begin(), placement.cache_nodes.end());
       for (graph::NodeId v : placement.cache_nodes) result.state.add(v, chunk);

@@ -64,7 +64,7 @@ util::Result<confl::ConflInstance> try_build_chunk_instance(
   confl::ConflInstance instance =
       instance_shell(problem, state, options, chunk);
   metrics::ContentionMatrix contention(*problem.network, state,
-                                       options.path_policy, options.threads);
+                                       options.path_policy);
   instance.assign_cost = contention.take_matrix();
   instance.edge_cost = contention.take_edge_costs();
   return instance;
@@ -106,7 +106,6 @@ std::unique_ptr<metrics::ContentionUpdater> ChunkInstanceEngine::make_updater(
   metrics::ContentionUpdaterOptions updater_options;
   updater_options.radius = options_.contention_radius;
   updater_options.full_row = problem_->producer;
-  updater_options.threads = options_.threads;
   updater_options.checksums = checksums;
   return std::make_unique<metrics::ContentionUpdater>(
       *problem_->network,
@@ -154,8 +153,7 @@ util::Result<confl::ConflInstance> ChunkInstanceEngine::build(
   } else {
     util::Stopwatch timer;
     metrics::ContentionMatrix contention(*problem_->network, state,
-                                         options_.path_policy,
-                                         options_.threads);
+                                         options_.path_policy);
     instance.assign_cost = contention.take_matrix();
     instance.edge_cost = contention.take_edge_costs();
     stats_.tree_seconds += timer.elapsed_seconds();
@@ -187,7 +185,7 @@ util::Status ChunkInstanceEngine::sync(const metrics::CacheState& state) {
   if (query_matrix_ == nullptr || counts != query_counts_) {
     util::Stopwatch timer;
     query_matrix_ = std::make_unique<metrics::ContentionMatrix>(
-        *problem_->network, state, options_.path_policy, options_.threads);
+        *problem_->network, state, options_.path_policy);
     query_counts_ = std::move(counts);
     stats_.tree_seconds += timer.elapsed_seconds();
   }

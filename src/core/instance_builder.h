@@ -57,10 +57,6 @@ struct InstanceOptions {
   metrics::PathPolicy path_policy = metrics::PathPolicy::kHopShortest;
   double edge_scale = 1.0;  // the M multiplier on dissemination edges
   metrics::FairnessModel fairness;
-  // Worker threads for the contention-matrix build (0 = the
-  // util::parallel_threads() default, i.e. FAIRCACHE_THREADS or hardware
-  // concurrency; 1 = fully serial). Results are identical at any setting.
-  int threads = 0;
   // Optional demand matrix demand[chunk][node] (e.g. from
   // sim::generate_zipf_demand). When set, each chunk's ConFL instance
   // weights clients by their demand for that chunk instead of the paper's

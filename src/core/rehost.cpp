@@ -13,8 +13,7 @@ RehostResult greedy_rehost(const graph::CsrAdjacency& adj,
                            const metrics::CacheState& state,
                            metrics::ChunkId chunk,
                            const std::vector<char>* alive, int radius,
-                           int max_copies, int threads,
-                           const util::RunBudget& budget) {
+                           int max_copies, const util::RunBudget& budget) {
   const std::size_t n = adj.offset.size() - 1;
   const int* offset = adj.offset.data();
   const NodeId* neighbor = adj.neighbor.data();
@@ -55,7 +54,7 @@ RehostResult greedy_rehost(const graph::CsrAdjacency& adj,
     std::vector<NodeId> queue;
     unsigned gen = 0;
   };
-  const int workers = util::resolve_parallel_threads(threads, n);
+  const int workers = util::resolve_parallel_threads(0, n);
   std::vector<Ball> balls(static_cast<std::size_t>(workers));
   for (Ball& w : balls) {
     w.stamp.assign(n, 0);

@@ -54,7 +54,7 @@ RehostResult greedy_rehost(const graph::CsrAdjacency& adj,
                            const metrics::CacheState& state,
                            metrics::ChunkId chunk,
                            const std::vector<char>* alive, int radius,
-                           int max_copies, int threads,
+                           int max_copies,
                            const util::RunBudget& budget = {});
 
 }  // namespace faircache::core

@@ -118,7 +118,6 @@ util::Result<RepairReport> PlacementRepairEngine::repair(
     return Status::invalid_input(
         "producer is dead; the data source cannot be repaired around");
   }
-  const int threads = options_.approx.instance.threads;
 
   // Charges deterministic work at sequential points only, so a pure
   // work-unit budget truncates at the same program point regardless of
@@ -205,7 +204,7 @@ util::Result<RepairReport> PlacementRepairEngine::repair(
     }
     const int lost_c = lost[static_cast<std::size_t>(c)];
     const RehostResult rehost = greedy_rehost(
-        adj, state, c, &alive, /*radius=*/0, lost_c, threads, budget);
+        adj, state, c, &alive, /*radius=*/0, lost_c, budget);
     report.work_units += rehost.work_units;
     for (NodeId v : rehost.chosen) state.add(v, c);
     report.replicas_restored += static_cast<int>(rehost.chosen.size());

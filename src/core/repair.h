@@ -50,8 +50,7 @@ enum class RepairLevel {
 struct RepairOptions {
   RepairLevel level = RepairLevel::kLocalThenResolve;
   // Solver configuration for escalation re-solves (contention engine,
-  // Steiner engine, fairness model). `approx.instance.threads` also drives
-  // the parallel candidate sweeps of the local pass.
+  // Steiner engine, fairness model).
   ApproxConfig approx;
 };
 

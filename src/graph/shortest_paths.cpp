@@ -73,11 +73,11 @@ void bfs_hops(const Graph& g, NodeId source, int* hops,
   }
 }
 
-util::Matrix<int> all_pairs_hops(const Graph& g, int threads) {
+util::Matrix<int> all_pairs_hops(const Graph& g) {
   const auto n = static_cast<std::size_t>(g.num_nodes());
   util::Matrix<int> result;
   result.assign_no_init(n, n);  // bfs_hops fills each row completely
-  threads = util::resolve_parallel_threads(threads, n);
+  const int threads = util::resolve_parallel_threads(0, n);
   // Worker-private queue scratch; rows are disjoint, so any schedule
   // produces the same matrix.
   std::vector<std::vector<NodeId>> queues(static_cast<std::size_t>(threads));

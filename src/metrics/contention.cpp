@@ -26,6 +26,18 @@ std::vector<double> contention_weights(const graph::Graph& g,
   return w;
 }
 
+std::vector<double> contention_edge_costs(const graph::Graph& g,
+                                          const std::vector<double>& weight) {
+  std::vector<double> cost(static_cast<std::size_t>(g.num_edges()));
+  for (graph::EdgeId e = 0; e < g.num_edges(); ++e) {
+    const graph::Edge& edge = g.edge(e);
+    cost[static_cast<std::size_t>(e)] =
+        weight[static_cast<std::size_t>(edge.u)] +
+        weight[static_cast<std::size_t>(edge.v)];
+  }
+  return cost;
+}
+
 namespace {
 
 // Per-worker scratch for the hop-shortest row builder: the BFS frontier
@@ -93,15 +105,14 @@ void hop_shortest_row(const graph::CsrAdjacency& adj, graph::NodeId i,
 }  // namespace
 
 ContentionMatrix::ContentionMatrix(const graph::Graph& g,
-                                   const CacheState& state, PathPolicy policy,
-                                   int threads)
+                                   const CacheState& state, PathPolicy policy)
     : policy_(policy) {
   const auto n = static_cast<std::size_t>(g.num_nodes());
   const std::vector<double> weight = contention_weights(g, state);
   // Every entry is written below (the row builders cover unreachable nodes
   // explicitly), so skip the 8n² zero fill.
   cost_.assign_no_init(n, n);
-  threads = util::resolve_parallel_threads(threads, n);
+  const int threads = util::resolve_parallel_threads(0, n);
 
   // Per-worker running maxima, folded sequentially after the join — max is
   // exact (no rounding), so the two-level reduction matches the old full
@@ -141,14 +152,7 @@ ContentionMatrix::ContentionMatrix(const graph::Graph& g,
         threads);
   }
 
-  // Dissemination edge costs.
-  edge_cost_.resize(static_cast<std::size_t>(g.num_edges()));
-  for (graph::EdgeId e = 0; e < g.num_edges(); ++e) {
-    const graph::Edge& edge = g.edge(e);
-    edge_cost_[static_cast<std::size_t>(e)] =
-        weight[static_cast<std::size_t>(edge.u)] +
-        weight[static_cast<std::size_t>(edge.v)];
-  }
+  edge_cost_ = contention_edge_costs(g, weight);
 
   max_cost_ = 0.0;
   for (const double m : worker_max) max_cost_ = std::max(max_cost_, m);

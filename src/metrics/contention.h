@@ -26,6 +26,11 @@ std::vector<double> node_contention(const graph::Graph& g);
 std::vector<double> contention_weights(const graph::Graph& g,
                                        const CacheState& state);
 
+// Dissemination edge cost of every edge, weight[u] + weight[v], from the
+// per-node weights of contention_weights: O(m), no path costs.
+std::vector<double> contention_edge_costs(const graph::Graph& g,
+                                          const std::vector<double>& weight);
+
 // How PATH(i, j) is chosen when computing c_ij.
 enum class PathPolicy {
   // Hop-shortest path with deterministic tie-breaking — the paper's model.
@@ -36,13 +41,12 @@ enum class PathPolicy {
 
 // Dense matrix of path contention costs c_ij for the current cache state.
 // The n per-source rows are independent single-source traversals and are
-// built in parallel (threads == 0 means the util::parallel_threads()
-// default); every entry is bit-identical at any thread count.
+// built in parallel (util::parallel_threads() workers); every entry is
+// bit-identical at any thread count.
 class ContentionMatrix {
  public:
   ContentionMatrix(const graph::Graph& g, const CacheState& state,
-                   PathPolicy policy = PathPolicy::kHopShortest,
-                   int threads = 0);
+                   PathPolicy policy = PathPolicy::kHopShortest);
 
   double cost(graph::NodeId i, graph::NodeId j) const {
     return cost_(static_cast<std::size_t>(i), static_cast<std::size_t>(j));

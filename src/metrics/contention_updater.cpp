@@ -341,7 +341,7 @@ void ContentionUpdater::build_full(const std::vector<double>& weight) {
   }
   const std::size_t shards =
       region_begin_.empty() ? 0 : region_begin_.size() - 1;
-  const int threads = util::resolve_parallel_threads(options_.threads, shards);
+  const int threads = util::resolve_parallel_threads(0, shards);
   std::vector<Workspace> ws(static_cast<std::size_t>(std::max(threads, 1)));
   for (Workspace& w : ws) w.init(weight, dense());
   auto for_each_source = [&](auto&& fn) {
@@ -383,13 +383,7 @@ void ContentionUpdater::build_full(const std::vector<double>& weight) {
 
   for_each_source([&](NodeId src, Workspace& w) { pin_row(src, w); });
 
-  buf_.edge_cost.resize(static_cast<std::size_t>(graph_->num_edges()));
-  for (graph::EdgeId e = 0; e < graph_->num_edges(); ++e) {
-    const graph::Edge& edge = graph_->edge(e);
-    buf_.edge_cost[static_cast<std::size_t>(e)] =
-        weight[static_cast<std::size_t>(edge.u)] +
-        weight[static_cast<std::size_t>(edge.v)];
-  }
+  buf_.edge_cost = contention_edge_costs(*graph_, weight);
 
   store.max_cost = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
@@ -520,7 +514,7 @@ void ContentionUpdater::apply_deltas(
     }
   }
 
-  const int threads = util::resolve_parallel_threads(options_.threads, n);
+  const int threads = util::resolve_parallel_threads(0, n);
   // Per-worker difference arrays over preorder positions, zeroed once here
   // and re-zeroed after every row by undoing exactly the scattered entries
   // (the swept span can be long; the touched positions are only 2|D|).
@@ -698,7 +692,7 @@ util::StateDigest ContentionUpdater::recompute_digest() const {
     std::uint64_t cost = 0;
     std::uint64_t tree = 0;
   };
-  const int threads = util::resolve_parallel_threads(options_.threads, n);
+  const int threads = util::resolve_parallel_threads(0, n);
   std::vector<Partial> part(static_cast<std::size_t>(std::max(threads, 1)));
   // Spans are clamped to the actual array sizes: a truncated buffer must
   // still be *audit-safe* — the length terms and the missing contributions

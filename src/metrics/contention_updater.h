@@ -62,9 +62,6 @@ struct ContentionUpdaterOptions {
   // so the dual growth can freeze every client onto the pre-opened root.
   // kInvalidNode (or an out-of-range id) disables the exemption.
   graph::NodeId full_row = graph::kInvalidNode;
-  // Worker threads for builds and delta sweeps (0 = the
-  // util::parallel_threads() default). Bit-identical at any setting.
-  int threads = 0;
   // Maintain integrity digests across builds and delta sweeps (~3 integer
   // ops per touched entry); disable only when no core::EngineGuard will
   // ever audit this updater.

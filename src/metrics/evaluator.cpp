@@ -13,8 +13,7 @@ PlacementEvaluation evaluate_placement(const graph::Graph& g,
                   "cache state / graph size mismatch");
   FAIRCACHE_CHECK(options.num_chunks >= 0, "negative chunk count");
 
-  const ContentionMatrix contention(g, state, options.path_policy,
-                                    options.threads);
+  const ContentionMatrix contention(g, state, options.path_policy);
   const graph::NodeId producer = state.producer();
 
   PlacementEvaluation eval;
@@ -66,8 +65,7 @@ PlacementEvaluation evaluate_placement(const graph::Graph& g,
           }
           best_cost[ji] = best;
           best_source[ji] = best_i;
-        },
-        options.threads);
+        });
     for (graph::NodeId j = 0; j < g.num_nodes(); ++j) {
       if (options.alive != nullptr &&
           (*options.alive)[static_cast<std::size_t>(j)] == 0) {
@@ -95,8 +93,7 @@ PlacementEvaluation evaluate_placement(const graph::Graph& g,
 
     // Dissemination phase: Steiner tree from the producer to all holders.
     const steiner::SteinerTree tree =
-        steiner::try_steiner_mst_approx(g, contention.edge_costs(), sources,
-                                        options.threads)
+        steiner::try_steiner_mst_approx(g, contention.edge_costs(), sources)
             .value();
     ce.dissemination_cost = tree.cost;
 

@@ -46,10 +46,6 @@ struct EvaluatorOptions {
   // fetch chunks nor serve as sources or Steiner terminals. nullptr = all
   // nodes alive.
   const std::vector<char>* alive = nullptr;
-  // Worker threads for the contention matrix, per-client cheapest-source
-  // scans and Steiner shortest paths (0 = the util::parallel_threads()
-  // default). The evaluation is bit-identical at any setting.
-  int threads = 0;
 };
 
 // Evaluates the placement recorded in `state` on graph `g`. Contention costs

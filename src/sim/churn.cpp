@@ -397,7 +397,7 @@ namespace {
 ChurnSample measure_sample(const graph::Graph& snapshot,
                            const std::vector<char>& alive,
                            const metrics::CacheState& state, int num_chunks,
-                           int time, ChurnPhase phase, int eval_threads) {
+                           int time, ChurnPhase phase) {
   ChurnSample sample;
   sample.time = time;
   sample.phase = phase;
@@ -428,7 +428,6 @@ ChurnSample measure_sample(const graph::Graph& snapshot,
     sample.component_nodes = component.sub.graph.num_nodes();
     metrics::EvaluatorOptions options;
     options.num_chunks = num_chunks;
-    options.threads = eval_threads;
     sample.component_cost =
         metrics::evaluate_placement(component.sub.graph, component.state,
                                     options)
@@ -462,15 +461,14 @@ util::Result<ChurnRunResult> run_churn(const core::FairCachingProblem& problem,
 
   result.timeline.record(measure_sample(sim.snapshot(), sim.alive(),
                                         result.state, problem.num_chunks, -1,
-                                        ChurnPhase::kInitial,
-                                        config.eval_threads));
+                                        ChurnPhase::kInitial));
 
   while (!sim.done()) {
     const TopologyDelta delta = sim.advance();
     const graph::Graph snapshot = sim.snapshot();
     const ChurnSample post_event = measure_sample(
         snapshot, sim.alive(), result.state, problem.num_chunks, delta.time,
-        ChurnPhase::kPostEvent, config.eval_threads);
+        ChurnPhase::kPostEvent);
     result.timeline.record(post_event);
 
     core::RepairReport report;
@@ -502,7 +500,7 @@ util::Result<ChurnRunResult> run_churn(const core::FairCachingProblem& problem,
 
     const ChurnSample post_repair = measure_sample(
         snapshot, sim.alive(), result.state, problem.num_chunks, delta.time,
-        ChurnPhase::kPostRepair, config.eval_threads);
+        ChurnPhase::kPostRepair);
     result.timeline.record(post_repair);
     report.cost_before = post_event.component_cost;
     report.cost_after = post_repair.component_cost;

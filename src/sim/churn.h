@@ -201,9 +201,6 @@ struct ChurnRunConfig {
   std::uint64_t repair_work_cap = util::kNoWorkCap;
   // External cancellation observed by every repair pass.
   util::CancelToken cancel;
-  // Threads for the timeline evaluations (0 = default). Never changes any
-  // measured value.
-  int eval_threads = 0;
 };
 
 struct ChurnRunResult {

@@ -154,7 +154,8 @@ DisseminationResult simulate_dissemination_phase(
                                  0.0);
 
   // The dissemination edge costs of the evaluator's model.
-  const metrics::ContentionMatrix contention(g, state);
+  const std::vector<double> edge_cost = metrics::contention_edge_costs(
+      g, metrics::contention_weights(g, state));
 
   for (metrics::ChunkId chunk = 0; chunk < options.num_chunks; ++chunk) {
     std::vector<NodeId> holders = state.holders(chunk);
@@ -162,8 +163,7 @@ DisseminationResult simulate_dissemination_phase(
     std::vector<NodeId> terminals = holders;
     terminals.push_back(state.producer());
     const steiner::SteinerTree tree =
-        steiner::try_steiner_mst_approx(g, contention.edge_costs(), terminals)
-            .value();
+        steiner::try_steiner_mst_approx(g, edge_cost, terminals).value();
 
     // Tree adjacency; BFS from the producer defines forwarding order.
     std::vector<std::vector<NodeId>> tree_adj(

@@ -8,6 +8,7 @@
 
 #include "graph/generators.h"
 #include "metrics/fairness_stats.h"
+#include "testutil.h"
 
 namespace faircache::baselines {
 namespace {
@@ -15,15 +16,7 @@ namespace {
 using graph::Graph;
 using graph::NodeId;
 
-core::FairCachingProblem make_problem(const Graph& g, NodeId producer,
-                                      int chunks, int capacity) {
-  core::FairCachingProblem problem;
-  problem.network = &g;
-  problem.producer = producer;
-  problem.num_chunks = chunks;
-  problem.uniform_capacity = capacity;
-  return problem;
-}
+using testutil::make_problem;
 
 TEST(SelectCacheSetTest, NeverSelectsProducer) {
   const Graph g = graph::make_grid(4, 4);

@@ -25,6 +25,7 @@
 #include "core/validate.h"
 #include "graph/generators.h"
 #include "sim/distributed.h"
+#include "testutil.h"
 #include "util/check.h"
 #include "util/hash.h"
 
@@ -34,15 +35,7 @@ namespace {
 using graph::Graph;
 using graph::NodeId;
 
-core::FairCachingProblem make_problem(const Graph& g, NodeId producer,
-                                      int chunks, int capacity) {
-  core::FairCachingProblem problem;
-  problem.network = &g;
-  problem.producer = producer;
-  problem.num_chunks = chunks;
-  problem.uniform_capacity = capacity;
-  return problem;
-}
+using testutil::make_problem;
 
 std::uint64_t placement_hash(const metrics::CacheState& state) {
   util::Fnv1a h;
@@ -380,14 +373,6 @@ TEST(PlacementRepairTest, CountsUnservableStrandedDemand) {
 
 // --- (b)+(c)+(d) Chaos sweep. -------------------------------------------
 
-ChurnRunConfig threaded_config(int threads) {
-  ChurnRunConfig config;
-  config.repair.approx.instance.threads = threads;
-  config.repair.approx.confl.threads = threads;
-  config.eval_threads = threads;
-  return config;
-}
-
 TEST(ChurnChaosSweepTest, SeededTimelinesValidMonotoneAndThreadInvariant) {
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     util::Rng rng(seed);
@@ -429,19 +414,10 @@ TEST(ChurnChaosSweepTest, SeededTimelinesValidMonotoneAndThreadInvariant) {
     }
 
     // Thread invariance of the full run hash.
-    std::uint64_t reference_hash = 0;
-    for (const int threads : {1, 2, 8}) {
-      const auto run =
-          run_churn(problem, initial, plan, threaded_config(threads));
-      ASSERT_TRUE(run.ok()) << run.status().message();
-      const std::uint64_t h = churn_result_hash(run.value());
-      if (threads == 1) {
-        reference_hash = h;
-      } else {
-        EXPECT_EQ(h, reference_hash)
-            << "seed " << seed << " diverged at " << threads << " threads";
-      }
-    }
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    testutil::expect_thread_invariant(
+        [&] { return run_churn(problem, initial, plan).value(); },
+        churn_result_hash);
   }
 }
 
@@ -517,8 +493,8 @@ TEST(RepairCancellationTest, WorkCapSweepAlwaysLeavesValidDeterministicState) {
 // The local pass's re-host move on a seeded departure wave (connected ER,
 // n = 120, 36 departures): every RepairReport counter and the repaired
 // placement, pinned unlimited and under two work caps that cut the local
-// pass short after its first and fourth candidate sweeps, at 1 and 4
-// threads. The pins were recorded against the former all-pairs alive-hop
+// pass short after its first and fourth candidate sweeps, each
+// thread-invariant. The pins were recorded against the former all-pairs alive-hop
 // matrix implementation.
 TEST(RepairGoldenTest, DepartureWaveRepairIsPinned) {
   util::Rng rng(77);
@@ -551,21 +527,18 @@ TEST(RepairGoldenTest, DepartureWaveRepairIsPinned) {
        "unrepaired=4 stranded=2 work=724 placement=21eb0a9393541e52"},
   };
   for (const auto& golden : goldens) {
-    for (const int threads : {1, 4}) {
-      core::RepairOptions options;
-      options.approx.instance.threads = threads;
-      core::PlacementRepairEngine engine(options);
+    const std::string report = testutil::expect_thread_invariant([&] {
+      core::PlacementRepairEngine engine;
       metrics::CacheState state = solved;
       const util::RunBudget budget =
           golden.cap == util::kNoWorkCap
               ? util::RunBudget()
               : util::RunBudget::work_units(golden.cap);
-      const auto repaired =
-          engine.repair(snapshot, sim.alive(), problem.num_chunks, state,
-                        budget);
-      ASSERT_TRUE(repaired.ok()) << repaired.status().message();
-      const core::RepairReport& r = repaired.value();
-      ASSERT_TRUE(
+      const core::RepairReport r =
+          engine
+              .repair(snapshot, sim.alive(), problem.num_chunks, state, budget)
+              .value();
+      EXPECT_TRUE(
           core::validate_placement(state, problem.num_chunks, &sim.alive())
               .ok());
       char text[256];
@@ -579,9 +552,9 @@ TEST(RepairGoldenTest, DepartureWaveRepairIsPinned) {
                     r.unservable_pairs,
                     static_cast<unsigned long long>(r.work_units),
                     static_cast<unsigned long long>(placement_hash(state)));
-      EXPECT_EQ(std::string(text), golden.report)
-          << "cap " << golden.cap << ", " << threads << " threads";
-    }
+      return std::string(text);
+    });
+    EXPECT_EQ(report, golden.report) << "cap " << golden.cap;
   }
 }
 

@@ -10,6 +10,7 @@
 
 #include "graph/generators.h"
 #include "metrics/fairness_stats.h"
+#include "testutil.h"
 #include "util/rng.h"
 
 namespace faircache::core {
@@ -20,19 +21,11 @@ using graph::NodeId;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-FairCachingProblem grid_problem(const Graph& g, NodeId producer, int chunks,
-                                int capacity) {
-  FairCachingProblem problem;
-  problem.network = &g;
-  problem.producer = producer;
-  problem.num_chunks = chunks;
-  problem.uniform_capacity = capacity;
-  return problem;
-}
+using testutil::make_problem;
 
 TEST(ProblemTest, InitialStateUniform) {
   const Graph g = graph::make_grid(3, 3);
-  const FairCachingProblem problem = grid_problem(g, 4, 2, 3);
+  const FairCachingProblem problem = make_problem(g, 4, 2, 3);
   const metrics::CacheState state = problem.make_initial_state();
   EXPECT_EQ(state.num_nodes(), 9);
   EXPECT_EQ(state.capacity(0), 3);
@@ -42,7 +35,7 @@ TEST(ProblemTest, InitialStateUniform) {
 
 TEST(ProblemTest, InitialStateHeterogeneous) {
   const Graph g = graph::make_path(3);
-  FairCachingProblem problem = grid_problem(g, 0, 1, 5);
+  FairCachingProblem problem = make_problem(g, 0, 1, 5);
   problem.capacities = {0, 2, 7};
   const metrics::CacheState state = problem.make_initial_state();
   EXPECT_EQ(state.capacity(1), 2);
@@ -51,7 +44,7 @@ TEST(ProblemTest, InitialStateHeterogeneous) {
 
 TEST(InstanceBuilderTest, FacilityCostsTrackState) {
   const Graph g = graph::make_grid(3, 3);
-  const FairCachingProblem problem = grid_problem(g, 4, 3, 4);
+  const FairCachingProblem problem = make_problem(g, 4, 3, 4);
   metrics::CacheState state = problem.make_initial_state();
   state.add(0, 0);
   state.add(0, 1);
@@ -68,7 +61,7 @@ TEST(InstanceBuilderTest, FacilityCostsTrackState) {
 
 TEST(ApproxTest, PlacementsConsistentWithState) {
   const Graph g = graph::make_grid(4, 4);
-  const FairCachingProblem problem = grid_problem(g, 5, 4, 3);
+  const FairCachingProblem problem = make_problem(g, 5, 4, 3);
   ApproxFairCaching appx;
   const FairCachingResult result = appx.run(problem);
 
@@ -85,7 +78,7 @@ TEST(ApproxTest, PlacementsConsistentWithState) {
 
 TEST(ApproxTest, ProducerNeverCachesCapacityRespected) {
   const Graph g = graph::make_grid(4, 4);
-  const FairCachingProblem problem = grid_problem(g, 7, 8, 2);
+  const FairCachingProblem problem = make_problem(g, 7, 8, 2);
   ApproxFairCaching appx;
   const FairCachingResult result = appx.run(problem);
   EXPECT_EQ(result.state.used(7), 0);
@@ -98,7 +91,7 @@ TEST(ApproxTest, FairnessSpreadsChunksAcrossNodes) {
   // The paper's headline: consecutive chunks land on (mostly) different
   // nodes because fairness + contention inflation push them away.
   const Graph g = graph::make_grid(6, 6);
-  const FairCachingProblem problem = grid_problem(g, 9, 5, 5);
+  const FairCachingProblem problem = make_problem(g, 9, 5, 5);
   ApproxFairCaching appx;
   const FairCachingResult result = appx.run(problem);
 
@@ -119,7 +112,7 @@ TEST(ApproxTest, FairnessSpreadsChunksAcrossNodes) {
 
 TEST(ApproxTest, DeterministicAcrossRuns) {
   const Graph g = graph::make_grid(5, 5);
-  const FairCachingProblem problem = grid_problem(g, 9, 3, 5);
+  const FairCachingProblem problem = make_problem(g, 9, 3, 5);
   ApproxFairCaching a;
   ApproxFairCaching b;
   const FairCachingResult ra = a.run(problem);
@@ -132,7 +125,7 @@ TEST(ApproxTest, DeterministicAcrossRuns) {
 
 TEST(ApproxTest, ZeroChunksIsNoop) {
   const Graph g = graph::make_grid(3, 3);
-  const FairCachingProblem problem = grid_problem(g, 4, 0, 5);
+  const FairCachingProblem problem = make_problem(g, 4, 0, 5);
   ApproxFairCaching appx;
   const FairCachingResult result = appx.run(problem);
   EXPECT_TRUE(result.placements.empty());
@@ -141,7 +134,7 @@ TEST(ApproxTest, ZeroChunksIsNoop) {
 
 TEST(ApproxTest, EvaluateReportsChunkCount) {
   const Graph g = graph::make_grid(4, 4);
-  const FairCachingProblem problem = grid_problem(g, 5, 3, 5);
+  const FairCachingProblem problem = make_problem(g, 5, 3, 5);
   ApproxFairCaching appx;
   const FairCachingResult result = appx.run(problem);
   const auto eval = result.evaluate(problem);
@@ -153,7 +146,7 @@ TEST(ApproxTest, MoreChunksThanCapacityStillPlaces) {
   // Q = 8 chunks with capacity 2: no node can hold more than 2; placement
   // must still succeed (producer covers the rest).
   const Graph g = graph::make_grid(4, 4);
-  const FairCachingProblem problem = grid_problem(g, 0, 8, 2);
+  const FairCachingProblem problem = make_problem(g, 0, 8, 2);
   ApproxFairCaching appx;
   const FairCachingResult result = appx.run(problem);
   EXPECT_EQ(result.placements.size(), 8u);
@@ -167,7 +160,7 @@ TEST(ApproxTest, BatteryFairnessShiftsLoadOffWeakNodes) {
   // With an extreme battery penalty on half the nodes, the weak nodes
   // should collectively cache no more than the strong ones.
   const Graph g = graph::make_grid(4, 4);
-  const FairCachingProblem problem = grid_problem(g, 0, 4, 5);
+  const FairCachingProblem problem = make_problem(g, 0, 4, 5);
 
   metrics::FairnessModel::Config fc;
   fc.battery_weight = 50.0;
@@ -207,7 +200,7 @@ TEST_P(ApproxSweepTest, ValidPlacement) {
   const auto param = GetParam();
   const Graph g = graph::make_grid(5, 5);
   const FairCachingProblem problem =
-      grid_problem(g, 12, param.chunks, param.capacity);
+      make_problem(g, 12, param.chunks, param.capacity);
   ApproxConfig config;
   config.confl.span_threshold = param.span_threshold;
   ApproxFairCaching appx(config);

@@ -14,6 +14,7 @@
 #include "metrics/contention.h"
 #include "sim/mobility.h"
 #include "sim/traffic.h"
+#include "testutil.h"
 #include "util/rng.h"
 
 namespace faircache {
@@ -22,15 +23,7 @@ namespace {
 using graph::Graph;
 using graph::NodeId;
 
-core::FairCachingProblem make_problem(const Graph& g, NodeId producer,
-                                      int chunks, int capacity) {
-  core::FairCachingProblem problem;
-  problem.network = &g;
-  problem.producer = producer;
-  problem.num_chunks = chunks;
-  problem.uniform_capacity = capacity;
-  return problem;
-}
+using testutil::make_problem;
 
 // ---------------------------------------------------------------- LocalOpt
 

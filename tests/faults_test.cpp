@@ -14,6 +14,7 @@
 
 #include "graph/generators.h"
 #include "sim/distributed.h"
+#include "testutil.h"
 #include "util/check.h"
 
 namespace faircache::sim {
@@ -23,15 +24,7 @@ using graph::Graph;
 using graph::kInvalidNode;
 using graph::NodeId;
 
-core::FairCachingProblem make_problem(const Graph& g, NodeId producer,
-                                      int chunks, int capacity) {
-  core::FairCachingProblem problem;
-  problem.network = &g;
-  problem.producer = producer;
-  problem.num_chunks = chunks;
-  problem.uniform_capacity = capacity;
-  return problem;
-}
+using testutil::make_problem;
 
 Message msg(MessageType type, NodeId from, NodeId to) {
   return {type, from, to, 0, kInvalidNode, 0.0};

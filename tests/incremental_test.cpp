@@ -11,11 +11,11 @@
 #include <cstdint>
 #include <vector>
 
-#include "contention_checks.h"
 #include "core/approx.h"
 #include "core/instance_builder.h"
 #include "graph/generators.h"
 #include "metrics/contention_updater.h"
+#include "testutil.h"
 #include "util/hash.h"
 #include "util/rng.h"
 
@@ -42,12 +42,10 @@ constexpr LayoutCase kLayouts[] = {
     {"csr-unbounded", ContentionLayout::kCsr, 0},
 };
 
-ContentionUpdater make_updater(const Graph& g, const LayoutCase& c,
-                               int threads = 0) {
+ContentionUpdater make_updater(const Graph& g, const LayoutCase& c) {
   metrics::ContentionUpdaterOptions options;
   options.radius = c.radius;
   options.full_row = 0;  // the producer of every fixture below
-  options.threads = threads;
   return ContentionUpdater(g, c.layout, options);
 }
 
@@ -154,10 +152,9 @@ TEST(ContentionUpdaterTest, ThreadCountNeverChangesAnyBit) {
   const Graph g = graph::make_erdos_renyi(30, 0.15, rng);
   for (const LayoutCase& c : kLayouts) {
     SCOPED_TRACE(c.name);
-    std::vector<std::uint64_t> hashes;
-    for (const int threads : {1, 2, 8}) {
+    testutil::expect_thread_invariant([&] {
       metrics::CacheState state(g.num_nodes(), 3, 0);
-      ContentionUpdater updater = make_updater(g, c, threads);
+      ContentionUpdater updater = make_updater(g, c);
       updater.update(state);
       util::Fnv1a h;
       h.value(testutil::buffer_hash(updater));
@@ -170,10 +167,8 @@ TEST(ContentionUpdaterTest, ThreadCountNeverChangesAnyBit) {
         updater.update(state);
         h.value(testutil::buffer_hash(updater));
       }
-      hashes.push_back(h.digest());
-    }
-    EXPECT_EQ(hashes[0], hashes[1]);
-    EXPECT_EQ(hashes[0], hashes[2]);
+      return h.digest();
+    });
   }
 }
 
@@ -248,12 +243,7 @@ TEST(ContentionUpdaterTest, StaleRestoreAfterRebuildIsDropped) {
 // ------------------------------------------------- ChunkInstanceEngine ---
 
 core::FairCachingProblem grid_problem(const Graph& g, int chunks = 5) {
-  core::FairCachingProblem problem;
-  problem.network = &g;
-  problem.producer = 0;
-  problem.num_chunks = chunks;
-  problem.uniform_capacity = 5;
-  return problem;
+  return testutil::make_problem(g, /*producer=*/0, chunks, /*capacity=*/5);
 }
 
 TEST(ChunkInstanceEngineTest, IncrementalBuildsEqualStatelessBuilds) {
@@ -386,22 +376,9 @@ TEST(IncrementalSolveTest, PlacementsIdenticalToRebuildMode) {
 TEST(IncrementalSolveTest, ThreadInvariantEndToEnd) {
   const Graph g = graph::make_grid(7, 7);
   const core::FairCachingProblem problem = grid_problem(g, 5);
-  std::vector<core::FairCachingResult> results;
-  for (const int threads : {1, 2, 8}) {
-    core::ApproxConfig config;
-    config.instance.threads = threads;
-    config.confl.threads = threads;
-    results.push_back(core::ApproxFairCaching(config).run(problem));
-  }
-  for (std::size_t r = 1; r < results.size(); ++r) {
-    ASSERT_EQ(results[r].placements.size(), results[0].placements.size());
-    for (std::size_t i = 0; i < results[0].placements.size(); ++i) {
-      EXPECT_EQ(results[r].placements[i].cache_nodes,
-                results[0].placements[i].cache_nodes);
-      EXPECT_EQ(results[r].placements[i].solver_objective,
-                results[0].placements[i].solver_objective);
-    }
-  }
+  testutil::expect_thread_invariant(
+      [&] { return core::ApproxFairCaching().run(problem); },
+      testutil::placement_hash);
 }
 
 TEST(IncrementalSolveTest, ReportSplitsBuildTime) {

@@ -11,6 +11,7 @@
 #include "graph/generators.h"
 #include "metrics/fairness_stats.h"
 #include "sim/distributed.h"
+#include "testutil.h"
 #include "util/rng.h"
 
 namespace faircache {
@@ -18,15 +19,7 @@ namespace {
 
 using graph::Graph;
 
-core::FairCachingProblem make_problem(const Graph& g, graph::NodeId producer,
-                                      int chunks, int capacity) {
-  core::FairCachingProblem problem;
-  problem.network = &g;
-  problem.producer = producer;
-  problem.num_chunks = chunks;
-  problem.uniform_capacity = capacity;
-  return problem;
-}
+using testutil::make_problem;
 
 std::vector<std::unique_ptr<core::CachingAlgorithm>> all_algorithms() {
   std::vector<std::unique_ptr<core::CachingAlgorithm>> algos;

@@ -14,7 +14,6 @@
 
 #include <gtest/gtest.h>
 
-#include "contention_checks.h"
 #include "core/approx.h"
 #include "core/instance_builder.h"
 #include "core/repair.h"
@@ -22,6 +21,7 @@
 #include "metrics/cache_state.h"
 #include "metrics/sparse_contention.h"
 #include "sim/state_faults.h"
+#include "testutil.h"
 #include "util/integrity.h"
 #include "util/rng.h"
 #include "util/status.h"
@@ -61,12 +61,7 @@ std::uint64_t chaos_seed() {
 }
 
 FairCachingProblem grid_problem(const Graph& g, int chunks = 8) {
-  FairCachingProblem problem;
-  problem.network = &g;
-  problem.producer = 0;
-  problem.num_chunks = chunks;
-  problem.uniform_capacity = 5;
-  return problem;
+  return testutil::make_problem(g, /*producer=*/0, chunks, /*capacity=*/5);
 }
 
 struct RunOutcome {
@@ -75,12 +70,11 @@ struct RunOutcome {
 };
 
 RunOutcome run_solve(const Graph& g, ContentionMode mode,
-                     const GuardOptions& guard, int threads = 0,
+                     const GuardOptions& guard,
                      StateFaultInjector* injector = nullptr) {
   ApproxConfig config;
   config.instance.contention_mode = mode;
   config.instance.guard = guard;
-  config.instance.threads = threads;
   if (injector != nullptr) injector->attach(config.instance);
   const FairCachingProblem problem = grid_problem(g);
   ApproxFairCaching algo(config);
@@ -217,7 +211,7 @@ TEST_P(ChaosMatrixTest, EveryClassDetectedAndRecoveredToRebuildGolden) {
     ASSERT_TRUE(sim::validate_state_fault_plan(plan).ok());
     StateFaultInjector injector(plan);
     const RunOutcome out =
-        run_solve(g, mode, paranoid_guard(), /*threads=*/0, &injector);
+        run_solve(g, mode, paranoid_guard(), &injector);
     const CorruptionReport& guard = out.report.guard;
 
     EXPECT_EQ(injector.injected(), 1);
@@ -258,8 +252,8 @@ TEST(ChaosLatencyTest, DetectionWithinOneAuditCadence) {
   // builds (never indexes a sweep), which is what lets cadence > 1 run.
   plan.faults.push_back({StateFaultClass::kCostBitFlip, /*build=*/2});
   StateFaultInjector injector(plan);
-  const RunOutcome out = run_solve(g, ContentionMode::kIncremental, guard,
-                                   /*threads=*/0, &injector);
+  const RunOutcome out =
+      run_solve(g, ContentionMode::kIncremental, guard, &injector);
   ASSERT_EQ(injector.injected(), 1);
   const CorruptionReport& report = out.report.guard;
   EXPECT_FALSE(report.clean());
@@ -282,22 +276,18 @@ TEST(GuardIdentityTest, ZeroFaultGuardedRunsBitIdenticalAtAnyThreadCount) {
        {ContentionMode::kIncremental, ContentionMode::kSparse,
         ContentionMode::kRebuild}) {
     SCOPED_TRACE(static_cast<int>(mode));
-    std::uint64_t reference = 0;
-    bool have_reference = false;
+    std::vector<std::uint64_t> hashes;
     for (const GuardOptions& guard : {off, defaults, paranoid}) {
-      for (const int threads : {1, 2, 8}) {
-        const RunOutcome out = run_solve(g, mode, guard, threads);
+      SCOPED_TRACE(testing::Message() << "guard.enabled=" << guard.enabled
+                                      << " cadence=" << guard.cadence);
+      hashes.push_back(testutil::expect_thread_invariant([&] {
+        const RunOutcome out = run_solve(g, mode, guard);
         EXPECT_TRUE(out.report.guard.clean());
-        if (!have_reference) {
-          reference = out.hash;
-          have_reference = true;
-        } else {
-          EXPECT_EQ(out.hash, reference)
-              << "guard.enabled=" << guard.enabled
-              << " cadence=" << guard.cadence << " threads=" << threads;
-        }
-      }
+        return out.hash;
+      }));
     }
+    EXPECT_EQ(hashes[1], hashes[0]);
+    EXPECT_EQ(hashes[2], hashes[0]);
   }
 }
 

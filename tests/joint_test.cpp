@@ -9,6 +9,7 @@
 #include "core/approx.h"
 #include "exact/brute_force.h"
 #include "graph/generators.h"
+#include "testutil.h"
 #include "util/rng.h"
 
 namespace faircache::exact {
@@ -17,15 +18,7 @@ namespace {
 using graph::Graph;
 using graph::NodeId;
 
-core::FairCachingProblem make_problem(const Graph& g, NodeId producer,
-                                      int chunks, int capacity) {
-  core::FairCachingProblem problem;
-  problem.network = &g;
-  problem.producer = producer;
-  problem.num_chunks = chunks;
-  problem.uniform_capacity = capacity;
-  return problem;
-}
+using testutil::make_problem;
 
 TEST(JointExactTest, SingleChunkMatchesPerChunkExact) {
   // With one chunk the joint model and the per-chunk model coincide

@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <limits>
+#include <vector>
 
 #include "graph/generators.h"
 #include "metrics/cache_state.h"
@@ -147,6 +150,33 @@ TEST(ContentionMatrixTest, EdgeCostsAreEndpointWeights) {
   // Edge 0-1: w0 + w1 = 1 + 2 = 3; edge 1-2: 2 + 1 = 3.
   EXPECT_DOUBLE_EQ(ec[0], 3.0);
   EXPECT_DOUBLE_EQ(ec[1], 3.0);
+}
+
+// sim::simulate_dissemination_phase weights its trees with the O(m)
+// contention_edge_costs instead of a full ContentionMatrix: the two must
+// agree bit for bit on a loaded cache state.
+TEST(ContentionMatrixTest, EdgeCostsMatchWeightOnlyEdgeCostsBitForBit) {
+  util::Rng rng(13);
+  const Graph grid = make_grid(6, 5);
+  const Graph er = graph::make_erdos_renyi(40, 0.12, rng);
+  for (const Graph* g : {&grid, &er}) {
+    CacheState state(g->num_nodes(), 4, /*producer=*/0);
+    for (int k = 0; k < 60; ++k) {
+      const auto v = static_cast<graph::NodeId>(
+          rng.bounded(static_cast<std::uint64_t>(g->num_nodes())));
+      const auto chunk = static_cast<ChunkId>(k % 4);
+      if (state.can_cache(v, chunk)) state.add(v, chunk);
+    }
+    const std::vector<double> direct =
+        contention_edge_costs(*g, contention_weights(*g, state));
+    const ContentionMatrix matrix(*g, state);
+    const std::vector<double>& expected = matrix.edge_costs();
+    ASSERT_EQ(direct.size(), static_cast<std::size_t>(g->num_edges()));
+    ASSERT_EQ(direct.size(), expected.size());
+    EXPECT_EQ(std::memcmp(direct.data(), expected.data(),
+                          direct.size() * sizeof(double)),
+              0);
+  }
 }
 
 TEST(ContentionMatrixTest, HopAndMinContentionPoliciesDiffer) {

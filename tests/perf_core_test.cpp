@@ -22,6 +22,8 @@
 #include "graph/shortest_paths.h"
 #include "metrics/contention.h"
 #include "steiner/steiner.h"
+#include "testutil.h"
+#include "util/hash.h"
 #include "util/matrix.h"
 #include "util/parallel.h"
 #include "util/rng.h"
@@ -31,6 +33,7 @@ namespace {
 
 using graph::Graph;
 using graph::NodeId;
+using testutil::expect_thread_invariant;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
@@ -152,7 +155,7 @@ TEST(AllPairsHopsTest, MatchesBfsOracle) {
   util::Rng rng(7);
   const auto net = random_net(60, rng);
   const Graph& g = net.graph;
-  const util::Matrix<int> hops = graph::all_pairs_hops(g, 3);
+  const util::Matrix<int> hops = graph::all_pairs_hops(g);
   for (NodeId v = 0; v < g.num_nodes(); v += 7) {
     const graph::BfsTree tree = graph::bfs(g, v);
     for (NodeId w = 0; w < g.num_nodes(); ++w) {
@@ -164,9 +167,12 @@ TEST(AllPairsHopsTest, MatchesBfsOracle) {
 
 TEST(AllPairsHopsTest, ThreadCountDoesNotChangeResult) {
   const Graph g = graph::make_grid(9, 7);
-  const util::Matrix<int> one = graph::all_pairs_hops(g, 1);
-  const util::Matrix<int> many = graph::all_pairs_hops(g, 8);
-  EXPECT_TRUE(one == many);
+  expect_thread_invariant([&] { return graph::all_pairs_hops(g); },
+                          [](const util::Matrix<int>& hops) {
+                            return util::Fnv1a()
+                                .bytes(hops.data(), hops.size() * sizeof(int))
+                                .digest();
+                          });
 }
 
 TEST(DijkstraEdgeWeightsTest, SettleOnlyMatchesFullRunOnFlaggedNodes) {
@@ -265,11 +271,17 @@ TEST(ContentionMatrixTest, ThreadCountDoesNotChangeResult) {
   state.add(9, 0);
   for (auto policy :
        {metrics::PathPolicy::kHopShortest, metrics::PathPolicy::kMinContention}) {
-    const metrics::ContentionMatrix serial(g, state, policy, 1);
-    const metrics::ContentionMatrix parallel(g, state, policy, 8);
-    EXPECT_TRUE(serial.matrix() == parallel.matrix());  // bitwise
-    EXPECT_EQ(serial.edge_costs(), parallel.edge_costs());
-    EXPECT_EQ(serial.max_cost(), parallel.max_cost());
+    expect_thread_invariant(
+        [&] {
+          const metrics::ContentionMatrix c(g, state, policy);
+          const util::Matrix<double>& m = c.matrix();
+          return util::Fnv1a()
+              .bytes(m.data(), m.size() * sizeof(double))
+              .bytes(c.edge_costs().data(),
+                     c.edge_costs().size() * sizeof(double))
+              .value(c.max_cost())
+              .digest();
+        });
   }
 }
 
@@ -324,6 +336,29 @@ void expect_identical_solutions(const confl::ConflSolution& a,
   EXPECT_EQ(a.tree_cost, b.tree_cost);
 }
 
+// Every field expect_identical_solutions compares, costs bitwise.
+std::uint64_t solution_hash(const confl::ConflSolution& s) {
+  util::Fnv1a h;
+  h.bytes(s.open_facilities.data(), s.open_facilities.size() * sizeof(NodeId));
+  h.bytes(s.assignment.data(), s.assignment.size() * sizeof(NodeId));
+  h.bytes(s.tree.edges.data(), s.tree.edges.size() * sizeof(graph::EdgeId));
+  return h.value(s.rounds)
+      .value(s.facility_cost)
+      .value(s.assignment_cost)
+      .value(s.tree_cost)
+      .digest();
+}
+
+// The 10×10 grid's chunk-0 instance the thread tests below solve.
+struct GridInstance {
+  Graph g = graph::make_grid(10, 10);
+  confl::ConflInstance instance =
+      core::try_build_chunk_instance(testutil::make_problem(g, 0, 1, 5),
+                                     metrics::CacheState(g.num_nodes(), 5, 0),
+                                     core::InstanceOptions{})
+          .value();
+};
+
 TEST(SolveConflEquivalenceTest, ActiveSetMatchesReferenceOnRandomInstances) {
   util::Rng rng(2024);
   for (int trial = 0; trial < 12; ++trial) {
@@ -354,93 +389,51 @@ TEST(SolveConflEquivalenceTest, ActiveSetMatchesReferenceOnRandomInstances) {
 }
 
 TEST(SolveConflEquivalenceTest, ThreadCountDoesNotChangeSolution) {
-  const Graph g = graph::make_grid(10, 10);
-  core::FairCachingProblem problem;
-  problem.network = &g;
-  problem.producer = 0;
-  problem.num_chunks = 1;
-  problem.uniform_capacity = 5;
-  const metrics::CacheState state(g.num_nodes(), 5, 0);
-  const confl::ConflInstance instance =
-      core::try_build_chunk_instance(problem, state, core::InstanceOptions{})
-          .value();
-
+  const GridInstance grid;
   confl::ConflOptions options;
   options.growth = confl::GrowthMode::kEventDriven;
-  options.threads = 1;
-  const confl::ConflSolution serial =
-      confl::try_solve_confl(instance, options).value();
-  options.threads = 2;
-  const confl::ConflSolution two =
-      confl::try_solve_confl(instance, options).value();
-  options.threads = 8;
-  const confl::ConflSolution eight =
-      confl::try_solve_confl(instance, options).value();
-  expect_identical_solutions(serial, two);
-  expect_identical_solutions(serial, eight);
+  expect_thread_invariant(
+      [&] { return confl::try_solve_confl(grid.instance, options).value(); },
+      solution_hash);
 }
 
 // The same contract under the Voronoi Steiner engine: it may select a
 // different (equally valid) Phase 2 tree than KMB, but that tree must be
 // identical at every thread count and across both solver engines.
 TEST(SolveConflEquivalenceTest, VoronoiEngineThreadInvariantAndMatchesRef) {
-  const Graph g = graph::make_grid(10, 10);
-  core::FairCachingProblem problem;
-  problem.network = &g;
-  problem.producer = 0;
-  problem.num_chunks = 1;
-  problem.uniform_capacity = 5;
-  const metrics::CacheState state(g.num_nodes(), 5, 0);
-  const confl::ConflInstance instance =
-      core::try_build_chunk_instance(problem, state, core::InstanceOptions{})
-          .value();
-
+  const GridInstance grid;
   confl::ConflOptions options;
   options.growth = confl::GrowthMode::kEventDriven;
   options.steiner_engine = steiner::Engine::kVoronoi;
-  options.threads = 1;
-  const confl::ConflSolution serial =
-      confl::try_solve_confl(instance, options).value();
-  options.threads = 8;
-  const confl::ConflSolution eight =
-      confl::try_solve_confl(instance, options).value();
-  expect_identical_solutions(serial, eight);
-  const confl::ConflSolution ref =
-      confl::solve_confl_reference(instance, options);
-  expect_identical_solutions(serial, ref);
+  const std::uint64_t h = expect_thread_invariant(
+      [&] { return confl::try_solve_confl(grid.instance, options).value(); },
+      solution_hash);
+  EXPECT_EQ(h, solution_hash(
+                   confl::solve_confl_reference(grid.instance, options)));
+}
+
+// Placements (testutil::placement_hash), every chunk's growth rounds and
+// the final cache state.
+std::uint64_t approx_hash(const core::FairCachingResult& result) {
+  util::Fnv1a h;
+  h.value(testutil::placement_hash(result));
+  for (const core::ChunkPlacement& p : result.placements) {
+    h.value(p.solver_rounds);
+  }
+  for (NodeId v = 0; v < result.state.num_nodes(); ++v) {
+    for (const metrics::ChunkId c : result.state.chunks_on(v)) h.value(c);
+    h.value(-1);
+  }
+  return h.digest();
 }
 
 // End-to-end: the full approximation pipeline is bit-deterministic across
 // global thread-count settings (the strongest form of the contract).
 TEST(ApproxDeterminismTest, GlobalThreadOverrideDoesNotChangePlacement) {
   const Graph g = graph::make_grid(8, 8);
-  core::FairCachingProblem problem;
-  problem.network = &g;
-  problem.producer = 0;
-  problem.num_chunks = 3;
-  problem.uniform_capacity = 4;
-
-  auto run_with_threads = [&](int threads) {
-    util::set_parallel_threads(threads);
-    core::ApproxFairCaching appx;
-    return appx.run(problem);
-  };
-  const auto one = run_with_threads(1);
-  const auto two = run_with_threads(2);
-  const auto eight = run_with_threads(8);
-  util::set_parallel_threads(0);  // restore default
-
-  ASSERT_EQ(one.placements.size(), two.placements.size());
-  ASSERT_EQ(one.placements.size(), eight.placements.size());
-  for (std::size_t c = 0; c < one.placements.size(); ++c) {
-    for (const auto* other : {&two, &eight}) {
-      const auto& a = one.placements[c];
-      const auto& b = other->placements[c];
-      EXPECT_EQ(a.cache_nodes, b.cache_nodes);
-      EXPECT_EQ(a.solver_objective, b.solver_objective);  // bitwise
-      EXPECT_EQ(a.solver_rounds, b.solver_rounds);
-    }
-  }
+  const core::FairCachingProblem problem = testutil::make_problem(g, 0, 3, 4);
+  expect_thread_invariant(
+      [&] { return core::ApproxFairCaching().run(problem); }, approx_hash);
 }
 
 // The budgeted entry point with an unlimited budget must be bit-identical to
@@ -448,83 +441,68 @@ TEST(ApproxDeterminismTest, GlobalThreadOverrideDoesNotChangePlacement) {
 // side-effect-free, so the anytime layer costs nothing when no limit is set.
 TEST(ApproxDeterminismTest, UnlimitedBudgetSolveMatchesRunAtAnyThreadCount) {
   const Graph g = graph::make_grid(8, 8);
-  core::FairCachingProblem problem;
-  problem.network = &g;
-  problem.producer = 0;
-  problem.num_chunks = 3;
-  problem.uniform_capacity = 4;
+  const core::FairCachingProblem problem = testutil::make_problem(g, 0, 3, 4);
+  const core::FairCachingResult reference =
+      core::ApproxFairCaching().run(problem);
 
-  core::ApproxFairCaching reference_appx;
-  const auto reference = reference_appx.run(problem);
+  const std::uint64_t h = expect_thread_invariant(
+      [&] {
+        core::SolveReport report;
+        auto result = core::ApproxFairCaching().solve(
+            problem, util::RunBudget(), &report);
+        EXPECT_TRUE(report.stop_reason.ok());
+        EXPECT_FALSE(report.degraded());
+        EXPECT_TRUE(report.degraded_chunks.empty());
+        return std::move(result).value();  // throws (fails) on an error
+      },
+      approx_hash);
+  EXPECT_EQ(h, approx_hash(reference));
+}
 
-  for (int threads : {1, 2, 8}) {
-    util::set_parallel_threads(threads);
-    core::ApproxFairCaching appx;
-    core::SolveReport report;
-    auto result = appx.solve(problem, util::RunBudget(), &report);
-    ASSERT_TRUE(result.ok()) << result.status().to_string();
-    EXPECT_TRUE(report.stop_reason.ok());
-    EXPECT_FALSE(report.degraded());
-    EXPECT_TRUE(report.degraded_chunks.empty());
-
-    const auto& budgeted = result.value();
-    ASSERT_EQ(reference.placements.size(), budgeted.placements.size());
-    for (std::size_t c = 0; c < reference.placements.size(); ++c) {
-      const auto& a = reference.placements[c];
-      const auto& b = budgeted.placements[c];
-      EXPECT_EQ(a.cache_nodes, b.cache_nodes) << "threads=" << threads;
-      EXPECT_EQ(a.solver_objective, b.solver_objective);  // bitwise
-      EXPECT_EQ(a.solver_rounds, b.solver_rounds);
-    }
-    for (NodeId v = 0; v < g.num_nodes(); ++v) {
-      EXPECT_EQ(reference.state.chunks_on(v), budgeted.state.chunks_on(v));
+// One seeded Steiner fixture: a connected geometric network with random
+// edge weights and every fifth node a terminal.
+struct SteinerFixture {
+  util::Rng rng{99};
+  graph::GeometricNetwork net = random_net(80, rng);
+  std::vector<double> weight;
+  std::vector<NodeId> terminals;
+  SteinerFixture() {
+    weight.resize(static_cast<std::size_t>(net.graph.num_edges()));
+    for (double& w : weight) w = rng.uniform(0.2, 3.0);
+    for (NodeId v = 0; v < net.graph.num_nodes(); v += 5) {
+      terminals.push_back(v);
     }
   }
-  util::set_parallel_threads(0);  // restore default
+  steiner::SteinerTree solve(steiner::Engine engine) const {
+    return steiner::try_steiner_mst_approx(net.graph, weight, terminals, 0,
+                                           {}, engine)
+        .value();
+  }
+};
+
+// Tree edges and cost bits.
+std::uint64_t tree_hash(const steiner::SteinerTree& tree) {
+  return util::Fnv1a()
+      .bytes(tree.edges.data(), tree.edges.size() * sizeof(graph::EdgeId))
+      .value(tree.cost)
+      .digest();
 }
 
 TEST(SteinerTest, ThreadCountDoesNotChangeTree) {
-  util::Rng rng(99);
-  const auto net = random_net(80, rng);
-  const Graph& g = net.graph;
-  std::vector<double> weight(static_cast<std::size_t>(g.num_edges()));
-  for (double& w : weight) w = rng.uniform(0.2, 3.0);
-  std::vector<NodeId> terminals;
-  for (NodeId v = 0; v < g.num_nodes(); v += 5) terminals.push_back(v);
-
-  const auto serial =
-      steiner::try_steiner_mst_approx(g, weight, terminals, 1).value();
-  const auto parallel =
-      steiner::try_steiner_mst_approx(g, weight, terminals, 8).value();
-  EXPECT_EQ(serial.edges, parallel.edges);
-  EXPECT_EQ(serial.cost, parallel.cost);  // bitwise
+  const SteinerFixture f;
+  expect_thread_invariant(
+      [&] { return f.solve(steiner::Engine::kClosureKmb); }, tree_hash);
 }
 
 TEST(SteinerTest, VoronoiEngineThreadCountDoesNotChangeTree) {
   // The Voronoi sweep itself is serial, but the engine must honour the
   // same end-to-end thread-invariance contract as KMB.
-  util::Rng rng(99);
-  const auto net = random_net(80, rng);
-  const Graph& g = net.graph;
-  std::vector<double> weight(static_cast<std::size_t>(g.num_edges()));
-  for (double& w : weight) w = rng.uniform(0.2, 3.0);
-  std::vector<NodeId> terminals;
-  for (NodeId v = 0; v < g.num_nodes(); v += 5) terminals.push_back(v);
-
-  const auto serial =
-      steiner::try_steiner_mst_approx(g, weight, terminals, 1, {},
-                                      steiner::Engine::kVoronoi)
-          .value();
-  const auto parallel =
-      steiner::try_steiner_mst_approx(g, weight, terminals, 8, {},
-                                      steiner::Engine::kVoronoi)
-          .value();
-  EXPECT_EQ(serial.edges, parallel.edges);
-  EXPECT_EQ(serial.cost, parallel.cost);  // bitwise
+  const SteinerFixture f;
+  expect_thread_invariant(
+      [&] { return f.solve(steiner::Engine::kVoronoi); }, tree_hash);
   // Never worse than twice the KMB tree (both ≤ 2·OPT, and KMB ≥ OPT).
-  const auto kmb =
-      steiner::try_steiner_mst_approx(g, weight, terminals).value();
-  EXPECT_LE(serial.cost, 2.0 * kmb.cost + 1e-9);
+  EXPECT_LE(f.solve(steiner::Engine::kVoronoi).cost,
+            2.0 * f.solve(steiner::Engine::kClosureKmb).cost + 1e-9);
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 #include "metrics/sparse_contention.h"
 #include "sim/distributed.h"
 #include "steiner/steiner.h"
+#include "testutil.h"
 #include "util/deadline.h"
 #include "util/parallel.h"
 #include "util/status.h"
@@ -449,15 +450,7 @@ TEST(TryAddEdgeTest, RejectionsAreTypedAndNonMutating) {
 
 // --------------------------------------------------------- validate_problem --
 
-core::FairCachingProblem make_problem(const Graph& g, NodeId producer,
-                                      int chunks, int capacity) {
-  core::FairCachingProblem problem;
-  problem.network = &g;
-  problem.producer = producer;
-  problem.num_chunks = chunks;
-  problem.uniform_capacity = capacity;
-  return problem;
-}
+using testutil::make_problem;
 
 TEST(ValidateProblemTest, AcceptsWellFormedProblem) {
   const Graph g = graph::make_grid(3, 3);

@@ -11,6 +11,7 @@
 #include "baselines/adaptive_gradient.h"
 #include "graph/generators.h"
 #include "sim/serving.h"
+#include "testutil.h"
 
 namespace faircache {
 namespace {
@@ -18,15 +19,7 @@ namespace {
 using graph::Graph;
 using graph::NodeId;
 
-core::FairCachingProblem make_problem(const Graph& g, NodeId producer,
-                                      int chunks, int capacity) {
-  core::FairCachingProblem problem;
-  problem.network = &g;
-  problem.producer = producer;
-  problem.num_chunks = chunks;
-  problem.uniform_capacity = capacity;
-  return problem;
-}
+using testutil::make_problem;
 
 sim::ServingConfig short_config(long requests) {
   sim::ServingConfig config;
@@ -159,19 +152,9 @@ TEST(ServingTest, HashIsThreadInvariant) {
   config.drift_every = 1000;
   config.online.replacement = core::ReplacementPolicy::kEvictOldest;
   config.online.approx.confl.span_threshold = 2;
-  std::uint64_t hashes[3];
-  const int thread_counts[3] = {1, 2, 5};
-  for (int i = 0; i < 3; ++i) {
-    sim::ServingConfig threaded = config;
-    threaded.online.approx.instance.threads = thread_counts[i];
-    threaded.online.approx.confl.threads = thread_counts[i];
-    sim::ServingEngine engine(problem, threaded);
-    const auto result = engine.run();
-    ASSERT_TRUE(result.ok());
-    hashes[i] = sim::serving_result_hash(result.value());
-  }
-  EXPECT_EQ(hashes[0], hashes[1]);
-  EXPECT_EQ(hashes[0], hashes[2]);
+  testutil::expect_thread_invariant(
+      [&] { return sim::ServingEngine(problem, config).run().value(); },
+      sim::serving_result_hash);
 }
 
 TEST(ServingTest, ContentionModesAgreeOnServedStream) {

@@ -13,11 +13,11 @@
 #include <gtest/gtest.h>
 
 #include "confl/confl.h"
-#include "contention_checks.h"
 #include "core/approx.h"
 #include "core/instance_builder.h"
 #include "graph/generators.h"
 #include "metrics/contention_updater.h"
+#include "testutil.h"
 #include "util/deadline.h"
 #include "util/hash.h"
 #include "util/rng.h"
@@ -41,6 +41,7 @@ using metrics::ContentionUpdaterOptions;
 using metrics::SparseContention;
 using testutil::buffer_hash;
 using testutil::expect_matches_rebuild;
+using testutil::expect_thread_invariant;
 using testutil::placement_hash;
 
 std::uint64_t edge_hash(const Graph& g) {
@@ -69,12 +70,7 @@ CacheState churned_state(const Graph& g, util::Rng& rng, int steps,
 }
 
 FairCachingProblem grid_problem(const Graph& g, int chunks = 5) {
-  FairCachingProblem problem;
-  problem.network = &g;
-  problem.producer = 0;
-  problem.num_chunks = chunks;
-  problem.uniform_capacity = 5;
-  return problem;
+  return testutil::make_problem(g, /*producer=*/0, chunks, /*capacity=*/5);
 }
 
 // ------------------------------------------------ store vs dense matrix --
@@ -274,21 +270,14 @@ TEST(SparseContentionTest, ThreadCountNeverChangesAnyBit) {
   util::Rng rng(47);
   const Graph g = graph::make_erdos_renyi(90, 0.07, rng);
   const CacheState state = churned_state(g, rng, 200);
-  std::uint64_t reference = 0;
-  for (const int threads : {1, 2, 8}) {
-    ContentionUpdaterOptions options;
-    options.radius = 3;
-    options.full_row = 0;
-    options.threads = threads;
+  ContentionUpdaterOptions options;
+  options.radius = 3;
+  options.full_row = 0;
+  expect_thread_invariant([&] {
     ContentionUpdater updater(g, ContentionLayout::kCsr, options);
     updater.update(state);
-    const std::uint64_t h = buffer_hash(updater);
-    if (threads == 1) {
-      reference = h;
-    } else {
-      EXPECT_EQ(h, reference) << "threads=" << threads;
-    }
-  }
+    return buffer_hash(updater);
+  });
 }
 
 // ------------------------------------------------------ sparse ConFL solve --
@@ -430,7 +419,7 @@ TEST(SparseConflTest, TruncatedRadiusSolveBitIdenticalToDenseReference) {
 }
 
 // Golden-hash agreement — kSparse with radius ≥ diameter is bit-identical
-// to kIncremental end to end, at 1, 2 and 8 threads, on a grid and a
+// to kIncremental end to end, each thread-invariant, on a grid and a
 // connected ER fixture.
 TEST(SparseConflTest, EndToEndSparseMatchesIncrementalAtAnyThreadCount) {
   util::Rng topo_rng(7);
@@ -443,34 +432,26 @@ TEST(SparseConflTest, EndToEndSparseMatchesIncrementalAtAnyThreadCount) {
 
   for (const auto& fixture : fixtures) {
     const FairCachingProblem problem = grid_problem(*fixture.g, 6);
-    std::uint64_t golden = 0;
-    bool have_golden = false;
-    for (const int threads : {1, 2, 8}) {
-      for (const ContentionMode mode :
-           {ContentionMode::kIncremental, ContentionMode::kSparse}) {
-        ApproxConfig config;
-        config.instance.contention_mode = mode;
-        config.instance.contention_radius =
-            mode == ContentionMode::kSparse ? fixture.radius : 0;
-        config.instance.threads = threads;
-        config.confl.threads = threads;
-        ApproxFairCaching algorithm(config);
-        SolveReport report;
-        auto result = algorithm.solve(problem, util::RunBudget::unlimited(),
-                                      &report);
-        ASSERT_TRUE(result.ok());
-        EXPECT_EQ(report.contention_mode_used, mode);
-        EXPECT_FALSE(report.degraded());
-        const std::uint64_t h = placement_hash(result.value());
-        if (!have_golden) {
-          golden = h;
-          have_golden = true;
-        } else {
-          EXPECT_EQ(h, golden)
-              << "mode=" << static_cast<int>(mode) << " threads=" << threads;
-        }
-      }
+    std::uint64_t hashes[2];
+    for (const ContentionMode mode :
+         {ContentionMode::kIncremental, ContentionMode::kSparse}) {
+      SCOPED_TRACE(static_cast<int>(mode));
+      ApproxConfig config;
+      config.instance.contention_mode = mode;
+      config.instance.contention_radius =
+          mode == ContentionMode::kSparse ? fixture.radius : 0;
+      hashes[mode == ContentionMode::kSparse] = expect_thread_invariant(
+          [&] {
+            SolveReport report;
+            auto result = ApproxFairCaching(config).solve(
+                problem, util::RunBudget::unlimited(), &report);
+            EXPECT_EQ(report.contention_mode_used, mode);
+            EXPECT_FALSE(report.degraded());
+            return std::move(result).value();
+          },
+          placement_hash);
     }
+    EXPECT_EQ(hashes[0], hashes[1]);
   }
 }
 
@@ -554,21 +535,20 @@ TEST(SparseFallbackTest, PureFallbackPlacementsArePinned) {
   } cases[] = {{ContentionMode::kIncremental, 0, 0x0140fa995b0744deULL},
                {ContentionMode::kSparse, 2, 0x6f3677dc981bfabdULL}};
   for (const auto& c : cases) {
-    for (const int threads : {1, 4}) {
-      ApproxConfig config;
-      config.instance.contention_mode = c.mode;
-      config.instance.contention_radius = c.radius;
-      config.instance.threads = threads;
-      ApproxFairCaching algorithm(config);
-      SolveReport report;
-      auto result =
-          algorithm.solve(problem, util::RunBudget::work_units(0), &report);
-      ASSERT_TRUE(result.ok());
-      EXPECT_EQ(static_cast<int>(report.degraded_chunks.size()),
-                problem.num_chunks);
-      EXPECT_EQ(placement_hash(result.value()), c.hash)
-          << "radius " << c.radius << ", " << threads << " threads";
-    }
+    ApproxConfig config;
+    config.instance.contention_mode = c.mode;
+    config.instance.contention_radius = c.radius;
+    const std::uint64_t h = expect_thread_invariant(
+        [&] {
+          SolveReport report;
+          auto result = ApproxFairCaching(config).solve(
+              problem, util::RunBudget::work_units(0), &report);
+          EXPECT_EQ(static_cast<int>(report.degraded_chunks.size()),
+                    problem.num_chunks);
+          return std::move(result).value();
+        },
+        placement_hash);
+    EXPECT_EQ(h, c.hash) << "radius " << c.radius;
   }
 }
 

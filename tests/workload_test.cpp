@@ -9,6 +9,7 @@
 #include "graph/generators.h"
 #include "metrics/evaluator.h"
 #include "sim/workload.h"
+#include "testutil.h"
 #include "util/rng.h"
 
 namespace faircache {
@@ -17,15 +18,7 @@ namespace {
 using graph::Graph;
 using graph::NodeId;
 
-core::FairCachingProblem make_problem(const Graph& g, NodeId producer,
-                                      int chunks, int capacity) {
-  core::FairCachingProblem problem;
-  problem.network = &g;
-  problem.producer = producer;
-  problem.num_chunks = chunks;
-  problem.uniform_capacity = capacity;
-  return problem;
-}
+using testutil::make_problem;
 
 TEST(ZipfTest, PmfSumsToOneAndDecreases) {
   const sim::ZipfDistribution zipf(10, 1.0);
