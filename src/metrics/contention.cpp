@@ -38,52 +38,44 @@ std::vector<double> contention_edge_costs(const graph::Graph& g,
   return cost;
 }
 
-namespace {
-
-// Per-worker scratch for the hop-shortest row builder: the BFS frontier
-// (which doubles as the parent-before-child processing order) and a packed
-// (weight, visit stamp) entry per node, reused across all sources a worker
-// handles. The stamp replaces a full kInfCost row pre-fill — each row entry
-// is written exactly once on connected graphs — and packing it next to the
-// node weight makes the relaxation a single-stream read.
-struct HopRowScratch {
-  struct NodeEntry {
-    double weight;
-    int stamp;
-  };
-  std::vector<graph::NodeId> order;
-  std::vector<NodeEntry> node;
-  int generation = 0;
-
-  void init(const std::vector<double>& weight) {
-    node.resize(weight.size());
+ContentionRowBuilder::ContentionRowBuilder(const graph::Graph& g,
+                                           const graph::CsrAdjacency& adj,
+                                           const std::vector<double>& weight,
+                                           PathPolicy policy)
+    : g_(&g), adj_(&adj), weight_(&weight), policy_(policy) {
+  if (policy == PathPolicy::kHopShortest) {
+    node_.resize(weight.size());
     for (std::size_t i = 0; i < weight.size(); ++i) {
-      node[i] = {weight[i], 0};
+      node_[i] = {weight[i], 0};
     }
-    generation = 0;
   }
-};
+}
 
-// c_i· row: walk the deterministic BFS tree from i and accumulate weights
-// along parent chains, cost[j] = cost[parent] + w[j], seeded with w[i]
-// charged once a path leaves i. The BFS visit order processes every parent
-// before its children, so the accumulation is a single sweep; each c_ij is
-// the sum of weights along the unique tree path, associated leaf-to-root,
-// which is exactly the value the seed implementation produced.
-void hop_shortest_row(const graph::CsrAdjacency& adj, graph::NodeId i,
-                      double* row, HopRowScratch& scratch) {
-  const std::size_t n = adj.offset.size() - 1;
-  scratch.order.reserve(n);
-  const int gen = ++scratch.generation;
-  scratch.order.clear();
-  HopRowScratch::NodeEntry* node = scratch.node.data();
+void ContentionRowBuilder::build(graph::NodeId i, double* row) {
+  const std::size_t n = adj_->offset.size() - 1;
+  if (policy_ == PathPolicy::kMinContention) {
+    const auto paths = graph::dijkstra_node_weights(*g_, i, *weight_);
+    std::copy(paths.cost.begin(), paths.cost.end(), row);
+    return;
+  }
+  // c_i· row: walk the deterministic BFS tree from i and accumulate weights
+  // along parent chains, cost[j] = cost[parent] + w[j], seeded with w[i]
+  // charged once a path leaves i. The BFS visit order processes every
+  // parent before its children, so the accumulation is a single sweep;
+  // each c_ij is the sum of weights along the unique tree path, associated
+  // leaf-to-root, which is exactly the value the seed implementation
+  // produced.
+  order_.reserve(n);
+  const int gen = ++generation_;
+  order_.clear();
+  NodeEntry* node = node_.data();
   row[static_cast<std::size_t>(i)] = 0.0;
   node[static_cast<std::size_t>(i)].stamp = gen;
-  scratch.order.push_back(i);
-  const int* offset = adj.offset.data();
-  const graph::NodeId* neighbor = adj.neighbor.data();
-  for (std::size_t head = 0; head < scratch.order.size(); ++head) {
-    const graph::NodeId v = scratch.order[head];
+  order_.push_back(i);
+  const int* offset = adj_->offset.data();
+  const graph::NodeId* neighbor = adj_->neighbor.data();
+  for (std::size_t head = 0; head < order_.size(); ++head) {
+    const graph::NodeId v = order_[head];
     const double base = v == i ? node[static_cast<std::size_t>(i)].weight
                                : row[static_cast<std::size_t>(v)];
     const int end = offset[v + 1];
@@ -92,17 +84,15 @@ void hop_shortest_row(const graph::CsrAdjacency& adj, graph::NodeId i,
       if (node[wi].stamp == gen) continue;
       node[wi].stamp = gen;
       row[wi] = base + node[wi].weight;
-      scratch.order.push_back(neighbor[k]);
+      order_.push_back(neighbor[k]);
     }
   }
-  if (scratch.order.size() < n) {  // disconnected graph: unreached = ∞
+  if (order_.size() < n) {  // disconnected graph: unreached = ∞
     for (std::size_t j = 0; j < n; ++j) {
       if (node[j].stamp != gen) row[j] = graph::kInfCost;
     }
   }
 }
-
-}  // namespace
 
 ContentionMatrix::ContentionMatrix(const graph::Graph& g,
                                    const CacheState& state, PathPolicy policy)
@@ -127,30 +117,18 @@ ContentionMatrix::ContentionMatrix(const graph::Graph& g,
     worker_max[static_cast<std::size_t>(worker)] = m;
   };
 
-  if (policy == PathPolicy::kHopShortest) {
-    const graph::CsrAdjacency adj = graph::build_csr(g);
-    std::vector<HopRowScratch> scratch(static_cast<std::size_t>(threads));
-    for (HopRowScratch& s : scratch) s.init(weight);
-    util::parallel_for(
-        n,
-        [&](std::size_t i, int worker) {
-          hop_shortest_row(adj, static_cast<graph::NodeId>(i), cost_[i],
-                           scratch[static_cast<std::size_t>(worker)]);
-          fold_row_max(cost_[i], n, worker);
-        },
-        threads);
-  } else {
-    util::parallel_for(
-        n,
-        [&](std::size_t i, int worker) {
-          const auto paths =
-              graph::dijkstra_node_weights(g, static_cast<graph::NodeId>(i),
-                                           weight);
-          std::copy(paths.cost.begin(), paths.cost.end(), cost_[i]);
-          fold_row_max(cost_[i], n, worker);
-        },
-        threads);
-  }
+  const graph::CsrAdjacency adj = graph::build_csr(g);
+  std::vector<ContentionRowBuilder> builders(
+      static_cast<std::size_t>(threads),
+      ContentionRowBuilder(g, adj, weight, policy));
+  util::parallel_for(
+      n,
+      [&](std::size_t i, int worker) {
+        builders[static_cast<std::size_t>(worker)].build(
+            static_cast<graph::NodeId>(i), cost_[i]);
+        fold_row_max(cost_[i], n, worker);
+      },
+      threads);
 
   edge_cost_ = contention_edge_costs(g, weight);
 

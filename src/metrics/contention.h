@@ -39,6 +39,37 @@ enum class PathPolicy {
   kMinContention,
 };
 
+// One row c_i· of path contention costs at a time, in O(n) scratch: the
+// traversal behind every ContentionMatrix row, for callers that read only
+// some rows (the evaluator reads one per copy holder). Rows are
+// bit-identical to the matrix's. Not thread-safe; use one builder per
+// worker. `adj` (graph::build_csr(g)) and `weight` (contention_weights)
+// must outlive the builder.
+class ContentionRowBuilder {
+ public:
+  ContentionRowBuilder(const graph::Graph& g, const graph::CsrAdjacency& adj,
+                       const std::vector<double>& weight, PathPolicy policy);
+
+  // Writes c_ij into row[j] for every j (kInfCost when unreachable).
+  void build(graph::NodeId i, double* row);
+
+ private:
+  // Per-node weight and BFS visit stamp, packed so the hop-shortest
+  // relaxation is a single-stream read; the stamp replaces a per-row
+  // kInfCost pre-fill.
+  struct NodeEntry {
+    double weight;
+    int stamp;
+  };
+  const graph::Graph* g_;
+  const graph::CsrAdjacency* adj_;
+  const std::vector<double>* weight_;
+  PathPolicy policy_;
+  std::vector<NodeEntry> node_;
+  std::vector<graph::NodeId> order_;  // BFS frontier = processing order
+  int generation_ = 0;
+};
+
 // Dense matrix of path contention costs c_ij for the current cache state.
 // The n per-source rows are independent single-source traversals and are
 // built in parallel (util::parallel_threads() workers); every entry is

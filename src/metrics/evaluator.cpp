@@ -6,96 +6,140 @@
 
 namespace faircache::metrics {
 
+namespace {
+
+// Per-client cheapest copy of one chunk: the smallest (cost, source id)
+// seen so far. (cost, id) is a strict total order over one chunk's
+// sources, so folding rows in any order, or merging partial minima, gives
+// the same winner.
+struct BestSource {
+  double cost = graph::kInfCost;
+  graph::NodeId source = graph::kInvalidNode;
+};
+
+inline void fold(BestSource& best, double cost, graph::NodeId source) {
+  if (cost < best.cost || (cost == best.cost && source < best.source)) {
+    best = {cost, source};
+  }
+}
+
+}  // namespace
+
 PlacementEvaluation evaluate_placement(const graph::Graph& g,
                                        const CacheState& state,
                                        const EvaluatorOptions& options) {
   FAIRCACHE_CHECK(state.num_nodes() == g.num_nodes(),
                   "cache state / graph size mismatch");
   FAIRCACHE_CHECK(options.num_chunks >= 0, "negative chunk count");
-
-  const ContentionMatrix contention(g, state, options.path_policy);
+  const auto n = static_cast<std::size_t>(g.num_nodes());
+  const auto chunks = static_cast<std::size_t>(options.num_chunks);
+  FAIRCACHE_CHECK(options.alive == nullptr || options.alive->size() == n,
+                  "liveness mask size mismatch");
+  if (options.access_demand != nullptr) {
+    FAIRCACHE_CHECK(options.access_demand->size() >= chunks,
+                    "demand matrix missing chunk row");
+    for (std::size_t c = 0; c < chunks; ++c) {
+      FAIRCACHE_CHECK((*options.access_demand)[c].size() == n,
+                      "demand row size mismatch");
+    }
+  }
+  const auto alive = [&options](std::size_t v) {
+    return options.alive == nullptr || (*options.alive)[v] != 0;
+  };
   const graph::NodeId producer = state.producer();
 
+  // Each chunk's sources: its alive holders (dead ones cannot serve), then
+  // the producer, which always has every chunk. They are also the chunk's
+  // Steiner terminals.
+  std::vector<std::vector<graph::NodeId>> sources(chunks);
+  for (std::size_t c = 0; c < chunks; ++c) {
+    for (graph::NodeId i : state.holders(static_cast<ChunkId>(c))) {
+      if (alive(static_cast<std::size_t>(i))) sources[c].push_back(i);
+    }
+    sources[c].push_back(producer);
+  }
+
+  // The distinct sources, and per source the chunks it serves: one
+  // contention row per source, shared by all its chunks.
+  std::vector<int> source_of(n, -1);
+  std::vector<graph::NodeId> distinct;
+  std::vector<std::vector<std::size_t>> served;
+  for (std::size_t c = 0; c < chunks; ++c) {
+    for (graph::NodeId i : sources[c]) {
+      int& k = source_of[static_cast<std::size_t>(i)];
+      if (k < 0) {
+        k = static_cast<int>(distinct.size());
+        distinct.push_back(i);
+        served.emplace_back();
+      }
+      served[static_cast<std::size_t>(k)].push_back(c);
+    }
+  }
+
+  // Access phase, one sweep over the sources: build the source's row c_i·
+  // and fold it into every served chunk's per-client best. Each worker
+  // folds into its own best table; the tables are merged afterwards.
+  const std::vector<double> weight = contention_weights(g, state);
+  const graph::CsrAdjacency adj = graph::build_csr(g);
+  const int threads = util::resolve_parallel_threads(0, distinct.size());
+  std::vector<ContentionRowBuilder> builders(
+      static_cast<std::size_t>(threads),
+      ContentionRowBuilder(g, adj, weight, options.path_policy));
+  std::vector<std::vector<double>> rows(static_cast<std::size_t>(threads),
+                                        std::vector<double>(n));
+  std::vector<std::vector<BestSource>> best(
+      static_cast<std::size_t>(threads), std::vector<BestSource>(chunks * n));
+  util::parallel_for(
+      distinct.size(),
+      [&](std::size_t k, int worker) {
+        const auto w = static_cast<std::size_t>(worker);
+        double* row = rows[w].data();
+        const graph::NodeId i = distinct[k];
+        builders[w].build(i, row);
+        for (const std::size_t c : served[k]) {
+          BestSource* chunk_best = best[w].data() + c * n;
+          for (std::size_t j = 0; j < n; ++j) fold(chunk_best[j], row[j], i);
+        }
+      },
+      threads);
+  std::vector<BestSource>& merged = best[0];
+  for (std::size_t w = 1; w < best.size(); ++w) {
+    for (std::size_t x = 0; x < merged.size(); ++x) {
+      fold(merged[x], best[w][x].cost, best[w][x].source);
+    }
+  }
+
+  // Dissemination phase: a Steiner tree from the producer to all holders,
+  // every chunk's from one batch that shares the shortest-path runs.
+  const std::vector<steiner::SteinerTree> trees =
+      steiner::try_steiner_mst_approx_sets(
+          g, contention_edge_costs(g, weight), sources)
+          .value();
+
+  // Totals accumulate sequentially in client order so each sum keeps a
+  // fixed floating-point order.
   PlacementEvaluation eval;
-  eval.per_chunk.reserve(static_cast<std::size_t>(options.num_chunks));
-
-  // Per-client cheapest-source results, filled in parallel and then
-  // accumulated sequentially in client order so the access-cost sum keeps
-  // a fixed floating-point order.
-  const auto n = static_cast<std::size_t>(g.num_nodes());
-  std::vector<double> best_cost(n);
-  std::vector<graph::NodeId> best_source(n);
-
-  for (ChunkId chunk = 0; chunk < options.num_chunks; ++chunk) {
+  eval.per_chunk.reserve(chunks);
+  for (std::size_t c = 0; c < chunks; ++c) {
     ChunkEvaluation ce;
-    ce.chunk = chunk;
-    ce.assignment.assign(static_cast<std::size_t>(g.num_nodes()),
-                         graph::kInvalidNode);
-
-    std::vector<graph::NodeId> sources;
-    for (graph::NodeId i : state.holders(chunk)) {
-      // Dead holders (fault-injection runs) cannot serve.
-      if (options.alive != nullptr &&
-          (*options.alive)[static_cast<std::size_t>(i)] == 0) {
+    ce.chunk = static_cast<ChunkId>(c);
+    ce.assignment.assign(n, graph::kInvalidNode);
+    const BestSource* chunk_best = merged.data() + c * n;
+    for (std::size_t j = 0; j < n; ++j) {
+      if (!alive(j)) continue;  // casualties consume nothing
+      if (static_cast<graph::NodeId>(j) == producer) {
+        ce.assignment[j] = producer;  // holds everything locally
         continue;
       }
-      sources.push_back(i);
-    }
-    sources.push_back(producer);  // producer always has every chunk
-
-    // Access phase: every node fetches the chunk from its cheapest source.
-    // The per-client scans are independent; run them in parallel.
-    util::parallel_for(
-        n,
-        [&](std::size_t ji) {
-          const auto j = static_cast<graph::NodeId>(ji);
-          best_source[ji] = graph::kInvalidNode;
-          if (options.alive != nullptr && (*options.alive)[ji] == 0) {
-            return;  // casualties consume nothing
-          }
-          if (j == producer) return;  // holds everything locally
-          double best = graph::kInfCost;
-          graph::NodeId best_i = graph::kInvalidNode;
-          for (graph::NodeId i : sources) {
-            const double c = contention.cost(i, j);
-            if (c < best || (c == best && i < best_i)) {
-              best = c;
-              best_i = i;
-            }
-          }
-          best_cost[ji] = best;
-          best_source[ji] = best_i;
-        });
-    for (graph::NodeId j = 0; j < g.num_nodes(); ++j) {
-      if (options.alive != nullptr &&
-          (*options.alive)[static_cast<std::size_t>(j)] == 0) {
-        continue;
-      }
-      if (j == producer) {
-        ce.assignment[static_cast<std::size_t>(j)] = producer;
-        continue;
-      }
-      FAIRCACHE_CHECK(best_source[static_cast<std::size_t>(j)] !=
-                          graph::kInvalidNode,
+      FAIRCACHE_CHECK(chunk_best[j].source != graph::kInvalidNode,
                       "no reachable source for chunk");
-      ce.assignment[static_cast<std::size_t>(j)] =
-          best_source[static_cast<std::size_t>(j)];
-      double demand = 1.0;
-      if (options.access_demand != nullptr) {
-        FAIRCACHE_CHECK(static_cast<std::size_t>(chunk) <
-                            options.access_demand->size(),
-                        "demand matrix missing chunk row");
-        demand = (*options.access_demand)[static_cast<std::size_t>(chunk)]
-                                         [static_cast<std::size_t>(j)];
-      }
-      ce.access_cost += demand * best_cost[static_cast<std::size_t>(j)];
+      ce.assignment[j] = chunk_best[j].source;
+      const double demand = options.access_demand != nullptr
+                                ? (*options.access_demand)[c][j]
+                                : 1.0;
+      ce.access_cost += demand * chunk_best[j].cost;
     }
-
-    // Dissemination phase: Steiner tree from the producer to all holders.
-    const steiner::SteinerTree tree =
-        steiner::try_steiner_mst_approx(g, contention.edge_costs(), sources)
-            .value();
-    ce.dissemination_cost = tree.cost;
+    ce.dissemination_cost = trees[c].cost;
 
     eval.access_cost += ce.access_cost;
     eval.dissemination_cost += ce.dissemination_cost;

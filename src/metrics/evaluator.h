@@ -40,17 +40,28 @@ struct EvaluatorOptions {
   // Chunks to evaluate: [0, num_chunks).
   int num_chunks = 0;
   // Optional demand matrix demand[chunk][node]: weights each (node, chunk)
-  // fetch in the access cost. nullptr = the paper's uniform model.
+  // fetch in the access cost. nullptr = the paper's uniform model. Needs a
+  // row of n entries for each of the num_chunks chunks.
   const std::vector<std::vector<double>>* access_demand = nullptr;
   // Optional liveness mask (fault-injection runs): dead nodes neither
   // fetch chunks nor serve as sources or Steiner terminals. nullptr = all
-  // nodes alive.
+  // nodes alive. Needs n entries.
   const std::vector<char>* alive = nullptr;
 };
 
 // Evaluates the placement recorded in `state` on graph `g`. Contention costs
 // are computed from the *final* storage state, so every algorithm is scored
 // under identical network conditions (§V-B's comparison methodology).
+//
+// Only the rows c_i· of copy sources are read, so no n×n matrix is built:
+// one sweep over the distinct sources (alive holders of any chunk, plus the
+// producer) builds each source's row once and folds it into every chunk it
+// serves, and the dissemination trees of all chunks come from one
+// steiner::try_steiner_mst_approx_sets batch, which shares each source's
+// shortest-path run across chunks. Memory is O(num_chunks · n) per worker
+// plus one n-entry parent-edge row per distinct terminal. Sources
+// run in parallel; the result is bit-identical at any thread count.
+// `alive` and every used `access_demand` row must have n entries.
 PlacementEvaluation evaluate_placement(const graph::Graph& g,
                                        const CacheState& state,
                                        const EvaluatorOptions& options);

@@ -157,13 +157,24 @@ DisseminationResult simulate_dissemination_phase(
   const std::vector<double> edge_cost = metrics::contention_edge_costs(
       g, metrics::contention_weights(g, state));
 
+  // Every cached chunk's tree, from one batch that shares the
+  // shortest-path runs of terminals common to several chunks.
+  std::vector<metrics::ChunkId> cached;
+  std::vector<std::vector<NodeId>> terminal_sets;
   for (metrics::ChunkId chunk = 0; chunk < options.num_chunks; ++chunk) {
-    std::vector<NodeId> holders = state.holders(chunk);
-    if (holders.empty()) continue;
-    std::vector<NodeId> terminals = holders;
+    std::vector<NodeId> terminals = state.holders(chunk);
+    if (terminals.empty()) continue;
     terminals.push_back(state.producer());
-    const steiner::SteinerTree tree =
-        steiner::try_steiner_mst_approx(g, edge_cost, terminals).value();
+    cached.push_back(chunk);
+    terminal_sets.push_back(std::move(terminals));
+  }
+  const std::vector<steiner::SteinerTree> trees =
+      steiner::try_steiner_mst_approx_sets(g, edge_cost, terminal_sets)
+          .value();
+
+  for (std::size_t c = 0; c < cached.size(); ++c) {
+    const metrics::ChunkId chunk = cached[c];
+    const steiner::SteinerTree& tree = trees[c];
 
     // Tree adjacency; BFS from the producer defines forwarding order.
     std::vector<std::vector<NodeId>> tree_adj(

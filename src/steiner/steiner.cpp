@@ -52,50 +52,105 @@ struct DisjointSet {
   std::vector<std::size_t> parent;
 };
 
-// Steps 1–3 of the KMB engine: per-terminal shortest-path trees, Prim over
-// the implicit terminal metric closure, and expansion of the selected
-// closure edges into real graph edges (with possible duplicates — the
-// shared tail sorts and deduplicates).
-util::Result<std::vector<EdgeId>> closure_union_edges(
-    const Graph& g, const std::vector<NodeId>& terminals,
-    const std::vector<char>& is_terminal, const graph::CsrAdjacency& adj,
-    const std::vector<double>& slot_weight,
-    const std::vector<double>& edge_weight, int threads,
-    const util::RunBudget& budget) {
-  // 1. Shortest-path trees from every terminal — independent single-source
-  // runs, computed in parallel. Each run may stop once every terminal is
-  // settled: the closure weights below read only terminal costs, and the
-  // expansion step walks parent chains of settled nodes, both final by
-  // then.
-  std::vector<graph::EdgeWeightedPaths> trees(terminals.size());
-  util::parallel_for(
-      terminals.size(),
-      [&](std::size_t t) {
-        budget.charge();
-        trees[t] =
-            graph::dijkstra_edge_weights(g, terminals[t], edge_weight,
-                                         &is_terminal, &adj, &slot_weight);
-      },
-      threads, budget);
-  if (budget.expired()) {
-    // The fan-out drained early; some trees are missing.
-    return budget.status("steiner per-terminal SSSP fan-out");
+// A terminal set of a KMB batch, sorted and deduplicated, with the metric
+// closure among its terminals: closure[a·|T| + b] = d(terminals[a],
+// terminals[b]).
+struct ClosureSet {
+  std::vector<NodeId> terminals;
+  std::vector<double> closure;
+};
+
+// Sorts and deduplicates `terminals` in place; kInvalidInput for an empty
+// set or an id outside g.
+util::Status normalize_terminals(const Graph& g,
+                                 std::vector<NodeId>& terminals) {
+  std::sort(terminals.begin(), terminals.end());
+  terminals.erase(std::unique(terminals.begin(), terminals.end()),
+                  terminals.end());
+  if (terminals.empty()) {
+    return util::Status::invalid_input("need at least one terminal");
   }
+  for (NodeId t : terminals) {
+    if (!g.contains(t)) {
+      return util::Status::invalid_input("terminal out of range");
+    }
+  }
+  return util::Status();
+}
+
+// Slot-aligned edge weights for the CSR relaxation loop.
+std::vector<double> slot_weights(const graph::CsrAdjacency& adj,
+                                 const std::vector<double>& edge_weight) {
+  std::vector<double> slot_weight(adj.incident.size());
+  for (std::size_t k = 0; k < adj.incident.size(); ++k) {
+    slot_weight[k] = edge_weight[static_cast<std::size_t>(adj.incident[k])];
+  }
+  return slot_weight;
+}
+
+// Shared tail of both engines: the MST of the union subgraph (the expanded
+// closure edges may form cycles), then repeated pruning of non-terminal
+// leaves. `union_edges` may hold duplicates.
+SteinerTree finish_tree(const Graph& g, const std::vector<double>& edge_weight,
+                        std::vector<EdgeId> union_edges,
+                        const std::vector<char>& is_terminal) {
+  std::sort(union_edges.begin(), union_edges.end());
+  union_edges.erase(std::unique(union_edges.begin(), union_edges.end()),
+                    union_edges.end());
+
+  // 4. MST of the union subgraph.
+  std::vector<EdgeId> candidates = std::move(union_edges);
+  std::sort(candidates.begin(), candidates.end(),
+            [&](EdgeId x, EdgeId y) {
+              const double wx = edge_weight[static_cast<std::size_t>(x)];
+              const double wy = edge_weight[static_cast<std::size_t>(y)];
+              return std::tie(wx, x) < std::tie(wy, y);
+            });
+  DisjointSet node_dsu(static_cast<std::size_t>(g.num_nodes()));
+  std::vector<EdgeId> tree_edges;
+  for (EdgeId e : candidates) {
+    const auto& edge = g.edge(e);
+    if (node_dsu.unite(static_cast<std::size_t>(edge.u),
+                       static_cast<std::size_t>(edge.v))) {
+      tree_edges.push_back(e);
+    }
+  }
+
+  // 5. Prune non-terminal leaves repeatedly.
+  SteinerTree result;
+  result.edges =
+      prune_non_terminal_leaves(g, std::move(tree_edges), is_terminal);
+  for (EdgeId e : result.edges) {
+    result.cost += edge_weight[static_cast<std::size_t>(e)];
+  }
+  return result;
+}
+
+// Steps 2–5 of the KMB engine for one set: Prim over its metric closure,
+// expansion of the selected closure edges into real graph edges along the
+// shared shortest-path trees, then the shared tail. `parent_edge[k]` is the
+// shortest-path tree of source k and `source_of[v]` the k of terminal v.
+util::Result<SteinerTree> closure_tree(
+    const Graph& g, const std::vector<double>& edge_weight,
+    const ClosureSet& set, const std::vector<int>& source_of,
+    const std::vector<std::vector<EdgeId>>& parent_edge,
+    const util::RunBudget& budget) {
   // 2. MST of the terminal metric closure. Closure edge {a, b} (a < b)
-  // carries the triple (w, a, b) with w = trees[a].cost[terminals[b]];
+  // carries the triple (w, a, b) with w = d(terminals[a], terminals[b]);
   // (w, a, b) is a strict total order, so the MST under it is unique and
   // any cut-rule algorithm finds it. Prim with full-triple comparisons
   // therefore selects exactly the edges Kruskal over the sorted closure
   // would, without materializing or sorting the T² edge list. The edge set
   // produced by the expansion below is sorted and deduplicated afterwards,
   // so discovery order does not matter either.
+  const std::vector<NodeId>& terminals = set.terminals;
   const std::size_t nt = terminals.size();
   std::vector<char> in_tree(nt, 0);
   std::vector<double> key_w(nt, kInfCost);  // best crossing edge per node
   std::vector<std::size_t> key_a(nt, 0), key_b(nt, 0);
   std::vector<EdgeId> union_edges;
   const auto closure_cost = [&](std::size_t a, std::size_t b) {
-    return trees[a].cost[static_cast<std::size_t>(terminals[b])];
+    return set.closure[a * nt + b];
   };
   in_tree[0] = 1;
   for (std::size_t u = 1; u < nt; ++u) {
@@ -120,10 +175,14 @@ util::Result<std::vector<EdgeId>> closure_union_edges(
     in_tree[o] = 1;
     // 3. Expand the selected closure edge into real graph edges along the
     // shortest path from terminal key_a[o] to terminal key_b[o].
-    const auto& tree = trees[key_a[o]];
-    for (NodeId v = terminals[key_b[o]]; v != tree.source;
-         v = tree.parent[static_cast<std::size_t>(v)]) {
-      union_edges.push_back(tree.parent_edge[static_cast<std::size_t>(v)]);
+    const NodeId source = terminals[key_a[o]];
+    const std::vector<EdgeId>& tree = parent_edge[static_cast<std::size_t>(
+        source_of[static_cast<std::size_t>(source)])];
+    for (NodeId v = terminals[key_b[o]]; v != source;) {
+      const EdgeId e = tree[static_cast<std::size_t>(v)];
+      union_edges.push_back(e);
+      const auto& edge = g.edge(e);
+      v = edge.u == v ? edge.v : edge.u;
     }
     for (std::size_t u = 0; u < nt; ++u) {
       if (in_tree[u]) continue;
@@ -137,7 +196,100 @@ util::Result<std::vector<EdgeId>> closure_union_edges(
       }
     }
   }
-  return union_edges;
+  std::vector<char> is_terminal(static_cast<std::size_t>(g.num_nodes()), 0);
+  for (NodeId t : terminals) is_terminal[static_cast<std::size_t>(t)] = 1;
+  return finish_tree(g, edge_weight, std::move(union_edges), is_terminal);
+}
+
+// The KMB engine over a batch of normalized sets, each with at least two
+// terminals. 1. One shortest-path tree per distinct terminal, shared by
+// every set that contains it — independent single-source runs, computed in
+// parallel. A run may stop once the union of its sets' terminals is
+// settled: the closure weights read only terminal costs, and the expansion
+// walks parent chains of settled nodes, both final by then and equal to
+// the full run's (dijkstra_edge_weights' early-exit contract). Each run
+// keeps only the closure rows its sets read and its parent-edge row.
+// Then steps 2–5 run per set: trees[i] receives set i's tree, and the
+// returned status[i] is non-OK when set i failed.
+std::vector<util::Status> closure_trees(
+    const Graph& g, const std::vector<double>& edge_weight,
+    std::vector<ClosureSet>& sets, int threads, const util::RunBudget& budget,
+    std::vector<SteinerTree>& trees) {
+  if (sets.empty()) return {};
+  const auto n = static_cast<std::size_t>(g.num_nodes());
+  // The distinct sources, and per source the (set, row) pairs of the
+  // closures it fills. Source order does not matter: runs are independent.
+  struct Row {
+    std::size_t set, row;
+  };
+  std::vector<int> source_of(n, -1);
+  std::vector<NodeId> sources;
+  std::vector<std::vector<Row>> rows;
+  for (std::size_t s = 0; s < sets.size(); ++s) {
+    ClosureSet& set = sets[s];
+    set.closure.resize(set.terminals.size() * set.terminals.size());
+    for (std::size_t a = 0; a < set.terminals.size(); ++a) {
+      int& k = source_of[static_cast<std::size_t>(set.terminals[a])];
+      if (k < 0) {
+        k = static_cast<int>(sources.size());
+        sources.push_back(set.terminals[a]);
+        rows.emplace_back();
+      }
+      rows[static_cast<std::size_t>(k)].push_back({s, a});
+    }
+  }
+
+  const graph::CsrAdjacency adj = graph::build_csr(g);
+  const std::vector<double> slot_weight = slot_weights(adj, edge_weight);
+  std::vector<std::vector<EdgeId>> parent_edge(sources.size());
+  threads = util::resolve_parallel_threads(threads, sources.size());
+  std::vector<std::vector<char>> settle(static_cast<std::size_t>(threads),
+                                        std::vector<char>(n, 0));
+  util::parallel_for(
+      sources.size(),
+      [&](std::size_t k, int worker) {
+        budget.charge();
+        std::vector<char>& target = settle[static_cast<std::size_t>(worker)];
+        const auto set_target = [&](char flag) {
+          for (const Row& r : rows[k]) {
+            for (NodeId t : sets[r.set].terminals) {
+              target[static_cast<std::size_t>(t)] = flag;
+            }
+          }
+        };
+        set_target(1);
+        graph::EdgeWeightedPaths paths = graph::dijkstra_edge_weights(
+            g, sources[k], edge_weight, &target, &adj, &slot_weight);
+        set_target(0);
+        for (const Row& r : rows[k]) {
+          ClosureSet& set = sets[r.set];
+          double* row = set.closure.data() + r.row * set.terminals.size();
+          for (NodeId t : set.terminals) {
+            *row++ = paths.cost[static_cast<std::size_t>(t)];
+          }
+        }
+        parent_edge[k] = std::move(paths.parent_edge);
+      },
+      threads, budget);
+  std::vector<util::Status> status(sets.size());
+  if (budget.expired()) {
+    // The fan-out drained early; some trees are missing.
+    for (util::Status& st : status) {
+      st = budget.status("steiner per-terminal SSSP fan-out");
+    }
+    return status;
+  }
+  trees.resize(sets.size());
+  util::parallel_for(sets.size(), [&](std::size_t s) {
+    util::Result<SteinerTree> tree = closure_tree(
+        g, edge_weight, sets[s], source_of, parent_edge, budget);
+    if (tree.ok()) {
+      trees[s] = std::move(tree).value();
+    } else {
+      status[s] = tree.status();
+    }
+  });
+  return status;
 }
 
 // The Mehlhorn engine: one multi-source Dijkstra partitions the graph into
@@ -296,71 +448,64 @@ util::Result<SteinerTree> try_steiner_mst_approx(
   if (static_cast<int>(edge_weight.size()) != g.num_edges()) {
     return util::Status::invalid_input("edge weight vector size mismatch");
   }
-  std::sort(terminals.begin(), terminals.end());
-  terminals.erase(std::unique(terminals.begin(), terminals.end()),
-                  terminals.end());
-  if (terminals.empty()) {
-    return util::Status::invalid_input("need at least one terminal");
+  if (util::Status st = normalize_terminals(g, terminals); !st.ok()) {
+    return st;
   }
-  for (NodeId t : terminals) {
-    if (!g.contains(t)) {
-      return util::Status::invalid_input("terminal out of range");
-    }
-  }
+  if (terminals.size() == 1) return SteinerTree{};
 
-  SteinerTree result;
-  if (terminals.size() == 1) return result;
+  if (engine == Engine::kClosureKmb) {
+    std::vector<ClosureSet> sets(1);
+    sets[0].terminals = std::move(terminals);
+    std::vector<SteinerTree> trees;
+    const std::vector<util::Status> status =
+        closure_trees(g, edge_weight, sets, threads, budget, trees);
+    if (!status[0].ok()) return status[0];
+    return std::move(trees[0]);
+  }
 
   std::vector<char> is_terminal(static_cast<std::size_t>(g.num_nodes()), 0);
-  for (NodeId t : terminals) {
-    is_terminal[static_cast<std::size_t>(t)] = 1;
-  }
+  for (NodeId t : terminals) is_terminal[static_cast<std::size_t>(t)] = 1;
   const graph::CsrAdjacency adj = graph::build_csr(g);
-  std::vector<double> slot_weight(adj.incident.size());
-  for (std::size_t k = 0; k < adj.incident.size(); ++k) {
-    slot_weight[k] = edge_weight[static_cast<std::size_t>(adj.incident[k])];
+  const std::vector<double> slot_weight = slot_weights(adj, edge_weight);
+  util::Result<std::vector<EdgeId>> union_edges = voronoi_union_edges(
+      g, terminals, adj, slot_weight, edge_weight, budget);
+  if (!union_edges.ok()) return union_edges.status();
+  return finish_tree(g, edge_weight, std::move(union_edges).value(),
+                     is_terminal);
+}
+
+util::Result<std::vector<SteinerTree>> try_steiner_mst_approx_sets(
+    const Graph& g, const std::vector<double>& edge_weight,
+    const std::vector<std::vector<NodeId>>& terminal_sets,
+    const util::RunBudget& budget) {
+  if (static_cast<int>(edge_weight.size()) != g.num_edges()) {
+    return util::Status::invalid_input("edge weight vector size mismatch");
   }
-
-  // Engine-specific front half: a closure MST expanded into real graph
-  // edges (with duplicates).
-  util::Result<std::vector<EdgeId>> union_result =
-      engine == Engine::kVoronoi
-          ? voronoi_union_edges(g, terminals, adj, slot_weight, edge_weight,
-                                budget)
-          : closure_union_edges(g, terminals, is_terminal, adj, slot_weight,
-                                edge_weight, threads, budget);
-  if (!union_result.ok()) return union_result.status();
-  std::vector<EdgeId> union_edges = std::move(union_result).value();
-  std::sort(union_edges.begin(), union_edges.end());
-  union_edges.erase(std::unique(union_edges.begin(), union_edges.end()),
-                    union_edges.end());
-
-  // 4. MST of the union subgraph (it may contain cycles after expansion).
-  std::vector<EdgeId> candidates = std::move(union_edges);
-  std::sort(candidates.begin(), candidates.end(),
-            [&](EdgeId x, EdgeId y) {
-              const double wx = edge_weight[static_cast<std::size_t>(x)];
-              const double wy = edge_weight[static_cast<std::size_t>(y)];
-              return std::tie(wx, x) < std::tie(wy, y);
-            });
-  DisjointSet node_dsu(static_cast<std::size_t>(g.num_nodes()));
-  std::vector<EdgeId> tree_edges;
-  for (EdgeId e : candidates) {
-    const auto& edge = g.edge(e);
-    if (node_dsu.unite(static_cast<std::size_t>(edge.u),
-                       static_cast<std::size_t>(edge.v))) {
-      tree_edges.push_back(e);
+  // Sets that need a tree go to the shared closure engine; the first
+  // failure in set order wins, as in a loop of single-set calls.
+  std::vector<util::Status> input_status(terminal_sets.size());
+  std::vector<ClosureSet> sets;
+  std::vector<std::size_t> batch_index(terminal_sets.size(), 0);
+  for (std::size_t i = 0; i < terminal_sets.size(); ++i) {
+    std::vector<NodeId> terminals = terminal_sets[i];
+    input_status[i] = normalize_terminals(g, terminals);
+    if (input_status[i].ok() && terminals.size() > 1) {
+      batch_index[i] = sets.size() + 1;
+      sets.push_back({std::move(terminals), {}});
     }
   }
-
-  // 5. Prune non-terminal leaves repeatedly.
-  result.edges =
-      prune_non_terminal_leaves(g, std::move(tree_edges), is_terminal);
-  result.cost = 0.0;
-  for (EdgeId e : result.edges) {
-    result.cost += edge_weight[static_cast<std::size_t>(e)];
+  std::vector<SteinerTree> batch_trees;
+  const std::vector<util::Status> status =
+      closure_trees(g, edge_weight, sets, 0, budget, batch_trees);
+  std::vector<SteinerTree> trees(terminal_sets.size());
+  for (std::size_t i = 0; i < terminal_sets.size(); ++i) {
+    if (!input_status[i].ok()) return input_status[i];
+    if (batch_index[i] == 0) continue;  // one terminal: the empty tree
+    const std::size_t b = batch_index[i] - 1;
+    if (!status[b].ok()) return status[b];
+    trees[i] = std::move(batch_trees[b]);
   }
-  return result;
+  return trees;
 }
 
 double steiner_exact_dreyfus_wagner(const Graph& g,

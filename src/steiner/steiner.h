@@ -13,6 +13,9 @@
 //    cites the 1.55-ratio Robins–Zelikovsky algorithm; any constant-factor
 //    tree keeps the ConFL analysis intact, and KMB/Mehlhorn are the
 //    standard practical choices.
+//  * `try_steiner_mst_approx_sets` — the KMB engine over many terminal sets
+//    on one weighted graph, sharing one shortest-path run per distinct
+//    terminal (the evaluator's per-chunk dissemination trees).
 //  * `steiner_exact_dreyfus_wagner` — exponential-in-|terminals| exact DP,
 //    used as the optimality oracle in tests and by the tiny-instance exact
 //    solver.
@@ -33,9 +36,9 @@ namespace faircache::steiner {
 enum class Engine {
   // Kou–Markowsky–Berman over the terminal metric closure: one
   // shortest-path tree per terminal (computed in parallel, with early exit
-  // once every terminal is settled), then Prim over the implicit closure.
+  // once every terminal is settled), then Prim over the |T|×|T| closure.
   // O(|T| · m log n). The historical default; golden outputs are pinned
-  // against it.
+  // against it. try_steiner_mst_approx_sets runs it on many sets at once.
   kClosureKmb,
   // Mehlhorn's Voronoi-partition construction: one multi-source Dijkstra
   // labels every node with its nearest terminal, Voronoi boundary edges
@@ -73,6 +76,25 @@ util::Result<SteinerTree> try_steiner_mst_approx(
     const graph::Graph& g, const std::vector<double>& edge_weight,
     std::vector<graph::NodeId> terminals, int threads = 0,
     const util::RunBudget& budget = {}, Engine engine = Engine::kClosureKmb);
+
+// One kClosureKmb tree per terminal set, over one graph and one weight
+// vector: trees[i] is bit-identical to
+// try_steiner_mst_approx(g, edge_weight, terminal_sets[i]). Sets that share
+// a terminal share its shortest-path run, which stops once the union of
+// those sets' terminals is settled, so k sets over |S| distinct terminals
+// cost |S| runs instead of Σ|T_i|. The runs go in parallel
+// (util::parallel_threads() workers); the result is bit-identical at any
+// thread count. One work unit is charged per distinct terminal of a set
+// with two or more terminals.
+//
+// Failure: the status of the first failing set in index order, with the
+// codes of the single-set call (kInvalidInput for a malformed set or a
+// weight vector of the wrong size, kInfeasible for a set whose terminals
+// are not mutually reachable, the budget's own reason when it expires).
+util::Result<std::vector<SteinerTree>> try_steiner_mst_approx_sets(
+    const graph::Graph& g, const std::vector<double>& edge_weight,
+    const std::vector<std::vector<graph::NodeId>>& terminal_sets,
+    const util::RunBudget& budget = {});
 
 // Repeatedly removes edges hanging off non-terminal leaves until every
 // leaf of the forest is a terminal; returns the surviving edges sorted

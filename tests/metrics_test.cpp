@@ -16,6 +16,9 @@
 #include "metrics/fairness.h"
 #include "metrics/fairness_stats.h"
 #include "metrics/latency_model.h"
+#include "testutil.h"
+#include "util/check.h"
+#include "util/hash.h"
 #include "util/rng.h"
 
 namespace faircache::metrics {
@@ -287,6 +290,110 @@ TEST(EvaluatorTest, AssignmentsAlwaysPointAtCopies) {
       }
     }
   }
+}
+
+// FNV-1a over each chunk's id, access and dissemination cost bits and
+// assignment, then the two totals.
+std::uint64_t evaluation_hash(const PlacementEvaluation& eval) {
+  util::Fnv1a h;
+  for (const ChunkEvaluation& ce : eval.per_chunk) {
+    h.value(ce.chunk).value(ce.access_cost).value(ce.dissemination_cost);
+    h.bytes(ce.assignment.data(),
+            ce.assignment.size() * sizeof(graph::NodeId));
+  }
+  return h.value(eval.access_cost).value(eval.dissemination_cost).digest();
+}
+
+// A random placement of `chunks` chunks at capacity 2 in which node
+// `twice` holds both chunk 0 and chunk 1.
+CacheState random_placement(const Graph& g, graph::NodeId producer,
+                            int chunks, graph::NodeId twice,
+                            util::Rng& rng) {
+  CacheState state(g.num_nodes(), 2, producer);
+  state.add(twice, 0);
+  state.add(twice, 1);
+  for (int k = 0; k < 3 * g.num_nodes() / 2; ++k) {
+    const auto v = static_cast<graph::NodeId>(rng.bounded(
+        static_cast<std::uint64_t>(g.num_nodes())));
+    const auto chunk = static_cast<ChunkId>(
+        rng.bounded(static_cast<std::uint64_t>(chunks)));
+    if (state.can_cache(v, chunk)) state.add(v, chunk);
+  }
+  return state;
+}
+
+// Pinned evaluator output: per-chunk cost bits and assignments on a grid
+// and a small-world graph, under the paper's model and with each option
+// (path policy, liveness mask, demand weights) on its own and all at once.
+// Recorded before scoring moved to the shared per-source sweep.
+TEST(EvaluatorTest, PinnedGolden) {
+  util::Rng rng(1234);
+  const Graph grid = make_grid(7, 7);
+  const Graph ws = graph::make_watts_strogatz(80, 4, 0.3, rng);
+  struct Fixture {
+    const Graph* g;
+    graph::NodeId producer;
+    graph::NodeId twice;
+  };
+  const int chunks = 4;
+  std::vector<CacheState> states;
+  std::vector<std::vector<char>> alive;
+  std::vector<std::vector<std::vector<double>>> demand;
+  const std::vector<Fixture> fixtures{{&grid, 24, 10}, {&ws, 3, 41}};
+  for (const Fixture& f : fixtures) {
+    states.push_back(random_placement(*f.g, f.producer, chunks, f.twice, rng));
+    const auto n = static_cast<std::size_t>(f.g->num_nodes());
+    std::vector<char> mask(n, 1);
+    mask[static_cast<std::size_t>(f.twice)] = 0;  // a dead double holder
+    for (std::size_t v = 0; v < n; v += 7) mask[v] = 0;
+    mask[static_cast<std::size_t>(f.producer)] = 1;
+    alive.push_back(std::move(mask));
+    std::vector<std::vector<double>> d(static_cast<std::size_t>(chunks),
+                                       std::vector<double>(n));
+    for (auto& row : d) {
+      for (double& x : row) x = rng.uniform(0.0, 3.0);
+    }
+    demand.push_back(std::move(d));
+  }
+  const auto run = [&] {
+    util::Fnv1a h;
+    for (std::size_t f = 0; f < fixtures.size(); ++f) {
+      for (int variant = 0; variant < 5; ++variant) {
+        EvaluatorOptions options;
+        options.num_chunks = chunks;
+        if (variant == 1 || variant == 4) {
+          options.path_policy = PathPolicy::kMinContention;
+        }
+        if (variant == 2 || variant == 4) options.alive = &alive[f];
+        if (variant == 3 || variant == 4) options.access_demand = &demand[f];
+        h.value(evaluation_hash(
+            evaluate_placement(*fixtures[f].g, states[f], options)));
+      }
+    }
+    return h.digest();
+  };
+  EXPECT_EQ(testutil::expect_thread_invariant(run), 0x440381d22f363909ULL);
+}
+
+// A liveness mask or demand row shorter than the node count is rejected
+// instead of read out of bounds.
+TEST(EvaluatorTest, ShortOptionVectorsRejected) {
+  const Graph g = make_grid(3, 3);
+  CacheState state(9, 2, /*producer=*/0);
+  state.add(4, 0);
+  EvaluatorOptions options;
+  options.num_chunks = 1;
+  const std::vector<char> short_alive(8, 1);
+  options.alive = &short_alive;
+  EXPECT_THROW(evaluate_placement(g, state, options), util::CheckError);
+  options.alive = nullptr;
+  const std::vector<std::vector<double>> short_demand{
+      std::vector<double>(8, 1.0)};
+  options.access_demand = &short_demand;
+  EXPECT_THROW(evaluate_placement(g, state, options), util::CheckError);
+  const std::vector<std::vector<double>> no_rows;
+  options.access_demand = &no_rows;
+  EXPECT_THROW(evaluate_placement(g, state, options), util::CheckError);
 }
 
 TEST(FairnessStatsTest, GiniZeroForUniform) {

@@ -1,6 +1,7 @@
 // Unit + property tests for Steiner tree construction: the KMB and
 // Voronoi-partition 2-approximation engines against the exact
-// Dreyfus–Wagner oracle, plus the shared leaf-prune helper.
+// Dreyfus–Wagner oracle, the batched KMB entry against per-set calls, plus
+// the shared leaf-prune helper.
 
 #include "steiner/steiner.h"
 
@@ -9,8 +10,12 @@
 #include <bit>
 #include <cstdint>
 #include <set>
+#include <string>
 
 #include "graph/generators.h"
+#include "metrics/contention.h"
+#include "testutil.h"
+#include "util/deadline.h"
 #include "util/rng.h"
 
 namespace faircache::steiner {
@@ -108,6 +113,50 @@ TEST(SteinerApproxTest, DisconnectedTerminalsRejected) {
             util::StatusCode::kInfeasible);
 }
 
+// Pinned deterministic outputs of the default (KMB) engine: edge sets and
+// cost bit patterns. The evaluator, sim/traffic and the exact local search
+// all score through this engine, so any change here is a behaviour change,
+// not a refactor.
+TEST(SteinerApproxTest, PinnedDeterministicOutputs) {
+  {
+    const Graph g = make_grid(3, 3);
+    const auto tree =
+        try_steiner_mst_approx(g, unit_weights(g), {0, 2, 6, 8}).value();
+    EXPECT_EQ(tree.edges, (std::vector<EdgeId>{0, 1, 2, 4, 6, 9}));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(tree.cost),
+              0x4018000000000000ULL);  // 6.0
+  }
+  {
+    util::Rng rng(7);
+    const Graph g = make_grid(4, 4);
+    std::vector<double> w(static_cast<std::size_t>(g.num_edges()));
+    for (auto& x : w) x = rng.uniform(0.5, 4.0);
+    const auto tree = try_steiner_mst_approx(g, w, {0, 5, 10, 15}).value();
+    EXPECT_EQ(tree.edges, (std::vector<EdgeId>{1, 7, 10, 16, 18, 20}));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(tree.cost),
+              0x40209072dc3aa384ULL);  // 8.282126314313935
+  }
+  {
+    // Contention edge costs c_e = w_u(1+S(u)) + w_v(1+S(v)) with a few
+    // stored chunks: many equal-cost paths, so tie-breaking is exercised.
+    const Graph g = make_grid(10, 10);
+    metrics::CacheState state(100, 2, /*producer=*/0);
+    for (const NodeId v : {11, 22, 45, 46, 54, 77, 89}) state.add(v, 0);
+    state.add(45, 1);
+    const auto w = metrics::contention_edge_costs(
+        g, metrics::contention_weights(g, state));
+    const auto tree =
+        try_steiner_mst_approx(g, w, {0, 9, 33, 45, 67, 90, 99}).value();
+    EXPECT_EQ(tree.edges,
+              (std::vector<EdgeId>{0,   1,   2,   4,   7,   18,  20,  26,  37,
+                                   39,  45,  56,  58,  63,  65,  68,  75,  77,
+                                   87,  94,  96,  105, 107, 110, 113, 115, 128,
+                                   130, 131, 134, 150, 153, 169, 179}));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(tree.cost),
+              0x406e400000000000ULL);  // 242.0
+  }
+}
+
 // ------------------------------------------------ Voronoi engine fixtures --
 
 TEST(SteinerVoronoiTest, MatchesKnownGridCosts) {
@@ -187,6 +236,166 @@ TEST(SteinerVoronoiTest, WithinTwiceKmbOnRandomInstances) {
     expect_valid_tree(net.graph, vor, terminals);
     EXPECT_LE(vor.cost, 2.0 * kmb.cost + 1e-9);
   }
+}
+
+// ------------------------------------------------------------ batched KMB --
+
+// What the batch entry must equal: one single-set KMB call per set, in set
+// order, stopping at the first failure. `budget` makes a fresh budget per
+// call.
+template <typename MakeBudget>
+util::Result<std::vector<SteinerTree>> per_set_reference(
+    const Graph& g, const std::vector<double>& w,
+    const std::vector<std::vector<NodeId>>& sets, MakeBudget budget) {
+  const util::RunBudget shared = budget();
+  std::vector<SteinerTree> trees;
+  for (const auto& set : sets) {
+    util::Result<SteinerTree> tree =
+        try_steiner_mst_approx(g, w, set, 0, shared, Engine::kClosureKmb);
+    if (!tree.ok()) return tree.status();
+    trees.push_back(std::move(tree).value());
+  }
+  return trees;
+}
+
+// The status text of a failed batch, or every tree's edges and cost bits.
+std::string describe(const util::Result<std::vector<SteinerTree>>& result) {
+  if (!result.ok()) return result.status().to_string();
+  std::string out;
+  for (const SteinerTree& tree : result.value()) {
+    for (EdgeId e : tree.edges) out += std::to_string(e) + ",";
+    out += "|" + std::to_string(std::bit_cast<std::uint64_t>(tree.cost)) +
+           ";";
+  }
+  return out;
+}
+
+// Random terminal sets over g, drawn with replacement (so with duplicate
+// terminals), each of size 1..8: some share a hub terminal (as every chunk
+// shares the producer), some come from one slice of the ids (disjoint from
+// the other slice), some are arbitrary.
+std::vector<std::vector<NodeId>> random_sets(const Graph& g, util::Rng& rng) {
+  const std::int64_t n = g.num_nodes();
+  const auto hub = static_cast<NodeId>(rng.uniform_int(0, n - 1));
+  std::vector<std::vector<NodeId>> sets(
+      static_cast<std::size_t>(rng.uniform_int(1, 6)));
+  for (auto& set : sets) {
+    const std::int64_t size = rng.uniform_int(1, 8);
+    const std::int64_t kind = rng.uniform_int(0, 3);
+    if (kind == 0) set.push_back(hub);
+    for (std::int64_t k = 0; k < size; ++k) {
+      const std::int64_t lo = kind == 2 ? n / 2 : 0;
+      const std::int64_t hi = kind == 1 ? n / 2 - 1 : n - 1;
+      set.push_back(static_cast<NodeId>(rng.uniform_int(lo, hi)));
+    }
+  }
+  return sets;
+}
+
+// try_steiner_mst_approx_sets equals per-set KMB calls — trees, costs and
+// the first failing set's status — on random graphs with tie-heavy integer
+// and with real weights, sparse enough that some sets are unreachable, at
+// 1, 2 and 8 threads.
+TEST(SteinerBatchTest, MatchesPerSetCalls) {
+  util::Rng rng(2718);
+  int infeasible = 0;
+  int ok = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const int n = static_cast<int>(rng.uniform_int(6, 40));
+    const Graph g = graph::make_erdos_renyi(n, rng.uniform(0.04, 0.3), rng);
+    std::vector<double> w(static_cast<std::size_t>(g.num_edges()));
+    const bool integer = trial % 2 == 0;
+    for (auto& x : w) {
+      x = integer ? static_cast<double>(rng.uniform_int(1, 3))
+                  : rng.uniform(0.5, 4.0);
+    }
+    const auto sets = random_sets(g, rng);
+    const auto unlimited = [] { return util::RunBudget(); };
+    const auto expected = per_set_reference(g, w, sets, unlimited);
+    (expected.ok() ? ok : infeasible) += 1;
+    if (!expected.ok()) {
+      EXPECT_EQ(expected.code(), util::StatusCode::kInfeasible);
+    }
+    const std::string batch = testutil::expect_thread_invariant(
+        [&] { return try_steiner_mst_approx_sets(g, w, sets); }, describe);
+    EXPECT_EQ(batch, describe(expected));
+  }
+  EXPECT_GT(ok, 10);  // both outcomes are exercised
+  EXPECT_GT(infeasible, 10);
+}
+
+// Hand-made edge cases: duplicates, single-terminal sets, disjoint and
+// overlapping sets, an unreachable set behind a feasible one, malformed
+// sets, and expired budgets.
+TEST(SteinerBatchTest, EdgeCasesMatchPerSetCalls) {
+  Graph g(8);  // a 2×3 grid (0..5) plus the separate edge 6–7
+  g.add_edge(0, 1);
+  g.add_edge(1, 2);
+  g.add_edge(3, 4);
+  g.add_edge(4, 5);
+  g.add_edge(0, 3);
+  g.add_edge(1, 4);
+  g.add_edge(2, 5);
+  g.add_edge(6, 7);
+  const auto w = unit_weights(g);
+  const std::vector<std::vector<std::vector<NodeId>>> cases{
+      {},
+      {{3}},
+      {{0, 5, 0, 5}, {5, 0}},
+      {{0, 2}, {3, 5}, {6, 7}},
+      {{0, 5}, {0, 2, 4}, {1, 3, 5}},
+      {{0, 5}, {1, 6}, {7, 9}},
+      {{0, 5}, {7, 9}, {1, 6}},
+      {{0, 5}, {}, {1, 6}},
+      {{2}, {0, 5}, {3, 4}},
+  };
+  const auto cancel = [] {
+    const util::CancelToken token = util::CancelToken::make();
+    token.request_cancel();
+    return util::RunBudget::cancellable(token);
+  };
+  const auto no_work = [] { return util::RunBudget::work_units(0); };
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    SCOPED_TRACE("case " + std::to_string(c));
+    const auto& sets = cases[c];
+    EXPECT_EQ(describe(try_steiner_mst_approx_sets(g, w, sets)),
+              describe(per_set_reference(g, w, sets,
+                                         [] { return util::RunBudget(); })));
+    EXPECT_EQ(describe(try_steiner_mst_approx_sets(g, w, sets, cancel())),
+              describe(per_set_reference(g, w, sets, cancel)));
+    EXPECT_EQ(describe(try_steiner_mst_approx_sets(g, w, sets, no_work())),
+              describe(per_set_reference(g, w, sets, no_work)));
+  }
+  EXPECT_EQ(try_steiner_mst_approx_sets(g, w, cases[4]).value()[1].cost, 3.0);
+  EXPECT_EQ(try_steiner_mst_approx_sets(g, w, cases[5]).code(),
+            util::StatusCode::kInfeasible);
+  EXPECT_EQ(try_steiner_mst_approx_sets(g, w, cases[6]).code(),
+            util::StatusCode::kInvalidInput);
+  EXPECT_EQ(try_steiner_mst_approx_sets(g, w, cases[2], cancel()).code(),
+            util::StatusCode::kCancelled);
+  EXPECT_EQ(try_steiner_mst_approx_sets(g, {1.0}, cases[2]).code(),
+            util::StatusCode::kInvalidInput);
+}
+
+// The one-set batch charges the single-set call's work units: one per
+// distinct terminal.
+TEST(SteinerBatchTest, ChargesOneUnitPerDistinctTerminal) {
+  const Graph g = make_grid(4, 4);
+  const auto w = unit_weights(g);
+  const util::RunBudget single = util::RunBudget::work_units(1000);
+  ASSERT_TRUE(try_steiner_mst_approx(g, w, {0, 3, 12, 15, 3}, 0, single).ok());
+  const util::RunBudget batch = util::RunBudget::work_units(1000);
+  ASSERT_TRUE(
+      try_steiner_mst_approx_sets(g, w, {{0, 3, 12, 15, 3}}, batch).ok());
+  EXPECT_EQ(single.work_charged(), 4u);
+  EXPECT_EQ(batch.work_charged(), 4u);
+  // Two sets sharing terminals 0 and 15 run four sources, not six.
+  const util::RunBudget shared = util::RunBudget::work_units(1000);
+  ASSERT_TRUE(
+      try_steiner_mst_approx_sets(g, w, {{0, 15, 3}, {0, 15, 12}, {5}}, shared)
+          .ok());
+  EXPECT_EQ(shared.work_charged(), 4u);
 }
 
 // ------------------------------------------------------------ leaf prune --
