@@ -28,14 +28,12 @@ inline std::unique_ptr<core::CachingAlgorithm> make_dist() {
 
 inline std::unique_ptr<core::CachingAlgorithm> make_hopc() {
   return std::make_unique<baselines::GreedyTopologyCaching>(
-      baselines::BaselineConfig{baselines::BaselineMetric::kHopCount, 1.0,
-                                0.0});
+      baselines::BaselineMetric::kHopCount);
 }
 
 inline std::unique_ptr<core::CachingAlgorithm> make_cont() {
   return std::make_unique<baselines::GreedyTopologyCaching>(
-      baselines::BaselineConfig{baselines::BaselineMetric::kContention, 1.0,
-                                0.0});
+      baselines::BaselineMetric::kContention);
 }
 
 // Brute force with a budget suitable for interactive benches; reports the

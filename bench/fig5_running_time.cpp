@@ -38,8 +38,8 @@ void BM_Hopc(benchmark::State& state) {
   const graph::Graph g = graph::make_grid(side, side);
   const auto problem = bench::grid_problem(g, 9, /*chunks=*/1, 5);
   for (auto _ : state) {
-    baselines::GreedyTopologyCaching hopc(baselines::BaselineConfig{
-        baselines::BaselineMetric::kHopCount, 1.0, 0.0});
+    baselines::GreedyTopologyCaching hopc(
+        baselines::BaselineMetric::kHopCount);
     benchmark::DoNotOptimize(hopc.run(problem));
   }
   state.SetLabel(std::to_string(g.num_nodes()) + " nodes");
@@ -50,8 +50,8 @@ void BM_Cont(benchmark::State& state) {
   const graph::Graph g = graph::make_grid(side, side);
   const auto problem = bench::grid_problem(g, 9, /*chunks=*/1, 5);
   for (auto _ : state) {
-    baselines::GreedyTopologyCaching cont(baselines::BaselineConfig{
-        baselines::BaselineMetric::kContention, 1.0, 0.0});
+    baselines::GreedyTopologyCaching cont(
+        baselines::BaselineMetric::kContention);
     benchmark::DoNotOptimize(cont.run(problem));
   }
   state.SetLabel(std::to_string(g.num_nodes()) + " nodes");

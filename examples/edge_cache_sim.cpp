@@ -95,13 +95,11 @@ std::unique_ptr<core::CachingAlgorithm> make_algorithm(
   if (name == "local") return std::make_unique<exact::LocalSearchCaching>();
   if (name == "hopc") {
     return std::make_unique<baselines::GreedyTopologyCaching>(
-        baselines::BaselineConfig{baselines::BaselineMetric::kHopCount, 1.0,
-                                  0.0});
+        baselines::BaselineMetric::kHopCount);
   }
   if (name == "cont") {
     return std::make_unique<baselines::GreedyTopologyCaching>(
-        baselines::BaselineConfig{baselines::BaselineMetric::kContention,
-                                  1.0, 0.0});
+        baselines::BaselineMetric::kContention);
   }
   return nullptr;
 }

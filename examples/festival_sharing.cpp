@@ -50,11 +50,9 @@ int main(int argc, char** argv) {
   algorithms.push_back(std::make_unique<core::ApproxFairCaching>());
   algorithms.push_back(std::make_unique<sim::DistributedFairCaching>());
   algorithms.push_back(std::make_unique<baselines::GreedyTopologyCaching>(
-      baselines::BaselineConfig{baselines::BaselineMetric::kHopCount, 1.0,
-                                0.0}));
+      baselines::BaselineMetric::kHopCount));
   algorithms.push_back(std::make_unique<baselines::GreedyTopologyCaching>(
-      baselines::BaselineConfig{baselines::BaselineMetric::kContention, 1.0,
-                                0.0}));
+      baselines::BaselineMetric::kContention));
 
   util::Table table({"algo", "contention", "est_latency_ms/chunk",
                      "phones_caching", "gini", "p75_fairness"});

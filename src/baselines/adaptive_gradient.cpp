@@ -12,6 +12,9 @@ namespace faircache::baselines {
 using graph::NodeId;
 using metrics::ChunkId;
 
+// Fractional mass below this never rounds into a cache slot.
+constexpr double kRoundEpsilon = 1e-9;
+
 AdaptiveGradientCaching::AdaptiveGradientCaching(
     const core::FairCachingProblem& problem, AdaptiveGradientConfig config)
     : problem_(problem),
@@ -135,7 +138,7 @@ bool AdaptiveGradientCaching::round_state() {
     const auto vi = static_cast<std::size_t>(v);
     ranked.clear();
     for (std::size_t c = 0; c < y_.cols(); ++c) {
-      if (y_[vi][c] > config_.round_epsilon) {
+      if (y_[vi][c] > kRoundEpsilon) {
         ranked.emplace_back(y_[vi][c], static_cast<ChunkId>(c));
       }
     }

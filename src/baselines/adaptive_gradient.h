@@ -35,8 +35,6 @@ namespace faircache::baselines {
 struct AdaptiveGradientConfig {
   // Step size applied to the mean per-period subgradient.
   double step_size = 0.5;
-  // Fractional mass below this never rounds into a cache slot.
-  double round_epsilon = 1e-9;
 };
 
 class AdaptiveGradientCaching : public sim::ServingPolicy {

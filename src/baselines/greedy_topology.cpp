@@ -24,10 +24,10 @@ struct MetricCosts {
   std::vector<double> edge_weight;
 };
 
-MetricCosts metric_costs(const Graph& g, const BaselineConfig& config) {
+MetricCosts metric_costs(const Graph& g, BaselineMetric metric) {
   MetricCosts costs;
   const auto n = static_cast<std::size_t>(g.num_nodes());
-  if (config.metric == BaselineMetric::kHopCount) {
+  if (metric == BaselineMetric::kHopCount) {
     const util::Matrix<int> hops = graph::all_pairs_hops(g);
     costs.dist.assign(n, n, 0.0);
     for (std::size_t i = 0; i < n; ++i) {
@@ -52,7 +52,7 @@ MetricCosts metric_costs(const Graph& g, const BaselineConfig& config) {
 
 double placement_cost(const Graph& g, NodeId producer,
                       const std::vector<NodeId>& open,
-                      const MetricCosts& costs, double lambda) {
+                      const MetricCosts& costs, double tree_weight) {
   double access = 0.0;
   const double* prow = costs.dist[static_cast<std::size_t>(producer)];
   for (NodeId j = 0; j < g.num_nodes(); ++j) {
@@ -71,19 +71,16 @@ double placement_cost(const Graph& g, NodeId producer,
                .value()
                .cost;
   }
-  return access + lambda * tree;
+  return access + tree_weight * tree;
 }
 
 }  // namespace
 
 std::vector<NodeId> select_cache_set(const Graph& g, NodeId producer,
-                                     const BaselineConfig& config) {
+                                     BaselineMetric metric,
+                                     double tree_weight) {
   FAIRCACHE_CHECK(g.contains(producer), "producer out of range");
-  const MetricCosts costs = metric_costs(g, config);
-  const double load = config.dissemination_load_factor > 0
-                          ? config.dissemination_load_factor
-                          : 1.0;
-  const double tree_weight = config.lambda * load;
+  const MetricCosts costs = metric_costs(g, metric);
 
   const auto n = static_cast<std::size_t>(g.num_nodes());
   std::vector<NodeId> open;
@@ -141,18 +138,16 @@ core::FairCachingResult GreedyTopologyCaching::run(
     result.placements[static_cast<std::size_t>(chunk)].chunk = chunk;
   }
 
-  // Auto load factor: a chosen node ends up holding ~capacity chunks, so
-  // dissemination traffic through it contends with 1 + capacity chunk
-  // streams (Eq. 2's 1 + S(k) at the final state).
-  BaselineConfig round_config = config_;
-  if (round_config.dissemination_load_factor <= 0) {
-    double avg_capacity = 0.0;
-    for (NodeId v = 0; v < problem.network->num_nodes(); ++v) {
-      avg_capacity += static_cast<double>(result.state.capacity(v));
-    }
-    avg_capacity /= static_cast<double>(problem.network->num_nodes());
-    round_config.dissemination_load_factor = 1.0 + avg_capacity;
+  // Tree weight (λ = 1, as in the paper, times the load factor): a chosen
+  // node ends up holding ~capacity chunks, so dissemination traffic
+  // through it contends with 1 + capacity chunk streams (Eq. 2's 1 + S(k)
+  // at the final state).
+  double avg_capacity = 0.0;
+  for (NodeId v = 0; v < problem.network->num_nodes(); ++v) {
+    avg_capacity += static_cast<double>(result.state.capacity(v));
   }
+  avg_capacity /= static_cast<double>(problem.network->num_nodes());
+  const double tree_weight = 1.0 + avg_capacity;
 
   // Round structure: select a set on the current subgraph, fill it to
   // capacity with the next chunks, then recurse on untouched nodes.
@@ -194,7 +189,7 @@ core::FairCachingResult GreedyTopologyCaching::run(
     const NodeId comp_producer =
         comp.to_new[static_cast<std::size_t>(sub_producer)];
     const std::vector<NodeId> chosen =
-        select_cache_set(comp.graph, comp_producer, round_config);
+        select_cache_set(comp.graph, comp_producer, metric_, tree_weight);
     if (chosen.empty()) break;  // greedy sees no benefit; stop placing
 
     // Map back to original ids.

@@ -31,37 +31,32 @@ enum class BaselineMetric {
   kContention, // Sung et al. — "Cont"
 };
 
-struct BaselineConfig {
-  BaselineMetric metric = BaselineMetric::kContention;
-  double lambda = 1.0;  // weight of the dissemination-tree term
-  // Multiplier on the tree term modeling the load the chosen set will
-  // carry: each selected node caches up to its full capacity, so every
-  // tree edge serves (1 + capacity) chunk transmissions' worth of
-  // contention (the 1 + S(k) factor of Eq. 2 at the final state). 0 = set
-  // automatically from the problem's capacity; select_cache_set treats 0
-  // as 1.
-  double dissemination_load_factor = 0.0;
-};
-
 // One greedy selection round on an arbitrary graph: returns the chosen
-// cache set (sorted, never containing the producer). Exposed for tests.
+// cache set (sorted, never containing the producer). `tree_weight`
+// multiplies the dissemination-tree term; run() passes the load the chosen
+// set will carry — each selected node caches up to its full capacity, so
+// every tree edge serves 1 + capacity chunk transmissions' worth of
+// contention (the 1 + S(k) factor of Eq. 2 at the final state). Exposed
+// for tests.
 std::vector<graph::NodeId> select_cache_set(const graph::Graph& g,
                                             graph::NodeId producer,
-                                            const BaselineConfig& config);
+                                            BaselineMetric metric,
+                                            double tree_weight);
 
 class GreedyTopologyCaching : public core::CachingAlgorithm {
  public:
-  explicit GreedyTopologyCaching(BaselineConfig config = {})
-      : config_(config) {}
+  explicit GreedyTopologyCaching(
+      BaselineMetric metric = BaselineMetric::kContention)
+      : metric_(metric) {}
 
   std::string name() const override {
-    return config_.metric == BaselineMetric::kHopCount ? "Hopc" : "Cont";
+    return metric_ == BaselineMetric::kHopCount ? "Hopc" : "Cont";
   }
 
   core::FairCachingResult run(const core::FairCachingProblem& problem) override;
 
  private:
-  BaselineConfig config_;
+  BaselineMetric metric_;
 };
 
 }  // namespace faircache::baselines

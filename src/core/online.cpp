@@ -10,6 +10,11 @@ namespace faircache::core {
 
 using graph::NodeId;
 
+// Added to a full node's fairness cost under kEvictOldest: the price of
+// evicting its oldest chunk. The fairness term itself is computed as if one
+// slot were free.
+constexpr double kEvictionPenalty = 1.0;
+
 OnlineFairCaching::OnlineFairCaching(const FairCachingProblem& problem,
                                      OnlineConfig config)
     : problem_(problem),
@@ -45,7 +50,7 @@ util::Result<OnlineStepResult> OnlineFairCaching::try_insert_chunk(
       const double used = static_cast<double>(state_.used(v) - 1);
       const double cap = static_cast<double>(state_.capacity(v));
       instance.facility_cost[static_cast<std::size_t>(v)] =
-          config_.eviction_penalty + used / (cap - used);
+          kEvictionPenalty + used / (cap - used);
     }
   }
 

@@ -34,10 +34,6 @@ enum class ReplacementPolicy {
 struct OnlineConfig {
   ApproxConfig approx;
   ReplacementPolicy replacement = ReplacementPolicy::kNone;
-  // Added to a full node's fairness cost when replacement is enabled: the
-  // price of evicting its oldest chunk. The fairness term itself is
-  // computed as if one slot were free.
-  double eviction_penalty = 1.0;
 };
 
 struct OnlineStepResult {

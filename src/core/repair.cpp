@@ -18,35 +18,6 @@ bool is_alive(const std::vector<char>& alive, NodeId v) {
   return alive[static_cast<std::size_t>(v)] != 0;
 }
 
-// Hop distance to the nearest of `sources`, never routing through dead
-// nodes; kUnreachable for dead nodes and nodes cut off from every source.
-std::vector<int> alive_multi_bfs(const graph::Graph& g,
-                                 const std::vector<char>& alive,
-                                 const std::vector<NodeId>& sources) {
-  const auto n = static_cast<std::size_t>(g.num_nodes());
-  std::vector<int> dist(n, graph::kUnreachable);
-  std::vector<NodeId> frontier;
-  for (NodeId s : sources) {
-    if (!is_alive(alive, s)) continue;
-    if (dist[static_cast<std::size_t>(s)] == 0) continue;
-    dist[static_cast<std::size_t>(s)] = 0;
-    frontier.push_back(s);
-  }
-  std::size_t head = 0;
-  while (head < frontier.size()) {
-    const NodeId v = frontier[head++];
-    for (NodeId w : g.neighbors(v)) {
-      if (!is_alive(alive, w)) continue;
-      if (dist[static_cast<std::size_t>(w)] == graph::kUnreachable) {
-        dist[static_cast<std::size_t>(w)] =
-            dist[static_cast<std::size_t>(v)] + 1;
-        frontier.push_back(w);
-      }
-    }
-  }
-  return dist;
-}
-
 }  // namespace
 
 AliveComponent induce_alive_component(const graph::Graph& snapshot,
@@ -61,7 +32,7 @@ AliveComponent induce_alive_component(const graph::Graph& snapshot,
                   "producer must be alive to induce its component");
 
   const std::vector<int> dist =
-      alive_multi_bfs(snapshot, alive, {producer});
+      graph::alive_multi_bfs(snapshot, {producer}, &alive);
   std::vector<NodeId> keep;
   for (NodeId v = 0; v < snapshot.num_nodes(); ++v) {
     if (dist[static_cast<std::size_t>(v)] != graph::kUnreachable) {
@@ -152,7 +123,8 @@ util::Result<RepairReport> PlacementRepairEngine::repair(
   for (ChunkId c = 0; c < num_chunks; ++c) {
     std::vector<NodeId> sources = state.holders(c);
     sources.push_back(producer);
-    const std::vector<int> dist = alive_multi_bfs(snapshot, alive, sources);
+    const std::vector<int> dist =
+        graph::alive_multi_bfs(snapshot, sources, &alive);
     for (NodeId j = 0; j < n; ++j) {
       if (j == producer || !is_alive(alive, j)) continue;
       if (dist[static_cast<std::size_t>(j)] == graph::kUnreachable) {

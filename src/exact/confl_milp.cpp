@@ -194,17 +194,11 @@ ExactConflSolution solve_confl_exact(const confl::ConflInstance& instance,
   const lp::LpProblem milp = build_confl_milp(instance, &maps);
 
   mip::MipOptions mip_options = options.mip;
-  confl::ConflSolution warm;
-  bool have_warm = false;
-  if (options.warm_start_with_primal_dual) {
-    warm = confl::try_solve_confl(instance, options.primal_dual).value();
-    have_warm = true;
-    // The MILP objective of the warm solution: re-evaluate under the same
-    // cheapest-assignment rule the MILP optimizes.
-    mip_options.initial_incumbent_objective =
-        confl::evaluate_confl_objective(instance, warm.open_facilities,
-                                        warm.tree_cost);
-  }
+  const confl::ConflSolution warm = confl::try_solve_confl(instance).value();
+  // The MILP objective of the warm solution: re-evaluate under the same
+  // cheapest-assignment rule the MILP optimizes.
+  mip_options.initial_incumbent_objective = confl::evaluate_confl_objective(
+      instance, warm.open_facilities, warm.tree_cost);
 
   const mip::MipSolution mip_solution =
       mip::BranchAndBoundSolver(mip_options).solve(milp);
@@ -232,8 +226,6 @@ ExactConflSolution solve_confl_exact(const confl::ConflInstance& instance,
 
   // Fall back to the warm primal–dual solution (limits hit before the MIP
   // produced its own point; the incumbent objective equals the warm one).
-  FAIRCACHE_CHECK(have_warm,
-                  "exact solver produced no solution and no warm start");
   result.objective = *mip_options.initial_incumbent_objective;
   result.proven_optimal = mip_solution.status == mip::MipStatus::kOptimal;
   result.open_facilities = warm.open_facilities;

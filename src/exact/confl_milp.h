@@ -37,12 +37,10 @@ struct ConflMilpMaps {
 lp::LpProblem build_confl_milp(const confl::ConflInstance& instance,
                                ConflMilpMaps* maps);
 
+// Branch and bound is always seeded with the primal–dual solution (default
+// ConflOptions): it both prunes and guarantees a feasible fallback.
 struct ExactConflOptions {
   mip::MipOptions mip;
-  // Seed branch and bound with the primal–dual solution (strongly
-  // recommended: it both prunes and guarantees a feasible fallback).
-  bool warm_start_with_primal_dual = true;
-  confl::ConflOptions primal_dual;
 };
 
 struct ExactConflSolution {
@@ -53,8 +51,8 @@ struct ExactConflSolution {
   long nodes_explored = 0;
 };
 
-// Solves one ConFL instance exactly (subject to the MIP limits; with a warm
-// start the result is never worse than the primal–dual solution).
+// Solves one ConFL instance exactly (subject to the MIP limits; the result
+// is never worse than the primal–dual warm start).
 ExactConflSolution solve_confl_exact(const confl::ConflInstance& instance,
                                      const ExactConflOptions& options = {});
 

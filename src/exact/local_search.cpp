@@ -13,6 +13,10 @@ using graph::NodeId;
 
 namespace {
 
+// Passes over the move neighbourhood per chunk (each pass applies every
+// improving move found; terminates early at a local optimum).
+constexpr int kMaxPasses = 8;
+
 // Per-chunk objective of a facility set under the ConFL instance costs.
 double set_objective(const confl::ConflInstance& instance,
                      const std::vector<NodeId>& open) {
@@ -31,7 +35,7 @@ double set_objective(const confl::ConflInstance& instance,
 }
 
 std::vector<NodeId> improve_chunk(const confl::ConflInstance& instance,
-                                  std::vector<NodeId> open, int max_passes) {
+                                  std::vector<NodeId> open) {
   const int n = instance.network->num_nodes();
   std::vector<NodeId> candidates;
   for (NodeId v = 0; v < n; ++v) {
@@ -43,7 +47,7 @@ std::vector<NodeId> improve_chunk(const confl::ConflInstance& instance,
   }
 
   double current = set_objective(instance, open);
-  for (int pass = 0; pass < max_passes; ++pass) {
+  for (int pass = 0; pass < kMaxPasses; ++pass) {
     bool improved = false;
 
     // Steepest-descent over the add/drop/swap neighbourhood.
@@ -108,7 +112,7 @@ core::FairCachingResult LocalSearchCaching::run(
     // Seed with the primal–dual solution, then hill-climb.
     const confl::ConflSolution seed = confl::try_solve_confl(instance).value();
     const std::vector<NodeId> open =
-        improve_chunk(instance, seed.open_facilities, config_.max_passes);
+        improve_chunk(instance, seed.open_facilities);
 
     core::ChunkPlacement placement;
     placement.chunk = chunk;

@@ -16,9 +16,6 @@ namespace faircache::exact {
 
 struct LocalSearchConfig {
   core::InstanceOptions instance;
-  // Passes over the move neighbourhood per chunk (each pass applies every
-  // improving move found; terminates early at a local optimum).
-  int max_passes = 8;
 };
 
 class LocalSearchCaching : public core::CachingAlgorithm {

@@ -6,20 +6,37 @@
 
 namespace faircache::graph {
 
+namespace {
+
+constexpr const char* kGraphName = "faircache";
+// Scale applied to positions (DOT units).
+constexpr double kPositionScale = 10.0;
+
+// `label` as the body of a DOT double-quoted string.
+void write_escaped(std::ostream& os, const std::string& label) {
+  for (const char c : label) {
+    if (c == '"' || c == '\\') os << '\\';
+    os << c;
+  }
+}
+
+}  // namespace
+
 void write_dot(std::ostream& os, const Graph& g, const DotOptions& options) {
   const bool have_positions =
       options.x != nullptr && options.y != nullptr &&
       static_cast<int>(options.x->size()) == g.num_nodes() &&
       static_cast<int>(options.y->size()) == g.num_nodes();
 
-  os << "graph " << options.graph_name << " {\n";
+  os << "graph " << kGraphName << " {\n";
   os << "  node [shape=circle fontsize=10];\n";
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     os << "  n" << v << " [";
     if (static_cast<std::size_t>(v) < options.labels.size() &&
         !options.labels[static_cast<std::size_t>(v)].empty()) {
-      os << "label=\"" << options.labels[static_cast<std::size_t>(v)]
-         << "\" ";
+      os << "label=\"";
+      write_escaped(os, options.labels[static_cast<std::size_t>(v)]);
+      os << "\" ";
     } else {
       os << "label=\"" << v << "\" ";
     }
@@ -32,11 +49,9 @@ void write_dot(std::ostream& os, const Graph& g, const DotOptions& options) {
     }
     if (have_positions) {
       os << "pos=\""
-         << (*options.x)[static_cast<std::size_t>(v)] *
-                options.position_scale
+         << (*options.x)[static_cast<std::size_t>(v)] * kPositionScale
          << ','
-         << (*options.y)[static_cast<std::size_t>(v)] *
-                options.position_scale
+         << (*options.y)[static_cast<std::size_t>(v)] * kPositionScale
          << "!\" ";
     }
     os << "];\n";

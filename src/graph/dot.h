@@ -16,17 +16,15 @@ struct DotOptions {
   // Optional geometric positions (pinned with `pos` attributes).
   const std::vector<double>* x = nullptr;
   const std::vector<double>* y = nullptr;
-  // Scale applied to positions (DOT units).
-  double position_scale = 10.0;
-  // Node labels; empty = node id.
+  // Node labels; empty = node id. Quotes and backslashes are escaped.
   std::vector<std::string> labels;
   // Highlighted nodes (e.g. caching nodes) get a filled style.
   std::vector<NodeId> highlight;
   // One node drawn as the producer (double circle).
   std::optional<NodeId> producer;
-  std::string graph_name = "faircache";
 };
 
+// Writes `graph faircache { ... }`; positions are scaled by 10 DOT units.
 void write_dot(std::ostream& os, const Graph& g, const DotOptions& options);
 
 std::string to_dot(const Graph& g, const DotOptions& options = {});

@@ -73,6 +73,37 @@ void bfs_hops(const Graph& g, NodeId source, int* hops,
   }
 }
 
+std::vector<int> alive_multi_bfs(const Graph& g,
+                                 const std::vector<NodeId>& sources,
+                                 const std::vector<char>* alive) {
+  const auto n = static_cast<std::size_t>(g.num_nodes());
+  FAIRCACHE_CHECK(alive == nullptr || alive->size() == n,
+                  "liveness mask size mismatch");
+  const auto is_alive = [&](NodeId v) {
+    return alive == nullptr || (*alive)[static_cast<std::size_t>(v)] != 0;
+  };
+  std::vector<int> dist(n, kUnreachable);
+  std::vector<NodeId> queue;
+  for (NodeId s : sources) {
+    if (!g.contains(s) || !is_alive(s)) continue;
+    if (dist[static_cast<std::size_t>(s)] == 0) continue;
+    dist[static_cast<std::size_t>(s)] = 0;
+    queue.push_back(s);
+  }
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const NodeId v = queue[head];
+    for (NodeId w : g.neighbors(v)) {
+      if (!is_alive(w)) continue;
+      if (dist[static_cast<std::size_t>(w)] == kUnreachable) {
+        dist[static_cast<std::size_t>(w)] =
+            dist[static_cast<std::size_t>(v)] + 1;
+        queue.push_back(w);
+      }
+    }
+  }
+  return dist;
+}
+
 util::Matrix<int> all_pairs_hops(const Graph& g) {
   const auto n = static_cast<std::size_t>(g.num_nodes());
   util::Matrix<int> result;

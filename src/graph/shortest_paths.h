@@ -36,6 +36,14 @@ BfsTree bfs(const Graph& g, NodeId source);
 void bfs_hops(const Graph& g, NodeId source, int* hops,
               std::vector<NodeId>& queue);
 
+// Hop distance from the nearest of `sources`, never entering a node that
+// `alive` (optional, sized n) marks dead. Sources that are out of range or
+// dead are skipped; dead nodes and nodes cut off from every live source
+// read kUnreachable.
+std::vector<int> alive_multi_bfs(const Graph& g,
+                                 const std::vector<NodeId>& sources,
+                                 const std::vector<char>* alive = nullptr);
+
 // Hop-shortest path from the BFS tree's source to `target`, inclusive of
 // both endpoints; empty if unreachable.
 std::vector<NodeId> extract_path(const BfsTree& tree, NodeId target);

@@ -21,6 +21,9 @@ const char* to_string(SolveStatus status) {
 
 namespace {
 
+// Pricing, ratio-test and pivot-out tolerance.
+constexpr double kTolerance = 1e-9;
+
 // Internal standard-form model: min c·x  s.t.  A x (rel) b,  x ≥ 0.
 // Maps each original variable to one or two standard-form columns.
 struct StandardForm {
@@ -127,8 +130,7 @@ StandardForm build_standard_form(const LpProblem& p) {
 // Full-tableau simplex working state.
 class Tableau {
  public:
-  Tableau(const StandardForm& sf, const SimplexOptions& options)
-      : options_(options), num_structural_(sf.num_cols) {
+  explicit Tableau(const StandardForm& sf) : num_structural_(sf.num_cols) {
     const int m = static_cast<int>(sf.rows.size());
 
     // Count auxiliary columns.
@@ -225,13 +227,8 @@ class Tableau {
   SolveStatus iterate(std::vector<double>& z, int allow_cols,
                       int* iterations) {
     const int m = num_rows();
-    const int auto_limit = 200 + 50 * (m + num_cols_);
-    const int max_iter =
-        options_.max_iterations > 0 ? options_.max_iterations : auto_limit;
-    const int bland_at = options_.bland_threshold > 0
-                             ? options_.bland_threshold
-                             : max_iter / 2;
-    const double eps = options_.tolerance;
+    const int max_iter = 200 + 50 * (m + num_cols_);
+    const int bland_at = max_iter / 2;
 
     for (int iter = 0; iter < max_iter; ++iter) {
       ++*iterations;
@@ -239,10 +236,10 @@ class Tableau {
 
       // Pricing.
       int entering = -1;
-      double best = -eps;
+      double best = -kTolerance;
       for (int j = 0; j < allow_cols; ++j) {
         const double rc = z[static_cast<std::size_t>(j)];
-        if (rc < -eps) {
+        if (rc < -kTolerance) {
           if (bland) {
             entering = j;
             break;
@@ -261,10 +258,10 @@ class Tableau {
       for (int r = 0; r < m; ++r) {
         const auto& row = rows_[static_cast<std::size_t>(r)];
         const double a = row[static_cast<std::size_t>(entering)];
-        if (a <= eps) continue;
+        if (a <= kTolerance) continue;
         const double ratio = row.back() / a;
-        if (leaving == -1 || ratio < best_ratio - eps ||
-            (std::abs(ratio - best_ratio) <= eps &&
+        if (leaving == -1 || ratio < best_ratio - kTolerance ||
+            (std::abs(ratio - best_ratio) <= kTolerance &&
              basis_[static_cast<std::size_t>(r)] <
                  basis_[static_cast<std::size_t>(leaving)])) {
           leaving = r;
@@ -315,8 +312,7 @@ class Tableau {
       const auto& row = rows_[static_cast<std::size_t>(r)];
       int col = -1;
       for (int j = 0; j < artificial_begin_; ++j) {
-        if (std::abs(row[static_cast<std::size_t>(j)]) >
-            options_.tolerance) {
+        if (std::abs(row[static_cast<std::size_t>(j)]) > kTolerance) {
           col = j;
           break;
         }
@@ -336,7 +332,6 @@ class Tableau {
   }
 
  private:
-  SimplexOptions options_;
   int num_structural_;
   int slack_begin_ = 0;
   int artificial_begin_ = 0;
@@ -350,7 +345,7 @@ class Tableau {
 LpSolution SimplexSolver::solve(const LpProblem& problem) const {
   LpSolution solution;
   const StandardForm sf = build_standard_form(problem);
-  Tableau tableau(sf, options_);
+  Tableau tableau(sf);
 
   // Phase 1: minimize the sum of artificials.
   double phase1_obj = 0.0;

@@ -31,23 +31,11 @@ struct LpSolution {
   int iterations = 0;
 };
 
-struct SimplexOptions {
-  double tolerance = 1e-9;
-  // 0 = automatic (scales with problem size).
-  int max_iterations = 0;
-  // Pivots after which pricing switches from Dantzig to Bland's rule
-  // (guarantees termination); 0 = automatic.
-  int bland_threshold = 0;
-};
-
+// The iteration limit scales with the tableau size; pricing switches from
+// Dantzig to Bland's rule (which guarantees termination) halfway there.
 class SimplexSolver {
  public:
-  explicit SimplexSolver(SimplexOptions options = {}) : options_(options) {}
-
   LpSolution solve(const LpProblem& problem) const;
-
- private:
-  SimplexOptions options_;
 };
 
 }  // namespace faircache::lp

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <queue>
 
+#include "lp/simplex.h"
 #include "util/stopwatch.h"
 
 namespace faircache::mip {
@@ -25,6 +26,11 @@ const char* to_string(MipStatus status) {
 }
 
 namespace {
+
+// A value within this of an integer counts as integral.
+constexpr double kIntegralityTolerance = 1e-6;
+// Prune nodes whose bound is within this of the incumbent (absolute).
+constexpr double kAbsoluteGap = 1e-9;
 
 struct Node {
   double bound;  // parent LP value (minimization sense)
@@ -54,7 +60,7 @@ MipSolution BranchAndBoundSolver::solve(const lp::LpProblem& problem) const {
 
   MipSolution result;
   util::Stopwatch clock;
-  lp::SimplexSolver lp_solver(options_.lp_options);
+  lp::SimplexSolver lp_solver;
 
   double incumbent = lp::kInfinity;
   std::vector<double> incumbent_values;
@@ -97,7 +103,7 @@ MipSolution BranchAndBoundSolver::solve(const lp::LpProblem& problem) const {
     Node node = open.top();
     open.pop();
     best_open_bound = node.bound;
-    if (node.bound >= incumbent - options_.absolute_gap) {
+    if (node.bound >= incumbent - kAbsoluteGap) {
       // Best-first order: every remaining node is at least as bad.
       best_open_bound = incumbent;
       break;
@@ -121,12 +127,12 @@ MipSolution BranchAndBoundSolver::solve(const lp::LpProblem& problem) const {
       continue;  // cannot trust this node; drop it (bound stays valid-ish)
     }
     const double node_value = sense * relax.objective;
-    if (node_value >= incumbent - options_.absolute_gap) continue;
+    if (node_value >= incumbent - kAbsoluteGap) continue;
 
     // Find the most fractional integer variable.
     lp::VarId branch_var = -1;
     double branch_value = 0.0;
-    double most_fractional = options_.integrality_tolerance;
+    double most_fractional = kIntegralityTolerance;
     for (lp::VarId v : integer_vars) {
       const double value = relax.values[static_cast<std::size_t>(v)];
       const double frac = std::abs(value - std::round(value));
@@ -186,7 +192,7 @@ MipSolution BranchAndBoundSolver::solve(const lp::LpProblem& problem) const {
     result.values = std::move(incumbent_values);
     result.best_bound = sense * bound;
     const bool proven = (open.empty() && !hit_limit) ||
-                        bound >= incumbent - options_.absolute_gap;
+                        bound >= incumbent - kAbsoluteGap;
     result.status = proven ? MipStatus::kOptimal : MipStatus::kFeasible;
   } else if (!hit_limit && open.empty()) {
     result.status = MipStatus::kInfeasible;

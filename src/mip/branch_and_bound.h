@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "lp/problem.h"
-#include "lp/simplex.h"
 
 namespace faircache::mip {
 
@@ -35,16 +34,12 @@ struct MipSolution {
 };
 
 struct MipOptions {
-  double integrality_tolerance = 1e-6;
-  // Prune nodes whose bound is within this of the incumbent (absolute).
-  double absolute_gap = 1e-9;
   long max_nodes = 1'000'000;
   double time_limit_seconds = 0.0;  // 0 = unlimited
   // Warm start: a known feasible objective (and optionally the point)
   // used for pruning from the start.
   std::optional<double> initial_incumbent_objective;
   std::vector<double> initial_incumbent_values;
-  lp::SimplexOptions lp_options;
 };
 
 class BranchAndBoundSolver {

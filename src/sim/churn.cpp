@@ -476,7 +476,7 @@ util::Result<ChurnRunResult> run_churn(const core::FairCachingProblem& problem,
     const bool producer_alive =
         producer >= 0 && producer < universe.num_nodes() &&
         sim.alive()[static_cast<std::size_t>(producer)];
-    if (config.repair_enabled && producer_alive) {
+    if (producer_alive) {
       const util::RunBudget budget =
           util::RunBudget::work_units(config.repair_work_cap, config.cancel);
       util::Result<core::RepairReport> repaired = engine.repair(
@@ -484,7 +484,7 @@ util::Result<ChurnRunResult> run_churn(const core::FairCachingProblem& problem,
       if (!repaired.ok()) return repaired.status();
       report = repaired.value();
       if (!report.stop_reason.ok()) result.last_stop = report.stop_reason;
-    } else if (config.repair_enabled) {
+    } else {
       // Producer down: no repair target, but holder-aliveness is still a
       // validity requirement, so dead holders are evicted by hand.
       for (NodeId v = 0; v < result.state.num_nodes(); ++v) {

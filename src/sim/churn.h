@@ -194,7 +194,6 @@ class ChurnTimeline {
 // --- The degrade-and-repair loop -----------------------------------------
 
 struct ChurnRunConfig {
-  bool repair_enabled = true;
   core::RepairOptions repair;
   // Work-unit cap per repair pass (kNoWorkCap = unlimited). Work-unit
   // budgets are deterministic, so capped runs stay thread-invariant.

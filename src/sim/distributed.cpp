@@ -50,6 +50,17 @@ bool needs_ack(MessageType type) {
          type == MessageType::kBadmin || type == MessageType::kSpan;
 }
 
+// The ACK/retransmission layer: the initial retransmission timeout (RTO),
+// the cap the RTO doubles up to per attempt, and the transmissions after
+// which the sender gives up (the watchdog and crash repair take over).
+constexpr int kAckTimeoutRounds = 4;
+constexpr int kMaxBackoffRounds = 64;
+constexpr int kMaxAttempts = 8;
+static_assert(kAckTimeoutRounds >= 3,
+              "RTO below the 2-round ACK RTT would retransmit spuriously");
+static_assert(kMaxAttempts >= 1 && kMaxBackoffRounds >= kAckTimeoutRounds,
+              "invalid reliability constants");
+
 // A reliable message awaiting its ACK.
 struct PendingSend {
   Message msg;
@@ -85,13 +96,6 @@ core::FairCachingResult DistributedFairCaching::run(
   std::unique_ptr<FaultyChannel> channel;
   if (config_.faults.has_value()) {
     channel = std::make_unique<FaultyChannel>(*config_.faults, n);
-    const ReliabilityConfig& rel = config_.reliability;
-    FAIRCACHE_CHECK(rel.ack_timeout_rounds >= 3,
-                    "RTO below the 2-round ACK RTT would retransmit "
-                    "spuriously");
-    FAIRCACHE_CHECK(rel.max_attempts >= 1 && rel.max_backoff_rounds >=
-                        rel.ack_timeout_rounds,
-                    "invalid reliability configuration");
   }
 
   // k-hop neighbourhoods are topology-only; compute once.
@@ -220,7 +224,7 @@ core::FairCachingResult DistributedFairCaching::run(
         m.seq = next_seq++;
         PendingSend p;
         p.msg = m;
-        p.backoff = config_.reliability.ack_timeout_rounds;
+        p.backoff = kAckTimeoutRounds;
         p.next_resend = round + p.backoff;
         p.attempts = 1;
         pending.emplace(m.seq, p);
@@ -373,13 +377,12 @@ core::FairCachingResult DistributedFairCaching::run(
       }
 
       // Retransmit reliable messages whose ACK timed out; give up after
-      // max_attempts (the watchdog and crash repair cover the remainder).
+      // kMaxAttempts (the watchdog and crash repair cover the remainder).
       if (channel) {
-        const ReliabilityConfig& rel = config_.reliability;
         for (auto it = pending.begin(); it != pending.end();) {
           PendingSend& p = it->second;
           if (round >= p.next_resend) {
-            if (p.attempts >= rel.max_attempts) {
+            if (p.attempts >= kMaxAttempts) {
               it = pending.erase(it);
               continue;
             }
@@ -387,7 +390,7 @@ core::FairCachingResult DistributedFairCaching::run(
             if (channel->alive(p.msg.from)) {
               bus.resend(p.msg);
               ++p.attempts;
-              p.backoff = std::min(2 * p.backoff, rel.max_backoff_rounds);
+              p.backoff = std::min(2 * p.backoff, kMaxBackoffRounds);
             }
             p.next_resend = round + p.backoff;
           }

@@ -53,7 +53,6 @@ struct DistributedConfig {
   // Fault injection: when set (even to an all-zero plan) every message
   // crosses a FaultyChannel and the reliability layer is enabled.
   std::optional<FaultPlan> faults;
-  ReliabilityConfig reliability;
 };
 
 class DistributedFairCaching : public core::CachingAlgorithm {

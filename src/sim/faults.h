@@ -73,13 +73,6 @@ struct FaultPlan {
 // FAIRCACHE_CHECK; callers with untrusted schedules validate first.
 util::Status validate_fault_plan(const FaultPlan& plan, int num_nodes);
 
-// Knobs of the ACK/retransmission layer in sim::DistributedFairCaching.
-struct ReliabilityConfig {
-  int ack_timeout_rounds = 4;  // initial retransmission timeout (RTO)
-  int max_backoff_rounds = 64; // RTO doubles per attempt up to this cap
-  int max_attempts = 8;        // give up after this many transmissions
-};
-
 // Executes a FaultPlan. The channel sits between a MessageBus outbox and
 // its delivery batch: MessageBus::deliver_round() hands the round's outbox
 // to transmit(), which advances the channel's global round counter, applies

@@ -1,6 +1,5 @@
 #include "sim/mobility.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "graph/shortest_paths.h"
@@ -22,7 +21,6 @@ RandomWaypointModel::RandomWaypointModel(MobilityConfig config,
   wx_.resize(n);
   wy_.resize(n);
   speed_.resize(n);
-  pause_.assign(n, 0.0);
   for (std::size_t v = 0; v < n; ++v) {
     x_[v] = rng_.uniform(0.0, config_.area);
     y_[v] = rng_.uniform(0.0, config_.area);
@@ -42,22 +40,15 @@ void RandomWaypointModel::step(double dt) {
   for (std::size_t v = 0; v < x_.size(); ++v) {
     double remaining = dt;
     while (remaining > 0) {
-      if (pause_[v] > 0) {
-        const double wait = std::min(pause_[v], remaining);
-        pause_[v] -= wait;
-        remaining -= wait;
-        continue;
-      }
       const double dx = wx_[v] - x_[v];
       const double dy = wy_[v] - y_[v];
       const double dist = std::sqrt(dx * dx + dy * dy);
       const double travel = speed_[v] * remaining;
       if (travel >= dist) {
-        // Arrive, pause, and choose a new waypoint.
+        // Arrive and choose a new waypoint.
         x_[v] = wx_[v];
         y_[v] = wy_[v];
         remaining -= speed_[v] > 0 ? dist / speed_[v] : remaining;
-        pause_[v] = config_.pause_time;
         pick_waypoint(v);
       } else {
         x_[v] += dx / dist * travel;
@@ -103,30 +94,11 @@ PlacementRobustness evaluate_robustness(const graph::Graph& snapshot,
   for (metrics::ChunkId chunk = 0; chunk < num_chunks; ++chunk) {
     std::vector<graph::NodeId> sources = placement.holders(chunk);
     sources.push_back(placement.producer());
-    // Multi-source BFS: distance from the nearest copy. Dead nodes are
-    // neither seeded nor relayed through; an out-of-range producer (no
-    // producer present in the snapshot) simply contributes no source.
-    std::vector<int> dist(static_cast<std::size_t>(snapshot.num_nodes()),
-                          graph::kUnreachable);
-    std::vector<graph::NodeId> frontier;
-    for (graph::NodeId s : sources) {
-      if (s < 0 || s >= snapshot.num_nodes() || !is_alive(s)) continue;
-      if (dist[static_cast<std::size_t>(s)] == 0) continue;
-      dist[static_cast<std::size_t>(s)] = 0;
-      frontier.push_back(s);
-    }
-    std::size_t head = 0;
-    while (head < frontier.size()) {
-      const graph::NodeId v = frontier[head++];
-      for (graph::NodeId w : snapshot.neighbors(v)) {
-        if (!is_alive(w)) continue;
-        if (dist[static_cast<std::size_t>(w)] == graph::kUnreachable) {
-          dist[static_cast<std::size_t>(w)] =
-              dist[static_cast<std::size_t>(v)] + 1;
-          frontier.push_back(w);
-        }
-      }
-    }
+    // Distance from the nearest copy. Dead nodes are neither seeded nor
+    // relayed through; an out-of-range producer (no producer present in
+    // the snapshot) simply contributes no source.
+    const std::vector<int> dist =
+        graph::alive_multi_bfs(snapshot, sources, alive);
     for (graph::NodeId j = 0; j < snapshot.num_nodes(); ++j) {
       if (j == placement.producer() || !is_alive(j)) continue;
       ++result.pairs;

@@ -20,9 +20,10 @@ struct MobilityConfig {
   double radius = 0.2;      // radio range for topology snapshots
   double min_speed = 0.01;  // area units per time unit
   double max_speed = 0.05;
-  double pause_time = 0.0;  // dwell at each waypoint
 };
 
+// Nodes head for a waypoint and pick the next one on arrival, without
+// dwelling there (zero pause time).
 class RandomWaypointModel {
  public:
   RandomWaypointModel(MobilityConfig config, util::Rng& rng);
@@ -47,7 +48,6 @@ class RandomWaypointModel {
   std::vector<double> wx_;     // waypoint
   std::vector<double> wy_;
   std::vector<double> speed_;
-  std::vector<double> pause_;  // remaining pause time
 
   void pick_waypoint(std::size_t v);
 };

@@ -7,6 +7,7 @@
 
 #include "graph/shortest_paths.h"
 #include "metrics/contention.h"
+#include "metrics/latency_model.h"
 #include "steiner/steiner.h"
 
 namespace faircache::sim {
@@ -27,7 +28,7 @@ TrafficResult simulate_access_phase(const graph::Graph& g,
   std::vector<double> service(static_cast<std::size_t>(g.num_nodes()));
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     service[static_cast<std::size_t>(v)] =
-        metrics::hop_delay_us(g, state, v, options.dcf);
+        metrics::hop_delay_us(g, state, v, metrics::DcfParameters{});
   }
   std::vector<double> busy_until(static_cast<std::size_t>(g.num_nodes()),
                                  0.0);
@@ -148,7 +149,7 @@ DisseminationResult simulate_dissemination_phase(
   std::vector<double> service(static_cast<std::size_t>(g.num_nodes()));
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     service[static_cast<std::size_t>(v)] =
-        metrics::hop_delay_us(g, state, v, options.dcf);
+        metrics::hop_delay_us(g, state, v, metrics::DcfParameters{});
   }
   std::vector<double> busy_until(static_cast<std::size_t>(g.num_nodes()),
                                  0.0);

@@ -13,12 +13,10 @@
 
 #include "graph/graph.h"
 #include "metrics/cache_state.h"
-#include "metrics/latency_model.h"
 
 namespace faircache::sim {
 
 struct TrafficOptions {
-  metrics::DcfParameters dcf;
   int num_chunks = 0;
   // Fetch start times are staggered by this many microseconds per (node,
   // chunk) pair to avoid a pathological time-zero burst; 0 = all at once.

@@ -22,9 +22,7 @@ TEST(SelectCacheSetTest, NeverSelectsProducer) {
   const Graph g = graph::make_grid(4, 4);
   for (const auto metric :
        {BaselineMetric::kHopCount, BaselineMetric::kContention}) {
-    BaselineConfig config;
-    config.metric = metric;
-    const auto set = select_cache_set(g, 5, config);
+    const auto set = select_cache_set(g, 5, metric, 1.0);
     EXPECT_TRUE(std::find(set.begin(), set.end(), 5) == set.end());
   }
 }
@@ -32,9 +30,7 @@ TEST(SelectCacheSetTest, NeverSelectsProducer) {
 TEST(SelectCacheSetTest, PathBenefitsFromRemoteCache) {
   // Long path, producer at one end: a remote cache node must be selected.
   const Graph g = graph::make_path(15);
-  BaselineConfig config;
-  config.metric = BaselineMetric::kHopCount;
-  const auto set = select_cache_set(g, 0, config);
+  const auto set = select_cache_set(g, 0, BaselineMetric::kHopCount, 1.0);
   ASSERT_FALSE(set.empty());
   bool has_far = false;
   for (NodeId v : set) has_far = has_far || v >= 7;
@@ -43,19 +39,14 @@ TEST(SelectCacheSetTest, PathBenefitsFromRemoteCache) {
 
 TEST(SelectCacheSetTest, LoadFactorShrinksSelection) {
   const Graph g = graph::make_grid(6, 6);
-  BaselineConfig cheap;
-  cheap.metric = BaselineMetric::kContention;
-  cheap.dissemination_load_factor = 1.0;
-  BaselineConfig dear = cheap;
-  dear.dissemination_load_factor = 6.0;
-  EXPECT_GE(select_cache_set(g, 9, cheap).size(),
-            select_cache_set(g, 9, dear).size());
+  EXPECT_GE(select_cache_set(g, 9, BaselineMetric::kContention, 1.0).size(),
+            select_cache_set(g, 9, BaselineMetric::kContention, 6.0).size());
 }
 
 TEST(SelectCacheSetTest, Deterministic) {
   const Graph g = graph::make_grid(5, 5);
-  BaselineConfig config;
-  EXPECT_EQ(select_cache_set(g, 12, config), select_cache_set(g, 12, config));
+  EXPECT_EQ(select_cache_set(g, 12, BaselineMetric::kContention, 1.0),
+            select_cache_set(g, 12, BaselineMetric::kContention, 1.0));
 }
 
 TEST(GreedyTopologyTest, SameSetForEveryChunkWithinCapacity) {
@@ -63,8 +54,7 @@ TEST(GreedyTopologyTest, SameSetForEveryChunkWithinCapacity) {
   // capacity) land on exactly those nodes.
   const Graph g = graph::make_grid(6, 6);
   const auto problem = make_problem(g, 9, 5, 5);
-  GreedyTopologyCaching cont(
-      BaselineConfig{BaselineMetric::kContention, 1.0, 0.0});
+  GreedyTopologyCaching cont(BaselineMetric::kContention);
   const auto result = cont.run(problem);
 
   ASSERT_EQ(result.placements.size(), 5u);
@@ -79,9 +69,7 @@ TEST(GreedyTopologyTest, ConcentratedLoadLowFairness) {
   const auto problem = make_problem(g, 9, 5, 5);
   for (const auto metric :
        {BaselineMetric::kHopCount, BaselineMetric::kContention}) {
-    BaselineConfig config;
-    config.metric = metric;
-    GreedyTopologyCaching algo(config);
+    GreedyTopologyCaching algo(metric);
     const auto result = algo.run(problem);
     const auto counts = result.state.stored_counts();
     // Baselines concentrate: high Gini, few loaded nodes.
@@ -96,7 +84,7 @@ TEST(GreedyTopologyTest, MultiItemRoundsMoveToFreshNodes) {
   // More chunks than one set's capacity: round 2 must use new nodes.
   const Graph g = graph::make_grid(5, 5);
   const auto problem = make_problem(g, 12, 6, 3);  // capacity 3, 6 chunks
-  GreedyTopologyCaching cont(BaselineConfig{});
+  GreedyTopologyCaching cont;
   const auto result = cont.run(problem);
 
   const auto& first = result.placements[0].cache_nodes;
@@ -116,26 +104,20 @@ TEST(GreedyTopologyTest, MultiItemRoundsMoveToFreshNodes) {
 TEST(GreedyTopologyTest, CapacityZeroPlacesNothing) {
   const Graph g = graph::make_grid(3, 3);
   const auto problem = make_problem(g, 4, 3, 0);
-  GreedyTopologyCaching algo(BaselineConfig{});
+  GreedyTopologyCaching algo;
   const auto result = algo.run(problem);
   EXPECT_EQ(result.state.total_stored(), 0);
 }
 
 TEST(GreedyTopologyTest, NamesMatchPaper) {
-  EXPECT_EQ(GreedyTopologyCaching(
-                BaselineConfig{BaselineMetric::kHopCount, 1.0, 0.0})
-                .name(),
-            "Hopc");
-  EXPECT_EQ(GreedyTopologyCaching(
-                BaselineConfig{BaselineMetric::kContention, 1.0, 0.0})
-                .name(),
-            "Cont");
+  EXPECT_EQ(GreedyTopologyCaching(BaselineMetric::kHopCount).name(), "Hopc");
+  EXPECT_EQ(GreedyTopologyCaching(BaselineMetric::kContention).name(), "Cont");
 }
 
 TEST(GreedyTopologyTest, PlacementsMatchState) {
   const Graph g = graph::make_grid(4, 4);
   const auto problem = make_problem(g, 5, 7, 4);
-  GreedyTopologyCaching algo(BaselineConfig{BaselineMetric::kHopCount});
+  GreedyTopologyCaching algo(BaselineMetric::kHopCount);
   const auto result = algo.run(problem);
   std::vector<int> per_node(16, 0);
   for (const auto& placement : result.placements) {
@@ -157,9 +139,7 @@ TEST_P(BaselineTopologyTest, ValidOnGrids) {
   const auto problem = make_problem(g, 0, 5, 5);
   for (const auto metric :
        {BaselineMetric::kHopCount, BaselineMetric::kContention}) {
-    BaselineConfig config;
-    config.metric = metric;
-    GreedyTopologyCaching algo(config);
+    GreedyTopologyCaching algo(metric);
     const auto result = algo.run(problem);
     EXPECT_EQ(result.state.used(0), 0);  // producer clean
     const auto eval = result.evaluate(problem);

@@ -271,7 +271,7 @@ TEST(BaselineEdgeCasesTest, TwoNodeNetworkPlacesOrSkips) {
   problem.network = &g;
   problem.producer = 0;
   problem.num_chunks = 2;
-  baselines::GreedyTopologyCaching cont(baselines::BaselineConfig{});
+  baselines::GreedyTopologyCaching cont;
   const auto result = cont.run(problem);
   EXPECT_LE(result.state.used(1), 5);
   EXPECT_EQ(result.state.used(0), 0);
@@ -297,8 +297,7 @@ TEST_P(AllAlgorithmsFuzzTest, InvariantsHold) {
   core::ApproxFairCaching appx;
   sim::DistributedFairCaching dist;
   baselines::GreedyTopologyCaching hopc(
-      baselines::BaselineConfig{baselines::BaselineMetric::kHopCount, 1.0,
-                                0.0});
+      baselines::BaselineMetric::kHopCount);
   core::CachingAlgorithm* algos[] = {&appx, &dist, &hopc};
   for (auto* algo : algos) {
     const auto result = algo->run(problem);

@@ -236,8 +236,9 @@ TEST(OnlineTest, RebuildModeMatchesLegacyStatelessLoop) {
       }
       const double used = static_cast<double>(state.used(v) - 1);
       const double cap = static_cast<double>(state.capacity(v));
+      // 1.0 is the library's fixed eviction penalty.
       instance.facility_cost[static_cast<std::size_t>(v)] =
-          config.eviction_penalty + used / (cap - used);
+          1.0 + used / (cap - used);
     }
     const confl::ConflSolution solution =
         confl::try_solve_confl(instance, config.approx.confl).value();
@@ -556,6 +557,16 @@ TEST(DotTest, ContainsNodesEdgesAndHighlights) {
   EXPECT_NE(dot.find("n1 -- n2"), std::string::npos);
   EXPECT_NE(dot.find("doublecircle"), std::string::npos);
   EXPECT_NE(dot.find("fillcolor=lightblue"), std::string::npos);
+}
+
+TEST(DotTest, LabelsEscapeQuotesAndBackslashes) {
+  // Unescaped, either character ends or corrupts the quoted DOT string.
+  const Graph g = graph::make_path(2);
+  graph::DotOptions options;
+  options.labels = {"say \"hi\"", "C:\\cache"};
+  const std::string dot = graph::to_dot(g, options);
+  EXPECT_NE(dot.find(R"(label="say \"hi\"")"), std::string::npos) << dot;
+  EXPECT_NE(dot.find(R"(label="C:\\cache")"), std::string::npos) << dot;
 }
 
 TEST(DotTest, PositionsEmittedWhenProvided) {

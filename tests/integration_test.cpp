@@ -26,11 +26,9 @@ std::vector<std::unique_ptr<core::CachingAlgorithm>> all_algorithms() {
   algos.push_back(std::make_unique<core::ApproxFairCaching>());
   algos.push_back(std::make_unique<sim::DistributedFairCaching>());
   algos.push_back(std::make_unique<baselines::GreedyTopologyCaching>(
-      baselines::BaselineConfig{baselines::BaselineMetric::kHopCount, 1.0,
-                                0.0}));
+      baselines::BaselineMetric::kHopCount));
   algos.push_back(std::make_unique<baselines::GreedyTopologyCaching>(
-      baselines::BaselineConfig{baselines::BaselineMetric::kContention, 1.0,
-                                0.0}));
+      baselines::BaselineMetric::kContention));
   return algos;
 }
 
@@ -165,7 +163,7 @@ TEST(IntegrationTest, RuntimeOrderingApproxFastest) {
   core::ApproxFairCaching appx;
   const double t_appx = appx.run(problem).runtime_seconds;
 
-  baselines::GreedyTopologyCaching cont(baselines::BaselineConfig{});
+  baselines::GreedyTopologyCaching cont;
   const double t_cont = cont.run(problem).runtime_seconds;
 
   EXPECT_LT(t_appx, t_cont);
@@ -203,7 +201,7 @@ TEST(IntegrationTest, MultiChunkAccumulationFavorsFairAlgorithms) {
     const auto problem = make_problem(g, 0, 10, 5);
     core::ApproxFairCaching appx;
     const double appx_10 = appx.run(problem).evaluate(problem).total();
-    baselines::GreedyTopologyCaching cont(baselines::BaselineConfig{});
+    baselines::GreedyTopologyCaching cont;
     const double cont_10 = cont.run(problem).evaluate(problem).total();
     EXPECT_LT(appx_10, cont_10 * 1.35);
   }
@@ -212,7 +210,7 @@ TEST(IntegrationTest, MultiChunkAccumulationFavorsFairAlgorithms) {
     const auto problem = make_problem(g, 0, 10, 5);
     core::ApproxFairCaching appx;
     const double appx_10 = appx.run(problem).evaluate(problem).total();
-    baselines::GreedyTopologyCaching cont(baselines::BaselineConfig{});
+    baselines::GreedyTopologyCaching cont;
     const double cont_10 = cont.run(problem).evaluate(problem).total();
     EXPECT_LT(appx_10, cont_10 * 1.1);
   }
