@@ -90,7 +90,6 @@ inline void decode_problem(const std::uint8_t* data, std::size_t size,
   out.config.confl.growth = (opt & 0x1) != 0
                                 ? confl::GrowthMode::kEventDriven
                                 : confl::GrowthMode::kFixedStep;
-  out.config.confl.alpha_step = 0.25 * (1 + ((opt >> 1) & 0x7));
   out.config.confl.gamma_step = 0.5 * (1 + ((opt >> 4) & 0x7));
   out.config.confl.steiner_engine = (opt & 0x80) != 0
                                         ? steiner::Engine::kVoronoi
@@ -100,6 +99,13 @@ inline void decode_problem(const std::uint8_t* data, std::size_t size,
   // the incremental delta-update paths.
   const std::uint8_t span_byte = in.u8();
   out.config.confl.span_threshold = 1 + span_byte % 4;
+  // α step: k/4 or k/10, k = 1..8 from the options byte. Bits 2–3 of the
+  // span byte pick quarters when both are clear, else tenths, so most
+  // decoded steps are non-dyadic: α after r fixed-step rounds is then not
+  // exactly r·step, and the scheduler's round lookup must correct its
+  // ceil(c / step) guess.
+  const double alpha_parts = (span_byte & 0xC) == 0 ? 4.0 : 10.0;
+  out.config.confl.alpha_step = (1 + ((opt >> 1) & 0x7)) / alpha_parts;
   out.config.instance.contention_mode =
       (span_byte & 0x80) != 0 ? core::ContentionMode::kRebuild
                               : core::ContentionMode::kIncremental;

@@ -138,9 +138,19 @@ void check_options(const ConflOptions& options) {
 
 // A (facility, client) pair's position in its cost store: i*n + j for the
 // dense matrix, the CSR entry index for the sparse store. Dual state keyed
-// per pair (γ, tight lists, event arrays) is indexed by slot, so both
+// per pair (tight lists, event arrays) is indexed by slot, so both
 // representations share one engine.
 using Slot = std::int64_t;
+
+// One entry of a facility's tight list: the pair's slot and its relay bid
+// γ. γ is read or written only while the pair sits in the list, and a pair
+// leaves it only for good (its client froze or its facility opened) and is
+// never re-added, so γ lives in the entry and starts at 0 with it.
+struct TightEntry {
+  Slot slot;
+  double gamma;
+};
+using TightList = std::vector<TightEntry>;
 
 // The two cost-row views the growth engine is templated over. Contract:
 // row slots [row_begin(i), row_end(i)) ascend with client id, so slot
@@ -150,7 +160,6 @@ struct DenseRows {
   const double* c;  // n×n row-major
   Slot n;
   static constexpr bool kDense = true;
-  Slot pairs() const { return n * n; }
   Slot row_begin(NodeId i) const { return static_cast<Slot>(i) * n; }
   Slot row_end(NodeId i) const { return (static_cast<Slot>(i) + 1) * n; }
   double cost(Slot s) const { return c[s]; }
@@ -160,7 +169,6 @@ struct DenseRows {
 struct SparseRows {
   const metrics::SparseContention* s;  // pairs absent from rows are +inf
   static constexpr bool kDense = false;
-  Slot pairs() const { return static_cast<Slot>(s->packed.size()); }
   Slot row_begin(NodeId i) const { return s->row_begin(i); }
   Slot row_end(NodeId i) const { return s->row_end(i); }
   double cost(Slot t) const { return s->cost[static_cast<std::size_t>(t)]; }
@@ -281,31 +289,31 @@ util::Status finish_solution(const ConflInstance& instance,
 // the β payment rate. Both growth engines accumulate in this exact order,
 // so the payment-completion deltas below agree bitwise.
 template <typename Rows, typename WeightFn>
-double tight_rate(const std::vector<Slot>& tight, Slot rb, const Rows& rows,
+double tight_rate(const TightList& tight, Slot rb, const Rows& rows,
                   const WeightFn& weight) {
   double rate = 0.0;
-  for (Slot s : tight) rate += weight(rows.col(s, rb));
+  for (const TightEntry& e : tight) rate += weight(rows.col(e.slot, rb));
   return rate;
 }
 
 // One facility's next-event candidate, shared by the active-set engine
 // (try_solve_confl) and the dense reference (solve_confl_reference): while f_i
 // is uncovered, the time until payments complete; afterwards, the time
-// until the M-th SPAN request. `tight` must hold the slots of the
+// until the M-th SPAN request. `tight` must hold the entries of the
 // facility's tight unfrozen clients in ascending client order, `rate` must
 // equal tight_rate(tight, ...) (callers may reuse a cached value only when
-// it is bitwise equal to that re-sum), `gamma` is the flat slot-indexed γ
-// array, and `pending` is caller scratch. Returns kInfCost when the
-// facility contributes no event and 0.0 when an opening is already due.
+// it is bitwise equal to that re-sum), and `pending` is caller scratch.
+// Returns kInfCost when the facility contributes no event and 0.0 when an
+// opening is already due.
 // The two engines once carried drifted copies of this arithmetic; it must
 // live in exactly one place, because their deltas have to agree bit for
 // bit.
 template <typename Rows, typename WeightFn>
 double facility_event_delta(double fi, double paid_i, double rate,
-                            const std::vector<Slot>& tight, Slot rb,
-                            const Rows& rows, const double* gamma,
-                            const WeightFn& weight, double beta_rate,
-                            double gamma_rate, int span_threshold,
+                            const TightList& tight, Slot rb,
+                            const Rows& rows, const WeightFn& weight,
+                            double beta_rate, double gamma_rate,
+                            int span_threshold,
                             std::vector<double>& pending) {
   if (tight.empty()) return kInfCost;
   if (paid_i + 1e-12 < fi) {
@@ -316,13 +324,12 @@ double facility_event_delta(double fi, double paid_i, double rate,
   // M-th SPAN.
   int spans = 0;
   pending.clear();
-  for (Slot s : tight) {
-    const double gij = gamma[s];
-    const double cij = rows.cost(s);
-    if (gij + 1e-12 >= cij) {
+  for (const TightEntry& e : tight) {
+    const double cij = rows.cost(e.slot);
+    if (e.gamma + 1e-12 >= cij) {
       ++spans;
-    } else if (const double w = weight(rows.col(s, rb)); w > 0) {
-      pending.push_back((cij - gij) / (w * gamma_rate));
+    } else if (const double w = weight(rows.col(e.slot, rb)); w > 0) {
+      pending.push_back((cij - e.gamma) / (w * gamma_rate));
     }
   }
   const int needed = span_threshold - spans;
@@ -345,12 +352,13 @@ double facility_event_delta(double fi, double paid_i, double rate,
 //   * `active` / `openable` are compacted id lists, so finished clients and
 //     opened facilities cost nothing in later rounds.
 //   * Each openable facility keeps the ascending list of its tight unfrozen
-//     pair slots, extended by tight *events* instead of per-round rescans:
-//     fixed-step mode buckets each pair by the round where it first becomes
-//     tight (binary search over the exact α sequence, computed lazily up to
-//     a doubling horizon so far-away pairs are never bucketed);
-//     event-driven mode keeps per-facility (c, slot)-sorted arrays with
-//     monotone cursors.
+//     pairs, each entry carrying the pair's γ, extended by tight *events*
+//     instead of per-round rescans: fixed-step mode buckets each pair by
+//     the round where it first becomes tight (the exact α sequence is
+//     computed lazily up to a doubling horizon, and each extension rescans
+//     the cost rows for the newly reached cost band, so far-away pairs are
+//     never bucketed or stored); event-driven mode keeps per-facility
+//     (c, slot)-sorted arrays with monotone cursors.
 //   * Freezing onto open facilities uses an incrementally-maintained
 //     cheapest-open-facility (c, i) per client, updated on each opening.
 //   * Payments, relay bids, openings and the event-mode delta walk `live`,
@@ -395,16 +403,13 @@ util::Result<ConflSolution> try_solve_confl_impl(const ConflInstance& instance,
   open[static_cast<std::size_t>(root)] = 1;  // producer pre-opened
   std::vector<double> paid(un, 0.0);
 
-  // Dual variables: the shared α of all unfrozen clients, plus γ per
-  // materialized (facility, client) slot. β is kept only in aggregate
+  // Dual variables: the shared α of all unfrozen clients; γ lives in the
+  // tight-list entries (TightEntry). β is kept only in aggregate
   // (`paid` holds Σ_j β_ij): no step ever reads an individual β_ij — the
   // reference's "contributed (β_ij > 0)" freeze clause is subsumed by
   // tightness, since β only grows for tight clients and tightness is
   // monotone.
   double alpha = 0.0;
-  std::vector<double> gamma_store(static_cast<std::size_t>(rows.pairs()),
-                                  0.0);
-  double* gamma = gamma_store.data();
 
   // Active client list (ascending, compacted after freezes).
   std::vector<NodeId> active;
@@ -436,9 +441,9 @@ util::Result<ConflSolution> try_solve_confl_impl(const ConflInstance& instance,
     }
   }
 
-  // tight[i]: ascending slots of clients tight with openable facility i.
-  // Frozen entries are skipped (and compacted away) lazily.
-  std::vector<std::vector<Slot>> tight(un);
+  // tight[i]: ascending-slot entries of clients tight with openable
+  // facility i. Frozen entries are skipped (and compacted away) lazily.
+  std::vector<TightList> tight(un);
 
   // live: ascending ids of the openable facilities whose tight list may be
   // non-empty (in_live marks membership). Every facility with a non-empty
@@ -480,13 +485,18 @@ util::Result<ConflSolution> try_solve_confl_impl(const ConflInstance& instance,
 
   // Appends entries [mid, end) of `tl` (sorted, disjoint from the prefix)
   // into sorted position. Almost always a plain append; merge otherwise.
-  std::vector<Slot> merge_scratch;
-  auto merge_tight_tail = [&](std::vector<Slot>& tl, std::size_t mid) {
-    if (mid == 0 || mid == tl.size() || tl[mid - 1] < tl[mid]) return;
+  TightList merge_scratch;
+  auto merge_tight_tail = [&](TightList& tl, std::size_t mid) {
+    if (mid == 0 || mid == tl.size() || tl[mid - 1].slot < tl[mid].slot) {
+      return;
+    }
     merge_scratch.resize(tl.size());
     std::merge(tl.begin(), tl.begin() + static_cast<std::ptrdiff_t>(mid),
                tl.begin() + static_cast<std::ptrdiff_t>(mid), tl.end(),
-               merge_scratch.begin());
+               merge_scratch.begin(),
+               [](const TightEntry& a, const TightEntry& b) {
+                 return a.slot < b.slot;
+               });
     std::copy(merge_scratch.begin(), merge_scratch.end(), tl.begin());
   };
 
@@ -494,11 +504,13 @@ util::Result<ConflSolution> try_solve_confl_impl(const ConflInstance& instance,
   // a_seq[k] is α after k growth rounds, computed by the same repeated
   // addition the reference performs (so every comparison sees the exact
   // same value). bucket[k] holds the (i, slot) pairs that first satisfy
-  // a_seq[k] + 1e-12 ≥ c_ij, in lex order; far[i] holds the slots of i
-  // whose tight round lies beyond the current horizon.
+  // a_seq[k] + 1e-12 ≥ c_ij, in lex order. Extending the horizon from `old`
+  // rescans the openable facilities' cost rows for the band
+  // a_seq[old] + 1e-12 < c_ij ≤ a_seq[horizon] + 1e-12 (no lower end on the
+  // first pass): the bands are disjoint, so each pair is bucketed at most
+  // once, and no per-pair state outlives an extension.
   std::vector<double> a_seq;
   std::vector<std::vector<std::pair<NodeId, Slot>>> bucket;
-  std::vector<std::vector<Slot>> far;
   int horizon = -1;
 
   auto extend_horizon = [&](int target) {
@@ -509,61 +521,45 @@ util::Result<ConflSolution> try_solve_confl_impl(const ConflInstance& instance,
                                     : a_seq.back() + options.alpha_step);
     }
     bucket.resize(static_cast<std::size_t>(horizon) + 1);
-    const double reach = a_seq[static_cast<std::size_t>(horizon)] + 1e-12;
+    const double lo =
+        old < 0 ? -kInfCost : a_seq[static_cast<std::size_t>(old)] + 1e-12;
+    const double hi = a_seq[static_cast<std::size_t>(horizon)] + 1e-12;
     // First k in (old, horizon] with a_seq[k] + 1e-12 ≥ c_ij; the predicate
-    // is monotone because a_seq is non-decreasing.
-    auto schedule = [&](NodeId i, Slot s, double cij) {
-      int lo = old + 1;
-      int hi = horizon;
-      while (lo < hi) {
-        const int mid = lo + (hi - lo) / 2;
-        if (a_seq[static_cast<std::size_t>(mid)] + 1e-12 >= cij) {
-          hi = mid;
-        } else {
-          lo = mid + 1;
-        }
+    // is monotone because a_seq is non-decreasing, false at `old` and true
+    // at `horizon` for a cost in the band. a_seq[k] ≈ k·step, so start at
+    // ceil(c / step), clamped before the cast, and walk to the exact round.
+    auto round_of = [&](double cij) {
+      int k = static_cast<int>(std::clamp(std::ceil(cij / options.alpha_step),
+                                          static_cast<double>(old + 1),
+                                          static_cast<double>(horizon)));
+      while (k > old + 1 &&
+             a_seq[static_cast<std::size_t>(k - 1)] + 1e-12 >= cij) {
+        --k;
       }
-      bucket[static_cast<std::size_t>(lo)].emplace_back(i, s);
+      while (!(a_seq[static_cast<std::size_t>(k)] + 1e-12 >= cij)) ++k;
+      return k;
     };
-    if (old < 0) {
-      // Initial pass: split each cost row directly into near-term buckets
-      // and the leftover far list, without materialising the full row as a
-      // far list first.
-      far.resize(un);
-      for (NodeId i : openable) {
-        const Slot rb = rows.row_begin(i);
-        const Slot re = rows.row_end(i);
-        auto& fr = far[static_cast<std::size_t>(i)];
-        for (Slot s = rb; s < re; ++s) {
-          const double cij = rows.cost(s);
-          if (cij == kInfCost ||
-              frozen[static_cast<std::size_t>(rows.col(s, rb))]) {
-            continue;
-          }
-          if (cij <= reach) {
-            schedule(i, s, cij);
-          } else {
-            fr.push_back(s);
-          }
-        }
-      }
-      return;
-    }
+    // NaN and +inf costs fail the band test and are never scheduled.
+    auto schedule = [&](NodeId i, Slot s, double cij) {
+      if (!(cij <= hi) || cij == kInfCost || (old >= 0 && cij <= lo)) return;
+      bucket[static_cast<std::size_t>(round_of(cij))].emplace_back(i, s);
+    };
+    // Ascending facilities, ascending slots: every bucket in the band fills
+    // in lex order. Opened facilities have left `openable`; a dense row is
+    // read at the unfrozen clients only (`active` is compacted, ascending),
+    // so a later extension skips the columns of the clients already done.
     for (NodeId i : openable) {
-      auto& fr = far[static_cast<std::size_t>(i)];
-      if (fr.empty()) continue;
       const Slot rb = rows.row_begin(i);
-      std::size_t out = 0;
-      for (Slot s : fr) {
-        if (frozen[static_cast<std::size_t>(rows.col(s, rb))]) continue;
-        const double cij = rows.cost(s);
-        if (cij <= reach) {
-          schedule(i, s, cij);
-        } else {
-          fr[out++] = s;
+      if constexpr (Rows::kDense) {
+        for (NodeId j : active) schedule(i, rb + j, rows.cost(rb + j));
+      } else {
+        const Slot re = rows.row_end(i);
+        for (Slot s = rb; s < re; ++s) {
+          if (!frozen[static_cast<std::size_t>(rows.col(s, rb))]) {
+            schedule(i, s, rows.cost(s));
+          }
         }
       }
-      fr.resize(out);
     }
   };
 
@@ -581,7 +577,7 @@ util::Result<ConflSolution> try_solve_confl_impl(const ConflInstance& instance,
         for (std::size_t t = p; t < q; ++t) {
           if (!frozen[static_cast<std::size_t>(
                   rows.col(b[t].second, rb))]) {
-            tl.push_back(b[t].second);
+            tl.push_back({b[t].second, 0.0});
           }
         }
         if (tl.size() > mid) {
@@ -655,7 +651,7 @@ util::Result<ConflSolution> try_solve_confl_impl(const ConflInstance& instance,
       std::sort(newly.begin(), newly.end());
       auto& tl = tight[static_cast<std::size_t>(i)];
       const std::size_t mid = tl.size();
-      tl.insert(tl.end(), newly.begin(), newly.end());
+      for (Slot s : newly) tl.push_back({s, 0.0});
       merge_tight_tail(tl, mid);
       rate_stamp[static_cast<std::size_t>(i)] = 0;  // membership changed
       note_append(i);
@@ -667,10 +663,12 @@ util::Result<ConflSolution> try_solve_confl_impl(const ConflInstance& instance,
   // FP expressions are those of the reference (via facility_event_delta);
   // min() over them is order-insensitive, so the heap-ordered tightness
   // candidate and per-facility sorted scans give the same value.
-  auto compact_tight = [&](std::vector<Slot>& tl, Slot rb) {
+  auto compact_tight = [&](TightList& tl, Slot rb) {
     std::size_t out = 0;
-    for (Slot s : tl) {
-      if (!frozen[static_cast<std::size_t>(rows.col(s, rb))]) tl[out++] = s;
+    for (const TightEntry& e : tl) {
+      if (!frozen[static_cast<std::size_t>(rows.col(e.slot, rb))]) {
+        tl[out++] = e;
+      }
     }
     tl.resize(out);
   };
@@ -726,8 +724,8 @@ util::Result<ConflSolution> try_solve_confl_impl(const ConflInstance& instance,
         compact_tight(tl, rb);
       }
       delta = std::min(
-          delta, facility_event_delta(fi, pi, rate, tl, rb, rows, gamma,
-                                      weight, beta_rate, gamma_rate,
+          delta, facility_event_delta(fi, pi, rate, tl, rb, rows, weight,
+                                      beta_rate, gamma_rate,
                                       options.span_threshold, pending));
     }
     if (delta == kInfCost) delta = 0.0;  // nothing to wait for
@@ -841,10 +839,9 @@ util::Result<ConflSolution> try_solve_confl_impl(const ConflInstance& instance,
         double& pi = paid[static_cast<std::size_t>(i)];
         int spans = 0;
         std::size_t out = 0;
-        for (Slot s : tl) {
-          const NodeId j = rows.col(s, rb);
+        for (TightEntry e : tl) {
+          const NodeId j = rows.col(e.slot, rb);
           if (frozen[static_cast<std::size_t>(j)]) continue;
-          tl[out++] = s;
           if (pi + 1e-12 < fi) {
             const double pay =
                 std::min(weight(j) * beta_rate * delta, fi - pi);
@@ -852,9 +849,10 @@ util::Result<ConflSolution> try_solve_confl_impl(const ConflInstance& instance,
           } else {
             // Demand-weighted clients raise relay bids faster, pulling
             // facilities toward demand hot-spots.
-            gamma[s] += weight(j) * gamma_rate * delta;
+            e.gamma += weight(j) * gamma_rate * delta;
           }
-          if (gamma[s] + 1e-12 >= rows.cost(s)) ++spans;
+          if (e.gamma + 1e-12 >= rows.cost(e.slot)) ++spans;
+          tl[out++] = e;
         }
         tl.resize(out);
         span_count[static_cast<std::size_t>(i)] = spans;
@@ -881,10 +879,10 @@ util::Result<ConflSolution> try_solve_confl_impl(const ConflInstance& instance,
       const Slot rb = rows.row_begin(i);
       int spans = 0;
       std::size_t out = 0;
-      for (Slot s : tl) {
-        if (frozen[static_cast<std::size_t>(rows.col(s, rb))]) continue;
-        tl[out++] = s;
-        if (gamma[s] + 1e-12 >= rows.cost(s)) ++spans;
+      for (const TightEntry& e : tl) {
+        if (frozen[static_cast<std::size_t>(rows.col(e.slot, rb))]) continue;
+        tl[out++] = e;
+        if (e.gamma + 1e-12 >= rows.cost(e.slot)) ++spans;
       }
       tl.resize(out);
       if (spans < options.span_threshold) continue;
@@ -926,8 +924,8 @@ util::Result<ConflSolution> try_solve_confl_impl(const ConflInstance& instance,
           }
         }
       }
-      for (Slot s : tl) {
-        const NodeId j = rows.col(s, rb);
+      for (const TightEntry& e : tl) {
+        const NodeId j = rows.col(e.slot, rb);
         if (frozen[static_cast<std::size_t>(j)]) continue;
         frozen[static_cast<std::size_t>(j)] = 1;
         connect_to[static_cast<std::size_t>(j)] = i;
@@ -935,7 +933,6 @@ util::Result<ConflSolution> try_solve_confl_impl(const ConflInstance& instance,
       }
       froze = true;
       tl.clear();
-      if (!event) far[static_cast<std::size_t>(i)].clear();
     }
 
     // Compact the active/openable/live lists so later rounds only touch
@@ -1056,7 +1053,7 @@ ConflSolution solve_confl_reference(const ConflInstance& instance,
   // when an event is already due (process without growing). The
   // per-facility payment/SPAN arithmetic lives in facility_event_delta,
   // shared with the active-set engine — the deltas must agree bit for bit.
-  std::vector<Slot> tight;
+  TightList tight;
   std::vector<double> pending;
   auto next_event_delta = [&]() {
     double delta = kInfCost;
@@ -1074,22 +1071,22 @@ ConflSolution solve_confl_reference(const ConflInstance& instance,
       if (!openable(i)) continue;
       const double fi = instance.facility_cost[static_cast<std::size_t>(i)];
       const Slot rb = rows.row_begin(i);
-      // Tight unfrozen clients of i, as pair slots.
+      // Tight unfrozen clients of i, as tight-list entries.
       tight.clear();
       for (NodeId j = 0; j < n; ++j) {
         if (frozen[static_cast<std::size_t>(j)]) continue;
         if (alpha[static_cast<std::size_t>(j)] + 1e-12 >= cost(i, j)) {
-          tight.push_back(rb + j);
+          tight.push_back({rb + j, gamma(static_cast<std::size_t>(i),
+                                         static_cast<std::size_t>(j))});
         }
       }
       const double pi = paid[static_cast<std::size_t>(i)];
       const double rate =
           pi + 1e-12 < fi ? tight_rate(tight, rb, rows, weight) : 0.0;
       delta = std::min(
-          delta, facility_event_delta(fi, pi, rate, tight, rb, rows,
-                                      gamma.data(), weight, beta_rate,
-                                      gamma_rate, options.span_threshold,
-                                      pending));
+          delta, facility_event_delta(fi, pi, rate, tight, rb, rows, weight,
+                                      beta_rate, gamma_rate,
+                                      options.span_threshold, pending));
     }
     if (delta == kInfCost) delta = 0.0;  // nothing to wait for
     return std::max(delta, 0.0);

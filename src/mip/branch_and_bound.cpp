@@ -90,13 +90,13 @@ MipSolution BranchAndBoundSolver::solve(const lp::LpProblem& problem) const {
   lp::LpProblem scratch = problem;
 
   while (!open.empty()) {
-    if (options_.max_nodes > 0 && result.nodes_explored >= options_.max_nodes) {
+    if ((options_.max_nodes > 0 &&
+         result.nodes_explored >= options_.max_nodes) ||
+        (options_.time_limit_seconds > 0.0 &&
+         clock.elapsed_seconds() > options_.time_limit_seconds)) {
+      // Best-first order: the top node holds the least bound still open.
       hit_limit = true;
-      break;
-    }
-    if (options_.time_limit_seconds > 0.0 &&
-        clock.elapsed_seconds() > options_.time_limit_seconds) {
-      hit_limit = true;
+      best_open_bound = open.top().bound;
       break;
     }
 

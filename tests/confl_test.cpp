@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <limits>
 
 #include "graph/generators.h"
@@ -11,6 +12,7 @@
 #include "metrics/cache_state.h"
 #include "metrics/contention.h"
 #include "metrics/fairness.h"
+#include "metrics/sparse_contention.h"
 #include "util/rng.h"
 
 namespace faircache::confl {
@@ -156,6 +158,125 @@ TEST(ConflTest, GrowthTraceIdenticalAcrossEnginesInBothModes) {
     ASSERT_EQ(fast_trace.size(), ref_trace.size());
     for (std::size_t r = 0; r < fast_trace.size(); ++r) {
       EXPECT_EQ(fast_trace[r], ref_trace[r]) << "round " << r;  // bitwise
+    }
+  }
+}
+
+// α after k fixed-step rounds, by the engines' own repeated addition. For
+// a non-dyadic step this differs from k·step in the last bits.
+double alpha_after(int k, double step) {
+  double a = 0.0;
+  for (int r = 0; r < k; ++r) a += step;
+  return a;
+}
+
+// The sparse twin of a dense instance: the same costs in a CSR store, with
+// the +inf pairs left out.
+ConflInstance sparse_twin(const ConflInstance& dense) {
+  ConflInstance sparse = dense;
+  sparse.assign_cost = util::Matrix<double>();
+  const int n = dense.network->num_nodes();
+  metrics::SparseContention& s = sparse.sparse_cost;
+  s.num_nodes = n;
+  s.row_offset.push_back(0);
+  for (NodeId i = 0; i < n; ++i) {
+    for (NodeId j = 0; j < n; ++j) {
+      const double c = dense.assign_cost(static_cast<std::size_t>(i),
+                                         static_cast<std::size_t>(j));
+      if (c == kInf) continue;
+      s.packed.push_back(static_cast<std::uint32_t>(j)
+                         << metrics::SparseContention::kHopBits);
+      s.cost.push_back(c);
+    }
+    s.row_offset.push_back(static_cast<std::int64_t>(s.packed.size()));
+  }
+  return sparse;
+}
+
+// Costs on the fixed-step α sequence a_seq[k], and 1e-12 above it (the
+// tightness tolerance), for k next to the scheduler's horizon edges 16, 32
+// and 64. Each client belongs to one edge: its pairs sit at that edge's
+// rounds (or at +inf), and its root cost a few rounds past it. The last
+// client reaches only the root, at round 70, so growth crosses every edge
+// with clients still active.
+ConflInstance band_edge_instance(const Graph& g, double step,
+                                 std::uint64_t seed) {
+  util::Rng rng(seed);
+  const int n = g.num_nodes();
+  const auto un = static_cast<std::size_t>(n);
+  ConflInstance instance;
+  instance.network = &g;
+  instance.root = 0;
+  instance.edge_cost.assign(static_cast<std::size_t>(g.num_edges()), 1.0);
+  const double facility_costs[] = {0.0, 0.5, 3.0, kInf};
+  instance.facility_cost.resize(un);
+  for (double& f : instance.facility_cost) {
+    f = facility_costs[rng.uniform_int(0, 3)];
+  }
+  instance.assign_cost = util::Matrix<double>(un, un, kInf);
+  const int edges[] = {16, 32, 64};
+  for (NodeId j = 0; j < n; ++j) {
+    const auto uj = static_cast<std::size_t>(j);
+    const int edge = edges[j % 3];
+    if (j == n - 1) {
+      instance.assign_cost(0, uj) = alpha_after(70, step);
+      continue;
+    }
+    instance.assign_cost(0, uj) =
+        j == 0 ? 0.0
+               : alpha_after(edge + static_cast<int>(rng.uniform_int(2, 5)),
+                             step);
+    for (NodeId i = 1; i < n; ++i) {
+      if (rng.bernoulli(0.2)) continue;  // +inf pair
+      const int k = edge + static_cast<int>(rng.uniform_int(-1, 1));
+      instance.assign_cost(static_cast<std::size_t>(i), uj) =
+          alpha_after(k, step) + (rng.bernoulli(0.5) ? 1e-12 : 0.0);
+    }
+  }
+  return instance;
+}
+
+// With a non-dyadic step the fixed-step scheduler's round lookup must
+// correct its ceil(c / step) guess against the exact α sequence; costs on
+// the band edges tell a wrong round apart. Both engines, dense and sparse,
+// in both growth modes, must match the dense reference bit for bit.
+TEST(ConflTest, NonDyadicStepBandEdgesMatchReference) {
+  const Graph g = graph::make_grid(6, 6);
+  for (const double step : {0.1, 0.3, 1.0 / 3.0, 0.7}) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      const ConflInstance dense = band_edge_instance(g, step, seed);
+      const ConflInstance sparse = sparse_twin(dense);
+      for (GrowthMode mode :
+           {GrowthMode::kFixedStep, GrowthMode::kEventDriven}) {
+        for (int span_threshold = 1; span_threshold <= 2; ++span_threshold) {
+          SCOPED_TRACE(::testing::Message()
+                       << "step " << step << " seed " << seed << " mode "
+                       << static_cast<int>(mode) << " M " << span_threshold);
+          ConflOptions options;
+          options.growth = mode;
+          options.alpha_step = step;
+          options.span_threshold = span_threshold;
+          std::vector<double> ref_trace;
+          options.growth_trace = &ref_trace;
+          const ConflSolution ref = solve_confl_reference(dense, options);
+          if (mode == GrowthMode::kFixedStep) {
+            EXPECT_GT(ref.rounds, 64);  // growth crossed every edge
+          }
+          for (const ConflInstance* instance : {&dense, &sparse}) {
+            std::vector<double> trace;
+            options.growth_trace = &trace;
+            const ConflSolution s = try_solve_confl(*instance, options).value();
+            EXPECT_EQ(s.open_facilities, ref.open_facilities);
+            EXPECT_EQ(s.assignment, ref.assignment);
+            EXPECT_EQ(s.tree.edges, ref.tree.edges);
+            EXPECT_EQ(s.rounds, ref.rounds);
+            EXPECT_EQ(s.facility_cost, ref.facility_cost);  // bitwise
+            EXPECT_EQ(s.assignment_cost, ref.assignment_cost);
+            EXPECT_EQ(s.tree_cost, ref.tree_cost);
+            EXPECT_EQ(trace, ref_trace);
+          }
+        }
+      }
     }
   }
 }

@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <limits>
 
+#include "core/instance_builder.h"
 #include "exact/brute_force.h"
 #include "graph/generators.h"
 #include "metrics/cache_state.h"
@@ -149,6 +151,28 @@ TEST(ExactConflTest, WarmStartFallbackUnderNodeLimit) {
     EXPECT_NE(i, instance.root);
   }
   EXPECT_GT(s.objective, 0.0);
+}
+
+// Stopped at a node limit, the reported bound is the least bound still
+// open — the root LP value after one node — not the −inf bound of the
+// last node popped.
+TEST(ExactConflTest, NodeLimitReportsLeastOpenBound) {
+  const Graph g = graph::make_grid(3, 3);
+  core::FairCachingProblem problem;
+  problem.network = &g;
+  problem.producer = 0;
+  problem.num_chunks = 5;
+  problem.uniform_capacity = 5;
+  const confl::ConflInstance instance =
+      core::try_build_chunk_instance(problem, problem.make_initial_state(),
+                                     core::InstanceOptions{})
+          .value();
+  ExactConflOptions options;
+  options.mip.max_nodes = 1;
+  const ExactConflSolution s = solve_confl_exact(instance, options);
+  EXPECT_EQ(s.nodes_explored, 1);
+  EXPECT_TRUE(std::isfinite(s.best_bound));
+  EXPECT_LE(s.best_bound, s.objective);
 }
 
 // Property sweep: MILP optimum == enumeration oracle on random tiny

@@ -373,13 +373,18 @@ TEST(SolveConflEquivalenceTest, ActiveSetMatchesReferenceOnRandomInstances) {
                                     : confl::GrowthMode::kEventDriven;
     options.span_threshold = static_cast<int>(rng.uniform_int(1, 4));
     if (options.growth == confl::GrowthMode::kFixedStep) {
-      options.alpha_step = rng.bernoulli(0.5) ? 1.0 : 0.25;
+      // A dyadic step makes α after k rounds exactly k·step; the others
+      // make the fixed-step scheduler correct its ceil(c / step) round
+      // guess against the exact α sequence.
+      constexpr double kSteps[] = {1.0, 0.25, 0.1, 0.3, 1.0 / 3.0, 0.7};
+      options.alpha_step = kSteps[rng.uniform_int(0, 5)];
     }
     // The equivalence contract holds under either Steiner engine (both
     // solvers call the same Phase 2 with the same options).
     options.steiner_engine = trial % 2 == 0 ? steiner::Engine::kClosureKmb
                                             : steiner::Engine::kVoronoi;
-    SCOPED_TRACE("trial " + std::to_string(trial));
+    SCOPED_TRACE("trial " + std::to_string(trial) + " alpha_step " +
+                 std::to_string(options.alpha_step));
     const confl::ConflSolution fast =
         confl::try_solve_confl(instance, options).value();
     const confl::ConflSolution ref =
