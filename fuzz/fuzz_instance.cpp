@@ -3,8 +3,12 @@
 // typed Status, a validated problem must always yield a well-formed ConFL
 // instance, and that instance must solve under the decoded options to
 // the dense reference engine's solution, bit for bit (n ≤ 32 keeps the
-// reference cheap). Any uncaught exception or abort is a finding.
+// reference cheap). When the decoded contention mode is kSparse, the
+// sparse instance the chunk engine builds at the decoded radius must
+// solve to the reference's solution on its dense twin (+inf outside the
+// radius) too. Any uncaught exception or abort is a finding.
 
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 
@@ -13,12 +17,55 @@
 #include "core/validate.h"
 #include "fuzz/decoder.h"
 #include "fuzz/targets.h"
+#include "graph/shortest_paths.h"
+#include "metrics/sparse_contention.h"
+#include "util/matrix.h"
 
 namespace faircache::fuzz {
 namespace {
 
 bool same_bits(double a, double b) {
   return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+// Solves `instance` with the growth engine and `reference` (its dense
+// form) with the reference engine; aborts unless the two agree bit for
+// bit.
+void expect_reference_solution(const confl::ConflInstance& instance,
+                               const confl::ConflInstance& reference,
+                               const confl::ConflOptions& options) {
+  const util::Result<confl::ConflSolution> solved =
+      confl::try_solve_confl(instance, options);
+  if (!solved.ok()) std::abort();
+  const confl::ConflSolution& got = solved.value();
+  const confl::ConflSolution want =
+      confl::solve_confl_reference(reference, options);
+  if (got.open_facilities != want.open_facilities ||
+      got.assignment != want.assignment || got.rounds != want.rounds ||
+      !same_bits(got.facility_cost, want.facility_cost) ||
+      !same_bits(got.assignment_cost, want.assignment_cost) ||
+      !same_bits(got.tree_cost, want.tree_cost)) {
+    std::abort();
+  }
+}
+
+// The dense twin of a sparse instance: the stored pairs at their costs,
+// every other pair +inf.
+confl::ConflInstance dense_twin(const confl::ConflInstance& sparse) {
+  confl::ConflInstance dense = sparse;
+  const metrics::SparseContention& s = sparse.sparse_cost;
+  const auto n = static_cast<std::size_t>(s.num_nodes);
+  dense.sparse_cost = metrics::SparseContention();
+  dense.assign_cost = util::Matrix<double>(n, n, graph::kInfCost);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::int64_t t = s.row_offset[i]; t < s.row_offset[i + 1]; ++t) {
+      const auto u = static_cast<std::size_t>(t);
+      dense.assign_cost(i, static_cast<std::size_t>(
+                               metrics::SparseContention::col_of(
+                                   s.packed[u]))) = s.cost[u];
+    }
+  }
+  return dense;
 }
 
 }  // namespace
@@ -48,18 +95,18 @@ int run_instance_target(const std::uint8_t* data, std::size_t size) {
 
   // Differential check of the growth engine against the reference (the
   // stateless builder always yields the dense matrix the reference needs).
-  const util::Result<confl::ConflSolution> solved =
-      confl::try_solve_confl(instance.value(), d.config.confl);
-  if (!solved.ok()) std::abort();
-  const confl::ConflSolution& got = solved.value();
-  const confl::ConflSolution want =
-      confl::solve_confl_reference(instance.value(), d.config.confl);
-  if (got.open_facilities != want.open_facilities ||
-      got.assignment != want.assignment || got.rounds != want.rounds ||
-      !same_bits(got.facility_cost, want.facility_cost) ||
-      !same_bits(got.assignment_cost, want.assignment_cost) ||
-      !same_bits(got.tree_cost, want.tree_cost)) {
-    std::abort();
+  expect_reference_solution(instance.value(), instance.value(),
+                            d.config.confl);
+
+  // The sparse engine's truncated rows, against the reference on their
+  // dense twin.
+  if (d.config.instance.contention_mode == core::ContentionMode::kSparse) {
+    core::ChunkInstanceEngine engine(d.problem, d.config.instance);
+    util::Result<confl::ConflInstance> sparse =
+        engine.build(state, /*chunk=*/0);
+    if (!sparse.ok() || !sparse.value().sparse()) std::abort();
+    expect_reference_solution(sparse.value(), dense_twin(sparse.value()),
+                              d.config.confl);
   }
   return 0;
 }

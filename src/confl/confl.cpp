@@ -137,18 +137,20 @@ void check_options(const ConflOptions& options) {
 }
 
 // A (facility, client) pair's position in its cost store: i*n + j for the
-// dense matrix, the CSR entry index for the sparse store. Dual state keyed
-// per pair (tight lists, event arrays) is indexed by slot, so both
+// dense matrix, the CSR entry index for the sparse store. The schedulers
+// address pairs by slot (bucket entries by slot − row begin), so both
 // representations share one engine.
 using Slot = std::int64_t;
 
-// One entry of a facility's tight list: the pair's slot and its relay bid
-// γ. γ is read or written only while the pair sits in the list, and a pair
+// One entry of a facility's tight list: the pair's cost, its relay bid γ
+// and its client, so the per-round walks never go back to the cost store.
+// γ is read or written only while the pair sits in the list, and a pair
 // leaves it only for good (its client froze or its facility opened) and is
 // never re-added, so γ lives in the entry and starts at 0 with it.
 struct TightEntry {
-  Slot slot;
+  double cost;
   double gamma;
+  NodeId client;
 };
 using TightList = std::vector<TightEntry>;
 
@@ -288,11 +290,10 @@ util::Status finish_solution(const ConflInstance& instance,
 // Ascending-order weight sum over a facility's tight unfrozen clients —
 // the β payment rate. Both growth engines accumulate in this exact order,
 // so the payment-completion deltas below agree bitwise.
-template <typename Rows, typename WeightFn>
-double tight_rate(const TightList& tight, Slot rb, const Rows& rows,
-                  const WeightFn& weight) {
+template <typename WeightFn>
+double tight_rate(const TightList& tight, const WeightFn& weight) {
   double rate = 0.0;
-  for (const TightEntry& e : tight) rate += weight(rows.col(e.slot, rb));
+  for (const TightEntry& e : tight) rate += weight(e.client);
   return rate;
 }
 
@@ -308,10 +309,9 @@ double tight_rate(const TightList& tight, Slot rb, const Rows& rows,
 // The two engines once carried drifted copies of this arithmetic; it must
 // live in exactly one place, because their deltas have to agree bit for
 // bit.
-template <typename Rows, typename WeightFn>
+template <typename WeightFn>
 double facility_event_delta(double fi, double paid_i, double rate,
-                            const TightList& tight, Slot rb,
-                            const Rows& rows, const WeightFn& weight,
+                            const TightList& tight, const WeightFn& weight,
                             double beta_rate, double gamma_rate,
                             int span_threshold,
                             std::vector<double>& pending) {
@@ -325,11 +325,10 @@ double facility_event_delta(double fi, double paid_i, double rate,
   int spans = 0;
   pending.clear();
   for (const TightEntry& e : tight) {
-    const double cij = rows.cost(e.slot);
-    if (e.gamma + 1e-12 >= cij) {
+    if (e.gamma + 1e-12 >= e.cost) {
       ++spans;
-    } else if (const double w = weight(rows.col(e.slot, rb)); w > 0) {
-      pending.push_back((cij - e.gamma) / (w * gamma_rate));
+    } else if (const double w = weight(e.client); w > 0) {
+      pending.push_back((e.cost - e.gamma) / (w * gamma_rate));
     }
   }
   const int needed = span_threshold - spans;
@@ -352,13 +351,14 @@ double facility_event_delta(double fi, double paid_i, double rate,
 //   * `active` / `openable` are compacted id lists, so finished clients and
 //     opened facilities cost nothing in later rounds.
 //   * Each openable facility keeps the ascending list of its tight unfrozen
-//     pairs, each entry carrying the pair's γ, extended by tight *events*
-//     instead of per-round rescans: fixed-step mode buckets each pair by
-//     the round where it first becomes tight (the exact α sequence is
-//     computed lazily up to a doubling horizon, and each extension rescans
-//     the cost rows for the newly reached cost band, so far-away pairs are
-//     never bucketed or stored); event-driven mode keeps per-facility
-//     (c, slot)-sorted arrays with monotone cursors.
+//     pairs, each entry carrying the pair's cost, γ and client (so the
+//     per-round walks never touch the cost store), extended by tight
+//     *events* instead of per-round rescans: fixed-step mode buckets each
+//     pair by the round where it first becomes tight (the exact α
+//     sequence is computed lazily up to a doubling horizon, and each
+//     extension rescans the cost rows for the newly reached cost band, so
+//     far-away pairs are never bucketed or stored); event-driven mode
+//     keeps per-facility (c, slot)-sorted arrays with monotone cursors.
 //   * Freezing onto open facilities uses an incrementally-maintained
 //     cheapest-open-facility (c, i) per client, updated on each opening.
 //   * Payments, relay bids, openings and the event-mode delta walk `live`,
@@ -373,7 +373,7 @@ double facility_event_delta(double fi, double paid_i, double rate,
 //     freezes happen, which can only lower the count, so the skip never
 //     misses an opening.
 //
-// Payments still walk tight slots in ascending client order within each
+// Payments still walk tight entries in ascending client order within each
 // facility, and no sum crosses facilities, which keeps every
 // floating-point accumulation in the reference order. Under SparseRows
 // every loop that walked a dense row walks the row's candidate list
@@ -441,7 +441,7 @@ util::Result<ConflSolution> try_solve_confl_impl(const ConflInstance& instance,
     }
   }
 
-  // tight[i]: ascending-slot entries of clients tight with openable
+  // tight[i]: ascending-client entries of clients tight with openable
   // facility i. Frozen entries are skipped (and compacted away) lazily.
   std::vector<TightList> tight(un);
 
@@ -485,32 +485,44 @@ util::Result<ConflSolution> try_solve_confl_impl(const ConflInstance& instance,
 
   // Appends entries [mid, end) of `tl` (sorted, disjoint from the prefix)
   // into sorted position. Almost always a plain append; merge otherwise.
+  // Within a row client order is slot order, so the lists keep the
+  // reference's accumulation order.
+  const auto by_client = [](const TightEntry& a, const TightEntry& b) {
+    return a.client < b.client;
+  };
   TightList merge_scratch;
   auto merge_tight_tail = [&](TightList& tl, std::size_t mid) {
-    if (mid == 0 || mid == tl.size() || tl[mid - 1].slot < tl[mid].slot) {
+    if (mid == 0 || mid == tl.size() ||
+        tl[mid - 1].client < tl[mid].client) {
       return;
     }
     merge_scratch.resize(tl.size());
     std::merge(tl.begin(), tl.begin() + static_cast<std::ptrdiff_t>(mid),
                tl.begin() + static_cast<std::ptrdiff_t>(mid), tl.end(),
-               merge_scratch.begin(),
-               [](const TightEntry& a, const TightEntry& b) {
-                 return a.slot < b.slot;
-               });
+               merge_scratch.begin(), by_client);
     std::copy(merge_scratch.begin(), merge_scratch.end(), tl.begin());
   };
 
   // ---- Fixed-step tight-event scheduler ----------------------------------
   // a_seq[k] is α after k growth rounds, computed by the same repeated
   // addition the reference performs (so every comparison sees the exact
-  // same value). bucket[k] holds the (i, slot) pairs that first satisfy
-  // a_seq[k] + 1e-12 ≥ c_ij, in lex order. Extending the horizon from `old`
-  // rescans the openable facilities' cost rows for the band
-  // a_seq[old] + 1e-12 < c_ij ≤ a_seq[horizon] + 1e-12 (no lower end on the
-  // first pass): the bands are disjoint, so each pair is bucketed at most
-  // once, and no per-pair state outlives an extension.
+  // same value). bucket[k] holds the pairs that first satisfy
+  // a_seq[k] + 1e-12 ≥ c_ij, in lex order, as (facility, slot − row begin).
+  // Extending the horizon from `old` rescans the openable facilities' cost
+  // rows for the band a_seq[old] + 1e-12 < c_ij ≤ a_seq[horizon] + 1e-12
+  // (no lower end on the first pass): the bands are disjoint, so each pair
+  // is bucketed at most once, and no per-pair state outlives an extension.
+  // above[i] is the least cost among i's unfrozen pairs above the top of
+  // its last rescanned band (+inf if none, −inf before the first scan).
+  // Clients only ever freeze, so it bounds every pair a later band could
+  // hold from below, and a row with above[i] > hi has nothing in the band.
+  struct BucketEntry {
+    NodeId facility;
+    std::int32_t offset;
+  };
   std::vector<double> a_seq;
-  std::vector<std::vector<std::pair<NodeId, Slot>>> bucket;
+  std::vector<std::vector<BucketEntry>> bucket;
+  std::vector<double> above(event ? 0 : un, -kInfCost);
   int horizon = -1;
 
   auto extend_horizon = [&](int target) {
@@ -539,27 +551,34 @@ util::Result<ConflSolution> try_solve_confl_impl(const ConflInstance& instance,
       while (!(a_seq[static_cast<std::size_t>(k)] + 1e-12 >= cij)) ++k;
       return k;
     };
-    // NaN and +inf costs fail the band test and are never scheduled.
-    auto schedule = [&](NodeId i, Slot s, double cij) {
+    // NaN and +inf costs fail the band test and are never scheduled; NaN
+    // fails `cij > hi` too, so it never lowers a bound.
+    auto schedule = [&](NodeId i, Slot offset, double cij, double& least) {
+      if (cij > hi) least = std::min(least, cij);
       if (!(cij <= hi) || cij == kInfCost || (old >= 0 && cij <= lo)) return;
-      bucket[static_cast<std::size_t>(round_of(cij))].emplace_back(i, s);
+      bucket[static_cast<std::size_t>(round_of(cij))].push_back(
+          {i, static_cast<std::int32_t>(offset)});
     };
     // Ascending facilities, ascending slots: every bucket in the band fills
     // in lex order. Opened facilities have left `openable`; a dense row is
     // read at the unfrozen clients only (`active` is compacted, ascending),
     // so a later extension skips the columns of the clients already done.
     for (NodeId i : openable) {
+      double& bound = above[static_cast<std::size_t>(i)];
+      if (bound > hi) continue;
+      double least = kInfCost;
       const Slot rb = rows.row_begin(i);
       if constexpr (Rows::kDense) {
-        for (NodeId j : active) schedule(i, rb + j, rows.cost(rb + j));
+        for (NodeId j : active) schedule(i, j, rows.cost(rb + j), least);
       } else {
         const Slot re = rows.row_end(i);
         for (Slot s = rb; s < re; ++s) {
           if (!frozen[static_cast<std::size_t>(rows.col(s, rb))]) {
-            schedule(i, s, rows.cost(s));
+            schedule(i, s - rb, rows.cost(s), least);
           }
         }
       }
+      bound = least;
     }
   };
 
@@ -567,17 +586,21 @@ util::Result<ConflSolution> try_solve_confl_impl(const ConflInstance& instance,
     auto& b = bucket[static_cast<std::size_t>(k)];
     std::size_t p = 0;
     while (p < b.size()) {  // entries are grouped by facility, lex order
-      const NodeId i = b[p].first;
+      const NodeId i = b[p].facility;
       std::size_t q = p;
-      while (q < b.size() && b[q].first == i) ++q;
+      while (q < b.size() && b[q].facility == i) ++q;
       if (!open[static_cast<std::size_t>(i)]) {
         const Slot rb = rows.row_begin(i);
         auto& tl = tight[static_cast<std::size_t>(i)];
         const std::size_t mid = tl.size();
         for (std::size_t t = p; t < q; ++t) {
-          if (!frozen[static_cast<std::size_t>(
-                  rows.col(b[t].second, rb))]) {
-            tl.push_back({b[t].second, 0.0});
+          const Slot s = rb + b[t].offset;
+          const NodeId j = rows.col(s, rb);
+          if (!frozen[static_cast<std::size_t>(j)]) {
+            // Most lists stay this short; grown from one entry, over half
+            // the appends on a 100k instance reallocated.
+            if (tl.capacity() == 0) tl.reserve(4);
+            tl.push_back({rows.cost(s), 0.0, j});
           }
         }
         if (tl.size() > mid) {
@@ -587,7 +610,7 @@ util::Result<ConflSolution> try_solve_confl_impl(const ConflInstance& instance,
       }
       p = q;
     }
-    std::vector<std::pair<NodeId, Slot>>().swap(b);  // release: never refilled
+    std::vector<BucketEntry>().swap(b);  // release: never refilled
   };
 
   // ---- Event-driven tight-event scheduler --------------------------------
@@ -631,7 +654,6 @@ util::Result<ConflSolution> try_solve_confl_impl(const ConflInstance& instance,
   // openable facilities ever open.
   std::vector<NodeId> tracked;
 
-  std::vector<Slot> newly;
   auto advance_tight_lists = [&]() {
     for (NodeId i : openable) {
       auto& ev = events[static_cast<std::size_t>(i)];
@@ -639,19 +661,18 @@ util::Result<ConflSolution> try_solve_confl_impl(const ConflInstance& instance,
       const auto& arr = ev.byc;
       if (p >= arr.size() || alpha + 1e-12 < arr[p].first) continue;
       const Slot rb = rows.row_begin(i);
-      newly.clear();
+      auto& tl = tight[static_cast<std::size_t>(i)];
+      const std::size_t mid = tl.size();
       while (p < arr.size() && alpha + 1e-12 >= arr[p].first) {
-        if (!frozen[static_cast<std::size_t>(
-                rows.col(arr[p].second, rb))]) {
-          newly.push_back(arr[p].second);
+        const NodeId j = rows.col(arr[p].second, rb);
+        if (!frozen[static_cast<std::size_t>(j)]) {
+          tl.push_back({arr[p].first, 0.0, j});
         }
         ++p;
       }
-      if (newly.empty()) continue;
-      std::sort(newly.begin(), newly.end());
-      auto& tl = tight[static_cast<std::size_t>(i)];
-      const std::size_t mid = tl.size();
-      for (Slot s : newly) tl.push_back({s, 0.0});
+      if (tl.size() == mid) continue;
+      std::sort(tl.begin() + static_cast<std::ptrdiff_t>(mid), tl.end(),
+                by_client);
       merge_tight_tail(tl, mid);
       rate_stamp[static_cast<std::size_t>(i)] = 0;  // membership changed
       note_append(i);
@@ -663,12 +684,10 @@ util::Result<ConflSolution> try_solve_confl_impl(const ConflInstance& instance,
   // FP expressions are those of the reference (via facility_event_delta);
   // min() over them is order-insensitive, so the heap-ordered tightness
   // candidate and per-facility sorted scans give the same value.
-  auto compact_tight = [&](TightList& tl, Slot rb) {
+  auto compact_tight = [&](TightList& tl) {
     std::size_t out = 0;
     for (const TightEntry& e : tl) {
-      if (!frozen[static_cast<std::size_t>(rows.col(e.slot, rb))]) {
-        tl[out++] = e;
-      }
+      if (!frozen[static_cast<std::size_t>(e.client)]) tl[out++] = e;
     }
     tl.resize(out);
   };
@@ -704,7 +723,6 @@ util::Result<ConflSolution> try_solve_confl_impl(const ConflInstance& instance,
     // Facilities off `live` have empty tight lists: no event.
     for (NodeId i : live) {
       auto& tl = tight[static_cast<std::size_t>(i)];
-      const Slot rb = rows.row_begin(i);
       const double fi = instance.facility_cost[static_cast<std::size_t>(i)];
       const double pi = paid[static_cast<std::size_t>(i)];
       double rate = 0.0;
@@ -713,20 +731,19 @@ util::Result<ConflSolution> try_solve_confl_impl(const ConflInstance& instance,
         // valid stamp implies no freeze since the cached sum, so the list
         // holds no frozen members and compaction would be a no-op.
         if (rate_stamp[static_cast<std::size_t>(i)] != stamp) {
-          compact_tight(tl, rb);
-          cached_rate[static_cast<std::size_t>(i)] =
-              tight_rate(tl, rb, rows, weight);
+          compact_tight(tl);
+          cached_rate[static_cast<std::size_t>(i)] = tight_rate(tl, weight);
           rate_stamp[static_cast<std::size_t>(i)] = stamp;
         }
         rate = cached_rate[static_cast<std::size_t>(i)];
       } else {
         // SPAN phase: γ moves every round, so this walk cannot be cached.
-        compact_tight(tl, rb);
+        compact_tight(tl);
       }
-      delta = std::min(
-          delta, facility_event_delta(fi, pi, rate, tl, rb, rows, weight,
-                                      beta_rate, gamma_rate,
-                                      options.span_threshold, pending));
+      delta = std::min(delta, facility_event_delta(
+                                  fi, pi, rate, tl, weight, beta_rate,
+                                  gamma_rate, options.span_threshold,
+                                  pending));
     }
     if (delta == kInfCost) delta = 0.0;  // nothing to wait for
     return std::max(delta, 0.0);
@@ -833,14 +850,13 @@ util::Result<ConflSolution> try_solve_confl_impl(const ConflInstance& instance,
     if (delta > 0) {
       for (NodeId i : live) {
         auto& tl = tight[static_cast<std::size_t>(i)];
-        const Slot rb = rows.row_begin(i);
         const double fi =
             instance.facility_cost[static_cast<std::size_t>(i)];
         double& pi = paid[static_cast<std::size_t>(i)];
         int spans = 0;
         std::size_t out = 0;
         for (TightEntry e : tl) {
-          const NodeId j = rows.col(e.slot, rb);
+          const NodeId j = e.client;
           if (frozen[static_cast<std::size_t>(j)]) continue;
           if (pi + 1e-12 < fi) {
             const double pay =
@@ -851,7 +867,7 @@ util::Result<ConflSolution> try_solve_confl_impl(const ConflInstance& instance,
             // facilities toward demand hot-spots.
             e.gamma += weight(j) * gamma_rate * delta;
           }
-          if (e.gamma + 1e-12 >= rows.cost(e.slot)) ++spans;
+          if (e.gamma + 1e-12 >= e.cost) ++spans;
           tl[out++] = e;
         }
         tl.resize(out);
@@ -876,13 +892,12 @@ util::Result<ConflSolution> try_solve_confl_impl(const ConflInstance& instance,
         continue;
       }
       auto& tl = tight[static_cast<std::size_t>(i)];
-      const Slot rb = rows.row_begin(i);
       int spans = 0;
       std::size_t out = 0;
       for (const TightEntry& e : tl) {
-        if (frozen[static_cast<std::size_t>(rows.col(e.slot, rb))]) continue;
+        if (frozen[static_cast<std::size_t>(e.client)]) continue;
         tl[out++] = e;
-        if (e.gamma + 1e-12 >= rows.cost(e.slot)) ++spans;
+        if (e.gamma + 1e-12 >= e.cost) ++spans;
       }
       tl.resize(out);
       if (spans < options.span_threshold) continue;
@@ -899,6 +914,7 @@ util::Result<ConflSolution> try_solve_confl_impl(const ConflInstance& instance,
       // pairs cost +inf and can never beat a finite best, and a client
       // only ever freezes at a finite best, so the folds agree on every
       // freeze decision.
+      const Slot rb = rows.row_begin(i);
       if constexpr (Rows::kDense) {
         const double* row = rows.c + rb;
         for (NodeId j : active) {
@@ -925,10 +941,9 @@ util::Result<ConflSolution> try_solve_confl_impl(const ConflInstance& instance,
         }
       }
       for (const TightEntry& e : tl) {
-        const NodeId j = rows.col(e.slot, rb);
-        if (frozen[static_cast<std::size_t>(j)]) continue;
-        frozen[static_cast<std::size_t>(j)] = 1;
-        connect_to[static_cast<std::size_t>(j)] = i;
+        if (frozen[static_cast<std::size_t>(e.client)]) continue;
+        frozen[static_cast<std::size_t>(e.client)] = 1;
+        connect_to[static_cast<std::size_t>(e.client)] = i;
         --num_active;
       }
       froze = true;
@@ -1070,23 +1085,23 @@ ConflSolution solve_confl_reference(const ConflInstance& instance,
     for (NodeId i = 0; i < n; ++i) {
       if (!openable(i)) continue;
       const double fi = instance.facility_cost[static_cast<std::size_t>(i)];
-      const Slot rb = rows.row_begin(i);
       // Tight unfrozen clients of i, as tight-list entries.
       tight.clear();
       for (NodeId j = 0; j < n; ++j) {
         if (frozen[static_cast<std::size_t>(j)]) continue;
         if (alpha[static_cast<std::size_t>(j)] + 1e-12 >= cost(i, j)) {
-          tight.push_back({rb + j, gamma(static_cast<std::size_t>(i),
-                                         static_cast<std::size_t>(j))});
+          tight.push_back({cost(i, j),
+                           gamma(static_cast<std::size_t>(i),
+                                 static_cast<std::size_t>(j)),
+                           j});
         }
       }
       const double pi = paid[static_cast<std::size_t>(i)];
-      const double rate =
-          pi + 1e-12 < fi ? tight_rate(tight, rb, rows, weight) : 0.0;
-      delta = std::min(
-          delta, facility_event_delta(fi, pi, rate, tight, rb, rows, weight,
-                                      beta_rate, gamma_rate,
-                                      options.span_threshold, pending));
+      const double rate = pi + 1e-12 < fi ? tight_rate(tight, weight) : 0.0;
+      delta = std::min(delta, facility_event_delta(
+                                  fi, pi, rate, tight, weight, beta_rate,
+                                  gamma_rate, options.span_threshold,
+                                  pending));
     }
     if (delta == kInfCost) delta = 0.0;  // nothing to wait for
     return std::max(delta, 0.0);

@@ -15,98 +15,103 @@ namespace faircache::metrics {
 
 using graph::NodeId;
 
-// Per-worker scratch reused across all rows a worker builds/patches. The
-// arrays indexed by node id are only ever read for nodes visited by the
-// current row's BFS, so they need no per-row clearing — the visit stamp
-// guards staleness.
+// Per-worker scratch reused across all rows a worker builds/patches. Only
+// the (weight, visit stamp) entry is indexed by node id; everything else a
+// row's BFS records is indexed by visit position, a short contiguous prefix
+// of each array for a truncated row. Nothing needs per-row clearing: the
+// visit stamp guards the node entries.
 struct ContentionUpdater::Workspace {
+  // Resizing leaves the entries uninitialized: a row writes each position
+  // before reading it, and a truncated row never touches most pages.
+  template <typename T>
+  using Uninit = std::vector<T, util::DefaultInitAllocator<T>>;
   struct NodeEntry {
     double weight;
     int stamp;
   };
-  std::vector<NodeEntry> node;      // packed (weight, visit stamp)
-  std::vector<NodeId> order;        // BFS visit order (frontier)
-  std::vector<NodeId> parent;       // BFS parent of each visited node
-  std::vector<int> depth;           // BFS depth of each visited node
-  std::vector<int> child_begin;     // children of v = order[cb[v], ce[v])
-  std::vector<int> child_end;
-  std::vector<int> size;            // subtree size in the BFS tree
-  std::vector<double> cost;         // CSR: row costs by node id
-  std::vector<std::int32_t> local;  // CSR: node id -> slot
-  std::vector<std::int32_t> slot;   // CSR: slot of the node at order[c]
-  std::vector<NodeId> sorted;       // CSR: ascending-id copy of `order`
-  std::vector<double> diff;         // difference array over preorder
-  std::uint64_t chk = 0;            // cost-block digest partial
-  std::uint64_t chk_tree = 0;       // tree-block digest partial (builds)
+  std::vector<NodeEntry> node;   // by node id: (weight, visit stamp)
+  Uninit<NodeId> order;          // by visit position p: the node id
+  Uninit<int> parent;            // position of the BFS parent
+  Uninit<int> depth;             // hop depth
+  Uninit<int> child_begin;       // children of p = positions [cb, ce)
+  Uninit<int> child_end;
+  Uninit<int> size;              // subtree size in the BFS tree
+  Uninit<double> cost;           // row cost
+  Uninit<std::int32_t> slot;     // CSR: slot of the node at p
+  Uninit<std::uint64_t> sorted;  // CSR: (id << 32) | p keys
+  std::vector<double> diff;      // difference array over preorder
+  std::uint64_t chk = 0;         // cost-block digest partial
+  std::uint64_t chk_tree = 0;    // tree-block digest partial (builds)
   int generation = 0;
+  int reach = 0;  // nodes the last bfs() visited
 
   void init(const std::vector<double>& weight, bool dense) {
     const std::size_t n = weight.size();
     node.resize(n);
     for (std::size_t i = 0; i < n; ++i) node[i] = {weight[i], 0};
-    parent.resize(n);
-    depth.resize(n);
-    child_begin.resize(n);
-    child_end.resize(n);
-    size.resize(n);
-    order.reserve(n);
+    for (auto* v : {&parent, &depth, &child_begin, &child_end, &size}) {
+      v->resize(n);
+    }
+    order.resize(n);
+    cost.resize(n);
     if (!dense) {
-      cost.resize(n);
-      local.resize(n);
       slot.resize(n);
+      sorted.resize(n);
     }
     generation = 0;
   }
 
   // BFS of row `src` with the exact hop-shortest arithmetic of
   // ContentionMatrix (row[j] = row[parent] + w[j], parents before
-  // children, ascending-id neighbour order), recording the tree: parents,
-  // subtree sizes of 1 and each node's child range inside the visit order.
-  // kHops (the CSR layout) also records hop depths and stops expanding at
-  // `limit` hops; a dense row is always full. `row` is indexed by node id.
-  // Returns the number of visited nodes.
+  // children, ascending-id neighbour order), recording the tree by visit
+  // position: costs, parents, hop depths, subtree sizes of 1 and each
+  // position's child range. kHops (the CSR layout) stops expanding at
+  // `limit` hops; a dense row is always full and is also written into
+  // `row`, indexed by node id. Returns the number of visited nodes.
   template <bool kHops>
   int bfs(const graph::CsrAdjacency& adj, NodeId src, int limit,
           double* row) {
     const int gen = ++generation;
-    const auto ui = static_cast<std::size_t>(src);
-    // Raw views: order.push_back may allocate, which would otherwise force
-    // a reload of every vector's data pointer in the inner loop.
     NodeEntry* nd = node.data();
+    NodeId* ord = order.data();
+    double* cst = cost.data();
     int* dep = depth.data();
-    NodeId* par = parent.data();
+    int* par = parent.data();
     int* sz = size.data();
     const int* offset = adj.offset.data();
     const NodeId* neighbor = adj.neighbor.data();
-    order.clear();
-    row[ui] = 0.0;
-    dep[ui] = 0;
-    nd[ui].stamp = gen;
-    par[ui] = graph::kInvalidNode;
-    sz[ui] = 1;
-    order.push_back(src);
-    for (std::size_t head = 0; head < order.size(); ++head) {
-      const NodeId v = order[head];
-      const auto uv = static_cast<std::size_t>(v);
-      child_begin[uv] = static_cast<int>(order.size());
-      if (!kHops || dep[uv] < limit) {
-        const double base = v == src ? nd[ui].weight : row[uv];
-        const int next_depth = kHops ? dep[uv] + 1 : 0;
+    nd[src].stamp = gen;
+    ord[0] = src;
+    cst[0] = 0.0;
+    dep[0] = 0;
+    par[0] = -1;
+    sz[0] = 1;
+    if (!kHops) row[src] = 0.0;
+    int tail = 1;
+    for (int head = 0; head < tail; ++head) {
+      const NodeId v = ord[head];
+      child_begin[head] = tail;
+      if (!kHops || dep[head] < limit) {
+        const double base = head == 0 ? nd[src].weight : cst[head];
+        const int next_depth = dep[head] + 1;
         const int end = offset[v + 1];
         for (int e = offset[v]; e < end; ++e) {  // ascending id
-          const auto wi = static_cast<std::size_t>(neighbor[e]);
-          if (nd[wi].stamp == gen) continue;
-          nd[wi].stamp = gen;
-          row[wi] = base + nd[wi].weight;
-          if (kHops) dep[wi] = next_depth;
-          par[wi] = v;
-          sz[wi] = 1;
-          order.push_back(neighbor[e]);
+          const NodeId w = neighbor[e];
+          if (nd[w].stamp == gen) continue;
+          nd[w].stamp = gen;
+          const double c = base + nd[w].weight;
+          if (!kHops) row[w] = c;
+          ord[tail] = w;
+          cst[tail] = c;
+          dep[tail] = next_depth;
+          par[tail] = head;
+          sz[tail] = 1;
+          ++tail;
         }
       }
-      child_end[uv] = static_cast<int>(order.size());
+      child_end[head] = tail;
     }
-    return static_cast<int>(order.size());
+    return reach = tail;
   }
 
   // Nodes within `limit` hops of `src`: the CSR build's first pass (no
@@ -114,27 +119,28 @@ struct ContentionUpdater::Workspace {
   int ball_size(const graph::CsrAdjacency& adj, NodeId src, int limit) {
     const int gen = ++generation;
     NodeEntry* nd = node.data();
+    NodeId* ord = order.data();
     int* dep = depth.data();
     const int* offset = adj.offset.data();
     const NodeId* neighbor = adj.neighbor.data();
-    order.clear();
-    nd[static_cast<std::size_t>(src)].stamp = gen;
-    dep[static_cast<std::size_t>(src)] = 0;
-    order.push_back(src);
-    for (std::size_t head = 0; head < order.size(); ++head) {
-      const NodeId v = order[head];
-      const int dv = dep[static_cast<std::size_t>(v)];
+    nd[src].stamp = gen;
+    ord[0] = src;
+    dep[0] = 0;
+    int tail = 1;
+    for (int head = 0; head < tail; ++head) {
+      const int dv = dep[head];
       if (dv >= limit) continue;
+      const NodeId v = ord[head];
       const int end = offset[v + 1];
       for (int e = offset[v]; e < end; ++e) {
-        const auto wi = static_cast<std::size_t>(neighbor[e]);
-        if (nd[wi].stamp == gen) continue;
-        nd[wi].stamp = gen;
-        dep[wi] = dv + 1;
-        order.push_back(neighbor[e]);
+        const NodeId w = neighbor[e];
+        if (nd[w].stamp == gen) continue;
+        nd[w].stamp = gen;
+        ord[tail] = w;
+        dep[tail++] = dv + 1;
       }
     }
-    return static_cast<int>(order.size());
+    return tail;
   }
 
   // Dense: every node the last bfs() did not visit costs +∞.
@@ -146,21 +152,20 @@ struct ContentionUpdater::Workspace {
 
   // CSR: lays the last bfs()'s nodes out in ascending-id slots — the
   // packed (col << 8) | hop keys, the slot costs, and the slot of each
-  // visit-order position.
+  // visit position.
   void fill_csr_slots(std::uint32_t* packed, double* slot_cost) {
-    sorted.assign(order.begin(), order.end());
-    std::sort(sorted.begin(), sorted.end());
-    for (std::size_t s = 0; s < sorted.size(); ++s) {
-      const NodeId j = sorted[s];
-      const auto uj = static_cast<std::size_t>(j);
-      local[uj] = static_cast<std::int32_t>(s);
-      const auto hop = static_cast<std::uint32_t>(std::min(depth[uj], 255));
-      packed[s] =
-          (static_cast<std::uint32_t>(j) << SparseContention::kHopBits) | hop;
-      slot_cost[s] = cost[uj];
+    const auto count = static_cast<std::size_t>(reach);
+    for (std::size_t p = 0; p < count; ++p) {
+      sorted[p] = (static_cast<std::uint64_t>(order[p]) << 32) | p;
     }
-    for (std::size_t c = 0; c < order.size(); ++c) {
-      slot[c] = local[static_cast<std::size_t>(order[c])];
+    std::sort(sorted.begin(), sorted.begin() + reach);
+    for (std::size_t s = 0; s < count; ++s) {
+      const auto j = static_cast<std::uint32_t>(sorted[s] >> 32);
+      const auto p = static_cast<std::size_t>(sorted[s] & 0xffffffffu);
+      slot[p] = static_cast<std::int32_t>(s);
+      const auto hop = static_cast<std::uint32_t>(std::min(depth[p], 255));
+      packed[s] = (j << SparseContention::kHopBits) | hop;
+      slot_cost[s] = cost[p];
     }
   }
 };
@@ -179,53 +184,6 @@ double finite_row_max(const double* row, std::size_t n) {
     if (v != graph::kInfCost && v > m) m = v;
   }
   return m;
-}
-
-// Region shards for the parallel build: nodes grouped by the Voronoi
-// region of ~64 evenly spaced seeds (one multi-source sweep over unit
-// edge weights), ascending id within a region. Workers claim whole
-// regions, so each walks a topologically clustered source block while
-// writing its disjoint rows.
-void build_region_shards(const graph::Graph& g,
-                         const graph::CsrAdjacency& adj,
-                         std::vector<NodeId>& region_order,
-                         std::vector<std::size_t>& region_begin) {
-  const int n = g.num_nodes();
-  region_order.clear();
-  region_begin.assign(1, 0);
-  if (n == 0) return;
-
-  const int k = std::min(n, 64);
-  const int stride = std::max(1, n / k);
-  std::vector<NodeId> seeds;
-  for (NodeId v = 0; v < n && static_cast<int>(seeds.size()) < k;
-       v += stride) {
-    seeds.push_back(v);
-  }
-  std::vector<double> unit(static_cast<std::size_t>(g.num_edges()), 1.0);
-  const graph::VoronoiPartition part =
-      graph::voronoi_partition(g, seeds, unit, &adj, nullptr);
-
-  // Region index per node: position of its owning seed in the (sorted)
-  // seed list; nodes unreached from every seed share one trailing region.
-  const int regions = static_cast<int>(seeds.size()) + 1;
-  auto region_of = [&](NodeId v) {
-    const NodeId s = part.nearest[static_cast<std::size_t>(v)];
-    if (s == graph::kInvalidNode) return regions - 1;
-    return static_cast<int>(
-        std::lower_bound(seeds.begin(), seeds.end(), s) - seeds.begin());
-  };
-  std::vector<std::size_t> count(static_cast<std::size_t>(regions) + 1, 0);
-  for (NodeId v = 0; v < n; ++v) {
-    ++count[static_cast<std::size_t>(region_of(v)) + 1];
-  }
-  for (std::size_t r = 1; r < count.size(); ++r) count[r] += count[r - 1];
-  region_begin.assign(count.begin(), count.end());
-  region_order.resize(static_cast<std::size_t>(n));
-  std::vector<std::size_t> cursor(count.begin(), count.end() - 1);
-  for (NodeId v = 0; v < n; ++v) {  // ascending id within each region
-    region_order[cursor[static_cast<std::size_t>(region_of(v))]++] = v;
-  }
 }
 
 }  // namespace
@@ -336,11 +294,9 @@ void ContentionUpdater::build_full(const std::vector<double>& weight) {
   store.radius = options_.radius;
   store.full_row = graph_->contains(options_.full_row) ? options_.full_row
                                                        : graph::kInvalidNode;
-  if (region_order_.empty() && n > 0) {
-    build_region_shards(*graph_, adj_, region_order_, region_begin_);
-  }
-  const std::size_t shards =
-      region_begin_.empty() ? 0 : region_begin_.size() - 1;
+  // Shards are blocks of consecutive sources, so each worker writes its
+  // rows into one contiguous stretch of the slot arrays.
+  const std::size_t shards = std::min<std::size_t>(n, 64);
   const int threads = util::resolve_parallel_threads(0, shards);
   std::vector<Workspace> ws(static_cast<std::size_t>(std::max(threads, 1)));
   for (Workspace& w : ws) w.init(weight, dense());
@@ -349,9 +305,9 @@ void ContentionUpdater::build_full(const std::vector<double>& weight) {
         shards,
         [&](std::size_t shard, int worker) {
           Workspace& w = ws[static_cast<std::size_t>(worker)];
-          for (std::size_t t = region_begin_[shard];
-               t < region_begin_[shard + 1]; ++t) {
-            fn(region_order_[t], w);
+          for (std::size_t i = shard * n / shards;
+               i < (shard + 1) * n / shards; ++i) {
+            fn(static_cast<NodeId>(i), w);
           }
         },
         threads);
@@ -426,7 +382,7 @@ void ContentionUpdater::pin_row(NodeId src, Workspace& w) {
   // A dense row is indexed by node id, so the BFS writes it in place.
   const int reach =
       dense() ? w.bfs<false>(adj_, src, 0, cost)
-              : w.bfs<true>(adj_, src, row_limit(src), w.cost.data());
+              : w.bfs<true>(adj_, src, row_limit(src), nullptr);
   if (!dense()) {
     FAIRCACHE_CHECK(static_cast<std::size_t>(reach) == slots,
                     "row size drifted between build passes");
@@ -443,29 +399,25 @@ void ContentionUpdater::pin_row(NodeId src, Workspace& w) {
   }
   row_max_[ui] = finite_row_max(cost, slots);
 
-  // Subtree sizes: fold children into parents in reverse BFS order.
-  const NodeId* order = w.order.data();
-  for (int idx = reach - 1; idx >= 1; --idx) {
-    const auto v = static_cast<std::size_t>(order[idx]);
-    w.size[static_cast<std::size_t>(w.parent[v])] += w.size[v];
-  }
-  // Preorder intervals over slots. Children of v occupy the consecutive
-  // positions after pre(v), each shifted by the preceding siblings'
-  // subtree sizes; processing in BFS order sees parents first. slot[c] is
-  // the slot of the node at visit position c: its id in a dense row.
-  const std::int32_t* slot = dense() ? order : w.slot.data();
+  // Subtree sizes: fold children into parents in reverse visit order.
+  int* size = w.size.data();
+  for (int p = reach - 1; p >= 1; --p) size[w.parent[p]] += size[p];
+  // Preorder intervals over slots. Children of position p occupy the
+  // consecutive preorder positions after pre(p), each shifted by the
+  // preceding siblings' subtree sizes; visit order sees parents first.
+  // slot[p] is the slot of the node at visit position p: its id in a
+  // dense row.
+  const std::int32_t* slot = dense() ? w.order.data() : w.slot.data();
   pre[slot[0]] = 0;
   end[slot[0]] = reach;
   ord[0] = slot[0];
-  for (int idx = 0; idx < reach; ++idx) {
-    const auto v = static_cast<std::size_t>(order[idx]);
-    std::int32_t q = pre[slot[idx]] + 1;
-    for (int c = w.child_begin[v]; c < w.child_end[v]; ++c) {
-      const int size = w.size[static_cast<std::size_t>(order[c])];
+  for (int p = 0; p < reach; ++p) {
+    std::int32_t q = pre[slot[p]] + 1;
+    for (int c = w.child_begin[p]; c < w.child_end[p]; ++c) {
       pre[slot[c]] = q;
-      end[slot[c]] = q + size;
+      end[slot[c]] = q + size[c];
       ord[q] = slot[c];
-      q += size;
+      q += size[c];
     }
   }
 
@@ -755,7 +707,7 @@ bool ContentionUpdater::verify_row(NodeId i) const {
   std::vector<double> fresh(n);
   const int reach =
       dense() ? w.bfs<false>(adj_, i, 0, fresh.data())
-              : w.bfs<true>(adj_, i, row_limit(i), w.cost.data());
+              : w.bfs<true>(adj_, i, row_limit(i), nullptr);
   if (dense()) {
     w.mark_unreached(fresh.data(), n);
   } else {

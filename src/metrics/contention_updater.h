@@ -19,9 +19,9 @@
 // are bit-identical at any thread count.
 //
 // Two row layouts share that machinery and differ only in how a row slot
-// maps to a client (ContentionLayout). Builds are sharded by Voronoi region
-// (graph::voronoi_partition over evenly spaced seeds) so parallel workers
-// walk topologically clustered sources while writing disjoint rows.
+// maps to a client (ContentionLayout). Builds are sharded into blocks of
+// consecutive sources, so parallel workers write disjoint, contiguous
+// stretches of the row arrays.
 //
 // Floating-point caveat: an incrementally updated entry is
 // old_value + Σ Δw_k, which associates differently from the rebuild's
@@ -196,11 +196,6 @@ class ContentionUpdater {
 
   ContentionBuffers buf_;  // home buffers (moved out by take())
   bool lent_ = false;
-
-  // Voronoi-region build sharding: shard s builds the sources
-  // region_order_[region_begin_[s] .. region_begin_[s+1]).
-  std::vector<graph::NodeId> region_order_;
-  std::vector<std::size_t> region_begin_;
 
   // Pinned per-source trees, aligned with the cost slots: pre_/end_ give
   // the preorder subtree interval [pre, end) of a slot's node in its row's

@@ -236,6 +236,32 @@ ConflInstance band_edge_instance(const Graph& g, double step,
   return instance;
 }
 
+// Solves `dense` and its sparse twin with try_solve_confl and expects both
+// to match the dense reference bit for bit, growth trace and rounds
+// included. Returns the reference's round count.
+int expect_twins_match_reference(const ConflInstance& dense,
+                                 ConflOptions options) {
+  const ConflInstance sparse = sparse_twin(dense);
+  std::vector<double> ref_trace;
+  options.growth_trace = &ref_trace;
+  const ConflSolution ref = solve_confl_reference(dense, options);
+  for (const ConflInstance* instance : {&dense, &sparse}) {
+    SCOPED_TRACE(instance == &dense ? "dense" : "sparse");
+    std::vector<double> trace;
+    options.growth_trace = &trace;
+    const ConflSolution s = try_solve_confl(*instance, options).value();
+    EXPECT_EQ(s.open_facilities, ref.open_facilities);
+    EXPECT_EQ(s.assignment, ref.assignment);
+    EXPECT_EQ(s.tree.edges, ref.tree.edges);
+    EXPECT_EQ(s.rounds, ref.rounds);
+    EXPECT_EQ(s.facility_cost, ref.facility_cost);  // bitwise
+    EXPECT_EQ(s.assignment_cost, ref.assignment_cost);
+    EXPECT_EQ(s.tree_cost, ref.tree_cost);
+    EXPECT_EQ(trace, ref_trace);
+  }
+  return ref.rounds;
+}
+
 // With a non-dyadic step the fixed-step scheduler's round lookup must
 // correct its ceil(c / step) guess against the exact α sequence; costs on
 // the band edges tell a wrong round apart. Both engines, dense and sparse,
@@ -245,7 +271,6 @@ TEST(ConflTest, NonDyadicStepBandEdgesMatchReference) {
   for (const double step : {0.1, 0.3, 1.0 / 3.0, 0.7}) {
     for (std::uint64_t seed = 1; seed <= 3; ++seed) {
       const ConflInstance dense = band_edge_instance(g, step, seed);
-      const ConflInstance sparse = sparse_twin(dense);
       for (GrowthMode mode :
            {GrowthMode::kFixedStep, GrowthMode::kEventDriven}) {
         for (int span_threshold = 1; span_threshold <= 2; ++span_threshold) {
@@ -256,24 +281,109 @@ TEST(ConflTest, NonDyadicStepBandEdgesMatchReference) {
           options.growth = mode;
           options.alpha_step = step;
           options.span_threshold = span_threshold;
-          std::vector<double> ref_trace;
-          options.growth_trace = &ref_trace;
-          const ConflSolution ref = solve_confl_reference(dense, options);
+          const int rounds = expect_twins_match_reference(dense, options);
           if (mode == GrowthMode::kFixedStep) {
-            EXPECT_GT(ref.rounds, 64);  // growth crossed every edge
+            EXPECT_GT(rounds, 64);  // growth crossed every edge
           }
-          for (const ConflInstance* instance : {&dense, &sparse}) {
-            std::vector<double> trace;
-            options.growth_trace = &trace;
-            const ConflSolution s = try_solve_confl(*instance, options).value();
-            EXPECT_EQ(s.open_facilities, ref.open_facilities);
-            EXPECT_EQ(s.assignment, ref.assignment);
-            EXPECT_EQ(s.tree.edges, ref.tree.edges);
-            EXPECT_EQ(s.rounds, ref.rounds);
-            EXPECT_EQ(s.facility_cost, ref.facility_cost);  // bitwise
-            EXPECT_EQ(s.assignment_cost, ref.assignment_cost);
-            EXPECT_EQ(s.tree_cost, ref.tree_cost);
-            EXPECT_EQ(trace, ref_trace);
+        }
+      }
+    }
+  }
+}
+
+// Each facility row's finite costs lie in one band of the fixed-step
+// scheduler's horizons: up to a_seq[16], (16, 32], (32, 64], or past 64
+// (crossing the horizon at 128). A quarter of the costs, and every cost
+// of the "top-only" rows, sit exactly on a band top a_seq[h] + 1e-12, the
+// extension's `hi`. Clients belong to bands too: a row reaches half the
+// clients of its own band and a few others, and a client's root cost lies
+// past its band, so the facilities of every band have clients to serve.
+// The band-0 facilities are free and open early, freezing clients of
+// later rows between extensions. The last client reaches only the root,
+// at round 150, so growth crosses every horizon.
+ConflInstance band_row_instance(const Graph& g, double step,
+                                std::uint64_t seed) {
+  util::Rng rng(seed);
+  const int n = g.num_nodes();
+  const auto un = static_cast<std::size_t>(n);
+  ConflInstance instance;
+  instance.network = &g;
+  instance.root = 0;
+  instance.edge_cost.assign(static_cast<std::size_t>(g.num_edges()), 1.0);
+  instance.assign_cost = util::Matrix<double>(un, un, kInf);
+  instance.facility_cost.resize(un);
+  const double facility_costs[] = {0.0, 0.5, 3.0, kInf};
+  struct Band {
+    int lo, hi, top;  // pair rounds (lo, hi]; top is the on-edge round
+    int root_lo, root_hi;  // root rounds of the band's clients
+  };
+  const Band bands[] = {{0, 16, 16, 20, 36},
+                        {16, 32, 32, 36, 52},
+                        {32, 64, 64, 68, 84},
+                        {64, 136, 128, 140, 150}};
+  for (NodeId i = 1; i < n; ++i) {
+    const Band& band = bands[i % 4];
+    const bool top_only = (i / 4) % 2 == 1;
+    instance.facility_cost[static_cast<std::size_t>(i)] =
+        i % 4 == 0 ? 0.0 : facility_costs[rng.uniform_int(0, 3)];
+    for (NodeId j = 1; j < n - 1; ++j) {
+      if (!rng.bernoulli(j % 4 == i % 4 ? 0.5 : 0.1)) continue;  // +inf
+      instance.assign_cost(static_cast<std::size_t>(i),
+                           static_cast<std::size_t>(j)) =
+          top_only || rng.bernoulli(0.25)
+              ? alpha_after(band.top, step) + 1e-12
+              : alpha_after(
+                    static_cast<int>(rng.uniform_int(band.lo + 1, band.hi)),
+                    step);
+    }
+  }
+  for (NodeId j = 1; j < n; ++j) {
+    const Band& band = bands[j % 4];
+    instance.assign_cost(0, static_cast<std::size_t>(j)) = alpha_after(
+        j == n - 1 ? 150
+                   : static_cast<int>(
+                         rng.uniform_int(band.root_lo, band.root_hi)),
+        step);
+  }
+  instance.assign_cost(0, 0) = 0.0;
+  return instance;
+}
+
+// A band rescan skips a facility row only when the least cost of its
+// unfrozen pairs above the last band lies strictly above the new band's
+// top. Rows confined to one band, costs on the band tops and clients
+// frozen between extensions must leave every solve bit-identical to the
+// dense reference: dense and sparse, both growth modes, M = 1 and 3,
+// with and without client weights.
+TEST(ConflTest, BandRowSkipMatchesReference) {
+  const Graph g = graph::make_grid(6, 6);
+  for (const double step : {1.0, 0.7}) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      for (const bool weighted : {false, true}) {
+        const ConflInstance dense = [&] {
+          ConflInstance d = band_row_instance(g, step, seed);
+          util::Rng rng(seed + 100);
+          const double weights[] = {0.0, 0.5, 1.0, 2.0};
+          for (NodeId j = 0; weighted && j < g.num_nodes(); ++j) {
+            d.client_weight.push_back(weights[rng.uniform_int(0, 3)]);
+          }
+          return d;
+        }();
+        for (GrowthMode mode :
+             {GrowthMode::kFixedStep, GrowthMode::kEventDriven}) {
+          for (const int span_threshold : {1, 3}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "step " << step << " seed " << seed
+                         << " weighted " << weighted << " mode "
+                         << static_cast<int>(mode) << " M " << span_threshold);
+            ConflOptions options;
+            options.growth = mode;
+            options.alpha_step = step;
+            options.span_threshold = span_threshold;
+            const int rounds = expect_twins_match_reference(dense, options);
+            if (mode == GrowthMode::kFixedStep) {
+              EXPECT_GT(rounds, 128);  // growth crossed every horizon
+            }
           }
         }
       }

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -237,6 +238,69 @@ TEST(ContentionUpdaterTest, StaleRestoreAfterRebuildIsDropped) {
     state.remove(8, 0);
     updater.update(state);  // s3: delta sweep over the s2 buffers
     expect_matches_rebuild(g, updater, state);
+  }
+}
+
+// Pinned-tree golden: the maintained digest blocks of a fresh build on
+// each layout — dense on a grid and on a disconnected graph, CSR at radius
+// 1, 2 and 0 with a full row — pinned at their recorded values. The aux
+// block is left out: it carries the process-wide epoch. However the
+// pinning scratch is laid out, no pinned cost, interval or key may move,
+// the maintained digest must equal a recompute, and every row must pass
+// its stateless re-check, at any thread count.
+TEST(ContentionUpdaterTest, PinnedTreesMatchGolden) {
+  util::Rng rng(401);
+  const Graph grid = graph::make_grid(12, 12);
+  const Graph split = graph::make_erdos_renyi(60, 0.03, rng);
+  const Graph er = graph::make_erdos_renyi(400, 0.02, rng);
+  ASSERT_FALSE(split.is_connected());
+  ASSERT_TRUE(er.is_connected());
+  using Blocks = std::array<std::uint64_t, 4>;  // cost, tree, weight, edge
+  struct Case {
+    const char* name;
+    const Graph* g;
+    LayoutCase layout;
+    Blocks golden;
+  };
+  const Case cases[] = {
+      {"dense-grid", &grid, {"dense", ContentionLayout::kDense, 0},
+       {0x6efa41effee269cdULL, 0x85dc8cd09a31fb85ULL, 0x5d84994d6d74c01dULL,
+        0xef2f0684ad8ec035ULL}},
+      {"dense-split", &split, {"dense", ContentionLayout::kDense, 0},
+       {0xe773fc5170618f9dULL, 0x352d44017db35f82ULL, 0xb6cae6738d628cd9ULL,
+        0xba60178c100bb33eULL}},
+      {"csr-r1", &er, {"csr-r1", ContentionLayout::kCsr, 1},
+       {0x09be523e635c9cb4ULL, 0xf70a4e7a0ba26beaULL, 0x2ab1f13ac3018d1dULL,
+        0x3e81b6a3d95927a5ULL}},
+      {"csr-r2", &er, {"csr-r2", ContentionLayout::kCsr, 2},
+       {0x23009cfd6e986e75ULL, 0x0d6af985c49edda4ULL, 0x2ab1f13ac3018d1dULL,
+        0x3e81b6a3d95927a5ULL}},
+      {"csr-r0", &er, {"csr-r0", ContentionLayout::kCsr, 0},
+       {0x11aeba45ca1609cdULL, 0x7eede58d1ce383a2ULL, 0x2ab1f13ac3018d1dULL,
+        0x3e81b6a3d95927a5ULL}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const int n = c.g->num_nodes();
+    metrics::CacheState state(n, 3, /*producer=*/0);
+    util::Rng fill(17);
+    for (int k = 0; k < n; ++k) {
+      const auto v = static_cast<NodeId>(
+          fill.bounded(static_cast<std::uint64_t>(n)));
+      const auto chunk = static_cast<metrics::ChunkId>(fill.bounded(4));
+      if (state.can_cache(v, chunk)) state.add(v, chunk);
+    }
+    const Blocks blocks = testutil::expect_thread_invariant([&] {
+      ContentionUpdater updater = make_updater(*c.g, c.layout);
+      updater.update(state);
+      const util::StateDigest d = updater.maintained_digest();
+      EXPECT_EQ(updater.recompute_digest(), d);
+      for (NodeId i = 0; i < n; ++i) {
+        EXPECT_TRUE(updater.verify_row(i)) << "row " << i;
+      }
+      return Blocks{d.cost, d.tree, d.weight, d.edge};
+    });
+    EXPECT_EQ(blocks, c.golden);
   }
 }
 
