@@ -60,9 +60,7 @@ confl::ConflInstance dense_twin(const confl::ConflInstance& sparse) {
   for (std::size_t i = 0; i < n; ++i) {
     for (std::int64_t t = s.row_offset[i]; t < s.row_offset[i + 1]; ++t) {
       const auto u = static_cast<std::size_t>(t);
-      dense.assign_cost(i, static_cast<std::size_t>(
-                               metrics::SparseContention::col_of(
-                                   s.packed[u]))) = s.cost[u];
+      dense.assign_cost(i, static_cast<std::size_t>(s.col[u])) = s.cost[u];
     }
   }
   return dense;

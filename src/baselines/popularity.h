@@ -39,7 +39,6 @@ class PopularityCaching {
 
   const metrics::CacheState& state() const { return state_; }
   long requests_processed() const { return requests_; }
-  long cache_hits() const { return hits_; }
   double hit_ratio() const {
     return requests_ == 0
                ? 0.0

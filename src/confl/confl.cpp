@@ -42,18 +42,17 @@ util::Status validate_confl_instance(const ConflInstance& instance) {
     if (static_cast<int>(s.row_offset.size()) != n + 1) {
       return Status::invalid_input("sparse cost row offsets mismatch");
     }
-    if (s.row_offset.back() !=
-            static_cast<std::int64_t>(s.packed.size()) ||
-        s.packed.size() != s.cost.size()) {
+    if (s.row_offset.back() != static_cast<std::int64_t>(s.col.size()) ||
+        s.col.size() != s.cost.size()) {
       return Status::invalid_input("sparse cost row data mismatch");
     }
     if (s.row_offset.front() != 0) {
       return Status::invalid_input("sparse cost rows must start at 0");
     }
-    // One pass over the rows: offsets never fall and stay inside `packed`,
+    // One pass over the rows: offsets never fall and stay inside `col`,
     // and each row's columns are in range and strictly ascending — the
     // slot order the engine relies on.
-    const auto entries = static_cast<std::int64_t>(s.packed.size());
+    const auto entries = static_cast<std::int64_t>(s.col.size());
     for (NodeId i = 0; i < n; ++i) {
       const std::int64_t rb = s.row_begin(i);
       const std::int64_t re = s.row_end(i);
@@ -63,9 +62,8 @@ util::Status validate_confl_instance(const ConflInstance& instance) {
       }
       NodeId prev = kInvalidNode;
       for (std::int64_t t = rb; t < re; ++t) {
-        const NodeId j = metrics::SparseContention::col_of(
-            s.packed[static_cast<std::size_t>(t)]);
-        if (j >= n) {
+        const NodeId j = s.col[static_cast<std::size_t>(t)];
+        if (j < 0 || j >= n) {
           return Status::invalid_input("sparse cost column out of range");
         }
         if (j <= prev) {
@@ -175,8 +173,7 @@ struct SparseRows {
   Slot row_end(NodeId i) const { return s->row_end(i); }
   double cost(Slot t) const { return s->cost[static_cast<std::size_t>(t)]; }
   NodeId col(Slot t, Slot /*rb*/) const {
-    return metrics::SparseContention::col_of(
-        s->packed[static_cast<std::size_t>(t)]);
+    return s->col[static_cast<std::size_t>(t)];
   }
 };
 

@@ -91,7 +91,8 @@ struct ConflOptions {
   double gamma_step = 4.0;
   // SPAN requests required before a facility opens (the paper's M).
   int span_threshold = 3;
-  // Safety valve on growth rounds; 0 derives it from max assignment cost.
+  // Safety valve on growth rounds; 0 derives it from the root row's
+  // largest finite cost (fixed step) or a quadratic bound (event-driven).
   // Negative values are rejected as kInvalidInput.
   int max_rounds = 0;
   // Worker threads for the parallelisable set-up work (event-list builds,

@@ -24,13 +24,6 @@ util::Status validate_build_inputs(const FairCachingProblem& problem,
        static_cast<std::size_t>(chunk) >= options.demand->size())) {
     return util::Status::invalid_input("demand matrix missing chunk row");
   }
-  if (options.contention_mode == ContentionMode::kSparse) {
-    if (util::Status status =
-            validate_sparse_node_limit(problem.network->num_nodes());
-        !status.ok()) {
-      return status;
-    }
-  }
   return util::Status();  // OK
 }
 
@@ -70,15 +63,6 @@ util::Result<confl::ConflInstance> try_build_chunk_instance(
   return instance;
 }
 
-util::Status validate_sparse_node_limit(int num_nodes) {
-  if (num_nodes >= metrics::SparseContention::kMaxNodes) {
-    return util::Status::invalid_input(
-        "sparse contention store packs columns into 24 bits; "
-        "network must have fewer than 2^24 nodes");
-  }
-  return util::Status();  // OK
-}
-
 ChunkInstanceEngine::ChunkInstanceEngine(const FairCachingProblem& problem,
                                          const InstanceOptions& options)
     : problem_(&problem), options_(options) {
@@ -92,12 +76,6 @@ ChunkInstanceEngine::ChunkInstanceEngine(const FairCachingProblem& problem,
   }
   guard_ = EngineGuard(options_.guard);
   if (mode_used_ == ContentionMode::kRebuild) return;
-  if (mode_used_ == ContentionMode::kSparse) {
-    // The 24-bit column limit surfaces as a typed error from build(),
-    // never a CHECK abort inside the updater.
-    init_status_ = validate_sparse_node_limit(problem_->network->num_nodes());
-    if (!init_status_.ok()) return;
-  }
   updater_ = make_updater(options_.guard.enabled);
 }
 
@@ -129,7 +107,6 @@ util::Result<confl::ConflInstance> ChunkInstanceEngine::build(
     const metrics::CacheState& state, metrics::ChunkId chunk) {
   const int build_index = ++builds_;
   if (options_.pre_build_hook) options_.pre_build_hook(*this, build_index);
-  if (!init_status_.ok()) return init_status_;
   if (util::Status status =
           validate_build_inputs(*problem_, state, options_, chunk);
       !status.ok()) {
@@ -170,7 +147,6 @@ void ChunkInstanceEngine::reclaim(confl::ConflInstance&& instance) {
 }
 
 util::Status ChunkInstanceEngine::sync(const metrics::CacheState& state) {
-  if (!init_status_.ok()) return init_status_;
   if (problem_->network == nullptr) {
     return util::Status::invalid_input("problem needs a network");
   }

@@ -83,12 +83,6 @@ struct InstanceOptions {
   std::function<void(ChunkInstanceEngine&, int)> pre_build_hook;
 };
 
-// Typed guard on the sparse store's packed 24-bit column limit:
-// kInvalidInput when `num_nodes >= SparseContention::kMaxNodes`. Applied
-// by try_build_chunk_instance / ChunkInstanceEngine whenever the sparse
-// engine is requested, instead of aborting inside the builder.
-util::Status validate_sparse_node_limit(int num_nodes);
-
 // Where the contention-build time went, cumulative over an engine's life:
 // full builds (BFS trees + initial matrix, and every kRebuild chunk) vs
 // sparse delta sweeps (kIncremental chunks after the first).
@@ -188,9 +182,6 @@ class ChunkInstanceEngine {
   const FairCachingProblem* problem_;
   InstanceOptions options_;
   ContentionMode mode_used_ = ContentionMode::kRebuild;
-  // Set at construction when the mode cannot run at all (sparse 24-bit
-  // column limit); build() then fails fast with this status.
-  util::Status init_status_;
   // Non-null in kIncremental / kSparse (dense / CSR layout).
   std::unique_ptr<metrics::ContentionUpdater> updater_;
   // kRebuild-mode query cache for sync()/query_cost(): the dense matrix of

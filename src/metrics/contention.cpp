@@ -103,20 +103,6 @@ ContentionMatrix::ContentionMatrix(const graph::Graph& g,
   // explicitly), so skip the 8n² zero fill.
   cost_.assign_no_init(n, n);
   const int threads = util::resolve_parallel_threads(0, n);
-
-  // Per-worker running maxima, folded sequentially after the join — max is
-  // exact (no rounding), so the two-level reduction matches the old full
-  // matrix scan bit for bit at any thread count.
-  std::vector<double> worker_max(static_cast<std::size_t>(threads), 0.0);
-  const auto fold_row_max = [&worker_max](const double* row, std::size_t n,
-                                          int worker) {
-    double m = worker_max[static_cast<std::size_t>(worker)];
-    for (std::size_t j = 0; j < n; ++j) {
-      if (row[j] != graph::kInfCost && row[j] > m) m = row[j];
-    }
-    worker_max[static_cast<std::size_t>(worker)] = m;
-  };
-
   const graph::CsrAdjacency adj = graph::build_csr(g);
   std::vector<ContentionRowBuilder> builders(
       static_cast<std::size_t>(threads),
@@ -126,14 +112,10 @@ ContentionMatrix::ContentionMatrix(const graph::Graph& g,
       [&](std::size_t i, int worker) {
         builders[static_cast<std::size_t>(worker)].build(
             static_cast<graph::NodeId>(i), cost_[i]);
-        fold_row_max(cost_[i], n, worker);
       },
       threads);
 
   edge_cost_ = contention_edge_costs(g, weight);
-
-  max_cost_ = 0.0;
-  for (const double m : worker_max) max_cost_ = std::max(max_cost_, m);
 }
 
 }  // namespace faircache::metrics

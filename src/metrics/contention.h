@@ -93,14 +93,11 @@ class ContentionMatrix {
   util::Matrix<double> take_matrix() { return std::move(cost_); }
   std::vector<double> take_edge_costs() { return std::move(edge_cost_); }
 
-  double max_cost() const { return max_cost_; }
-
   PathPolicy policy() const { return policy_; }
 
  private:
   util::Matrix<double> cost_;
   std::vector<double> edge_cost_;
-  double max_cost_ = 0.0;
   PathPolicy policy_;
 };
 

@@ -151,20 +151,17 @@ struct ContentionUpdater::Workspace {
   }
 
   // CSR: lays the last bfs()'s nodes out in ascending-id slots — the
-  // packed (col << 8) | hop keys, the slot costs, and the slot of each
-  // visit position.
-  void fill_csr_slots(std::uint32_t* packed, double* slot_cost) {
+  // client ids, the slot costs, and the slot of each visit position.
+  void fill_csr_slots(NodeId* col, double* slot_cost) {
     const auto count = static_cast<std::size_t>(reach);
     for (std::size_t p = 0; p < count; ++p) {
       sorted[p] = (static_cast<std::uint64_t>(order[p]) << 32) | p;
     }
     std::sort(sorted.begin(), sorted.begin() + reach);
     for (std::size_t s = 0; s < count; ++s) {
-      const auto j = static_cast<std::uint32_t>(sorted[s] >> 32);
       const auto p = static_cast<std::size_t>(sorted[s] & 0xffffffffu);
       slot[p] = static_cast<std::int32_t>(s);
-      const auto hop = static_cast<std::uint32_t>(std::min(depth[p], 255));
-      packed[s] = (j << SparseContention::kHopBits) | hop;
+      col[s] = static_cast<NodeId>(sorted[s] >> 32);
       slot_cost[s] = cost[p];
     }
   }
@@ -176,15 +173,6 @@ namespace {
 // updater gets a distinct stamp, so a buffer can never be restored into a
 // different pinning than the one it was taken from.
 std::atomic<std::uint64_t> g_epoch_counter{0};
-
-double finite_row_max(const double* row, std::size_t n) {
-  double m = 0.0;
-  for (std::size_t j = 0; j < n; ++j) {
-    const double v = row[j];
-    if (v != graph::kInfCost && v > m) m = v;
-  }
-  return m;
-}
 
 }  // namespace
 
@@ -198,9 +186,6 @@ ContentionUpdater::ContentionUpdater(const graph::Graph& g,
   if (dense()) {  // dense rows are always full
     options_.radius = 0;
     options_.full_row = graph::kInvalidNode;
-  } else {
-    FAIRCACHE_CHECK(g.num_nodes() < SparseContention::kMaxNodes,
-                    "sparse contention store supports < 2^24 nodes");
   }
 }
 
@@ -238,7 +223,7 @@ bool ContentionUpdater::shape_ok(const ContentionBuffers& b) const {
   const bool costs_fit =
       dense() ? b.dense.rows() == n && b.dense.size() == slots
               : b.csr.row_offset.size() == n + 1 &&
-                    b.csr.packed.size() == slots && b.csr.cost.size() == slots;
+                    b.csr.col.size() == slots && b.csr.cost.size() == slots;
   return costs_fit &&
          b.edge_cost.size() == static_cast<std::size_t>(graph_->num_edges());
 }
@@ -328,23 +313,18 @@ void ContentionUpdater::build_full(const std::vector<double>& weight) {
       store.row_offset[i + 1] += store.row_offset[i];
     }
     slots = static_cast<std::size_t>(store.row_offset[n]);
-    store.packed.resize(slots);
+    store.col.resize(slots);
     store.cost.resize(slots);
   }
   for (auto* tree : {&pre_, &end_, &order_}) {
     tree->clear();
     tree->resize(slots);
   }
-  row_max_.resize(n);
 
   for_each_source([&](NodeId src, Workspace& w) { pin_row(src, w); });
 
   buf_.edge_cost = contention_edge_costs(*graph_, weight);
 
-  store.max_cost = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    store.max_cost = std::max(store.max_cost, row_max_[i]);
-  }
   store.epoch = epoch_ = ++g_epoch_counter;
   lent_ = false;
   // Assemble the maintained digests from the per-worker partials gathered
@@ -352,7 +332,7 @@ void ContentionUpdater::build_full(const std::vector<double>& weight) {
   if (options_.checksums) {
     util::StateDigest d;
     d.cost = util::length_term(slots);
-    d.tree = util::length_term(store.row_offset.size() + store.packed.size() +
+    d.tree = util::length_term(store.row_offset.size() + store.col.size() +
                                3 * slots);
     for (const Workspace& w : ws) {
       d.cost += w.chk;
@@ -386,7 +366,7 @@ void ContentionUpdater::pin_row(NodeId src, Workspace& w) {
   if (!dense()) {
     FAIRCACHE_CHECK(static_cast<std::size_t>(reach) == slots,
                     "row size drifted between build passes");
-    w.fill_csr_slots(buf_.csr.packed.data() + rb, cost);
+    w.fill_csr_slots(buf_.csr.col.data() + rb, cost);
   } else if (static_cast<std::size_t>(reach) < n) {
     // Disconnected graph: unreached = ∞. The sweep never reads interval
     // bounds or preorder slots of unreachable nodes, but the integrity
@@ -397,7 +377,6 @@ void ContentionUpdater::pin_row(NodeId src, Workspace& w) {
     std::fill(end, end + n, 0);
     std::fill(ord + reach, ord + n, graph::kInvalidNode);
   }
-  row_max_[ui] = finite_row_max(cost, slots);
 
   // Subtree sizes: fold children into parents in reverse visit order.
   int* size = w.size.data();
@@ -430,7 +409,7 @@ void ContentionUpdater::pin_row(NodeId src, Workspace& w) {
     const std::uint64_t tree0 = tree_base();
     w.chk += util::digest_span(cost, slots, base);
     if (!dense()) {
-      w.chk_tree += util::digest_span(buf_.csr.packed.data() + rb, slots,
+      w.chk_tree += util::digest_span(buf_.csr.col.data() + rb, slots,
                                       n + 1 + base);
     }
     w.chk_tree += util::digest_span(pre, slots, tree0 + base);
@@ -446,9 +425,7 @@ void ContentionUpdater::apply_deltas(
   std::vector<double>& edge_cost = buf_.edge_cost;
   const bool track = options_.checksums;
 
-  bool any_negative = false;
   for (const auto& [k, d] : deltas) {
-    if (d < 0.0) any_negative = true;
     // Dissemination edge costs touching k: recompute from the fresh
     // weights (both-endpoints-changed edges are recomputed twice,
     // idempotently).
@@ -488,32 +465,21 @@ void ContentionUpdater::apply_deltas(
         double* diff = ws[static_cast<std::size_t>(worker)].diff.data();
         const std::int32_t* pre = pre_.data() + rb;
         const std::int32_t* end = end_.data() + rb;
-        const std::uint32_t* packed =
-            dense() ? nullptr : buf_.csr.packed.data() + rb;
+        const NodeId* col = dense() ? nullptr : buf_.csr.col.data() + rb;
         // Slot of node k in this row: k itself in a dense row, a binary
         // search in a CSR row (-1 when the pair is not materialized — out
         // of radius, so the delta cannot touch this row).
         auto slot_of = [&](NodeId k) {
-          if (packed == nullptr) return static_cast<int>(k);
-          const auto key = static_cast<std::uint32_t>(k)
-                           << SparseContention::kHopBits;
-          const std::uint32_t* it =
-              std::lower_bound(packed, packed + reach, key);
-          if (it == packed + reach || SparseContention::col_of(*it) != k) {
-            return -1;
-          }
-          return static_cast<int>(it - packed);
+          if (col == nullptr) return static_cast<int>(k);
+          const NodeId* it = std::lower_bound(col, col + reach, k);
+          if (it == col + reach || *it != k) return -1;
+          return static_cast<int>(it - col);
         };
-        // A delta on the source itself shifts the (zero) diagonal too; it
-        // gets reset below, so the running max needs a rescan to shed the
-        // transient value.
-        bool rescan = any_negative;
         int first = reach + 1;
         int last = 0;
         auto scatter = [&](int s, double d) {
           const int p = pre[s];
           if (p < 0) return;  // dense: k unreachable from i, no shared path
-          if (p == 0) rescan = true;
           const int q = end[s];
           diff[p] += d;
           diff[q] -= d;
@@ -525,11 +491,11 @@ void ContentionUpdater::apply_deltas(
         // the row when the changed set is small, otherwise scan a CSR row
         // once against the dense delta lookup (|D| log reach vs reach).
         const bool scan_row =
-            packed != nullptr &&
+            col != nullptr &&
             deltas.size() * 8 >= static_cast<std::size_t>(reach);
         if (scan_row) {
           for (int s = 0; s < reach; ++s) {
-            const double d = delta_of[SparseContention::col_of(packed[s])];
+            const double d = delta_of[static_cast<std::size_t>(col[s])];
             if (d != 0.0) scatter(s, d);
           }
         } else {
@@ -543,7 +509,6 @@ void ContentionUpdater::apply_deltas(
         double* cost = costs() + rb;
         const std::int32_t* ord = order_.data() + rb;
         double acc = 0.0;
-        double row_max = row_max_[i];  // valid lower bound: deltas ≥ 0 here
         if (track) {
           // Same arithmetic as the untracked loop below, plus the O(1)
           // digest replace per touched entry (including the diagonal
@@ -556,7 +521,6 @@ void ContentionUpdater::apply_deltas(
               const double old = cost[ord[p]];
               const double v = old + acc;
               cost[ord[p]] = v;
-              if (v > row_max) row_max = v;
               chk += util::replace_term(slot0 + ord[p], util::to_bits(old),
                                         util::to_bits(v));
             }
@@ -570,16 +534,10 @@ void ContentionUpdater::apply_deltas(
         } else {
           for (int p = first; p < last; ++p) {
             acc += diff[p];
-            if (acc != 0.0) {
-              const double v = (cost[ord[p]] += acc);
-              if (v > row_max) row_max = v;
-            }
+            if (acc != 0.0) cost[ord[p]] += acc;
           }
         }
         cost[ord[0]] = 0.0;  // c_ii stays 0 (self access transmits nothing)
-        row_max_[i] =
-            rescan ? finite_row_max(cost, static_cast<std::size_t>(reach))
-                   : row_max;
 
         // Leave the worker's difference array all-zero for the next row.
         // A row scan touched only positions in [first, last], a range the
@@ -597,34 +555,23 @@ void ContentionUpdater::apply_deltas(
       },
       threads);
 
-  SparseContention& store = buf_.csr;
-  store.max_cost = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    store.max_cost = std::max(store.max_cost, row_max_[i]);
-  }
   if (track) {
     for (const Workspace& w : ws) digest_.cost += w.chk;
-    digest_.aux = aux_digest();
   }
   delta_apply_seconds_ += timer.elapsed_seconds();
 }
 
 std::uint64_t ContentionUpdater::tree_base() const {
   if (dense()) return 0;
-  return static_cast<std::uint64_t>(row_max_.size()) + 1 + pre_.size();
+  return static_cast<std::uint64_t>(graph_->num_nodes()) + 1 + pre_.size();
 }
 
 std::uint64_t ContentionUpdater::aux_digest() const {
-  const std::size_t n = row_max_.size();
   const SparseContention& store = buf_.csr;
-  std::uint64_t d = util::length_term(n + 5) +
-                    util::digest_span(row_max_.data(), n);
-  d += util::contribution(n, util::to_bits(store.max_cost));
-  d += util::contribution(n + 1, store.epoch);
-  d += util::contribution(n + 2, util::to_bits(store.num_nodes));
-  d += util::contribution(n + 3, util::to_bits(store.radius));
-  d += util::contribution(n + 4, util::to_bits(store.full_row));
-  return d;
+  return util::length_term(4) + util::contribution(0, store.epoch) +
+         util::contribution(1, util::to_bits(store.num_nodes)) +
+         util::contribution(2, util::to_bits(store.radius)) +
+         util::contribution(3, util::to_bits(store.full_row));
 }
 
 std::uint64_t ContentionUpdater::weight_digest() const {
@@ -634,7 +581,7 @@ std::uint64_t ContentionUpdater::weight_digest() const {
 
 util::StateDigest ContentionUpdater::recompute_digest() const {
   util::StateDigest d;
-  const std::size_t n = row_max_.size();
+  const auto n = static_cast<std::size_t>(graph_->num_nodes());
   const SparseContention& store = buf_.csr;
   const std::uint64_t total = pre_.size();
   const std::uint64_t tree0 = tree_base();
@@ -664,8 +611,7 @@ util::StateDigest ContentionUpdater::recompute_digest() const {
         const std::int64_t rb = row_begin(i);
         const std::int64_t re = row_begin(i + 1);
         p.cost += clamped(cost, cost_n, rb, re, 0);
-        p.tree += clamped(store.packed.data(), store.packed.size(), rb, re,
-                          n + 1);
+        p.tree += clamped(store.col.data(), store.col.size(), rb, re, n + 1);
         p.tree += clamped(pre_.data(), pre_.size(), rb, re, tree0);
         p.tree += clamped(end_.data(), end_.size(), rb, re, tree0 + total);
         p.tree += clamped(order_.data(), order_.size(), rb, re,
@@ -673,7 +619,7 @@ util::StateDigest ContentionUpdater::recompute_digest() const {
       },
       threads);
   d.cost = util::length_term(cost_n);
-  d.tree = util::length_term(store.row_offset.size() + store.packed.size() +
+  d.tree = util::length_term(store.row_offset.size() + store.col.size() +
                              pre_.size() + end_.size() + order_.size());
   for (const Partial& p : part) {  // associative: any worker order agrees
     d.cost += p.cost;
@@ -696,7 +642,7 @@ bool ContentionUpdater::verify_row(NodeId i) const {
   const std::int64_t re = row_begin(ui + 1);
   if (rb < 0 || re < rb || re > static_cast<std::int64_t>(cost_size()) ||
       (!dense() &&
-       re > static_cast<std::int64_t>(buf_.csr.packed.size()))) {
+       re > static_cast<std::int64_t>(buf_.csr.col.size()))) {
     return false;  // offsets promise entries the value arrays lack
   }
   const auto slots = static_cast<std::size_t>(re - rb);
@@ -712,10 +658,9 @@ bool ContentionUpdater::verify_row(NodeId i) const {
     w.mark_unreached(fresh.data(), n);
   } else {
     if (static_cast<std::size_t>(reach) != slots) return false;
-    std::vector<std::uint32_t> packed(slots);
-    w.fill_csr_slots(packed.data(), fresh.data());
-    if (std::memcmp(packed.data(), buf_.csr.packed.data() + rb,
-                    slots * sizeof(std::uint32_t)) != 0) {
+    std::vector<NodeId> col(slots);
+    w.fill_csr_slots(col.data(), fresh.data());
+    if (!std::equal(col.begin(), col.end(), buf_.csr.col.begin() + rb)) {
       return false;
     }
   }
@@ -762,7 +707,7 @@ bool ContentionUpdater::corrupt_for_testing(
           std::min<std::uint64_t>(want, victim.size()));
       if (drop == 0) return false;
       victim.resize(victim.size() - drop);
-      if (!dense()) buf_.csr.packed.resize(buf_.csr.packed.size() - drop);
+      if (!dense()) buf_.csr.col.resize(buf_.csr.col.size() - drop);
       return true;
     }
     case Block::kEpoch:

@@ -13,8 +13,8 @@
 // traversal.
 //
 // The updater pins the trees once (preorder/subtree intervals per source)
-// and thereafter keeps its owned costs, edge costs and max-cost in sync
-// with any CacheState handed to update(). Deltas may be negative (chunk
+// and thereafter keeps its owned costs and edge costs in sync with any
+// CacheState handed to update(). Deltas may be negative (chunk
 // eviction), and rows are processed independently in parallel, so results
 // are bit-identical at any thread count.
 //
@@ -48,7 +48,7 @@ enum class ContentionLayout {
   // is an O(1) index. Rows are always full (radius and full_row are
   // ignored).
   kDense,
-  // Slot = position in the row's ascending (col << 8) | hop list of the
+  // Slot = position in the row's ascending client-id list of the
   // SparseContention store: only clients within `radius` hops are stored.
   // Two-pass build (ball sizes, then rows); cost(i, j) is a binary search.
   kCsr,
@@ -83,8 +83,7 @@ class ContentionUpdater {
   // The graph must outlive the updater; its topology must not change
   // (edges added after construction would invalidate the pinned trees).
   // Only PathPolicy::kHopShortest is supported — weight-dependent paths
-  // (kMinContention) cannot be pinned. kCsr requires
-  // g.num_nodes() < SparseContention::kMaxNodes (24-bit columns).
+  // (kMinContention) cannot be pinned.
   ContentionUpdater(const graph::Graph& g, ContentionLayout layout,
                     ContentionUpdaterOptions options = {});
   ~ContentionUpdater();
@@ -92,7 +91,7 @@ class ContentionUpdater {
   ContentionUpdater(const ContentionUpdater&) = delete;
   ContentionUpdater& operator=(const ContentionUpdater&) = delete;
 
-  // Brings the owned costs, edge costs and max_cost in sync with `state`.
+  // Brings the owned costs and edge costs in sync with `state`.
   // The first call (or any call while the buffers are out on loan)
   // performs the full build and pins the per-source trees; later calls
   // apply the weight deltas. No-op when no node weight changed.
@@ -111,7 +110,6 @@ class ContentionUpdater {
   const util::Matrix<double>& matrix() const { return buf_.dense; }  // kDense
   const SparseContention& store() const { return buf_.csr; }         // kCsr
   const std::vector<double>& edge_costs() const { return buf_.edge_cost; }
-  double max_cost() const { return buf_.csr.max_cost; }
 
   // Zero-copy hand-off for instance building: lend the buffers, let the
   // solver run on them, then hand them back so the next update() can
@@ -182,10 +180,10 @@ class ContentionUpdater {
   void apply_deltas(const std::vector<std::pair<graph::NodeId, double>>& d);
 
   // Digest slot of the first pre_ entry: the CSR layout digests its row
-  // offsets and packed keys ahead of the interval arrays.
+  // offsets and client ids ahead of the interval arrays.
   std::uint64_t tree_base() const;
-  // Digest of the aux block (row maxima, global max, and the store's
-  // epoch/shape scalars) — O(n), recomputed after every sweep.
+  // Digest of the aux block: the store's epoch and shape scalars. They
+  // change only on a build, so the sweeps leave it alone.
   std::uint64_t aux_digest() const;
   std::uint64_t weight_digest() const;
 
@@ -205,7 +203,6 @@ class ContentionUpdater {
   std::vector<std::int32_t, util::DefaultInitAllocator<std::int32_t>> end_;
   std::vector<std::int32_t, util::DefaultInitAllocator<std::int32_t>>
       order_;
-  std::vector<double> row_max_;
 
   std::vector<double> weight_;  // w_k(1+S(k)) the costs currently reflect
   bool built_ = false;

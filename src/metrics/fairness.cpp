@@ -20,14 +20,6 @@ double fairness_degree(const CacheState& state, graph::NodeId v) {
   return ratio_cost(state.used(v), state.capacity(v));
 }
 
-std::vector<double> fairness_degrees(const CacheState& state) {
-  std::vector<double> result(static_cast<std::size_t>(state.num_nodes()));
-  for (graph::NodeId v = 0; v < state.num_nodes(); ++v) {
-    result[static_cast<std::size_t>(v)] = fairness_degree(state, v);
-  }
-  return result;
-}
-
 double FairnessModel::cost(const CacheState& state, graph::NodeId v) const {
   const double storage = fairness_degree(state, v);
   if (config_.battery_weight == 0.0 || battery_budget_.empty()) {

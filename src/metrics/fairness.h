@@ -16,9 +16,6 @@ namespace faircache::metrics {
 // full node or the producer (which must never be selected).
 double fairness_degree(const CacheState& state, graph::NodeId v);
 
-// Fairness degree vector for the whole network (producer entry = +inf).
-std::vector<double> fairness_degrees(const CacheState& state);
-
 // Weighted storage + battery fairness (paper footnote 1). Battery is modeled
 // as an abstract budget: each cached chunk is assumed to cost
 // `battery_per_chunk` units of the node's battery over its lifetime, so the

@@ -12,11 +12,11 @@
 // arithmetic of metrics::ContentionMatrix restricted to the in-radius
 // ball. Pairs absent from a row are implicitly +∞.
 //
-// Rows are CSR with bit-packed entries: a row's entries are sorted by
-// ascending client id and packed as (col << 8) | min(hop, 255) in one
-// uint32 (requires n < 2^24), with the double costs in a parallel array.
-// Ascending packed order is ascending client order, which is what keeps
-// the solver's floating-point accumulations in the dense reference order.
+// Rows are CSR: a row's entries are its client ids in ascending order,
+// with the double costs in a parallel array. Ascending client order is
+// what keeps the solver's floating-point accumulations in the dense
+// reference order. The hop distance is not stored: the radius is a
+// locality cut on which pairs exist, and nothing reads it per entry.
 //
 // Two guarantees make the truncation safe:
 //   * the `full_row` source (the ConFL root / producer) is always built
@@ -41,20 +41,6 @@ namespace faircache::metrics {
 // CSR row store of in-radius path contention costs. Plain data: movable
 // in and out of a ConflInstance without touching the pinned trees.
 struct SparseContention {
-  static constexpr int kHopBits = 8;
-  static constexpr std::uint32_t kHopMask = (1u << kHopBits) - 1;
-  static constexpr int kMaxNodes = 1 << (32 - kHopBits);  // col fits 24 bits
-
-  static constexpr graph::NodeId col_of(std::uint32_t packed) {
-    return static_cast<graph::NodeId>(packed >> kHopBits);
-  }
-  // Hop distance source → col, saturated at 255 (exact within any radius
-  // ≤ 255; untruncated rows of deeper graphs clamp — the hop byte only
-  // feeds heuristics, never the cost arithmetic).
-  static constexpr int hop_of(std::uint32_t packed) {
-    return static_cast<int>(packed & kHopMask);
-  }
-
   int num_nodes = 0;
   int radius = 0;  // ≤ 0 = unbounded (every row full)
   graph::NodeId full_row = graph::kInvalidNode;  // row built untruncated
@@ -66,9 +52,8 @@ struct SparseContention {
   // stamp (metrics::ContentionBuffers).
   std::uint64_t epoch = 0;
   std::vector<std::int64_t> row_offset;  // size n + 1
-  std::vector<std::uint32_t> packed;     // (col << 8) | hop, ascending col
-  std::vector<double> cost;              // aligned with `packed`
-  double max_cost = 0.0;
+  std::vector<graph::NodeId> col;        // client ids, ascending per row
+  std::vector<double> cost;              // aligned with `col`
 
   bool empty() const { return row_offset.empty(); }
   std::int64_t row_begin(graph::NodeId i) const {
@@ -82,11 +67,10 @@ struct SparseContention {
   // materialized (out of radius / unreachable). O(log row) — for tests and
   // evaluators, not solver hot loops (those iterate rows).
   double cost_at(graph::NodeId i, graph::NodeId j) const {
-    const std::uint32_t* base = packed.data();
-    const std::uint32_t* end = base + row_end(i);
-    const std::uint32_t* it = std::lower_bound(
-        base + row_begin(i), end, static_cast<std::uint32_t>(j) << kHopBits);
-    if (it == end || col_of(*it) != j) return graph::kInfCost;
+    const graph::NodeId* base = col.data();
+    const graph::NodeId* end = base + row_end(i);
+    const graph::NodeId* it = std::lower_bound(base + row_begin(i), end, j);
+    if (it == end || *it != j) return graph::kInfCost;
     return cost[static_cast<std::size_t>(it - base)];
   }
 };

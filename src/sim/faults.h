@@ -57,11 +57,6 @@ struct FaultPlan {
   bool reorder = false;         // shuffle each round's delivery order
   std::vector<CrashEvent> crashes;
   std::vector<LinkFault> link_faults;
-
-  bool has_faults() const {
-    return drop_rate > 0.0 || duplicate_rate > 0.0 || delay_rate > 0.0 ||
-           reorder || !crashes.empty() || !link_faults.empty();
-  }
 };
 
 // Non-throwing schedule validation: rates must be probabilities, delays at

@@ -118,8 +118,12 @@ util::Result<ServingResult> ServingEngine::run(ServingPolicy* policy) {
   DriftingDemand demand(*problem_, config_, rng);
 
   core::OnlineFairCaching online(*problem_, config_.online);
-  core::ChunkInstanceEngine query_engine(*problem_,
-                                         config_.online.approx.instance);
+  // Only an external policy's fetches query contention costs; the built-in
+  // driver fetches through `online`.
+  std::optional<core::ChunkInstanceEngine> query_engine;
+  if (policy != nullptr) {
+    query_engine.emplace(*problem_, config_.online.approx.instance);
+  }
   std::vector<char> published(
       static_cast<std::size_t>(problem_->num_chunks), 0);
   bool external_dirty = true;
@@ -182,13 +186,13 @@ util::Result<ServingResult> ServingEngine::run(ServingPolicy* policy) {
     } else {
       if (policy->observe(request)) external_dirty = true;
       if (external_dirty) {
-        if (util::Status status = query_engine.sync(policy->state());
+        if (util::Status status = query_engine->sync(policy->state());
             !status.ok()) {
           return status;
         }
         external_dirty = false;
       }
-      decision = core::cheapest_copy(query_engine, policy->state(),
+      decision = core::cheapest_copy(*query_engine, policy->state(),
                                      request.node, request.chunk);
     }
 
@@ -229,7 +233,7 @@ util::Result<ServingResult> ServingEngine::run(ServingPolicy* policy) {
   result.state = current_state();
   result.contention_mode_used = policy == nullptr
                                     ? online.contention_mode_used()
-                                    : query_engine.mode_used();
+                                    : query_engine->mode_used();
   return result;
 }
 

@@ -104,7 +104,7 @@ struct StateDigest {
   std::uint64_t tree = 0;    // pinned trees: pre/end/order (+ CSR layout)
   std::uint64_t weight = 0;  // w_k(1+S(k)) the costs currently reflect
   std::uint64_t edge = 0;    // dissemination edge costs
-  std::uint64_t aux = 0;     // row maxima, global max, epoch stamp
+  std::uint64_t aux = 0;     // epoch stamp and store shape scalars
 
   friend bool operator==(const StateDigest&, const StateDigest&) = default;
 };

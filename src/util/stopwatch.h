@@ -17,9 +17,6 @@ class Stopwatch {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }
 
-  double elapsed_ms() const { return elapsed_seconds() * 1e3; }
-  double elapsed_us() const { return elapsed_seconds() * 1e6; }
-
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;

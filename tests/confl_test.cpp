@@ -184,11 +184,10 @@ ConflInstance sparse_twin(const ConflInstance& dense) {
       const double c = dense.assign_cost(static_cast<std::size_t>(i),
                                          static_cast<std::size_t>(j));
       if (c == kInf) continue;
-      s.packed.push_back(static_cast<std::uint32_t>(j)
-                         << metrics::SparseContention::kHopBits);
+      s.col.push_back(j);
       s.cost.push_back(c);
     }
-    s.row_offset.push_back(static_cast<std::int64_t>(s.packed.size()));
+    s.row_offset.push_back(static_cast<std::int64_t>(s.col.size()));
   }
   return sparse;
 }

@@ -10,6 +10,7 @@
 
 #include <array>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/approx.h"
@@ -245,9 +246,9 @@ TEST(ContentionUpdaterTest, StaleRestoreAfterRebuildIsDropped) {
 // each layout — dense on a grid and on a disconnected graph, CSR at radius
 // 1, 2 and 0 with a full row — pinned at their recorded values. The aux
 // block is left out: it carries the process-wide epoch. However the
-// pinning scratch is laid out, no pinned cost, interval or key may move,
-// the maintained digest must equal a recompute, and every row must pass
-// its stateless re-check, at any thread count.
+// pinning scratch is laid out, no pinned cost, interval or client id may
+// move, the maintained digest must equal a recompute, and every row must
+// pass its stateless re-check, at any thread count.
 TEST(ContentionUpdaterTest, PinnedTreesMatchGolden) {
   util::Rng rng(401);
   const Graph grid = graph::make_grid(12, 12);
@@ -270,13 +271,13 @@ TEST(ContentionUpdaterTest, PinnedTreesMatchGolden) {
        {0xe773fc5170618f9dULL, 0x352d44017db35f82ULL, 0xb6cae6738d628cd9ULL,
         0xba60178c100bb33eULL}},
       {"csr-r1", &er, {"csr-r1", ContentionLayout::kCsr, 1},
-       {0x09be523e635c9cb4ULL, 0xf70a4e7a0ba26beaULL, 0x2ab1f13ac3018d1dULL,
+       {0x09be523e635c9cb4ULL, 0xb9c48f68b430e40aULL, 0x2ab1f13ac3018d1dULL,
         0x3e81b6a3d95927a5ULL}},
       {"csr-r2", &er, {"csr-r2", ContentionLayout::kCsr, 2},
-       {0x23009cfd6e986e75ULL, 0x0d6af985c49edda4ULL, 0x2ab1f13ac3018d1dULL,
+       {0x23009cfd6e986e75ULL, 0x30d95f2431267fb3ULL, 0x2ab1f13ac3018d1dULL,
         0x3e81b6a3d95927a5ULL}},
       {"csr-r0", &er, {"csr-r0", ContentionLayout::kCsr, 0},
-       {0x11aeba45ca1609cdULL, 0x7eede58d1ce383a2ULL, 0x2ab1f13ac3018d1dULL,
+       {0x11aeba45ca1609cdULL, 0x3731de69940d2252ULL, 0x2ab1f13ac3018d1dULL,
         0x3e81b6a3d95927a5ULL}},
   };
   for (const Case& c : cases) {
@@ -302,6 +303,38 @@ TEST(ContentionUpdaterTest, PinnedTreesMatchGolden) {
     });
     EXPECT_EQ(blocks, c.golden);
   }
+}
+
+// A CSR row's client ids are guarded state too: two ids swapped inside a
+// row while the buffers are on loan leave every cost in place, yet the
+// tree digest and the row's stateless re-check must both catch it.
+TEST(ContentionUpdaterTest, SwappedCsrClientIdsAreCaught) {
+  const Graph g = graph::make_grid(5, 4);
+  ContentionUpdater updater = make_updater(g, kLayouts[1]);  // csr-r2
+  metrics::CacheState state(g.num_nodes(), 3, /*producer=*/0);
+  state.add(6, 0);
+  updater.update(state);
+  const util::StateDigest clean = updater.maintained_digest();
+  ASSERT_EQ(updater.recompute_digest(), clean);
+
+  const NodeId row = 7;
+  ContentionBuffers lent = updater.take();
+  const auto rb = static_cast<std::size_t>(lent.csr.row_begin(row));
+  ASSERT_GE(lent.csr.row_end(row) - lent.csr.row_begin(row), 2);
+  std::swap(lent.csr.col[rb], lent.csr.col[rb + 1]);
+  updater.restore(std::move(lent));
+  ASSERT_TRUE(updater.ready());
+
+  const util::StateDigest have = updater.recompute_digest();
+  EXPECT_EQ(updater.maintained_digest(), clean);
+  EXPECT_NE(have.tree, clean.tree);
+  EXPECT_EQ(have.cost, clean.cost);
+  EXPECT_EQ(have.weight, clean.weight);
+  EXPECT_EQ(have.edge, clean.edge);
+  EXPECT_EQ(have.aux, clean.aux);
+  EXPECT_STREQ(util::first_digest_mismatch(have, clean), "tree");
+  EXPECT_FALSE(updater.verify_row(row));
+  EXPECT_TRUE(updater.verify_row(row + 1));
 }
 
 // ------------------------------------------------- ChunkInstanceEngine ---
@@ -407,7 +440,7 @@ TEST(ChunkInstanceEngineTest, ReclaimOfSupersededInstanceIsDropped) {
     const util::Result<confl::ConflInstance> ref = fresh.build(state, 2);
     ASSERT_TRUE(ref.ok());
     EXPECT_TRUE(third.value().assign_cost == ref.value().assign_cost);
-    EXPECT_EQ(third.value().sparse_cost.packed, ref.value().sparse_cost.packed);
+    EXPECT_EQ(third.value().sparse_cost.col, ref.value().sparse_cost.col);
     EXPECT_EQ(third.value().sparse_cost.cost, ref.value().sparse_cost.cost);
     EXPECT_EQ(third.value().edge_cost, ref.value().edge_cost);
   }

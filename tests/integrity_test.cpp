@@ -315,29 +315,6 @@ TEST(GuardBudgetTest, ZeroBudgetShareSkipsEveryAudit) {
   EXPECT_TRUE(report.clean());
 }
 
-// ----------------------------------------------- sparse node-limit status --
-
-TEST(SparseNodeLimitTest, BoundaryIsATypedError) {
-  EXPECT_TRUE(core::validate_sparse_node_limit(
-                  metrics::SparseContention::kMaxNodes - 1)
-                  .ok());
-  const util::Status at_limit =
-      core::validate_sparse_node_limit(metrics::SparseContention::kMaxNodes);
-  EXPECT_EQ(at_limit.code(), util::StatusCode::kInvalidInput);
-  EXPECT_EQ(core::validate_sparse_node_limit(
-                metrics::SparseContention::kMaxNodes + 1)
-                .code(),
-            util::StatusCode::kInvalidInput);
-  // Under the limit the sparse request builds normally.
-  const Graph g = graph::make_grid(4, 4);
-  core::InstanceOptions options;
-  options.contention_mode = ContentionMode::kSparse;
-  const CacheState state(g.num_nodes(), 3, /*producer=*/0);
-  const FairCachingProblem problem = grid_problem(g, 2);
-  EXPECT_TRUE(
-      core::try_build_chunk_instance(problem, state, options, 0).ok());
-}
-
 // ------------------------------------------------- cache-state self-check --
 
 TEST(CacheStateIntegrityTest, DetectsStructuralCorruption) {

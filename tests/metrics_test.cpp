@@ -202,19 +202,6 @@ TEST(ContentionMatrixTest, HopAndMinContentionPoliciesDiffer) {
   EXPECT_DOUBLE_EQ(min.cost(0, 3), 6.0);
 }
 
-TEST(ContentionMatrixTest, MaxCostTracksLargestEntry) {
-  const Graph g = make_grid(3, 3);
-  CacheState state(9, 5, /*producer=*/0);
-  const ContentionMatrix m(g, state);
-  double expected = 0.0;
-  for (graph::NodeId i = 0; i < 9; ++i) {
-    for (graph::NodeId j = 0; j < 9; ++j) {
-      expected = std::max(expected, m.cost(i, j));
-    }
-  }
-  EXPECT_DOUBLE_EQ(m.max_cost(), expected);
-}
-
 TEST(EvaluatorTest, EmptyPlacementAllFromProducer) {
   const Graph g = make_path(3);
   CacheState state(3, 5, /*producer=*/0);

@@ -301,12 +301,11 @@ confl::ConflInstance tiny_sparse_instance(
   s.row_offset.push_back(0);
   for (int i = 0; i < n; ++i) {
     for (int j = 0; j < n; ++j) {
-      s.packed.push_back(static_cast<std::uint32_t>(j)
-                         << metrics::SparseContention::kHopBits);
+      s.col.push_back(j);
       s.cost.push_back(
           assign(static_cast<std::size_t>(i), static_cast<std::size_t>(j)));
     }
-    s.row_offset.push_back(static_cast<std::int64_t>(s.packed.size()));
+    s.row_offset.push_back(static_cast<std::int64_t>(s.col.size()));
   }
   return instance;
 }
@@ -346,22 +345,29 @@ TEST(TrySolveConflTest, SparseColumnOutOfRangeIsTyped) {
   std::vector<double> edge_costs;
   confl::ConflInstance instance = tiny_sparse_instance(g, edge_costs);
   // The last entry of the last row names client 4 of a 4-node network.
-  instance.sparse_cost.packed.back() = 4u
-                                       << metrics::SparseContention::kHopBits;
-  EXPECT_EQ(confl::try_solve_confl(instance).code(),
-            StatusCode::kInvalidInput);
+  instance.sparse_cost.col.back() = 4;
+  util::Result<confl::ConflSolution> result = confl::try_solve_confl(instance);
+  EXPECT_EQ(result.code(), StatusCode::kInvalidInput);
+  EXPECT_NE(result.status().message().find("out of range"), std::string::npos);
+  // A negative id leading a row is out of range too, not merely out of
+  // order.
+  instance = tiny_sparse_instance(g, edge_costs);
+  instance.sparse_cost.col.front() = -1;
+  result = confl::try_solve_confl(instance);
+  EXPECT_EQ(result.code(), StatusCode::kInvalidInput);
+  EXPECT_NE(result.status().message().find("out of range"), std::string::npos);
 }
 
 TEST(TrySolveConflTest, SparseColumnsNotAscendingAreTyped) {
   const Graph g = graph::make_ring(4);
   std::vector<double> edge_costs;
   confl::ConflInstance instance = tiny_sparse_instance(g, edge_costs);
-  std::vector<std::uint32_t>& packed = instance.sparse_cost.packed;
-  std::swap(packed[5], packed[6]);  // row 1: clients 0, 2, 1, 3
+  std::vector<NodeId>& col = instance.sparse_cost.col;
+  std::swap(col[5], col[6]);  // row 1: clients 0, 2, 1, 3
   EXPECT_EQ(confl::try_solve_confl(instance).code(),
             StatusCode::kInvalidInput);
-  std::swap(packed[5], packed[6]);
-  packed[6] = packed[5];  // row 1: clients 0, 1, 1, 3 (a repeat)
+  std::swap(col[5], col[6]);
+  col[6] = col[5];  // row 1: clients 0, 1, 1, 3 (a repeat)
   EXPECT_EQ(confl::try_solve_confl(instance).code(),
             StatusCode::kInvalidInput);
 }

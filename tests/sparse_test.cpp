@@ -130,9 +130,8 @@ TEST(SparseContentionTest, RadiusAtLeastDiameterEqualsUnbounded) {
   at_diameter.update(state);
 
   EXPECT_EQ(unbounded.store().row_offset, at_diameter.store().row_offset);
-  EXPECT_EQ(unbounded.store().packed, at_diameter.store().packed);
+  EXPECT_EQ(unbounded.store().col, at_diameter.store().col);
   EXPECT_EQ(unbounded.store().cost, at_diameter.store().cost);
-  EXPECT_EQ(unbounded.store().max_cost, at_diameter.store().max_cost);
 }
 
 // ------------------------------------------------------- delta patching --
@@ -163,11 +162,8 @@ TEST(SparseContentionTest, ChurnMatchesFreshRebuildExactly) {
     incremental.update(state);  // delta path after the first call
     ContentionUpdater fresh(g, ContentionLayout::kCsr, options);
     fresh.update(state);  // full sharded build
-    ASSERT_EQ(incremental.store().packed, fresh.store().packed)
-        << "step " << step;
+    ASSERT_EQ(incremental.store().col, fresh.store().col) << "step " << step;
     ASSERT_EQ(incremental.store().cost, fresh.store().cost)
-        << "step " << step;
-    ASSERT_EQ(incremental.store().max_cost, fresh.store().max_cost)
         << "step " << step;
     ASSERT_EQ(incremental.edge_costs(), fresh.edge_costs())
         << "step " << step;
@@ -360,9 +356,7 @@ confl::ConflInstance dense_twin(const confl::ConflInstance& sparse) {
     for (std::int64_t t = s.row_begin(i); t < s.row_end(i); ++t) {
       const auto slot = static_cast<std::size_t>(t);
       dense.assign_cost(static_cast<std::size_t>(i),
-                        static_cast<std::size_t>(
-                            SparseContention::col_of(s.packed[slot]))) =
-          s.cost[slot];
+                        static_cast<std::size_t>(s.col[slot])) = s.cost[slot];
     }
   }
   return dense;
@@ -384,7 +378,7 @@ TEST(SparseConflTest, TruncatedRadiusSolveBitIdenticalToDenseReference) {
   auto instance = engine.build(state, /*chunk=*/0);
   ASSERT_TRUE(instance.ok());
   ASSERT_TRUE(instance.value().sparse());
-  ASSERT_LT(instance.value().sparse_cost.packed.size(),
+  ASSERT_LT(instance.value().sparse_cost.col.size(),
             static_cast<std::size_t>(g.num_nodes()) * g.num_nodes());
   const confl::ConflInstance dense = dense_twin(instance.value());
   const std::vector<double>& f = instance.value().facility_cost;

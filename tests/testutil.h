@@ -83,8 +83,8 @@ inline std::uint64_t placement_hash(const core::FairCachingResult& result) {
   return h.digest();
 }
 
-// The updater's live cost buffers (dense matrix, or CSR offsets, keys and
-// costs) plus its max cost.
+// The updater's live cost buffers (dense matrix, or CSR offsets, client
+// ids and costs).
 inline std::uint64_t buffer_hash(const metrics::ContentionUpdater& u) {
   util::Fnv1a h;
   if (u.layout() == metrics::ContentionLayout::kDense) {
@@ -92,16 +92,16 @@ inline std::uint64_t buffer_hash(const metrics::ContentionUpdater& u) {
   } else {
     const metrics::SparseContention& s = u.store();
     h.bytes(s.row_offset.data(), s.row_offset.size() * sizeof(s.row_offset[0]));
-    h.bytes(s.packed.data(), s.packed.size() * sizeof(s.packed[0]));
+    h.bytes(s.col.data(), s.col.size() * sizeof(s.col[0]));
     h.bytes(s.cost.data(), s.cost.size() * sizeof(s.cost[0]));
   }
-  return h.value(u.max_cost()).digest();
+  return h.digest();
 }
 
 // Expects every pair the updater stores (all reachable pairs; for a
 // truncated CSR row, those within the radius) to match a fresh
 // ContentionMatrix bit for bit, every other pair to read +∞, and the edge
-// costs (and, for full rows, the max cost) to match too.
+// costs to match too.
 inline void expect_matches_rebuild(const graph::Graph& g,
                                    const metrics::ContentionUpdater& u,
                                    const metrics::CacheState& state) {
@@ -125,9 +125,6 @@ inline void expect_matches_rebuild(const graph::Graph& g,
     }
   }
   ASSERT_EQ(u.edge_costs(), fresh.edge_costs());
-  if (!truncated) {
-    EXPECT_EQ(u.max_cost(), fresh.max_cost());
-  }
 }
 
 }  // namespace faircache::testutil
