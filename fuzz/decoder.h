@@ -83,13 +83,11 @@ inline void decode_problem(const std::uint8_t* data, std::size_t size,
     }
   }
 
-  // Solver options: positive steps, small span thresholds, both growth
-  // modes, both Steiner engines, every contention mode. Single-threaded —
-  // fuzz iterations must stay cheap.
+  // Solver options: positive steps, small span thresholds, both Steiner
+  // engines, every contention mode. Single-threaded — fuzz iterations must
+  // stay cheap. Bit 0 of the options byte is unused; the other fields keep
+  // their bits so the committed corpus decodes to the same options.
   const std::uint8_t opt = in.u8();
-  out.config.confl.growth = (opt & 0x1) != 0
-                                ? confl::GrowthMode::kEventDriven
-                                : confl::GrowthMode::kFixedStep;
   out.config.confl.gamma_step = 0.5 * (1 + ((opt >> 4) & 0x7));
   out.config.confl.steiner_engine = (opt & 0x80) != 0
                                         ? steiner::Engine::kVoronoi
@@ -101,7 +99,7 @@ inline void decode_problem(const std::uint8_t* data, std::size_t size,
   out.config.confl.span_threshold = 1 + span_byte % 4;
   // α step: k/4 or k/10, k = 1..8 from the options byte. Bits 2–3 of the
   // span byte pick quarters when both are clear, else tenths, so most
-  // decoded steps are non-dyadic: α after r fixed-step rounds is then not
+  // decoded steps are non-dyadic: α after r growth rounds is then not
   // exactly r·step, and the scheduler's round lookup must correct its
   // ceil(c / step) guess.
   const double alpha_parts = (span_byte & 0xC) == 0 ? 4.0 : 10.0;

@@ -6,11 +6,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <queue>
 #include <utility>
 
 #include "graph/shortest_paths.h"
-#include "util/parallel.h"
 
 namespace faircache::confl {
 
@@ -135,8 +133,8 @@ void check_options(const ConflOptions& options) {
 }
 
 // A (facility, client) pair's position in its cost store: i*n + j for the
-// dense matrix, the CSR entry index for the sparse store. The schedulers
-// address pairs by slot (bucket entries by slot − row begin), so both
+// dense matrix, the CSR entry index for the sparse store. The scheduler
+// addresses pairs by slot (bucket entries by slot − row begin), so both
 // representations share one engine.
 using Slot = std::int64_t;
 
@@ -181,14 +179,8 @@ template <typename Rows>
 int derive_max_rounds(const ConflInstance& instance,
                       const ConflOptions& options, const Rows& rows) {
   if (options.max_rounds != 0) return options.max_rounds;
-  const int n = instance.network->num_nodes();
-  if (options.growth == GrowthMode::kEventDriven) {
-    // Computed wide: the quadratic bound overflows int from n ≈ 33k.
-    const long long bound = 2LL * n * n + 4LL * n + 16;
-    return bound > INT_MAX ? INT_MAX : static_cast<int>(bound);
-  }
-  // Fixed step: α only needs to reach the cost of connecting straight to
-  // the root, after which every client freezes.
+  // α only needs to reach the cost of connecting straight to the root,
+  // after which every client freezes.
   double worst = 0.0;
   const Slot rb = rows.row_begin(instance.root);
   const Slot re = rows.row_end(instance.root);
@@ -196,7 +188,7 @@ int derive_max_rounds(const ConflInstance& instance,
     const double to_root = rows.cost(s);
     if (to_root != kInfCost) worst = std::max(worst, to_root);
   }
-  // Clamped like the event-driven bound: a tiny step would overflow int.
+  // Clamped: a tiny step would overflow int.
   const double bound = std::ceil(worst / options.alpha_step) + 2.0;
   return bound > INT_MAX ? INT_MAX : static_cast<int>(bound);
 }
@@ -284,60 +276,6 @@ util::Status finish_solution(const ConflInstance& instance,
   return util::Status();
 }
 
-// Ascending-order weight sum over a facility's tight unfrozen clients —
-// the β payment rate. Both growth engines accumulate in this exact order,
-// so the payment-completion deltas below agree bitwise.
-template <typename WeightFn>
-double tight_rate(const TightList& tight, const WeightFn& weight) {
-  double rate = 0.0;
-  for (const TightEntry& e : tight) rate += weight(e.client);
-  return rate;
-}
-
-// One facility's next-event candidate, shared by the active-set engine
-// (try_solve_confl) and the dense reference (solve_confl_reference): while f_i
-// is uncovered, the time until payments complete; afterwards, the time
-// until the M-th SPAN request. `tight` must hold the entries of the
-// facility's tight unfrozen clients in ascending client order, `rate` must
-// equal tight_rate(tight, ...) (callers may reuse a cached value only when
-// it is bitwise equal to that re-sum), and `pending` is caller scratch.
-// Returns kInfCost when the facility contributes no event and 0.0 when an
-// opening is already due.
-// The two engines once carried drifted copies of this arithmetic; it must
-// live in exactly one place, because their deltas have to agree bit for
-// bit.
-template <typename WeightFn>
-double facility_event_delta(double fi, double paid_i, double rate,
-                            const TightList& tight, const WeightFn& weight,
-                            double beta_rate, double gamma_rate,
-                            int span_threshold,
-                            std::vector<double>& pending) {
-  if (tight.empty()) return kInfCost;
-  if (paid_i + 1e-12 < fi) {
-    // Payment completion (rate = summed weights of tight clients).
-    if (rate > 0) return (fi - paid_i) / (rate * beta_rate);
-    return kInfCost;
-  }
-  // M-th SPAN.
-  int spans = 0;
-  pending.clear();
-  for (const TightEntry& e : tight) {
-    if (e.gamma + 1e-12 >= e.cost) {
-      ++spans;
-    } else if (const double w = weight(e.client); w > 0) {
-      pending.push_back((e.cost - e.gamma) / (w * gamma_rate));
-    }
-  }
-  const int needed = span_threshold - spans;
-  if (needed <= 0) return 0.0;  // opening already due
-  if (needed <= static_cast<int>(pending.size())) {
-    std::nth_element(pending.begin(), pending.begin() + (needed - 1),
-                     pending.end());
-    return pending[static_cast<std::size_t>(needed - 1)];
-  }
-  return kInfCost;
-}
-
 // The active-set engine, templated over the cost-row view. Semantics (and
 // bit-for-bit arithmetic) match solve_confl_reference; the data structures
 // differ:
@@ -350,21 +288,20 @@ double facility_event_delta(double fi, double paid_i, double rate,
 //   * Each openable facility keeps the ascending list of its tight unfrozen
 //     pairs, each entry carrying the pair's cost, γ and client (so the
 //     per-round walks never touch the cost store), extended by tight
-//     *events* instead of per-round rescans: fixed-step mode buckets each
-//     pair by the round where it first becomes tight (the exact α
-//     sequence is computed lazily up to a doubling horizon, and each
-//     extension rescans the cost rows for the newly reached cost band, so
-//     far-away pairs are never bucketed or stored); event-driven mode
-//     keeps per-facility (c, slot)-sorted arrays with monotone cursors.
+//     *events* instead of per-round rescans: each pair is bucketed by the
+//     round where it first becomes tight (the exact α sequence is
+//     computed lazily up to a doubling horizon, and each extension
+//     rescans the cost rows for the newly reached cost band, so far-away
+//     pairs are never bucketed or stored).
 //   * Freezing onto open facilities uses an incrementally-maintained
 //     cheapest-open-facility (c, i) per client, updated on each opening.
-//   * Payments, relay bids, openings and the event-mode delta walk `live`,
-//     the ascending ids of the openable facilities with a non-empty tight
-//     list, instead of every openable facility: on a local instance a
-//     client is tight with only a few nearby facilities. The reference
-//     does nothing for a facility with no tight client, and `live` keeps
-//     the ascending order, so openings (and the freezes they trigger)
-//     happen in the reference sequence.
+//   * Payments, relay bids and openings walk `live`, the ascending ids of
+//     the openable facilities with a non-empty tight list, instead of
+//     every openable facility: on a local instance a client is tight with
+//     only a few nearby facilities. The reference does nothing for a
+//     facility with no tight client, and `live` keeps the ascending order,
+//     so openings (and the freezes they trigger) happen in the reference
+//     sequence.
 //   * The payment walk counts each facility's SPANs; the opening walk
 //     skips a facility whose count is below M. Between the two only
 //     freezes happen, which can only lower the count, so the skip never
@@ -478,7 +415,9 @@ util::Result<ConflSolution> try_solve_confl_impl(const ConflInstance& instance,
   const int max_rounds = derive_max_rounds(instance, options, rows);
   const double beta_rate = options.beta_step / options.alpha_step;
   const double gamma_rate = options.gamma_step / options.alpha_step;
-  const bool event = options.growth == GrowthMode::kEventDriven;
+  // α-time per round: β and γ grow by rate × delta, the reference's
+  // expression (rate × U_α can differ from U_β or U_γ in the last bit).
+  const double delta = options.alpha_step;
 
   // Appends entries [mid, end) of `tl` (sorted, disjoint from the prefix)
   // into sorted position. Almost always a plain append; merge otherwise.
@@ -500,7 +439,7 @@ util::Result<ConflSolution> try_solve_confl_impl(const ConflInstance& instance,
     std::copy(merge_scratch.begin(), merge_scratch.end(), tl.begin());
   };
 
-  // ---- Fixed-step tight-event scheduler ----------------------------------
+  // ---- Tight-event scheduler ---------------------------------------------
   // a_seq[k] is α after k growth rounds, computed by the same repeated
   // addition the reference performs (so every comparison sees the exact
   // same value). bucket[k] holds the pairs that first satisfy
@@ -519,7 +458,7 @@ util::Result<ConflSolution> try_solve_confl_impl(const ConflInstance& instance,
   };
   std::vector<double> a_seq;
   std::vector<std::vector<BucketEntry>> bucket;
-  std::vector<double> above(event ? 0 : un, -kInfCost);
+  std::vector<double> above(un, -kInfCost);
   int horizon = -1;
 
   auto extend_horizon = [&](int target) {
@@ -610,181 +549,8 @@ util::Result<ConflSolution> try_solve_confl_impl(const ConflInstance& instance,
     std::vector<BucketEntry>().swap(b);  // release: never refilled
   };
 
-  // ---- Event-driven tight-event scheduler --------------------------------
-  // Per-facility (c, slot)-sorted pair arrays with two monotone cursors:
-  // tight_ptr walks pairs as they satisfy α + 1e-12 ≥ c (feeding the tight
-  // lists), delta_ptr walks pairs with c ≤ α or a frozen client, leaving it
-  // on the facility's next tightness-event candidate. Slot order within a
-  // row is client order, so equal-cost ties sort exactly as the (c, j)
-  // pairs of the pre-slot engine did.
-  struct EventList {
-    std::vector<std::pair<double, Slot>> byc;
-    std::size_t tight_ptr = 0;
-    std::size_t delta_ptr = 0;
-  };
-  std::vector<EventList> events;
-
-  // Lazy-deletion event heap over the tightness candidates: one entry per
-  // tracked facility, keyed by the cost of the pair its delta_ptr rests on.
-  // Pair costs are static and the cursors are monotone, so a facility's key
-  // only ever increases — a popped entry is validated by advancing the
-  // cursor and re-pushed under its new key if stale. The round's tightness
-  // delta is then (top key − α), bitwise equal to the old full scan's
-  // min(c − α) because subtracting the shared α is monotone in c. Turns the
-  // per-round O(tracked) cursor sweep into O(log) amortized per event.
-  std::priority_queue<std::pair<double, NodeId>,
-                      std::vector<std::pair<double, NodeId>>, std::greater<>>
-      tight_heap;
-
-  // Per-facility cached β payment rate (Σ weights over its tight list) with
-  // stamp invalidation: any freeze anywhere bumps `stamp` (frozen members
-  // must be dropped before summing), and an append zeroes the facility's
-  // stamp. A hit skips the facility's O(|tight|) compact-and-sum entirely;
-  // correctness needs the cached value bitwise equal to a fresh
-  // tight_rate() re-sum, which holds exactly because a valid stamp means
-  // the membership list is unchanged since the cached sum was taken.
-  std::vector<double> cached_rate(un, 0.0);
-  std::vector<std::uint64_t> rate_stamp(un, 0);
-  std::uint64_t stamp = 1;
-  // Facilities that participate in tightness events: every openable one
-  // plus everything pre-opened (the root) — a constant set, since only
-  // openable facilities ever open.
-  std::vector<NodeId> tracked;
-
-  auto advance_tight_lists = [&]() {
-    for (NodeId i : openable) {
-      auto& ev = events[static_cast<std::size_t>(i)];
-      std::size_t& p = ev.tight_ptr;
-      const auto& arr = ev.byc;
-      if (p >= arr.size() || alpha + 1e-12 < arr[p].first) continue;
-      const Slot rb = rows.row_begin(i);
-      auto& tl = tight[static_cast<std::size_t>(i)];
-      const std::size_t mid = tl.size();
-      while (p < arr.size() && alpha + 1e-12 >= arr[p].first) {
-        const NodeId j = rows.col(arr[p].second, rb);
-        if (!frozen[static_cast<std::size_t>(j)]) {
-          tl.push_back({arr[p].first, 0.0, j});
-        }
-        ++p;
-      }
-      if (tl.size() == mid) continue;
-      std::sort(tl.begin() + static_cast<std::ptrdiff_t>(mid), tl.end(),
-                by_client);
-      merge_tight_tail(tl, mid);
-      rate_stamp[static_cast<std::size_t>(i)] = 0;  // membership changed
-      note_append(i);
-    }
-  };
-
-  // Smallest time advance to the next event (event-driven mode). Returns 0
-  // when an event is already due (process without growing). Candidates and
-  // FP expressions are those of the reference (via facility_event_delta);
-  // min() over them is order-insensitive, so the heap-ordered tightness
-  // candidate and per-facility sorted scans give the same value.
-  auto compact_tight = [&](TightList& tl) {
-    std::size_t out = 0;
-    for (const TightEntry& e : tl) {
-      if (!frozen[static_cast<std::size_t>(e.client)]) tl[out++] = e;
-    }
-    tl.resize(out);
-  };
-  std::vector<double> pending;
-  auto next_event_delta = [&]() {
-    double delta = kInfCost;
-    // Tightness: pop-validate the event heap until the top entry's key
-    // matches the cost its cursor actually rests on.
-    while (!tight_heap.empty()) {
-      const auto [key, i] = tight_heap.top();
-      auto& ev = events[static_cast<std::size_t>(i)];
-      std::size_t& p = ev.delta_ptr;
-      const auto& arr = ev.byc;
-      const Slot rb = rows.row_begin(i);
-      while (p < arr.size() &&
-             (arr[p].first <= alpha ||
-              frozen[static_cast<std::size_t>(
-                  rows.col(arr[p].second, rb))])) {
-        ++p;
-      }
-      if (p >= arr.size()) {  // facility has no tightness events left
-        tight_heap.pop();
-        continue;
-      }
-      if (arr[p].first != key) {  // stale: re-push under the increased key
-        tight_heap.pop();
-        tight_heap.emplace(arr[p].first, i);
-        continue;
-      }
-      delta = arr[p].first - alpha;
-      break;
-    }
-    // Facilities off `live` have empty tight lists: no event.
-    for (NodeId i : live) {
-      auto& tl = tight[static_cast<std::size_t>(i)];
-      const double fi = instance.facility_cost[static_cast<std::size_t>(i)];
-      const double pi = paid[static_cast<std::size_t>(i)];
-      double rate = 0.0;
-      if (pi + 1e-12 < fi) {
-        // Payment phase: the rate cache makes the common case O(1). A
-        // valid stamp implies no freeze since the cached sum, so the list
-        // holds no frozen members and compaction would be a no-op.
-        if (rate_stamp[static_cast<std::size_t>(i)] != stamp) {
-          compact_tight(tl);
-          cached_rate[static_cast<std::size_t>(i)] = tight_rate(tl, weight);
-          rate_stamp[static_cast<std::size_t>(i)] = stamp;
-        }
-        rate = cached_rate[static_cast<std::size_t>(i)];
-      } else {
-        // SPAN phase: γ moves every round, so this walk cannot be cached.
-        compact_tight(tl);
-      }
-      delta = std::min(delta, facility_event_delta(
-                                  fi, pi, rate, tl, weight, beta_rate,
-                                  gamma_rate, options.span_threshold,
-                                  pending));
-    }
-    if (delta == kInfCost) delta = 0.0;  // nothing to wait for
-    return std::max(delta, 0.0);
-  };
-
-  // ---- Mode set-up -------------------------------------------------------
-  if (event) {
-    events.resize(un);
-    tracked.reserve(openable.size() + 1);
-    for (NodeId i = 0; i < n; ++i) {
-      if (open[static_cast<std::size_t>(i)] ||
-          instance.facility_cost[static_cast<std::size_t>(i)] != kInfCost) {
-        tracked.push_back(i);
-      }
-    }
-    // Building the sorted pair arrays is the one O(pairs log n) step; rows
-    // are independent, so build them in parallel.
-    util::parallel_for(
-        tracked.size(),
-        [&](std::size_t t) {
-          const NodeId i = tracked[t];
-          auto& arr = events[static_cast<std::size_t>(i)].byc;
-          const Slot rb = rows.row_begin(i);
-          const Slot re = rows.row_end(i);
-          arr.reserve(static_cast<std::size_t>(re - rb));
-          for (Slot s = rb; s < re; ++s) {
-            const double cij = rows.cost(s);
-            if (cij != kInfCost) arr.emplace_back(cij, s);
-          }
-          std::sort(arr.begin(), arr.end());
-        },
-        options.threads, budget);
-    if (budget.expired()) return budget.status("event-list build");
-    advance_tight_lists();  // pairs tight at α = 0 (zero-cost pairs)
-    // Seed the event heap with every facility's first pair; the first
-    // query's pop-validation advances past the already-tight ones.
-    for (NodeId i : tracked) {
-      const auto& arr = events[static_cast<std::size_t>(i)].byc;
-      if (!arr.empty()) tight_heap.emplace(arr.front().first, i);
-    }
-  } else {
-    extend_horizon(std::max(0, std::min(16, max_rounds)));
-    process_bucket(0);  // pairs tight at α = 0 (zero-cost pairs)
-  }
+  extend_horizon(std::max(0, std::min(16, max_rounds)));
+  process_bucket(0);  // pairs tight at α = 0 (zero-cost pairs)
   merge_live();
 
   ConflSolution solution;
@@ -801,29 +567,15 @@ util::Result<ConflSolution> try_solve_confl_impl(const ConflInstance& instance,
     budget.charge();
     if (budget.expired()) return budget.status("confl dual growth");
 
-    // 1. Grow connection bids (paper line 18) — by the fixed unit, or
-    // exactly up to the next event — and ingest the pairs that become
-    // tight at the new α.
-    double delta;
-    if (event) {
-      delta = next_event_delta();
-      if (delta > 0) {
-        alpha += delta;
-        advance_tight_lists();
-      }
-    } else {
-      delta = options.alpha_step;
-      const int k = round + 1;
-      if (k > horizon) {
-        extend_horizon(std::min(std::max(2 * horizon, k), max_rounds));
-      }
-      alpha = a_seq[static_cast<std::size_t>(k)];
-      process_bucket(k);
+    // 1. Grow connection bids by the fixed unit (paper line 18) and ingest
+    // the pairs that become tight at the new α.
+    const int k = round + 1;
+    if (k > horizon) {
+      extend_horizon(std::min(std::max(2 * horizon, k), max_rounds));
     }
+    alpha = a_seq[static_cast<std::size_t>(k)];
+    process_bucket(k);
     merge_live();
-    if (options.growth_trace != nullptr) {
-      options.growth_trace->push_back(delta);
-    }
 
     // 2. Tight with an already-open facility → TIGHT request accepted,
     // client freezes (paper lines 21–26) onto its cheapest open facility.
@@ -844,32 +596,28 @@ util::Result<ConflSolution> try_solve_confl_impl(const ConflInstance& instance,
     // client order within each facility — the reference accumulation
     // order; no sum crosses facilities. The walk also counts the SPANs it
     // keeps, the bound step 4 reads.
-    if (delta > 0) {
-      for (NodeId i : live) {
-        auto& tl = tight[static_cast<std::size_t>(i)];
-        const double fi =
-            instance.facility_cost[static_cast<std::size_t>(i)];
-        double& pi = paid[static_cast<std::size_t>(i)];
-        int spans = 0;
-        std::size_t out = 0;
-        for (TightEntry e : tl) {
-          const NodeId j = e.client;
-          if (frozen[static_cast<std::size_t>(j)]) continue;
-          if (pi + 1e-12 < fi) {
-            const double pay =
-                std::min(weight(j) * beta_rate * delta, fi - pi);
-            pi += pay;
-          } else {
-            // Demand-weighted clients raise relay bids faster, pulling
-            // facilities toward demand hot-spots.
-            e.gamma += weight(j) * gamma_rate * delta;
-          }
-          if (e.gamma + 1e-12 >= e.cost) ++spans;
-          tl[out++] = e;
+    for (NodeId i : live) {
+      auto& tl = tight[static_cast<std::size_t>(i)];
+      const double fi = instance.facility_cost[static_cast<std::size_t>(i)];
+      double& pi = paid[static_cast<std::size_t>(i)];
+      int spans = 0;
+      std::size_t out = 0;
+      for (TightEntry e : tl) {
+        const NodeId j = e.client;
+        if (frozen[static_cast<std::size_t>(j)]) continue;
+        if (pi + 1e-12 < fi) {
+          const double pay = std::min(weight(j) * beta_rate * delta, fi - pi);
+          pi += pay;
+        } else {
+          // Demand-weighted clients raise relay bids faster, pulling
+          // facilities toward demand hot-spots.
+          e.gamma += weight(j) * gamma_rate * delta;
         }
-        tl.resize(out);
-        span_count[static_cast<std::size_t>(i)] = spans;
+        if (e.gamma + 1e-12 >= e.cost) ++spans;
+        tl[out++] = e;
       }
+      tl.resize(out);
+      span_count[static_cast<std::size_t>(i)] = spans;
     }
 
     // 4. Facilities with the facility cost covered and ≥ M SPAN requests
@@ -950,7 +698,6 @@ util::Result<ConflSolution> try_solve_confl_impl(const ConflInstance& instance,
     // Compact the active/openable/live lists so later rounds only touch
     // live entries.
     if (froze) {
-      ++stamp;  // frozen members invalidate every cached payment rate
       std::size_t out = 0;
       for (NodeId j : active) {
         if (!frozen[static_cast<std::size_t>(j)]) active[out++] = j;
@@ -1057,52 +804,10 @@ ConflSolution solve_confl_reference(const ConflInstance& instance,
 
   const int max_rounds = derive_max_rounds(instance, options, rows);
 
-  // Dual growth rates per unit of α-time.
+  // Dual growth rates per unit of α-time, and the α-time of one round.
   const double beta_rate = options.beta_step / options.alpha_step;
   const double gamma_rate = options.gamma_step / options.alpha_step;
-
-  // Smallest time advance to the next event (event-driven mode). Returns 0
-  // when an event is already due (process without growing). The
-  // per-facility payment/SPAN arithmetic lives in facility_event_delta,
-  // shared with the active-set engine — the deltas must agree bit for bit.
-  TightList tight;
-  std::vector<double> pending;
-  auto next_event_delta = [&]() {
-    double delta = kInfCost;
-    for (NodeId j = 0; j < n; ++j) {
-      if (frozen[static_cast<std::size_t>(j)]) continue;
-      const double aj = alpha[static_cast<std::size_t>(j)];
-      for (NodeId i = 0; i < n; ++i) {
-        if (!open[static_cast<std::size_t>(i)] && !openable(i)) continue;
-        const double cij = cost(i, j);
-        if (cij == kInfCost) continue;
-        if (cij > aj) delta = std::min(delta, cij - aj);  // tightness
-      }
-    }
-    for (NodeId i = 0; i < n; ++i) {
-      if (!openable(i)) continue;
-      const double fi = instance.facility_cost[static_cast<std::size_t>(i)];
-      // Tight unfrozen clients of i, as tight-list entries.
-      tight.clear();
-      for (NodeId j = 0; j < n; ++j) {
-        if (frozen[static_cast<std::size_t>(j)]) continue;
-        if (alpha[static_cast<std::size_t>(j)] + 1e-12 >= cost(i, j)) {
-          tight.push_back({cost(i, j),
-                           gamma(static_cast<std::size_t>(i),
-                                 static_cast<std::size_t>(j)),
-                           j});
-        }
-      }
-      const double pi = paid[static_cast<std::size_t>(i)];
-      const double rate = pi + 1e-12 < fi ? tight_rate(tight, weight) : 0.0;
-      delta = std::min(delta, facility_event_delta(
-                                  fi, pi, rate, tight, weight, beta_rate,
-                                  gamma_rate, options.span_threshold,
-                                  pending));
-    }
-    if (delta == kInfCost) delta = 0.0;  // nothing to wait for
-    return std::max(delta, 0.0);
-  };
+  const double delta = options.alpha_step;
 
   ConflSolution solution;
   solution.assignment.assign(static_cast<std::size_t>(n), kInvalidNode);
@@ -1136,19 +841,10 @@ ConflSolution solve_confl_reference(const ConflInstance& instance,
 
   int round = 0;
   for (; round < max_rounds && !all_frozen(); ++round) {
-    // 1. Grow connection bids (paper line 18) — by the fixed unit, or
-    // exactly up to the next event.
-    const double delta = options.growth == GrowthMode::kEventDriven
-                             ? next_event_delta()
-                             : options.alpha_step;
-    if (options.growth_trace != nullptr) {
-      options.growth_trace->push_back(delta);
-    }
-    if (delta > 0) {
-      for (NodeId j = 0; j < n; ++j) {
-        if (!frozen[static_cast<std::size_t>(j)]) {
-          alpha[static_cast<std::size_t>(j)] += delta;
-        }
+    // 1. Grow connection bids by the fixed unit (paper line 18).
+    for (NodeId j = 0; j < n; ++j) {
+      if (!frozen[static_cast<std::size_t>(j)]) {
+        alpha[static_cast<std::size_t>(j)] += delta;
       }
     }
 
@@ -1160,30 +856,24 @@ ConflSolution solve_confl_reference(const ConflInstance& instance,
 
     // 3. Payments and relay bids toward unopened facilities (lines 19–20):
     // tight clients pay β until f_i is covered, then raise γ.
-    if (delta > 0) {
-      for (NodeId i = 0; i < n; ++i) {
-        if (!openable(i)) continue;
-        const double fi =
-            instance.facility_cost[static_cast<std::size_t>(i)];
-        for (NodeId j = 0; j < n; ++j) {
-          if (frozen[static_cast<std::size_t>(j)]) continue;
-          if (alpha[static_cast<std::size_t>(j)] + 1e-12 < cost(i, j)) {
-            continue;  // not tight yet
-          }
-          if (paid[static_cast<std::size_t>(i)] + 1e-12 < fi) {
-            const double pay =
-                std::min(weight(j) * beta_rate * delta,
-                         fi - paid[static_cast<std::size_t>(i)]);
-            beta(static_cast<std::size_t>(i), static_cast<std::size_t>(j)) +=
-                pay;
-            paid[static_cast<std::size_t>(i)] += pay;
-          } else {
-            // Demand-weighted clients raise relay bids faster, pulling
-            // facilities toward demand hot-spots.
-            gamma(static_cast<std::size_t>(i),
-                  static_cast<std::size_t>(j)) +=
-                weight(j) * gamma_rate * delta;
-          }
+    for (NodeId i = 0; i < n; ++i) {
+      if (!openable(i)) continue;
+      const double fi = instance.facility_cost[static_cast<std::size_t>(i)];
+      for (NodeId j = 0; j < n; ++j) {
+        if (frozen[static_cast<std::size_t>(j)]) continue;
+        if (alpha[static_cast<std::size_t>(j)] + 1e-12 < cost(i, j)) {
+          continue;  // not tight yet
+        }
+        if (paid[static_cast<std::size_t>(i)] + 1e-12 < fi) {
+          const double pay = std::min(weight(j) * beta_rate * delta,
+                                      fi - paid[static_cast<std::size_t>(i)]);
+          beta(static_cast<std::size_t>(i), static_cast<std::size_t>(j)) += pay;
+          paid[static_cast<std::size_t>(i)] += pay;
+        } else {
+          // Demand-weighted clients raise relay bids faster, pulling
+          // facilities toward demand hot-spots.
+          gamma(static_cast<std::size_t>(i), static_cast<std::size_t>(j)) +=
+              weight(j) * gamma_rate * delta;
         }
       }
     }

@@ -66,22 +66,9 @@ struct ConflInstance {
   bool sparse() const { return !sparse_cost.empty(); }
 };
 
-enum class GrowthMode {
-  // Advance all duals by fixed steps per round — the paper's Algorithm 1
-  // with explicit U_α / U_β / U_γ units.
-  kFixedStep,
-  // Advance time to the next discrete event exactly (tightness reached,
-  // facility cost fully paid, M-th SPAN achieved) — the U → 0 limit of the
-  // fixed-step scheme, eliminating discretization error at the price of
-  // more bookkeeping per round.
-  kEventDriven,
-};
-
 struct ConflOptions {
-  GrowthMode growth = GrowthMode::kFixedStep;
   // Dual growth step sizes (the paper's U_α, U_β, U_γ). alpha_step is the
   // amount α grows per round; beta/gamma are growth per round once active.
-  // In event-driven mode only the *ratios* U_β/U_α and U_γ/U_α matter.
   double alpha_step = 1.0;
   double beta_step = 1.0;
   // Relay bids grow faster than connection bids by default: U_γ = 4 U_α
@@ -92,13 +79,12 @@ struct ConflOptions {
   // SPAN requests required before a facility opens (the paper's M).
   int span_threshold = 3;
   // Safety valve on growth rounds; 0 derives it from the root row's
-  // largest finite cost (fixed step) or a quadratic bound (event-driven).
-  // Negative values are rejected as kInvalidInput.
+  // largest finite cost. Negative values are rejected as kInvalidInput.
   int max_rounds = 0;
-  // Worker threads for the parallelisable set-up work (event-list builds,
-  // Phase 2 Steiner shortest paths). 0 = the util::parallel_threads()
-  // default, 1 = fully serial. The solution is bit-identical at any
-  // setting; threading never changes the dual-growth arithmetic.
+  // Worker threads for the Phase 2 Steiner shortest paths. 0 = the
+  // util::parallel_threads() default, 1 = fully serial. The solution is
+  // bit-identical at any setting; threading never changes the dual-growth
+  // arithmetic.
   int threads = 0;
   // Engine used for the Phase 2 Steiner tree. The default kVoronoi builds
   // the 2-approximate tree from one multi-source sweep (asymptotically
@@ -111,11 +97,6 @@ struct ConflOptions {
   // differs: the open facilities and assignments of a ConFL solve are
   // engine-independent (Phase 1 never consults the engine).
   steiner::Engine steiner_engine = steiner::Engine::kVoronoi;
-  // Test/diagnostic hook: when non-null, every growth round's time advance
-  // (the per-round delta; alpha_step in fixed-step mode) is appended. Used
-  // to pin the active-set and reference growth loops to identical event
-  // sequences. Not part of the solver contract.
-  std::vector<double>* growth_trace = nullptr;
 };
 
 struct ConflSolution {
@@ -159,10 +140,9 @@ util::Status validate_confl_options(const ConflOptions& options);
 // as its own reason (kCancelled / kDeadlineExceeded / kResourceExhausted);
 // a dual growth that fails to converge within max_rounds as
 // kResourceExhausted. The budget is polled once per growth round (one work
-// unit charged per round), in the event-list build fan-out, and inside the
-// Phase 2 Steiner construction. A run that completes under an unexpired
-// budget is bit-identical to an unbudgeted one — budget checks never touch
-// the solver arithmetic.
+// unit charged per round) and inside the Phase 2 Steiner construction. A
+// run that completes under an unexpired budget is bit-identical to an
+// unbudgeted one — budget checks never touch the solver arithmetic.
 util::Result<ConflSolution> try_solve_confl(
     const ConflInstance& instance, const ConflOptions& options = {},
     const util::RunBudget& budget = {});

@@ -130,7 +130,7 @@ VoronoiPartition voronoi_partition(
     const std::vector<double>* slot_weight = nullptr);
 
 // Floyd–Warshall over explicit edge weights (dense). Used as an oracle in
-// tests and by the metric-closure construction.
+// tests.
 std::vector<std::vector<double>> floyd_warshall(
     const Graph& g, const std::vector<double>& edge_weight);
 

@@ -134,34 +134,6 @@ TEST(ConflTest, DeterministicAcrossRuns) {
   EXPECT_DOUBLE_EQ(a.total(), b.total());
 }
 
-// Pins the two growth loops (active-set try_solve_confl and the dense
-// reference) to the exact same per-round time advances in both growth
-// modes. The event-driven deltas flow through one shared
-// facility_event_delta helper plus the tightness event heap; any drift
-// between the engines' FP expressions shows up here as a bitwise diff.
-TEST(ConflTest, GrowthTraceIdenticalAcrossEnginesInBothModes) {
-  const Graph g = graph::make_grid(5, 5);
-  ConflInstance instance =
-      make_instance(g, 12, std::vector<double>(25, 6.0));
-  for (GrowthMode mode : {GrowthMode::kFixedStep, GrowthMode::kEventDriven}) {
-    SCOPED_TRACE(mode == GrowthMode::kEventDriven ? "event" : "fixed");
-    ConflOptions options;
-    options.growth = mode;
-    std::vector<double> fast_trace;
-    std::vector<double> ref_trace;
-    options.growth_trace = &fast_trace;
-    const ConflSolution fast = try_solve_confl(instance, options).value();
-    options.growth_trace = &ref_trace;
-    const ConflSolution ref = solve_confl_reference(instance, options);
-    EXPECT_EQ(fast.rounds, ref.rounds);
-    EXPECT_FALSE(fast_trace.empty());
-    ASSERT_EQ(fast_trace.size(), ref_trace.size());
-    for (std::size_t r = 0; r < fast_trace.size(); ++r) {
-      EXPECT_EQ(fast_trace[r], ref_trace[r]) << "round " << r;  // bitwise
-    }
-  }
-}
-
 // α after k fixed-step rounds, by the engines' own repeated addition. For
 // a non-dyadic step this differs from k·step in the last bits.
 double alpha_after(int k, double step) {
@@ -236,18 +208,14 @@ ConflInstance band_edge_instance(const Graph& g, double step,
 }
 
 // Solves `dense` and its sparse twin with try_solve_confl and expects both
-// to match the dense reference bit for bit, growth trace and rounds
-// included. Returns the reference's round count.
+// to match the dense reference bit for bit, rounds included. Returns the
+// reference's round count.
 int expect_twins_match_reference(const ConflInstance& dense,
-                                 ConflOptions options) {
+                                 const ConflOptions& options) {
   const ConflInstance sparse = sparse_twin(dense);
-  std::vector<double> ref_trace;
-  options.growth_trace = &ref_trace;
   const ConflSolution ref = solve_confl_reference(dense, options);
   for (const ConflInstance* instance : {&dense, &sparse}) {
     SCOPED_TRACE(instance == &dense ? "dense" : "sparse");
-    std::vector<double> trace;
-    options.growth_trace = &trace;
     const ConflSolution s = try_solve_confl(*instance, options).value();
     EXPECT_EQ(s.open_facilities, ref.open_facilities);
     EXPECT_EQ(s.assignment, ref.assignment);
@@ -256,35 +224,27 @@ int expect_twins_match_reference(const ConflInstance& dense,
     EXPECT_EQ(s.facility_cost, ref.facility_cost);  // bitwise
     EXPECT_EQ(s.assignment_cost, ref.assignment_cost);
     EXPECT_EQ(s.tree_cost, ref.tree_cost);
-    EXPECT_EQ(trace, ref_trace);
   }
   return ref.rounds;
 }
 
 // With a non-dyadic step the fixed-step scheduler's round lookup must
 // correct its ceil(c / step) guess against the exact α sequence; costs on
-// the band edges tell a wrong round apart. Both engines, dense and sparse,
-// in both growth modes, must match the dense reference bit for bit.
+// the band edges tell a wrong round apart. The active-set engine, dense
+// and sparse, must match the dense reference bit for bit.
 TEST(ConflTest, NonDyadicStepBandEdgesMatchReference) {
   const Graph g = graph::make_grid(6, 6);
   for (const double step : {0.1, 0.3, 1.0 / 3.0, 0.7}) {
     for (std::uint64_t seed = 1; seed <= 3; ++seed) {
       const ConflInstance dense = band_edge_instance(g, step, seed);
-      for (GrowthMode mode :
-           {GrowthMode::kFixedStep, GrowthMode::kEventDriven}) {
-        for (int span_threshold = 1; span_threshold <= 2; ++span_threshold) {
-          SCOPED_TRACE(::testing::Message()
-                       << "step " << step << " seed " << seed << " mode "
-                       << static_cast<int>(mode) << " M " << span_threshold);
-          ConflOptions options;
-          options.growth = mode;
-          options.alpha_step = step;
-          options.span_threshold = span_threshold;
-          const int rounds = expect_twins_match_reference(dense, options);
-          if (mode == GrowthMode::kFixedStep) {
-            EXPECT_GT(rounds, 64);  // growth crossed every edge
-          }
-        }
+      for (int span_threshold = 1; span_threshold <= 2; ++span_threshold) {
+        SCOPED_TRACE(::testing::Message() << "step " << step << " seed "
+                                          << seed << " M " << span_threshold);
+        ConflOptions options;
+        options.alpha_step = step;
+        options.span_threshold = span_threshold;
+        const int rounds = expect_twins_match_reference(dense, options);
+        EXPECT_GT(rounds, 64);  // growth crossed every edge
       }
     }
   }
@@ -352,8 +312,8 @@ ConflInstance band_row_instance(const Graph& g, double step,
 // unfrozen pairs above the last band lies strictly above the new band's
 // top. Rows confined to one band, costs on the band tops and clients
 // frozen between extensions must leave every solve bit-identical to the
-// dense reference: dense and sparse, both growth modes, M = 1 and 3,
-// with and without client weights.
+// dense reference: dense and sparse, M = 1 and 3, with and without client
+// weights.
 TEST(ConflTest, BandRowSkipMatchesReference) {
   const Graph g = graph::make_grid(6, 6);
   for (const double step : {1.0, 0.7}) {
@@ -368,22 +328,15 @@ TEST(ConflTest, BandRowSkipMatchesReference) {
           }
           return d;
         }();
-        for (GrowthMode mode :
-             {GrowthMode::kFixedStep, GrowthMode::kEventDriven}) {
-          for (const int span_threshold : {1, 3}) {
-            SCOPED_TRACE(::testing::Message()
-                         << "step " << step << " seed " << seed
-                         << " weighted " << weighted << " mode "
-                         << static_cast<int>(mode) << " M " << span_threshold);
-            ConflOptions options;
-            options.growth = mode;
-            options.alpha_step = step;
-            options.span_threshold = span_threshold;
-            const int rounds = expect_twins_match_reference(dense, options);
-            if (mode == GrowthMode::kFixedStep) {
-              EXPECT_GT(rounds, 128);  // growth crossed every horizon
-            }
-          }
+        for (const int span_threshold : {1, 3}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "step " << step << " seed " << seed << " weighted "
+                       << weighted << " M " << span_threshold);
+          ConflOptions options;
+          options.alpha_step = step;
+          options.span_threshold = span_threshold;
+          const int rounds = expect_twins_match_reference(dense, options);
+          EXPECT_GT(rounds, 128);  // growth crossed every horizon
         }
       }
     }
@@ -500,91 +453,6 @@ TEST_P(ConflRandomTest, ValidAndBeatsNaiveBound) {
 
 INSTANTIATE_TEST_SUITE_P(RandomInstances, ConflRandomTest,
                          ::testing::Range(0, 20));
-
-TEST(ConflEventDrivenTest, ValidSolutionOnGrid) {
-  const Graph g = graph::make_grid(5, 5);
-  ConflInstance instance =
-      make_instance(g, 12, std::vector<double>(25, 0.5));
-  ConflOptions options;
-  options.growth = GrowthMode::kEventDriven;
-  const ConflSolution s = try_solve_confl(instance, options).value();
-  expect_valid_solution(instance, s);
-}
-
-TEST(ConflEventDrivenTest, MatchesSmallStepLimit) {
-  // Event-driven growth is the U → 0 limit: a very small fixed step must
-  // produce (nearly) the same facility set and objective.
-  const Graph g = graph::make_grid(4, 4);
-  ConflInstance instance =
-      make_instance(g, 5, std::vector<double>(16, 1.5));
-
-  ConflOptions event;
-  event.growth = GrowthMode::kEventDriven;
-  const ConflSolution se = try_solve_confl(instance, event).value();
-
-  ConflOptions fine;
-  fine.alpha_step = 1.0 / 64.0;
-  fine.beta_step = 1.0 / 64.0;
-  fine.gamma_step = 4.0 / 64.0;
-  const ConflSolution sf = try_solve_confl(instance, fine).value();
-
-  EXPECT_EQ(se.open_facilities, sf.open_facilities);
-  EXPECT_NEAR(se.total(), sf.total(), 1e-6);
-}
-
-TEST(ConflEventDrivenTest, FewerRoundsThanFineFixedStep) {
-  const Graph g = graph::make_grid(5, 5);
-  ConflInstance instance =
-      make_instance(g, 12, std::vector<double>(25, 0.5));
-  ConflOptions event;
-  event.growth = GrowthMode::kEventDriven;
-  ConflOptions fine;
-  fine.alpha_step = 1.0 / 32.0;
-  fine.beta_step = 1.0 / 32.0;
-  fine.gamma_step = 4.0 / 32.0;
-  EXPECT_LT(try_solve_confl(instance, event).value().rounds,
-            try_solve_confl(instance, fine).value().rounds);
-}
-
-TEST(ConflEventDrivenTest, RootOnlyWithInfiniteFacilities) {
-  const Graph g = graph::make_path(6);
-  ConflInstance instance = make_instance(g, 0, std::vector<double>(6, kInf));
-  ConflOptions options;
-  options.growth = GrowthMode::kEventDriven;
-  const ConflSolution s = try_solve_confl(instance, options).value();
-  EXPECT_TRUE(s.open_facilities.empty());
-  for (NodeId j = 0; j < 6; ++j) {
-    EXPECT_EQ(s.assignment[static_cast<std::size_t>(j)], 0);
-  }
-}
-
-// Event-driven vs fixed-step across random instances: same structural
-// validity; objectives within a modest band (discretization effects only).
-class EventDrivenSweepTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(EventDrivenSweepTest, CloseToFixedStep) {
-  util::Rng rng(static_cast<std::uint64_t>(GetParam()) * 912367 + 5);
-  graph::RandomGeometricConfig config;
-  config.num_nodes = static_cast<int>(rng.uniform_int(8, 20));
-  config.radius = rng.uniform(0.3, 0.5);
-  const auto net = graph::make_random_geometric(config, rng);
-  const NodeId root = 0;
-  std::vector<double> fcost(static_cast<std::size_t>(net.graph.num_nodes()));
-  for (auto& f : fcost) f = rng.uniform(0.0, 2.0);
-
-  ConflInstance instance = make_instance(net.graph, root, fcost);
-  ConflOptions event;
-  event.growth = GrowthMode::kEventDriven;
-  const ConflSolution se = try_solve_confl(instance, event).value();
-  const ConflSolution sf = try_solve_confl(instance, ConflOptions{}).value();
-  expect_valid_solution(instance, se);
-  expect_valid_solution(instance, sf);
-  EXPECT_LT(se.total(), 2.0 * sf.total() + 1e-9);
-  EXPECT_LT(sf.total(), 2.0 * se.total() + 1e-9);
-}
-
-INSTANTIATE_TEST_SUITE_P(RandomInstances, EventDrivenSweepTest,
-                         ::testing::Range(0, 12));
 
 }  // namespace
 }  // namespace faircache::confl

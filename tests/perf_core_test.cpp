@@ -368,16 +368,12 @@ TEST(SolveConflEquivalenceTest, ActiveSetMatchesReferenceOnRandomInstances) {
         random_instance(g, rng, /*weighted=*/trial % 2 == 1);
 
     confl::ConflOptions options;
-    options.growth = trial % 3 == 0 ? confl::GrowthMode::kFixedStep
-                                    : confl::GrowthMode::kEventDriven;
     options.span_threshold = static_cast<int>(rng.uniform_int(1, 4));
-    if (options.growth == confl::GrowthMode::kFixedStep) {
-      // A dyadic step makes α after k rounds exactly k·step; the others
-      // make the fixed-step scheduler correct its ceil(c / step) round
-      // guess against the exact α sequence.
-      constexpr double kSteps[] = {1.0, 0.25, 0.1, 0.3, 1.0 / 3.0, 0.7};
-      options.alpha_step = kSteps[rng.uniform_int(0, 5)];
-    }
+    // A dyadic step makes α after k rounds exactly k·step; the others make
+    // the scheduler correct its ceil(c / step) round guess against the
+    // exact α sequence.
+    constexpr double kSteps[] = {1.0, 0.25, 0.1, 0.3, 1.0 / 3.0, 0.7};
+    options.alpha_step = kSteps[rng.uniform_int(0, 5)];
     // The equivalence contract holds under either Steiner engine (both
     // solvers call the same Phase 2 with the same options).
     options.steiner_engine = trial % 2 == 0 ? steiner::Engine::kClosureKmb
@@ -392,10 +388,12 @@ TEST(SolveConflEquivalenceTest, ActiveSetMatchesReferenceOnRandomInstances) {
   }
 }
 
+// KMB's per-terminal shortest-path trees are the solve's parallel step;
+// the default Voronoi engine is serial.
 TEST(SolveConflEquivalenceTest, ThreadCountDoesNotChangeSolution) {
   const GridInstance grid;
   confl::ConflOptions options;
-  options.growth = confl::GrowthMode::kEventDriven;
+  options.steiner_engine = steiner::Engine::kClosureKmb;
   expect_thread_invariant(
       [&] { return confl::try_solve_confl(grid.instance, options).value(); },
       solution_hash);
@@ -407,7 +405,6 @@ TEST(SolveConflEquivalenceTest, ThreadCountDoesNotChangeSolution) {
 TEST(SolveConflEquivalenceTest, VoronoiEngineThreadInvariantAndMatchesRef) {
   const GridInstance grid;
   confl::ConflOptions options;
-  options.growth = confl::GrowthMode::kEventDriven;
   options.steiner_engine = steiner::Engine::kVoronoi;
   const std::uint64_t h = expect_thread_invariant(
       [&] { return confl::try_solve_confl(grid.instance, options).value(); },

@@ -230,7 +230,7 @@ TEST(ParallelForExceptionTest, ConcurrentThrowersDoNotRace) {
   for (int round = 0; round < 20; ++round) {
     EXPECT_THROW(
         util::parallel_for(
-            256, [&](std::size_t i) { throw std::runtime_error("boom"); }, 4),
+            256, [&](std::size_t) { throw std::runtime_error("boom"); }, 4),
         std::runtime_error);
     std::atomic<int> executed{0};
     util::parallel_for(64, [&](std::size_t) { executed.fetch_add(1); }, 4);
@@ -378,7 +378,6 @@ TEST(TrySolveConflTest, TinyFixedStepClampsTheDerivedRoundCap) {
   util::Matrix<double> assign;
   const confl::ConflInstance instance = tiny_instance(g, edge_costs, assign);
   confl::ConflOptions options;
-  options.growth = confl::GrowthMode::kFixedStep;
   // ceil(1.0 / alpha_step) + 2 exceeds INT_MAX: the derived cap must clamp
   // rather than wrap, so growth runs until the budget, not the cap, stops it.
   options.alpha_step = 1e-10;

@@ -293,36 +293,29 @@ TEST(SparseConflTest, FullRadiusSolveBitIdenticalToDense) {
   sparse_options.contention_radius = 0;  // unbounded
   core::ChunkInstanceEngine sparse_engine(problem, sparse_options);
 
-  for (const confl::GrowthMode growth :
-       {confl::GrowthMode::kFixedStep, confl::GrowthMode::kEventDriven}) {
-    confl::ConflOptions confl_options;
-    confl_options.growth = growth;
+  auto dense_instance = dense_engine.build(state, /*chunk=*/0);
+  auto sparse_instance = sparse_engine.build(state, /*chunk=*/0);
+  ASSERT_TRUE(dense_instance.ok());
+  ASSERT_TRUE(sparse_instance.ok());
+  EXPECT_TRUE(sparse_instance.value().sparse());
 
-    auto dense_instance = dense_engine.build(state, /*chunk=*/0);
-    auto sparse_instance = sparse_engine.build(state, /*chunk=*/0);
-    ASSERT_TRUE(dense_instance.ok());
-    ASSERT_TRUE(sparse_instance.ok());
-    EXPECT_TRUE(sparse_instance.value().sparse());
+  const confl::ConflSolution dense =
+      confl::try_solve_confl(dense_instance.value()).value();
+  const confl::ConflSolution sparse =
+      confl::try_solve_confl(sparse_instance.value()).value();
 
-    const confl::ConflSolution dense =
-        confl::try_solve_confl(dense_instance.value(), confl_options).value();
-    const confl::ConflSolution sparse =
-        confl::try_solve_confl(sparse_instance.value(), confl_options).value();
-
-    EXPECT_EQ(dense.open_facilities, sparse.open_facilities);
-    EXPECT_EQ(dense.assignment, sparse.assignment);
-    EXPECT_EQ(dense.facility_cost, sparse.facility_cost);
-    EXPECT_EQ(dense.assignment_cost, sparse.assignment_cost);
-    EXPECT_EQ(dense.tree_cost, sparse.tree_cost);
-    EXPECT_EQ(dense.rounds, sparse.rounds);
-    EXPECT_EQ(confl::evaluate_confl_objective(
-                  dense_instance.value(), dense.open_facilities,
-                  dense.tree_cost),
-              confl::evaluate_confl_objective(
-                  sparse_instance.value(), sparse.open_facilities,
-                  sparse.tree_cost));
-    sparse_engine.reclaim(std::move(sparse_instance).value());
-  }
+  EXPECT_EQ(dense.open_facilities, sparse.open_facilities);
+  EXPECT_EQ(dense.assignment, sparse.assignment);
+  EXPECT_EQ(dense.facility_cost, sparse.facility_cost);
+  EXPECT_EQ(dense.assignment_cost, sparse.assignment_cost);
+  EXPECT_EQ(dense.tree_cost, sparse.tree_cost);
+  EXPECT_EQ(dense.rounds, sparse.rounds);
+  EXPECT_EQ(confl::evaluate_confl_objective(
+                dense_instance.value(), dense.open_facilities,
+                dense.tree_cost),
+            confl::evaluate_confl_objective(
+                sparse_instance.value(), sparse.open_facilities,
+                sparse.tree_cost));
 }
 
 // ER graph stitched connected: stray components are linked onto the
@@ -387,27 +380,21 @@ TEST(SparseConflTest, TruncatedRadiusSolveBitIdenticalToDenseReference) {
   }));
 
   std::size_t opened = 0;
-  for (const confl::GrowthMode growth :
-       {confl::GrowthMode::kFixedStep, confl::GrowthMode::kEventDriven}) {
-    for (int span_threshold = 1; span_threshold <= 4; ++span_threshold) {
-      confl::ConflOptions confl_options;
-      confl_options.growth = growth;
-      confl_options.span_threshold = span_threshold;
-      const confl::ConflSolution sparse =
-          confl::try_solve_confl(instance.value(), confl_options).value();
-      const confl::ConflSolution reference =
-          confl::solve_confl_reference(dense, confl_options);
-      const auto label = ::testing::Message()
-                         << "growth=" << static_cast<int>(growth)
-                         << " M=" << span_threshold;
-      EXPECT_EQ(sparse.open_facilities, reference.open_facilities) << label;
-      EXPECT_EQ(sparse.assignment, reference.assignment) << label;
-      EXPECT_EQ(sparse.rounds, reference.rounds) << label;
-      EXPECT_EQ(sparse.facility_cost, reference.facility_cost) << label;
-      EXPECT_EQ(sparse.assignment_cost, reference.assignment_cost) << label;
-      EXPECT_EQ(sparse.tree_cost, reference.tree_cost) << label;
-      opened += sparse.open_facilities.size();
-    }
+  for (int span_threshold = 1; span_threshold <= 4; ++span_threshold) {
+    confl::ConflOptions confl_options;
+    confl_options.span_threshold = span_threshold;
+    const confl::ConflSolution sparse =
+        confl::try_solve_confl(instance.value(), confl_options).value();
+    const confl::ConflSolution reference =
+        confl::solve_confl_reference(dense, confl_options);
+    const auto label = ::testing::Message() << "M=" << span_threshold;
+    EXPECT_EQ(sparse.open_facilities, reference.open_facilities) << label;
+    EXPECT_EQ(sparse.assignment, reference.assignment) << label;
+    EXPECT_EQ(sparse.rounds, reference.rounds) << label;
+    EXPECT_EQ(sparse.facility_cost, reference.facility_cost) << label;
+    EXPECT_EQ(sparse.assignment_cost, reference.assignment_cost) << label;
+    EXPECT_EQ(sparse.tree_cost, reference.tree_cost) << label;
+    opened += sparse.open_facilities.size();
   }
   EXPECT_GT(opened, 0u);
 }

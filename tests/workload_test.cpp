@@ -25,7 +25,9 @@ TEST(ZipfTest, PmfSumsToOneAndDecreases) {
   double sum = 0.0;
   for (int k = 0; k < 10; ++k) {
     sum += zipf.pmf(k);
-    if (k > 0) EXPECT_LE(zipf.pmf(k), zipf.pmf(k - 1));
+    if (k > 0) {
+      EXPECT_LE(zipf.pmf(k), zipf.pmf(k - 1));
+    }
   }
   EXPECT_NEAR(sum, 1.0, 1e-12);
   // Rank 0 twice as likely as rank 1 at s = 1.
