@@ -40,9 +40,9 @@ inline std::unique_ptr<core::CachingAlgorithm> make_cont() {
 // incumbent when it cannot close the gap in time.
 inline std::unique_ptr<exact::BruteForceCaching> make_brtf(
     double time_limit_seconds = 30.0) {
-  exact::BruteForceConfig config;
-  config.exact.mip.time_limit_seconds = time_limit_seconds;
-  return std::make_unique<exact::BruteForceCaching>(config);
+  mip::MipOptions limits;
+  limits.time_limit_seconds = time_limit_seconds;
+  return std::make_unique<exact::BruteForceCaching>(limits);
 }
 
 // The four paper algorithms in presentation order.

@@ -1,32 +1,44 @@
 #!/usr/bin/env bash
-# Runs the anytime-budget ablation (BENCH_abl_deadline.txt), the
-# churn-repair ablation (BENCH_abl_churn.txt), the sparse-contention
-# ablation (BENCH_abl_sparse.txt) and the trace-serving ablation
-# (BENCH_abl_serving.txt) and writes them at the repo root. Usage:
+# Rewrites the committed bench outputs from a build:
+#
+#   * repro/<program>.txt for every pinned program: its exact stdout,
+#     which ctest's repro.<program> test compares byte for byte;
+#   * BENCH_abl_churn.txt, BENCH_abl_sparse.txt and BENCH_abl_serving.txt
+#     at the repo root (these carry timing or RSS lines, so no test pins
+#     them).
+#
+# Usage:
 #
 #   bench/run_benches.sh [build-dir]
 #
-# The build dir defaults to ./build and must already contain
-# bench/abl_deadline, bench/abl_churn, bench/abl_sparse and
-# bench/abl_serving (configure with the top-level CMakeLists and build
-# those targets first). The bench_solver_core microbenchmarks are a
-# development tool with no committed output; the timings of record are
-# the benchmark/ records (benchmark/README.md).
+# The build dir defaults to ./build and must already contain the bench
+# binaries (configure with the top-level CMakeLists and build first). The
+# bench_solver_core microbenchmarks are a development tool with no
+# committed output; the timings of record are the benchmark/ records
+# (benchmark/README.md).
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 build_dir="${1:-${repo_root}/build}"
-ablations=(deadline churn sparse serving)
+pinned=()
+for file in "${repo_root}"/repro/*.txt; do
+  pinned+=("$(basename "${file}" .txt)")
+done
+ablations=(abl_churn abl_sparse abl_serving)
 
-for name in "${ablations[@]}"; do
-  if [[ ! -x "${build_dir}/bench/abl_${name}" ]]; then
-    echo "error: ${build_dir}/bench/abl_${name} not found;" \
-      "build the abl_${name} target" >&2
+for name in "${pinned[@]}" "${ablations[@]}"; do
+  if [[ ! -x "${build_dir}/bench/${name}" ]]; then
+    echo "error: ${build_dir}/bench/${name} not found;" \
+      "build the ${name} target" >&2
     exit 1
   fi
 done
 
+for name in "${pinned[@]}"; do
+  "${build_dir}/bench/${name}" > "${repo_root}/repro/${name}.txt"
+  echo "wrote ${repo_root}/repro/${name}.txt"
+done
 for name in "${ablations[@]}"; do
-  "${build_dir}/bench/abl_${name}" > "${repo_root}/BENCH_abl_${name}.txt"
-  echo "wrote ${repo_root}/BENCH_abl_${name}.txt"
+  "${build_dir}/bench/${name}" > "${repo_root}/BENCH_${name}.txt"
+  echo "wrote ${repo_root}/BENCH_${name}.txt"
 done

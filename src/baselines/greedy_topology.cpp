@@ -6,7 +6,6 @@
 #include "graph/shortest_paths.h"
 #include "metrics/cache_state.h"
 #include "steiner/steiner.h"
-#include "util/matrix.h"
 #include "util/parallel.h"
 #include "util/stopwatch.h"
 
@@ -17,62 +16,43 @@ using graph::NodeId;
 
 namespace {
 
-// Distance matrix + tree edge weights for the configured metric, computed
-// on an *empty* cache state — these baselines never look at cached data.
-struct MetricCosts {
-  util::Matrix<double> dist;  // dist(i, j)
-  std::vector<double> edge_weight;
+// One worker's rows d(i, ·) under the configured metric, computed on an
+// *empty* cache state — these baselines never look at cached data.
+class MetricRows {
+ public:
+  MetricRows(const Graph& g, BaselineMetric metric,
+             const graph::CsrAdjacency& adj,
+             const std::vector<double>& weight)
+      : g_(&g),
+        metric_(metric),
+        contention_(g, adj, weight, metrics::PathPolicy::kHopShortest),
+        row_(static_cast<std::size_t>(g.num_nodes())) {
+    if (metric == BaselineMetric::kHopCount) hops_.resize(row_.size());
+  }
+
+  // d(i, j) for every j; kInfCost when unreachable.
+  const std::vector<double>& build(NodeId i) {
+    if (metric_ == BaselineMetric::kContention) {
+      contention_.build(i, row_.data());
+      return row_;
+    }
+    graph::bfs_hops(*g_, i, hops_.data(), queue_);
+    for (std::size_t j = 0; j < row_.size(); ++j) {
+      row_[j] = hops_[j] == graph::kUnreachable
+                    ? graph::kInfCost
+                    : static_cast<double>(hops_[j]);
+    }
+    return row_;
+  }
+
+ private:
+  const Graph* g_;
+  BaselineMetric metric_;
+  metrics::ContentionRowBuilder contention_;
+  std::vector<double> row_;
+  std::vector<int> hops_;
+  std::vector<NodeId> queue_;
 };
-
-MetricCosts metric_costs(const Graph& g, BaselineMetric metric) {
-  MetricCosts costs;
-  const auto n = static_cast<std::size_t>(g.num_nodes());
-  if (metric == BaselineMetric::kHopCount) {
-    const util::Matrix<int> hops = graph::all_pairs_hops(g);
-    costs.dist.assign(n, n, 0.0);
-    for (std::size_t i = 0; i < n; ++i) {
-      const int* hrow = hops[i];
-      double* drow = costs.dist[i];
-      for (std::size_t j = 0; j < n; ++j) {
-        drow[j] = hrow[j] == graph::kUnreachable
-                      ? graph::kInfCost
-                      : static_cast<double>(hrow[j]);
-      }
-    }
-    costs.edge_weight.assign(static_cast<std::size_t>(g.num_edges()), 1.0);
-  } else {
-    // Contention with an empty cache (S ≡ 0): the Sung et al. model.
-    metrics::CacheState empty(g.num_nodes(), 1, /*producer=*/0);
-    metrics::ContentionMatrix contention(g, empty);
-    costs.dist = contention.take_matrix();
-    costs.edge_weight = contention.take_edge_costs();
-  }
-  return costs;
-}
-
-double placement_cost(const Graph& g, NodeId producer,
-                      const std::vector<NodeId>& open,
-                      const MetricCosts& costs, double tree_weight) {
-  double access = 0.0;
-  const double* prow = costs.dist[static_cast<std::size_t>(producer)];
-  for (NodeId j = 0; j < g.num_nodes(); ++j) {
-    double best = prow[j];
-    for (NodeId i : open) {
-      best = std::min(best, costs.dist(static_cast<std::size_t>(i),
-                                       static_cast<std::size_t>(j)));
-    }
-    access += best;
-  }
-  double tree = 0.0;
-  if (!open.empty()) {
-    std::vector<NodeId> terminals = open;
-    terminals.push_back(producer);
-    tree = steiner::try_steiner_mst_approx(g, costs.edge_weight, terminals)
-               .value()
-               .cost;
-  }
-  return access + tree_weight * tree;
-}
 
 }  // namespace
 
@@ -80,18 +60,37 @@ std::vector<NodeId> select_cache_set(const Graph& g, NodeId producer,
                                      BaselineMetric metric,
                                      double tree_weight) {
   FAIRCACHE_CHECK(g.contains(producer), "producer out of range");
-  const MetricCosts costs = metric_costs(g, metric);
-
   const auto n = static_cast<std::size_t>(g.num_nodes());
-  std::vector<NodeId> open;
-  double current = placement_cost(g, producer, open, costs, tree_weight);
+
+  // Contention with an empty cache (S ≡ 0) is the Sung et al. model; Hopc
+  // weighs every tree edge 1.
+  std::vector<double> weight;
+  std::vector<double> edge_weight(static_cast<std::size_t>(g.num_edges()),
+                                  1.0);
+  if (metric == BaselineMetric::kContention) {
+    weight = metrics::contention_weights(
+        g, metrics::CacheState(g.num_nodes(), 1, /*producer=*/0));
+    edge_weight = metrics::contention_edge_costs(g, weight);
+  }
+  const graph::CsrAdjacency adj = graph::build_csr(g);
 
   // Candidate evaluations are independent: score them all in parallel,
   // then pick the winner with the reference's ascending-id scan (so ties
   // still resolve to the smaller id).
   const int threads = util::resolve_parallel_threads(0, n);
-  std::vector<std::vector<NodeId>> scratch(static_cast<std::size_t>(threads));
+  std::vector<MetricRows> rows(static_cast<std::size_t>(threads),
+                               MetricRows(g, metric, adj, weight));
+  std::vector<std::vector<NodeId>> terminals(
+      static_cast<std::size_t>(threads));
   std::vector<double> cand_cost(n);
+
+  // nearest[j]: d(j) to the producer or the closest open node. A
+  // candidate's access is Σ_j min(nearest[j], d(i, j)) in ascending j, the
+  // same per-client minimum and summation order as scoring the whole set.
+  std::vector<NodeId> open;
+  std::vector<double> nearest = rows[0].build(producer);
+  double current = 0.0;
+  for (double d : nearest) current += d;
 
   std::vector<char> is_open(n, 0);
   for (;;) {
@@ -100,11 +99,19 @@ std::vector<NodeId> select_cache_set(const Graph& g, NodeId producer,
         [&](std::size_t ii, int worker) {
           const auto i = static_cast<NodeId>(ii);
           if (i == producer || is_open[ii]) return;
-          auto& candidate = scratch[static_cast<std::size_t>(worker)];
-          candidate.assign(open.begin(), open.end());
-          candidate.push_back(i);
-          cand_cost[ii] =
-              placement_cost(g, producer, candidate, costs, tree_weight);
+          const auto w = static_cast<std::size_t>(worker);
+          const std::vector<double>& row = rows[w].build(i);
+          double access = 0.0;
+          for (std::size_t j = 0; j < n; ++j) {
+            access += std::min(nearest[j], row[j]);
+          }
+          std::vector<NodeId>& t = terminals[w];
+          t.assign(open.begin(), open.end());
+          t.push_back(i);
+          t.push_back(producer);
+          const double tree =
+              steiner::try_steiner_mst_approx(g, edge_weight, t).value().cost;
+          cand_cost[ii] = access + tree_weight * tree;
         },
         threads);
     NodeId best_node = graph::kInvalidNode;
@@ -120,6 +127,10 @@ std::vector<NodeId> select_cache_set(const Graph& g, NodeId producer,
     open.push_back(best_node);
     is_open[static_cast<std::size_t>(best_node)] = 1;
     current = best_cost;
+    const std::vector<double>& row = rows[0].build(best_node);
+    for (std::size_t j = 0; j < n; ++j) {
+      nearest[j] = std::min(nearest[j], row[j]);
+    }
   }
   std::sort(open.begin(), open.end());
   return open;

@@ -1,5 +1,7 @@
 #include "exact/brute_force.h"
 
+#include "core/instance_builder.h"
+#include "exact/confl_milp.h"
 #include "util/stopwatch.h"
 
 namespace faircache::exact {
@@ -16,11 +18,9 @@ core::FairCachingResult BruteForceCaching::run(
 
   for (metrics::ChunkId chunk = 0; chunk < problem.num_chunks; ++chunk) {
     const confl::ConflInstance instance =
-        core::try_build_chunk_instance(problem, result.state, config_.instance,
-                                       chunk)
+        core::try_build_chunk_instance(problem, result.state, {}, chunk)
             .value();
-    const ExactConflSolution solution =
-        solve_confl_exact(instance, config_.exact);
+    const ExactConflSolution solution = solve_confl_exact(instance, mip_);
     all_proven_optimal_ = all_proven_optimal_ && solution.proven_optimal;
 
     core::ChunkPlacement placement;

@@ -8,21 +8,16 @@
 // A joint all-chunks MILP (tiny instances only) is provided separately in
 // exact/joint_milp.h.
 
-#include "core/instance_builder.h"
 #include "core/problem.h"
-#include "exact/confl_milp.h"
+#include "mip/branch_and_bound.h"
 
 namespace faircache::exact {
 
-struct BruteForceConfig {
-  ExactConflOptions exact;
-  core::InstanceOptions instance;
-};
-
+// Each chunk's instance is built with the default core::InstanceOptions;
+// `mip` holds the limits every chunk's MILP runs under.
 class BruteForceCaching : public core::CachingAlgorithm {
  public:
-  explicit BruteForceCaching(BruteForceConfig config = {})
-      : config_(std::move(config)) {}
+  explicit BruteForceCaching(mip::MipOptions mip = {}) : mip_(std::move(mip)) {}
 
   std::string name() const override { return "Brtf"; }
 
@@ -32,7 +27,7 @@ class BruteForceCaching : public core::CachingAlgorithm {
   bool all_proven_optimal() const { return all_proven_optimal_; }
 
  private:
-  BruteForceConfig config_;
+  mip::MipOptions mip_;
   bool all_proven_optimal_ = false;
 };
 

@@ -1,7 +1,6 @@
 #include "exact/confl_milp.h"
 
 #include <algorithm>
-#include <string>
 
 #include "graph/shortest_paths.h"
 
@@ -15,32 +14,44 @@ lp::LpProblem build_confl_milp(const confl::ConflInstance& instance,
                                ConflMilpMaps* maps) {
   FAIRCACHE_CHECK(instance.network != nullptr, "instance needs a network");
   FAIRCACHE_CHECK(maps != nullptr, "maps output required");
+  const int n = instance.network->num_nodes();
+  lp::LpProblem p;
+  lp::LinearExpr objective;
+
+  // --- y_i: open facility i (not the root, not +inf facilities). ---
+  maps->open_var.assign(static_cast<std::size_t>(n), -1);
+  for (NodeId i = 0; i < n; ++i) {
+    if (i == instance.root) continue;
+    const double fi = instance.facility_cost[static_cast<std::size_t>(i)];
+    if (fi == kInfCost) continue;
+    const lp::VarId y = p.add_binary_variable();
+    maps->open_var[static_cast<std::size_t>(i)] = y;
+    objective.add(y, fi);
+  }
+
+  add_confl_rows(instance, p, objective, maps);
+  p.set_objective(lp::Sense::kMinimize, std::move(objective));
+  return p;
+}
+
+void add_confl_rows(const confl::ConflInstance& instance, lp::LpProblem& p,
+                    lp::LinearExpr& objective, ConflMilpMaps* maps) {
+  FAIRCACHE_CHECK(instance.network != nullptr, "instance needs a network");
+  FAIRCACHE_CHECK(maps != nullptr, "maps output required");
   const graph::Graph& g = *instance.network;
   const int n = g.num_nodes();
+  FAIRCACHE_CHECK(maps->open_var.size() == static_cast<std::size_t>(n),
+                  "open_var must hold one entry per node");
   const NodeId root = instance.root;
   auto cost = [&](NodeId i, NodeId j) {
     return instance
         .assign_cost[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)];
   };
-
-  lp::LpProblem p;
-  lp::LinearExpr objective;
   auto client_weight = [&](NodeId j) {
     return instance.client_weight.empty()
                ? 1.0
                : instance.client_weight[static_cast<std::size_t>(j)];
   };
-
-  // --- y_i: open facility i (not the root, not +inf facilities). ---
-  maps->open_var.assign(static_cast<std::size_t>(n), -1);
-  for (NodeId i = 0; i < n; ++i) {
-    if (i == root) continue;
-    const double fi = instance.facility_cost[static_cast<std::size_t>(i)];
-    if (fi == kInfCost) continue;
-    const lp::VarId y = p.add_binary_variable("y" + std::to_string(i));
-    maps->open_var[static_cast<std::size_t>(i)] = y;
-    objective.add(y, fi);
-  }
 
   // --- x_ij: client j served by facility i (root always allowed). ---
   maps->assign_var.assign(
@@ -56,8 +67,7 @@ lp::LpProblem build_confl_milp(const confl::ConflInstance& instance,
       const double cij = cost(i, j);
       if (cij == kInfCost) continue;
       if (!is_root && cij > root_cost) continue;  // dominated by the root
-      const lp::VarId x = p.add_variable(
-          0.0, 1.0, "x" + std::to_string(i) + "_" + std::to_string(j));
+      const lp::VarId x = p.add_variable(0.0, 1.0);
       maps->assign_var[static_cast<std::size_t>(i)]
                       [static_cast<std::size_t>(j)] = x;
       objective.add(x, client_weight(j) * cij);
@@ -69,17 +79,13 @@ lp::LpProblem build_confl_milp(const confl::ConflInstance& instance,
   maps->flow_forward.assign(static_cast<std::size_t>(g.num_edges()), -1);
   maps->flow_backward.assign(static_cast<std::size_t>(g.num_edges()), -1);
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    const lp::VarId z = p.add_binary_variable("z" + std::to_string(e));
+    const lp::VarId z = p.add_binary_variable();
     maps->edge_var[static_cast<std::size_t>(e)] = z;
     objective.add(z, instance.edge_scale *
                          instance.edge_cost[static_cast<std::size_t>(e)]);
-    maps->flow_forward[static_cast<std::size_t>(e)] =
-        p.add_variable(0.0, lp::kInfinity, "ff" + std::to_string(e));
-    maps->flow_backward[static_cast<std::size_t>(e)] =
-        p.add_variable(0.0, lp::kInfinity, "fb" + std::to_string(e));
+    maps->flow_forward[static_cast<std::size_t>(e)] = p.add_variable();
+    maps->flow_backward[static_cast<std::size_t>(e)] = p.add_variable();
   }
-
-  p.set_objective(lp::Sense::kMinimize, std::move(objective));
 
   // (4): every client j is served exactly once.
   for (NodeId j = 0; j < n; ++j) {
@@ -91,8 +97,7 @@ lp::LpProblem build_confl_milp(const confl::ConflInstance& instance,
       if (x != -1) expr.add(x, 1.0);
     }
     FAIRCACHE_CHECK(!expr.empty(), "client with no candidate facility");
-    p.add_constraint(std::move(expr), lp::Relation::kEqual, 1.0,
-                     "serve" + std::to_string(j));
+    p.add_constraint(std::move(expr), lp::Relation::kEqual, 1.0);
   }
 
   // (5): x_ij ≤ y_i for non-root facilities.
@@ -132,14 +137,11 @@ lp::LpProblem build_confl_milp(const confl::ConflInstance& instance,
         const lp::VarId y = maps->open_var[static_cast<std::size_t>(i)];
         if (y != -1) balance.add(y, 1.0);
       }
-      p.add_constraint(std::move(balance), lp::Relation::kEqual, 0.0,
-                       "flow_root");
     } else {
       const lp::VarId y = maps->open_var[static_cast<std::size_t>(v)];
       if (y != -1) balance.add(y, -1.0);
-      p.add_constraint(std::move(balance), lp::Relation::kEqual, 0.0,
-                       "flow" + std::to_string(v));
     }
+    p.add_constraint(std::move(balance), lp::Relation::kEqual, 0.0);
   }
 
   // Flow only on bought edges: f_fwd + f_bwd ≤ cap · z_e.
@@ -184,16 +186,14 @@ lp::LpProblem build_confl_milp(const confl::ConflInstance& instance,
       p.add_constraint(std::move(expr), lp::Relation::kGreaterEqual, 0.0);
     }
   }
-
-  return p;
 }
 
 ExactConflSolution solve_confl_exact(const confl::ConflInstance& instance,
-                                     const ExactConflOptions& options) {
+                                     const mip::MipOptions& options) {
   ConflMilpMaps maps;
   const lp::LpProblem milp = build_confl_milp(instance, &maps);
 
-  mip::MipOptions mip_options = options.mip;
+  mip::MipOptions mip_options = options;
   const confl::ConflSolution warm = confl::try_solve_confl(instance).value();
   // The MILP objective of the warm solution: re-evaluate under the same
   // cheapest-assignment rule the MILP optimizes.

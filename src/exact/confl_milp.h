@@ -33,15 +33,19 @@ struct ConflMilpMaps {
   std::vector<lp::VarId> flow_backward;
 };
 
-// Builds the MILP for one ConFL instance.
+// Builds the MILP for one ConFL instance: a y_i per openable facility,
+// priced at f_i, then add_confl_rows.
 lp::LpProblem build_confl_milp(const confl::ConflInstance& instance,
                                ConflMilpMaps* maps);
 
-// Branch and bound is always seeded with the primal–dual solution (default
-// ConflOptions): it both prunes and guarantees a feasible fallback.
-struct ExactConflOptions {
-  mip::MipOptions mip;
-};
+// Appends the instance's x, z and flow variables (with their objective
+// terms) to `p` and `objective`, then its rows: serve, x ≤ y, flow
+// conservation, flow capacity and the two cut families. The y variables
+// are the caller's, read from maps->open_var (-1 = node never opens);
+// every other map is overwritten. The joint MILP calls this once per
+// chunk with that chunk's y column.
+void add_confl_rows(const confl::ConflInstance& instance, lp::LpProblem& p,
+                    lp::LinearExpr& objective, ConflMilpMaps* maps);
 
 struct ExactConflSolution {
   std::vector<graph::NodeId> open_facilities;  // sorted
@@ -52,8 +56,10 @@ struct ExactConflSolution {
 };
 
 // Solves one ConFL instance exactly (subject to the MIP limits; the result
-// is never worse than the primal–dual warm start).
+// is never worse than the primal–dual warm start). Branch and bound is
+// always seeded with the primal–dual solution (default ConflOptions): it
+// both prunes and guarantees a feasible fallback.
 ExactConflSolution solve_confl_exact(const confl::ConflInstance& instance,
-                                     const ExactConflOptions& options = {});
+                                     const mip::MipOptions& options = {});
 
 }  // namespace faircache::exact

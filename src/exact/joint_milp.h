@@ -12,23 +12,16 @@
 //    marginal(s) = s / (cap_i − s). We linearise it with level indicators
 //    u_is ("node i holds more than s chunks"), which is exact because the
 //    marginals are increasing in s;
-//  * per-chunk Steiner connectivity uses the same single-commodity flow
-//    encoding as exact/confl_milp.h.
+//  * each chunk's assignment and Steiner connectivity are the ConFL rows
+//    of exact/confl_milp.h (add_confl_rows) over that chunk's y column.
 //
 // Comparing this joint optimum against the iterated per-chunk optimum
 // (BruteForceCaching) measures the price of the chunk-by-chunk
-// decomposition of transform (8) — see tests/exact_joint_test.cpp.
+// decomposition of transform (8) — see tests/joint_test.cpp.
 
-#include "core/instance_builder.h"
 #include "core/problem.h"
-#include "mip/branch_and_bound.h"
 
 namespace faircache::exact {
-
-struct JointExactOptions {
-  mip::MipOptions mip;
-  core::InstanceOptions instance;
-};
 
 struct JointExactSolution {
   bool proven_optimal = false;
@@ -39,10 +32,10 @@ struct JointExactSolution {
   long nodes_explored = 0;
 };
 
-// Solves the joint MILP. Intended for ≤ ~9 nodes and ≤ ~3 chunks; larger
-// instances will hit the MIP limits and report the incumbent.
-JointExactSolution solve_joint_exact(const core::FairCachingProblem& problem,
-                                     const JointExactOptions& options = {});
+// Solves the joint MILP under the default core::InstanceOptions and MIP
+// limits. Intended for ≤ ~9 nodes and ≤ ~3 chunks; larger instances will
+// hit the MIP limits and report the incumbent.
+JointExactSolution solve_joint_exact(const core::FairCachingProblem& problem);
 
 // Objective of an arbitrary placement under the joint model (initial-state
 // contention constants + incremental fairness). Tree costs are computed
@@ -50,7 +43,6 @@ JointExactSolution solve_joint_exact(const core::FairCachingProblem& problem,
 // objective of the placement. Used to compare algorithms under one
 // objective in tests.
 double joint_objective(const core::FairCachingProblem& problem,
-                       const std::vector<std::vector<graph::NodeId>>& nodes,
-                       const core::InstanceOptions& options = {});
+                       const std::vector<std::vector<graph::NodeId>>& nodes);
 
 }  // namespace faircache::exact

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "confl/confl.h"
+#include "core/instance_builder.h"
 #include "graph/shortest_paths.h"
 #include "steiner/steiner.h"
 #include "util/stopwatch.h"
@@ -106,8 +107,7 @@ core::FairCachingResult LocalSearchCaching::run(
 
   for (metrics::ChunkId chunk = 0; chunk < problem.num_chunks; ++chunk) {
     const confl::ConflInstance instance =
-        core::try_build_chunk_instance(problem, result.state, config_.instance,
-                                       chunk)
+        core::try_build_chunk_instance(problem, result.state, {}, chunk)
             .value();
     // Seed with the primal–dual solution, then hill-climb.
     const confl::ConflSolution seed = confl::try_solve_confl(instance).value();

@@ -9,26 +9,16 @@
 // does close, LocalOpt matches it closely (tested), which justifies its
 // use as the Fig. 1 reference on the 6×6 grid.
 
-#include "core/instance_builder.h"
 #include "core/problem.h"
 
 namespace faircache::exact {
 
-struct LocalSearchConfig {
-  core::InstanceOptions instance;
-};
-
+// Each chunk's instance is built with the default core::InstanceOptions.
 class LocalSearchCaching : public core::CachingAlgorithm {
  public:
-  explicit LocalSearchCaching(LocalSearchConfig config = {})
-      : config_(std::move(config)) {}
-
   std::string name() const override { return "LocalOpt"; }
 
   core::FairCachingResult run(const core::FairCachingProblem& problem) override;
-
- private:
-  LocalSearchConfig config_;
 };
 
 }  // namespace faircache::exact

@@ -6,7 +6,6 @@
 #include <queue>
 #include <tuple>
 
-#include "util/parallel.h"
 
 namespace faircache::graph {
 
@@ -102,24 +101,6 @@ std::vector<int> alive_multi_bfs(const Graph& g,
     }
   }
   return dist;
-}
-
-util::Matrix<int> all_pairs_hops(const Graph& g) {
-  const auto n = static_cast<std::size_t>(g.num_nodes());
-  util::Matrix<int> result;
-  result.assign_no_init(n, n);  // bfs_hops fills each row completely
-  const int threads = util::resolve_parallel_threads(0, n);
-  // Worker-private queue scratch; rows are disjoint, so any schedule
-  // produces the same matrix.
-  std::vector<std::vector<NodeId>> queues(static_cast<std::size_t>(threads));
-  util::parallel_for(
-      n,
-      [&](std::size_t v, int worker) {
-        bfs_hops(g, static_cast<NodeId>(v), result[v],
-                 queues[static_cast<std::size_t>(worker)]);
-      },
-      threads);
-  return result;
 }
 
 std::vector<NodeId> k_hop_neighborhood(const Graph& g, NodeId source,

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "graph/graph.h"
-#include "util/matrix.h"
 
 namespace faircache::graph {
 
@@ -50,11 +49,6 @@ std::vector<NodeId> extract_path(const BfsTree& tree, NodeId target);
 
 // Convenience: deterministic hop-shortest path between two nodes.
 std::vector<NodeId> hop_path(const Graph& g, NodeId from, NodeId to);
-
-// All-pairs hop distances via n BFS runs: result[u][v]. The per-source
-// rows are independent and computed in parallel (util::parallel_threads()
-// workers; the result is identical at any thread count).
-util::Matrix<int> all_pairs_hops(const Graph& g);
 
 // Nodes within `limit` hops of `source` (including source itself),
 // ascending id — the k-hop neighbourhood used by the distributed algorithm.

@@ -2,34 +2,32 @@
 
 namespace faircache::lp {
 
-VarId LpProblem::add_variable(double lower, double upper, std::string name) {
+VarId LpProblem::add_variable(double lower, double upper) {
   FAIRCACHE_CHECK(lower <= upper, "variable bounds crossed");
   FAIRCACHE_CHECK(lower != kInfinity && upper != -kInfinity,
                   "degenerate variable bounds");
   const VarId id = num_variables();
-  variables_.push_back(Variable{std::move(name), lower, upper, false});
+  variables_.push_back(Variable{lower, upper, false});
   return id;
 }
 
-VarId LpProblem::add_integer_variable(double lower, double upper,
-                                      std::string name) {
-  const VarId id = add_variable(lower, upper, std::move(name));
+VarId LpProblem::add_integer_variable(double lower, double upper) {
+  const VarId id = add_variable(lower, upper);
   variables_[static_cast<std::size_t>(id)].is_integer = true;
   return id;
 }
 
-VarId LpProblem::add_binary_variable(std::string name) {
-  return add_integer_variable(0.0, 1.0, std::move(name));
+VarId LpProblem::add_binary_variable() {
+  return add_integer_variable(0.0, 1.0);
 }
 
-void LpProblem::add_constraint(LinearExpr expr, Relation relation, double rhs,
-                               std::string name) {
+void LpProblem::add_constraint(LinearExpr expr, Relation relation,
+                               double rhs) {
   for (const auto& term : expr.terms()) {
     FAIRCACHE_CHECK(term.var < num_variables(),
                     "constraint references unknown variable");
   }
-  constraints_.push_back(
-      Constraint{std::move(name), std::move(expr), relation, rhs});
+  constraints_.push_back(Constraint{std::move(expr), relation, rhs});
 }
 
 void LpProblem::set_objective(Sense sense, LinearExpr expr) {

@@ -6,7 +6,6 @@
 // available offline, so the solver substrate is built from scratch.
 
 #include <limits>
-#include <string>
 #include <vector>
 
 #include "util/check.h"
@@ -43,14 +42,12 @@ class LinearExpr {
 };
 
 struct Variable {
-  std::string name;
   double lower = 0.0;
   double upper = kInfinity;
   bool is_integer = false;  // honoured by the MIP layer, ignored by pure LP
 };
 
 struct Constraint {
-  std::string name;
   LinearExpr expr;
   Relation relation = Relation::kLessEqual;
   double rhs = 0.0;
@@ -58,14 +55,11 @@ struct Constraint {
 
 class LpProblem {
  public:
-  VarId add_variable(double lower = 0.0, double upper = kInfinity,
-                     std::string name = {});
-  VarId add_integer_variable(double lower, double upper,
-                             std::string name = {});
-  VarId add_binary_variable(std::string name = {});
+  VarId add_variable(double lower = 0.0, double upper = kInfinity);
+  VarId add_integer_variable(double lower, double upper);
+  VarId add_binary_variable();
 
-  void add_constraint(LinearExpr expr, Relation relation, double rhs,
-                      std::string name = {});
+  void add_constraint(LinearExpr expr, Relation relation, double rhs);
 
   void set_objective(Sense sense, LinearExpr expr);
 

@@ -85,6 +85,9 @@ MipSolution BranchAndBoundSolver::solve(const lp::LpProblem& problem) const {
   }
 
   double best_open_bound = -lp::kInfinity;
+  // Least bound among nodes dropped at the LP iteration limit: their
+  // subtrees were never searched, so the optimum may lie below it.
+  double dropped_bound = lp::kInfinity;
   bool hit_limit = false;
   bool root_unbounded = false;
   lp::LpProblem scratch = problem;
@@ -124,7 +127,8 @@ MipSolution BranchAndBoundSolver::solve(const lp::LpProblem& problem) const {
     }
     if (relax.status == lp::SolveStatus::kIterationLimit) {
       hit_limit = true;
-      continue;  // cannot trust this node; drop it (bound stays valid-ish)
+      dropped_bound = std::min(dropped_bound, node.bound);
+      continue;  // cannot trust this node's LP; drop it, keep its bound
     }
     const double node_value = sense * relax.objective;
     if (node_value >= incumbent - kAbsoluteGap) continue;
@@ -185,6 +189,7 @@ MipSolution BranchAndBoundSolver::solve(const lp::LpProblem& problem) const {
   }
 
   double bound = open.empty() && !hit_limit ? incumbent : best_open_bound;
+  bound = std::min(bound, dropped_bound);
   if (have_incumbent) bound = std::min(bound, incumbent);
 
   if (have_incumbent) {

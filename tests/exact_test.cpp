@@ -143,8 +143,8 @@ TEST(ExactConflTest, WarmStartFallbackUnderNodeLimit) {
   const Graph g = graph::make_grid(3, 3);
   const confl::ConflInstance instance =
       make_instance(g, 4, std::vector<double>(9, 0.5));
-  ExactConflOptions options;
-  options.mip.max_nodes = 1;  // force early stop
+  mip::MipOptions options;
+  options.max_nodes = 1;  // force early stop
   const ExactConflSolution s = solve_confl_exact(instance, options);
   // Must still return a structurally valid solution (the warm start).
   for (NodeId i : s.open_facilities) {
@@ -167,8 +167,8 @@ TEST(ExactConflTest, NodeLimitReportsLeastOpenBound) {
       core::try_build_chunk_instance(problem, problem.make_initial_state(),
                                      core::InstanceOptions{})
           .value();
-  ExactConflOptions options;
-  options.mip.max_nodes = 1;
+  mip::MipOptions options;
+  options.max_nodes = 1;
   const ExactConflSolution s = solve_confl_exact(instance, options);
   EXPECT_EQ(s.nodes_explored, 1);
   EXPECT_TRUE(std::isfinite(s.best_bound));

@@ -46,9 +46,9 @@ TEST(BranchAndBoundTest, SimpleIntegerRounding) {
 TEST(BranchAndBoundTest, ClassicKnapsack) {
   // max 60a + 100b + 120c s.t. 10a + 20b + 30c ≤ 50, binary → b + c = 220.
   LpProblem p;
-  const VarId a = p.add_binary_variable("a");
-  const VarId b = p.add_binary_variable("b");
-  const VarId c = p.add_binary_variable("c");
+  const VarId a = p.add_binary_variable();
+  const VarId b = p.add_binary_variable();
+  const VarId c = p.add_binary_variable();
   p.add_constraint(
       LinearExpr().add(a, 10.0).add(b, 20.0).add(c, 30.0),
       Relation::kLessEqual, 50.0);
@@ -187,6 +187,52 @@ TEST_P(MipKnapsackTest, MatchesExhaustiveEnumeration) {
 
 INSTANTIATE_TEST_SUITE_P(RandomKnapsacks, MipKnapsackTest,
                          ::testing::Range(0, 20));
+
+// A node whose LP stops at the simplex iteration limit is dropped
+// unsearched, so its bound must still cap best_bound. Klee–Minty rows make
+// the z = 0 child's LP run past the limit; that subtree holds the point
+// z = u = y = 0, x_16 = 5^16 (objective −5^16), while the z = 1 subtree's
+// best is 0. Counting only the searched nodes, the solver would claim 0 is
+// optimal.
+TEST(BranchAndBoundTest, IterationLimitNodeKeepsItsBound) {
+  constexpr int kDim = 16;
+  constexpr double kBig = -1e16;
+  LpProblem p;
+  std::vector<VarId> x;
+  for (int j = 0; j < kDim; ++j) x.push_back(p.add_variable());
+  const VarId z = p.add_binary_variable();
+  const VarId u = p.add_variable(0.0, 1.0);
+  const VarId y = p.add_binary_variable();
+  // Σ_{j<i} 2^{i−j+1} x_j + x_i ≤ 5^i for i = 1..16 (1-based).
+  for (int i = 1; i <= kDim; ++i) {
+    LinearExpr row;
+    for (int j = 1; j < i; ++j) row.add(x[j - 1], std::ldexp(1.0, i - j + 1));
+    row.add(x[i - 1], 1.0);
+    p.add_constraint(std::move(row), Relation::kLessEqual, std::pow(5.0, i));
+  }
+  LinearExpr link = LinearExpr().add(z, 2.0).add(u, -1.0);
+  const double eps = 4.0 / std::pow(5.0, kDim + 1);
+  for (VarId xj : x) link.add(xj, eps);
+  p.add_constraint(std::move(link), Relation::kLessEqual, 1.0);
+  p.add_constraint(LinearExpr().add(y, 1.0).add(z, -0.5),
+                   Relation::kGreaterEqual, 0.0);
+  LinearExpr objective = LinearExpr().add(z, kBig).add(u, -kBig);
+  for (int j = 1; j <= kDim; ++j) {
+    objective.add(x[j - 1], -std::ldexp(1.0, kDim - j));
+  }
+  p.set_objective(Sense::kMinimize, std::move(objective));
+
+  std::vector<double> witness(static_cast<std::size_t>(p.num_variables()),
+                              0.0);
+  witness[static_cast<std::size_t>(x[kDim - 1])] = std::pow(5.0, kDim);
+  ASSERT_TRUE(p.is_feasible(witness));
+  const double witness_value = p.objective_value(witness);
+
+  const MipSolution s = BranchAndBoundSolver().solve(p);
+  ASSERT_EQ(s.status, MipStatus::kFeasible);
+  EXPECT_GT(s.objective, witness_value);  // the incumbent misses the witness
+  EXPECT_LE(s.best_bound, witness_value);
+}
 
 // Random small set-cover style MILPs with equality couplings, vs
 // enumeration — exercises ≥ and = rows through the MIP path.

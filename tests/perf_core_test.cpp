@@ -151,28 +151,16 @@ TEST(ParallelForTest, ResolveClampsToRange) {
 
 // ------------------------------------------------- graph fast paths ------
 
-TEST(AllPairsHopsTest, MatchesBfsOracle) {
+TEST(BfsHopsTest, MatchesBfsOracle) {
   util::Rng rng(7);
   const auto net = random_net(60, rng);
   const Graph& g = net.graph;
-  const util::Matrix<int> hops = graph::all_pairs_hops(g);
+  std::vector<int> hops(static_cast<std::size_t>(g.num_nodes()));
+  std::vector<NodeId> queue;
   for (NodeId v = 0; v < g.num_nodes(); v += 7) {
-    const graph::BfsTree tree = graph::bfs(g, v);
-    for (NodeId w = 0; w < g.num_nodes(); ++w) {
-      EXPECT_EQ(hops(static_cast<std::size_t>(v), static_cast<std::size_t>(w)),
-                tree.hops[static_cast<std::size_t>(w)]);
-    }
+    graph::bfs_hops(g, v, hops.data(), queue);
+    EXPECT_EQ(hops, graph::bfs(g, v).hops);
   }
-}
-
-TEST(AllPairsHopsTest, ThreadCountDoesNotChangeResult) {
-  const Graph g = graph::make_grid(9, 7);
-  expect_thread_invariant([&] { return graph::all_pairs_hops(g); },
-                          [](const util::Matrix<int>& hops) {
-                            return util::Fnv1a()
-                                .bytes(hops.data(), hops.size() * sizeof(int))
-                                .digest();
-                          });
 }
 
 TEST(DijkstraEdgeWeightsTest, SettleOnlyMatchesFullRunOnFlaggedNodes) {
