@@ -5,9 +5,10 @@
 //   * ContentionBuild — dense c_ij matrix (n BFS accumulations)
 //   * SolveConfl      — one primal–dual ConFL solve on a built instance
 //   * BuildInstance*  — the full Q = 5 per-chunk instance-build sequence
-//                       (replayed cache states), rebuild vs incremental
+//                       (replayed cache states) of the default engine
 //   * ApproxRun*      — ApproxFairCaching end to end, Q = 5 chunks, under
-//                       the default engines and the reference fallbacks
+//                       the default engines, unguarded, and auditing every
+//                       build
 //
 // A development tool with no committed output: the timings of record are
 // the repository benchmark's records in benchmark/baseline/ (docs/PERF.md,
@@ -65,10 +66,9 @@ void BM_SolveConfl(benchmark::State& state) {
 
 // The build phase in isolation: replay the exact Q = 5 cache-state
 // sequence a default run produces, timing only the per-chunk instance
-// builds of the selected contention engine (the incremental engine is
-// reconstructed every iteration, so its chunk-0 tree pinning is charged —
-// what one full run pays).
-void BM_BuildInstance(benchmark::State& state, core::ContentionMode mode) {
+// builds of the default engine (it is reconstructed every iteration, so
+// its chunk-0 tree pinning is charged — what one full run pays).
+void BM_BuildInstanceIncremental(benchmark::State& state) {
   const int side = static_cast<int>(state.range(0));
   const graph::Graph g = graph::make_grid(side, side);
   const core::FairCachingProblem problem = grid_problem(g, 5);
@@ -87,10 +87,8 @@ void BM_BuildInstance(benchmark::State& state, core::ContentionMode mode) {
     }
   }
 
-  core::InstanceOptions options;
-  options.contention_mode = mode;
   for (auto _ : state) {
-    core::ChunkInstanceEngine engine(problem, options);
+    core::ChunkInstanceEngine engine(problem, core::InstanceOptions{});
     for (std::size_t chunk = 0; chunk < states.size(); ++chunk) {
       util::Result<confl::ConflInstance> instance = engine.build(
           states[chunk], static_cast<metrics::ChunkId>(chunk));
@@ -99,14 +97,6 @@ void BM_BuildInstance(benchmark::State& state, core::ContentionMode mode) {
     }
   }
   state.SetLabel(std::to_string(g.num_nodes()) + " nodes, Q=5");
-}
-
-void BM_BuildInstanceRebuild(benchmark::State& state) {
-  BM_BuildInstance(state, core::ContentionMode::kRebuild);
-}
-
-void BM_BuildInstanceIncremental(benchmark::State& state) {
-  BM_BuildInstance(state, core::ContentionMode::kIncremental);
 }
 
 // End to end under the current defaults: kVoronoi Steiner engine +
@@ -155,43 +145,9 @@ void BM_ApproxRunAuditEveryBuild(benchmark::State& state) {
   state.SetLabel(std::to_string(g.num_nodes()) + " nodes");
 }
 
-// Reference contention engine (per-chunk rebuild), default Steiner engine —
-// the PR-4 BM_ApproxRunVoronoi configuration; compare against BM_ApproxRun
-// for the incremental-engine speedup.
-void BM_ApproxRunRebuild(benchmark::State& state) {
-  const int side = static_cast<int>(state.range(0));
-  const graph::Graph g = graph::make_grid(side, side);
-  const core::FairCachingProblem problem = grid_problem(g, 5);
-  core::ApproxConfig config;
-  config.instance.contention_mode = core::ContentionMode::kRebuild;
-  for (auto _ : state) {
-    core::ApproxFairCaching appx(config);
-    benchmark::DoNotOptimize(appx.run(problem));
-  }
-  state.SetLabel(std::to_string(g.num_nodes()) + " nodes");
-}
-
-// Both reference engines (KMB Steiner + per-chunk rebuild) — the PR-4
-// BM_ApproxRun configuration, kept for longitudinal comparison.
-void BM_ApproxRunKmbRebuild(benchmark::State& state) {
-  const int side = static_cast<int>(state.range(0));
-  const graph::Graph g = graph::make_grid(side, side);
-  const core::FairCachingProblem problem = grid_problem(g, 5);
-  core::ApproxConfig config;
-  config.confl.steiner_engine = steiner::Engine::kClosureKmb;
-  config.instance.contention_mode = core::ContentionMode::kRebuild;
-  for (auto _ : state) {
-    core::ApproxFairCaching appx(config);
-    benchmark::DoNotOptimize(appx.run(problem));
-  }
-  state.SetLabel(std::to_string(g.num_nodes()) + " nodes");
-}
-
 BENCHMARK(BM_ContentionBuild)->Arg(10)->Arg(20)->Arg(30)->Arg(40)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SolveConfl)->Arg(10)->Arg(20)->Arg(30)->Arg(40)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_BuildInstanceRebuild)->Arg(10)->Arg(20)->Arg(30)->Arg(40)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_BuildInstanceIncremental)->Arg(10)->Arg(20)->Arg(30)->Arg(40)
     ->Unit(benchmark::kMillisecond);
@@ -200,10 +156,6 @@ BENCHMARK(BM_ApproxRun)->Arg(10)->Arg(20)->Arg(30)->Arg(40)
 BENCHMARK(BM_ApproxRunUnguarded)->Arg(10)->Arg(20)->Arg(30)->Arg(40)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ApproxRunAuditEveryBuild)->Arg(10)->Arg(20)->Arg(30)->Arg(40)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_ApproxRunRebuild)->Arg(10)->Arg(20)->Arg(30)->Arg(40)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_ApproxRunKmbRebuild)->Arg(10)->Arg(20)->Arg(30)->Arg(40)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

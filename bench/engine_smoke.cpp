@@ -11,13 +11,13 @@
 //      that would indicate a broken construction.
 //
 // End-to-end ApproxFairCaching runs over every (Steiner engine ×
-// contention mode) combination:
+// contention row layout) combination:
 //   3. each combination's placement/objective hash is identical at 1, 2
 //      and 8 threads;
-//   4. kIncremental, kRebuild and kSparse (unbounded radius) agree —
-//      identical placement hashes and per-chunk objectives within 1e-9
-//      (they are in fact bit-identical on these connected integer-weight
-//      instances) for each Steiner engine.
+//   4. kSparse (unbounded radius) agrees with kIncremental — identical
+//      placement hashes and per-chunk objectives within 1e-9 (they are in
+//      fact bit-identical on these connected integer-weight instances) for
+//      each Steiner engine.
 //
 // Plus one 100k-node kSparse smoke run asserting the sparse engine's
 // memory budget: the run must finish without degrading to the greedy
@@ -117,8 +117,8 @@ std::uint64_t run_hash(const core::FairCachingResult& result) {
   return h.digest();
 }
 
-// End-to-end checks 3 and 4: thread-determinism of every (engine, mode)
-// combination, and cross-mode agreement per engine. Returns the number of
+// End-to-end checks 3 and 4: thread-determinism of every (engine, layout)
+// combination, and cross-layout agreement per engine. Returns the number of
 // failures.
 int check_end_to_end(const Fixture& f) {
   int failures = 0;
@@ -131,15 +131,14 @@ int check_end_to_end(const Fixture& f) {
   const steiner::Engine engines[2] = {steiner::Engine::kClosureKmb,
                                       steiner::Engine::kVoronoi};
   const char* engine_name[2] = {"kClosureKmb", "kVoronoi"};
-  const core::ContentionMode modes[3] = {core::ContentionMode::kRebuild,
-                                         core::ContentionMode::kIncremental,
+  const core::ContentionMode modes[2] = {core::ContentionMode::kIncremental,
                                          core::ContentionMode::kSparse};
-  const char* mode_name[3] = {"kRebuild", "kIncremental", "kSparse"};
+  const char* mode_name[2] = {"kIncremental", "kSparse"};
 
   for (int e = 0; e < 2; ++e) {
-    std::uint64_t mode_hash[3] = {0, 0, 0};
-    core::FairCachingResult mode_result[3];
-    for (int m = 0; m < 3; ++m) {
+    std::uint64_t mode_hash[2] = {0, 0};
+    core::FairCachingResult mode_result[2];
+    for (int m = 0; m < 2; ++m) {
       std::uint64_t hash1 = 0;
       for (const int threads : {1, 2, 8}) {
         util::set_parallel_threads(threads);
@@ -167,30 +166,28 @@ int check_end_to_end(const Fixture& f) {
                   engine_name[e], mode_name[m],
                   static_cast<unsigned long long>(hash1));
     }
-    // Cross-mode agreement: same placements, per-chunk objectives within
-    // 1e-9 (the contention engines are bit-identical on integer weights
-    // and these connected fixtures, so in practice the hashes — objective
-    // bits included — match).
-    for (int m = 1; m < 3; ++m) {
-      if (mode_hash[0] != mode_hash[m]) {
-        std::printf("FAIL %s appx %s: %s disagrees with kRebuild "
-                    "(%016llx vs %016llx)\n",
-                    f.name.c_str(), engine_name[e], mode_name[m],
-                    static_cast<unsigned long long>(mode_hash[m]),
-                    static_cast<unsigned long long>(mode_hash[0]));
+    // Cross-layout agreement: same placements, per-chunk objectives
+    // within 1e-9 (the layouts are bit-identical on integer weights and
+    // these connected fixtures, so in practice the hashes — objective bits
+    // included — match).
+    if (mode_hash[0] != mode_hash[1]) {
+      std::printf("FAIL %s appx %s: kSparse disagrees with kIncremental "
+                  "(%016llx vs %016llx)\n",
+                  f.name.c_str(), engine_name[e],
+                  static_cast<unsigned long long>(mode_hash[1]),
+                  static_cast<unsigned long long>(mode_hash[0]));
+      ++failures;
+    }
+    for (std::size_t c = 0; c < mode_result[0].placements.size() &&
+                            c < mode_result[1].placements.size();
+         ++c) {
+      const double a = mode_result[0].placements[c].solver_objective;
+      const double b = mode_result[1].placements[c].solver_objective;
+      if (std::abs(a - b) > 1e-9) {
+        std::printf("FAIL %s appx %s chunk %zu: objectives diverge "
+                    "(%.12f vs %.12f)\n",
+                    f.name.c_str(), engine_name[e], c, a, b);
         ++failures;
-      }
-      for (std::size_t c = 0; c < mode_result[0].placements.size() &&
-                              c < mode_result[m].placements.size();
-           ++c) {
-        const double a = mode_result[0].placements[c].solver_objective;
-        const double b = mode_result[m].placements[c].solver_objective;
-        if (std::abs(a - b) > 1e-9) {
-          std::printf("FAIL %s appx %s %s chunk %zu: objectives diverge "
-                      "(%.12f vs %.12f)\n",
-                      f.name.c_str(), engine_name[e], mode_name[m], c, a, b);
-          ++failures;
-        }
       }
     }
   }

@@ -1,16 +1,22 @@
 // Fuzz target: the instance-construction boundary and the growth engine.
 // Arbitrary bytes decode to a problem; validation must classify it with a
-// typed Status, a validated problem must always yield a well-formed ConFL
-// instance, and that instance must solve under the decoded options to
-// the dense reference engine's solution, bit for bit (n ≤ 32 keeps the
-// reference cheap). When the decoded contention mode is kSparse, the
-// sparse instance the chunk engine builds at the decoded radius must
-// solve to the reference's solution on its dense twin (+inf outside the
-// radius) too. Any uncaught exception or abort is a finding.
+// typed Status, and a validated problem must always yield a well-formed
+// ConFL instance — except kSparse rows under kMinContention paths, which
+// every builder must reject as kInvalidInput. Over two chunks (the second
+// after placing the first, so the chunk engine takes its delta path) the
+// engine's costs must equal the stateless builder's bit for bit, and the
+// stateless instance must solve under the decoded options to the dense
+// reference engine's solution, bit for bit (n ≤ 32 keeps the reference
+// cheap). When the decoded layout is kSparse, the CSR instance at the
+// decoded radius must solve to the reference's solution on its dense twin
+// (+inf outside the radius) too. Any uncaught exception or abort is a
+// finding.
 
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <utility>
+#include <vector>
 
 #include "confl/confl.h"
 #include "core/instance_builder.h"
@@ -28,12 +34,45 @@ bool same_bits(double a, double b) {
   return std::memcmp(&a, &b, sizeof a) == 0;
 }
 
+// Bitwise equality of two cost buffers (std::vector or util::Matrix).
+template <typename Buffer>
+bool same_bits(const Buffer& a, const Buffer& b) {
+  return a.size() == b.size() &&
+         (a.size() == 0 ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+// Aborts unless the chunk engine's instance carries the stateless
+// builder's costs bit for bit: dense rows whole, CSR rows entry by entry.
+void expect_same_costs(const confl::ConflInstance& engine,
+                       const confl::ConflInstance& stateless) {
+  if (!same_bits(engine.facility_cost, stateless.facility_cost) ||
+      !same_bits(engine.edge_cost, stateless.edge_cost)) {
+    std::abort();
+  }
+  if (!engine.sparse()) {
+    if (!same_bits(engine.assign_cost, stateless.assign_cost)) std::abort();
+    return;
+  }
+  const metrics::SparseContention& s = engine.sparse_cost;
+  for (std::size_t i = 0; i < static_cast<std::size_t>(s.num_nodes); ++i) {
+    for (std::int64_t t = s.row_offset[i]; t < s.row_offset[i + 1]; ++t) {
+      const auto u = static_cast<std::size_t>(t);
+      if (!same_bits(s.cost[u], stateless.assign_cost(
+                                    i, static_cast<std::size_t>(s.col[u])))) {
+        std::abort();
+      }
+    }
+  }
+}
+
 // Solves `instance` with the growth engine and `reference` (its dense
 // form) with the reference engine; aborts unless the two agree bit for
-// bit.
-void expect_reference_solution(const confl::ConflInstance& instance,
-                               const confl::ConflInstance& reference,
-                               const confl::ConflOptions& options) {
+// bit. Returns the solution.
+confl::ConflSolution expect_reference_solution(
+    const confl::ConflInstance& instance,
+    const confl::ConflInstance& reference,
+    const confl::ConflOptions& options) {
   const util::Result<confl::ConflSolution> solved =
       confl::try_solve_confl(instance, options);
   if (!solved.ok()) std::abort();
@@ -47,6 +86,7 @@ void expect_reference_solution(const confl::ConflInstance& instance,
       !same_bits(got.tree_cost, want.tree_cost)) {
     std::abort();
   }
+  return got;
 }
 
 // The dense twin of a sparse instance: the stored pairs at their costs,
@@ -83,28 +123,51 @@ int run_instance_target(const std::uint8_t* data, std::size_t size) {
     return 0;
   }
 
-  const metrics::CacheState state = d.problem.make_initial_state();
-  util::Result<confl::ConflInstance> instance = core::try_build_chunk_instance(
-      d.problem, state, d.config.instance, /*chunk=*/0);
-  // A problem that passed validation must build, and the built instance
-  // must itself pass the solver's instance validator.
-  if (!instance.ok()) std::abort();
-  if (!confl::validate_confl_instance(instance.value()).ok()) std::abort();
+  metrics::CacheState state = d.problem.make_initial_state();
+  core::ChunkInstanceEngine engine(d.problem, d.config.instance);
+  const bool sparse =
+      d.config.instance.contention_mode == core::ContentionMode::kSparse;
+  if (sparse &&
+      d.config.instance.path_policy != metrics::PathPolicy::kHopShortest) {
+    // CSR rows pin hop-shortest trees: every builder rejects the pair.
+    if (core::try_build_chunk_instance(d.problem, state, d.config.instance)
+                .code() != util::StatusCode::kInvalidInput ||
+        engine.build(state, /*chunk=*/0).code() !=
+            util::StatusCode::kInvalidInput ||
+        engine.sync(state).code() != util::StatusCode::kInvalidInput) {
+      std::abort();
+    }
+    return 0;
+  }
 
-  // Differential check of the growth engine against the reference (the
-  // stateless builder always yields the dense matrix the reference needs).
-  expect_reference_solution(instance.value(), instance.value(),
-                            d.config.confl);
+  for (metrics::ChunkId chunk = 0; chunk < 2; ++chunk) {
+    const util::Result<confl::ConflInstance> stateless =
+        core::try_build_chunk_instance(d.problem, state, d.config.instance,
+                                       chunk);
+    util::Result<confl::ConflInstance> built = engine.build(state, chunk);
+    // A problem that passed validation must build, and the built instance
+    // must itself pass the solver's instance validator.
+    if (!stateless.ok() || !built.ok() || built.value().sparse() != sparse) {
+      std::abort();
+    }
+    if (!confl::validate_confl_instance(stateless.value()).ok()) std::abort();
+    expect_same_costs(built.value(), stateless.value());
 
-  // The sparse engine's truncated rows, against the reference on their
-  // dense twin.
-  if (d.config.instance.contention_mode == core::ContentionMode::kSparse) {
-    core::ChunkInstanceEngine engine(d.problem, d.config.instance);
-    util::Result<confl::ConflInstance> sparse =
-        engine.build(state, /*chunk=*/0);
-    if (!sparse.ok() || !sparse.value().sparse()) std::abort();
-    expect_reference_solution(sparse.value(), dense_twin(sparse.value()),
-                              d.config.confl);
+    // Differential check of the growth engine against the reference (the
+    // stateless builder always yields the dense matrix the reference
+    // needs), and of the CSR rows against the reference on their dense
+    // twin.
+    const confl::ConflSolution solution = expect_reference_solution(
+        stateless.value(), stateless.value(), d.config.confl);
+    if (sparse) {
+      expect_reference_solution(built.value(), dense_twin(built.value()),
+                                d.config.confl);
+    }
+
+    for (graph::NodeId v : solution.open_facilities) {
+      if (state.can_cache(v, chunk)) state.add(v, chunk);
+    }
+    engine.reclaim(std::move(built).value());
   }
   return 0;
 }

@@ -29,7 +29,6 @@ util::Result<FairCachingResult> ApproxFairCaching::solve(
   rep.chunks_total = problem.num_chunks;
 
   ChunkInstanceEngine engine(problem, config_.instance);
-  rep.contention_mode_used = engine.mode_used();
   metrics::ChunkId chunk = 0;
   for (; chunk < problem.num_chunks; ++chunk) {
     if (budget.expired()) break;
@@ -87,9 +86,9 @@ util::Result<FairCachingResult> ApproxFairCaching::solve(
     // keeps its locality restriction: savings beyond the contention radius
     // are forfeited, as in the cost model the solver itself ran under.
     const graph::CsrAdjacency adj = graph::build_csr(*problem.network);
-    const int radius = engine.mode_used() == ContentionMode::kSparse
-                           ? config_.instance.contention_radius
-                           : 0;
+    const bool sparse =
+        config_.instance.contention_mode == ContentionMode::kSparse;
+    const int radius = sparse ? config_.instance.contention_radius : 0;
     for (; chunk < problem.num_chunks; ++chunk) {
       ChunkPlacement placement;
       placement.chunk = chunk;

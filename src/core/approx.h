@@ -4,8 +4,11 @@
 // contention costs from the current cache state, solve the resulting ConFL
 // instance with the primal–dual approximation, cache the chunk on the ADMIN
 // set, and move to the next chunk. Theorem 1 shows this iterated scheme
-// preserves the 6.55 approximation ratio of the underlying ConFL algorithm
-// against the per-chunk optimal transform (8).
+// preserves the approximation ratio of the underlying ConFL algorithm
+// against the per-chunk optimal transform (8). The paper's 6.55 assumes
+// the 1.55-approximate Robins–Zelikovsky Steiner tree; this library builds
+// a 2(1 − 1/|T|)-approximate tree (steiner/steiner.h), so 6.55 is not
+// proven for this code — it is the bound the tests check.
 //
 // The budget-aware entry point `solve` adds *anytime* semantics on top
 // (docs/ROBUSTNESS.md): when the util::RunBudget expires mid-run, chunks
@@ -29,9 +32,9 @@ struct ApproxConfig {
   // any size); kClosureKmb is the historical per-terminal-SSSP engine,
   // bit-identical to the pre-PR-5 golden outputs.
   confl::ConflOptions confl;
-  // `instance.contention_mode` selects the per-chunk cost engine: the
-  // default kIncremental delta-patches pinned BFS trees between chunks;
-  // kRebuild reconstructs the contention matrix every chunk (reference).
+  // `instance.contention_mode` selects the per-chunk row layout (dense or
+  // CSR); under hop-shortest paths either delta-patches pinned BFS trees
+  // between chunks (core/instance_builder.h).
   InstanceOptions instance;
 };
 
@@ -41,20 +44,15 @@ struct ApproxConfig {
 struct SolveReport {
   util::Status stop_reason;  // OK, kDeadlineExceeded, kCancelled, ...
   int chunks_total = 0;
-  // The contention engine the chunk loop actually ran
-  // (ChunkInstanceEngine::mode_used()): the configured
-  // `instance.contention_mode` with the hop-shortest-only engines' kRebuild
-  // fallback applied — so callers can tell when e.g. kMinContention
-  // silently demoted kIncremental/kSparse to a per-chunk rebuild.
-  ContentionMode contention_mode_used = ContentionMode::kRebuild;
   // Chunks placed by the greedy fallback instead of the ConFL solver,
   // ascending. Empty for a completed run.
   std::vector<metrics::ChunkId> degraded_chunks;
   double build_seconds = 0.0;     // per-chunk instance builds (lines 5–16)
   // Split of the contention-cost share of build_seconds: full builds
-  // (pinning the BFS trees on chunk 0, and every kRebuild chunk) vs the
-  // sparse delta sweeps of kIncremental chunks after the first. Their sum
-  // is ≤ build_seconds (the remainder is fairness costs and plumbing).
+  // (pinning the BFS trees on chunk 0, and every stateless chunk under
+  // kMinContention) vs the delta sweeps of hop-shortest chunks after the
+  // first. Their sum is ≤ build_seconds (the remainder is fairness costs
+  // and plumbing).
   double build_tree_seconds = 0.0;
   double build_delta_seconds = 0.0;
   double solve_seconds = 0.0;     // ConFL solves (lines 17–47)

@@ -5,11 +5,11 @@
 // incremental checksums over its guarded blocks (util/integrity.h); an
 // EngineGuard owned by core::ChunkInstanceEngine periodically (a)
 // recomputes those checksums from the actual buffers and (b)
-// cross-validates a few sampled rows against the stateless kRebuild
-// arithmetic. Any mismatch quarantines the updater: the engine drops the
-// poisoned state and the next update re-pins fresh trees — the exact
-// stateless rebuild — so every intermediate result remains a valid
-// placement.
+// cross-validates a few sampled rows against the arithmetic of the
+// stateless builder (try_build_chunk_instance). Any mismatch quarantines
+// the updater: the engine drops the poisoned state and the next update
+// re-pins fresh trees — the exact stateless rebuild — so every
+// intermediate result remains a valid placement.
 //
 // Audits are budget-charged: cadence picks which builds audit, and
 // budget_share caps cumulative audit time as a fraction of the engine's

@@ -1,5 +1,6 @@
 #include "core/instance_builder.h"
 
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -9,19 +10,26 @@ namespace faircache::core {
 
 namespace {
 
+// `chunk` is empty for a query-only sync(), which reads no demand row. CSR
+// rows pin hop-shortest trees, so kSparse rejects kMinContention.
 util::Status validate_build_inputs(const FairCachingProblem& problem,
                                    const metrics::CacheState& state,
                                    const InstanceOptions& options,
-                                   metrics::ChunkId chunk) {
+                                   std::optional<metrics::ChunkId> chunk) {
   if (problem.network == nullptr) {
     return util::Status::invalid_input("problem needs a network");
   }
   if (state.num_nodes() != problem.network->num_nodes()) {
     return util::Status::invalid_input("state / network size mismatch");
   }
-  if (options.demand != nullptr &&
-      (chunk < 0 ||
-       static_cast<std::size_t>(chunk) >= options.demand->size())) {
+  if (options.contention_mode == ContentionMode::kSparse &&
+      options.path_policy != metrics::PathPolicy::kHopShortest) {
+    return util::Status::invalid_input(
+        "kSparse rows need hop-shortest paths");
+  }
+  if (options.demand != nullptr && chunk.has_value() &&
+      (*chunk < 0 ||
+       static_cast<std::size_t>(*chunk) >= options.demand->size())) {
     return util::Status::invalid_input("demand matrix missing chunk row");
   }
   return util::Status();  // OK
@@ -65,18 +73,13 @@ util::Result<confl::ConflInstance> try_build_chunk_instance(
 
 ChunkInstanceEngine::ChunkInstanceEngine(const FairCachingProblem& problem,
                                          const InstanceOptions& options)
-    : problem_(&problem), options_(options) {
-  mode_used_ = options_.contention_mode;
+    : problem_(&problem), options_(options), guard_(options_.guard) {
   // The updater pins hop-shortest BFS trees; kMinContention paths depend
-  // on the weights themselves, so both stateful modes fall back to the
-  // stateless rebuild (surfaced through mode_used()).
-  if (options_.path_policy != metrics::PathPolicy::kHopShortest ||
-      problem_->network == nullptr) {
-    mode_used_ = ContentionMode::kRebuild;
+  // on the weights themselves, so they get stateless rows every chunk.
+  if (problem_->network != nullptr &&
+      options_.path_policy == metrics::PathPolicy::kHopShortest) {
+    updater_ = make_updater(options_.guard.enabled);
   }
-  guard_ = EngineGuard(options_.guard);
-  if (mode_used_ == ContentionMode::kRebuild) return;
-  updater_ = make_updater(options_.guard.enabled);
 }
 
 std::unique_ptr<metrics::ContentionUpdater> ChunkInstanceEngine::make_updater(
@@ -87,8 +90,9 @@ std::unique_ptr<metrics::ContentionUpdater> ChunkInstanceEngine::make_updater(
   updater_options.checksums = checksums;
   return std::make_unique<metrics::ContentionUpdater>(
       *problem_->network,
-      mode_used_ == ContentionMode::kSparse ? metrics::ContentionLayout::kCsr
-                                            : metrics::ContentionLayout::kDense,
+      options_.contention_mode == ContentionMode::kSparse
+          ? metrics::ContentionLayout::kCsr
+          : metrics::ContentionLayout::kDense,
       updater_options);
 }
 
@@ -107,6 +111,13 @@ util::Result<confl::ConflInstance> ChunkInstanceEngine::build(
     const metrics::CacheState& state, metrics::ChunkId chunk) {
   const int build_index = ++builds_;
   if (options_.pre_build_hook) options_.pre_build_hook(*this, build_index);
+  if (updater_ == nullptr) {
+    util::Stopwatch timer;
+    util::Result<confl::ConflInstance> instance =
+        try_build_chunk_instance(*problem_, state, options_, chunk);
+    stats_.tree_seconds += timer.elapsed_seconds();
+    return instance;
+  }
   if (util::Status status =
           validate_build_inputs(*problem_, state, options_, chunk);
       !status.ok()) {
@@ -117,24 +128,15 @@ util::Result<confl::ConflInstance> ChunkInstanceEngine::build(
   // Audit BEFORE update(): a corrupted pinned tree must be caught before
   // it can drive (or overrun) the delta sweep it indexes.
   guard_tick(build_index);
-  if (updater_ != nullptr) {
-    const double spent = update_updater(state);
-    if (recovering_) {
-      guard_.add_recovery_seconds(spent);
-      recovering_ = false;
-    }
-    metrics::ContentionBuffers lent = updater_->take();
-    instance.assign_cost = std::move(lent.dense);
-    instance.sparse_cost = std::move(lent.csr);
-    instance.edge_cost = std::move(lent.edge_cost);
-  } else {
-    util::Stopwatch timer;
-    metrics::ContentionMatrix contention(*problem_->network, state,
-                                         options_.path_policy);
-    instance.assign_cost = contention.take_matrix();
-    instance.edge_cost = contention.take_edge_costs();
-    stats_.tree_seconds += timer.elapsed_seconds();
+  const double spent = update_updater(state);
+  if (recovering_) {
+    guard_.add_recovery_seconds(spent);
+    recovering_ = false;
   }
+  metrics::ContentionBuffers lent = updater_->take();
+  instance.assign_cost = std::move(lent.dense);
+  instance.sparse_cost = std::move(lent.csr);
+  instance.edge_cost = std::move(lent.edge_cost);
   return instance;
 }
 
@@ -147,11 +149,10 @@ void ChunkInstanceEngine::reclaim(confl::ConflInstance&& instance) {
 }
 
 util::Status ChunkInstanceEngine::sync(const metrics::CacheState& state) {
-  if (problem_->network == nullptr) {
-    return util::Status::invalid_input("problem needs a network");
-  }
-  if (state.num_nodes() != problem_->network->num_nodes()) {
-    return util::Status::invalid_input("state / network size mismatch");
+  if (util::Status status =
+          validate_build_inputs(*problem_, state, options_, std::nullopt);
+      !status.ok()) {
+    return status;
   }
   if (updater_ != nullptr) {
     update_updater(state);
@@ -180,7 +181,7 @@ double ChunkInstanceEngine::query_cost(graph::NodeId i,
 }
 
 void ChunkInstanceEngine::guard_tick(int build_index) {
-  if (!options_.guard.enabled || updater_ == nullptr || !updater_->ready()) {
+  if (!options_.guard.enabled || !updater_->ready()) {
     return;
   }
   const double build_seconds = stats_.tree_seconds + stats_.delta_seconds;

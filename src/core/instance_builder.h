@@ -6,13 +6,14 @@
 // *current* cache state, which is how Algorithm 1 couples consecutive
 // chunks (caching a chunk raises a node's f_i and its 1+S(k) factor).
 //
-// kRebuild constructs a fresh metrics::ContentionMatrix per chunk — the
-// stateless reference path. kIncremental and kSparse keep one
-// metrics::ContentionUpdater alive across the chunk loop (dense and CSR row
-// layouts respectively): BFS trees are pinned once and each later chunk
-// only applies the weight deltas from the nodes the previous placement
-// touched (docs/PERF.md, "Contention updater"). On the paper's
-// integer-valued contention weights the engines are bit-identical.
+// Under hop-shortest paths core::ChunkInstanceEngine keeps one
+// metrics::ContentionUpdater alive across the chunk loop: BFS trees are
+// pinned once and each later chunk only applies the weight deltas from the
+// nodes the previous placement touched (docs/PERF.md, "Contention
+// updater"). Min-contention paths depend on the weights themselves, so
+// there every chunk gets fresh rows from the stateless builder
+// (try_build_chunk_instance). On the paper's integer-valued contention
+// weights both paths are bit-identical.
 
 #include <functional>
 #include <memory>
@@ -28,28 +29,19 @@ namespace faircache::core {
 
 class ChunkInstanceEngine;
 
-// How the per-chunk contention costs are produced across a chunk loop.
-// Every mode except kSparse yields a dense n×n ConflInstance::assign_cost;
-// kSparse yields ConflInstance::sparse_cost candidate rows instead. The
-// engine's resolved choice (fallbacks applied) is surfaced by
-// ChunkInstanceEngine::mode_used() and SolveReport::contention_mode_used.
+// The row layout of the contention costs: a dense n×n
+// ConflInstance::assign_cost, or ConflInstance::sparse_cost candidate rows.
+// Whether rows are delta-patched or rebuilt follows the path policy.
 enum class ContentionMode {
-  // Delta-patch a persistent dense-layout ContentionUpdater (pinned BFS
-  // trees). The default: exact on integer-valued weights, and the full
-  // build phase of every chunk after the first drops from O(n·m) to one
-  // linear sweep. Applies only under PathPolicy::kHopShortest;
-  // kMinContention paths depend on the weights themselves and fall back to
-  // kRebuild (mode_used() reports the fallback).
+  // Dense rows: exact on integer-valued weights, and under hop-shortest
+  // paths the full build of every chunk after the first drops from O(n·m)
+  // to one linear sweep. The default.
   kIncremental,
-  // Fresh ContentionMatrix per chunk — the reference engine, bit-identical
-  // to the historical per-chunk rebuild at any thread count.
-  kRebuild,
-  // The same updater over the CSR layout (metrics::SparseContention): only
-  // pairs within `contention_radius` hops are materialized, breaking the
-  // O(n²) memory wall (docs/PERF.md). Hop-shortest only (falls back to
-  // kRebuild otherwise, like kIncremental). With radius ≥ the graph
-  // diameter the placements are bit-identical to kIncremental on
-  // connected networks.
+  // CSR rows (metrics::SparseContention): only pairs within
+  // `contention_radius` hops are materialized, breaking the O(n²) memory
+  // wall (docs/PERF.md). Hop-shortest only: kMinContention is rejected as
+  // kInvalidInput. With radius ≥ the graph diameter the placements are
+  // bit-identical to kIncremental on connected networks.
   kSparse,
 };
 
@@ -62,9 +54,9 @@ struct InstanceOptions {
   // weights clients by their demand for that chunk instead of the paper's
   // uniform "every node wants every chunk" model.
   const std::vector<std::vector<double>>* demand = nullptr;
-  // Contention engine used by ChunkInstanceEngine (and thus by
-  // ApproxFairCaching's chunk loop). The stateless
-  // try_build_chunk_instance below always rebuilds regardless.
+  // Row layout used by ChunkInstanceEngine (and thus by ApproxFairCaching's
+  // chunk loop). The stateless try_build_chunk_instance below always builds
+  // dense rows, but rejects kSparse with kMinContention like the engine.
   ContentionMode contention_mode = ContentionMode::kIncremental;
   // Hop radius for kSparse: each facility row materializes only the
   // clients within this many hops (the producer's row is always full so
@@ -84,8 +76,8 @@ struct InstanceOptions {
 };
 
 // Where the contention-build time went, cumulative over an engine's life:
-// full builds (BFS trees + initial matrix, and every kRebuild chunk) vs
-// sparse delta sweeps (kIncremental chunks after the first).
+// full builds (BFS trees + initial matrix, and every stateless chunk under
+// kMinContention) vs delta sweeps (hop-shortest chunks after the first).
 struct InstanceBuildStats {
   double tree_seconds = 0.0;
   double delta_seconds = 0.0;
@@ -93,21 +85,22 @@ struct InstanceBuildStats {
 
 // The returned instance borrows `problem.network`; it must outlive the
 // instance. `chunk` selects the demand row when `options.demand` is set.
-// Always uses the kRebuild engine (stateless, one-shot). kInvalidInput for
-// a missing network, a state sized for a different network, or a demand
-// matrix without a row for `chunk`.
+// Stateless and one-shot: fresh dense rows from a metrics::ContentionMatrix.
+// kInvalidInput for a missing network, a state sized for a different
+// network, a demand matrix without a row for `chunk`, or kSparse with
+// kMinContention.
 util::Result<confl::ConflInstance> try_build_chunk_instance(
     const FairCachingProblem& problem, const metrics::CacheState& state,
     const InstanceOptions& options, metrics::ChunkId chunk = 0);
 
-// Stateful instance factory for a chunk loop over one problem. In
-// kIncremental mode the contention buffers and pinned BFS trees persist
+// Stateful instance factory for a chunk loop over one problem. Under
+// hop-shortest paths the contention buffers and pinned BFS trees persist
 // between build() calls; hand each solved instance back via reclaim() so
-// the next build() can delta-patch the matrix the solver just used instead
-// of reconstructing it. Without reclaim() (or in kRebuild mode, or under
-// kMinContention) every build() is a full rebuild — still correct, just
-// slower. The problem's network must outlive the engine and must not
-// change topology while it is alive.
+// the next build() can delta-patch the rows the solver just used instead
+// of reconstructing them. Without reclaim() (or under kMinContention) every
+// build() is a full rebuild — still correct, just slower. The problem's
+// network must outlive the engine and must not change topology while it is
+// alive.
 class ChunkInstanceEngine {
  public:
   ChunkInstanceEngine(const FairCachingProblem& problem,
@@ -119,19 +112,19 @@ class ChunkInstanceEngine {
                                            metrics::ChunkId chunk);
 
   // Returns the cost buffers of an instance produced by build() to the
-  // incremental engine. The instance is consumed. No-op outside
-  // kIncremental / kSparse modes.
+  // live updater. The instance is consumed. No-op under kMinContention.
   void reclaim(confl::ConflInstance&& instance);
 
   // Query-only synchronisation: brings the engine's contention costs in
   // line with `state` WITHOUT building a ConflInstance, so point queries
   // stay O(log row) instead of an n×n materialisation per caller
   // (core::OnlineFairCaching::access_cost / fetch, sim::ServingEngine).
-  // kIncremental / kSparse delta-patch the live updater (the first call
-  // pays the full build); the kRebuild fallback keeps a private dense
-  // matrix that is rebuilt only when the stored counts actually changed.
-  // kInvalidInput for a state sized for a different network. Audits ride
-  // build()'s cadence only — sync() never consumes guard budget.
+  // Hop-shortest paths delta-patch the live updater (the first call pays
+  // the full build); kMinContention keeps a private dense matrix that is
+  // rebuilt only when the stored counts actually changed. kInvalidInput
+  // like build() (missing network, state sized for a different network,
+  // kSparse with kMinContention). Audits ride build()'s cadence only —
+  // sync() never consumes guard budget.
   util::Status sync(const metrics::CacheState& state);
 
   // True once sync() (or a build()/reclaim() round-trip) has costs home
@@ -144,14 +137,6 @@ class ChunkInstanceEngine {
   // Requires query_ready().
   double query_cost(graph::NodeId i, graph::NodeId j) const;
 
-  // True when build() delta-patches (kIncremental or kSparse under
-  // hop-shortest paths).
-  bool incremental() const { return updater_ != nullptr; }
-
-  // The contention mode build() actually runs: the requested mode with the
-  // hop-shortest-only engines' kRebuild fallback applied.
-  ContentionMode mode_used() const { return mode_used_; }
-
   const InstanceBuildStats& stats() const { return stats_; }
 
   // Guard activity so far: audits run/skipped, mismatches, quarantines,
@@ -160,8 +145,8 @@ class ChunkInstanceEngine {
 
   // Test-only fault hook: forwards to the live updater's
   // corrupt_for_testing (sim/state_faults.h drives this through
-  // InstanceOptions::pre_build_hook). False in kRebuild mode (stateless —
-  // nothing persists to corrupt) or before the first build.
+  // InstanceOptions::pre_build_hook). False under kMinContention (stateless
+  // — nothing persists to corrupt) or before the first build.
   bool corrupt_for_testing(const util::StateCorruption& corruption);
 
  private:
@@ -172,7 +157,7 @@ class ChunkInstanceEngine {
   // update() re-pins fresh trees with the stateless rebuild arithmetic.
   void guard_tick(int build_index);
 
-  // A fresh updater in the layout of mode_used_.
+  // A fresh updater in the configured row layout.
   std::unique_ptr<metrics::ContentionUpdater> make_updater(
       bool checksums) const;
   // update() on the live updater, charging the build time to stats_;
@@ -181,12 +166,11 @@ class ChunkInstanceEngine {
 
   const FairCachingProblem* problem_;
   InstanceOptions options_;
-  ContentionMode mode_used_ = ContentionMode::kRebuild;
-  // Non-null in kIncremental / kSparse (dense / CSR layout).
+  // Non-null exactly when the network is set and paths are hop-shortest.
   std::unique_ptr<metrics::ContentionUpdater> updater_;
-  // kRebuild-mode query cache for sync()/query_cost(): the dense matrix of
-  // the last synced state plus the stored counts it reflects (rebuilt only
-  // when they change). Never set in the stateful modes.
+  // kMinContention query cache for sync()/query_cost(): the dense matrix
+  // of the last synced state plus the stored counts it reflects (rebuilt
+  // only when they change). Never set while an updater is live.
   std::unique_ptr<metrics::ContentionMatrix> query_matrix_;
   std::vector<int> query_counts_;
   InstanceBuildStats stats_;

@@ -9,13 +9,15 @@
 // selected.
 //
 // Instance builds run through core::ChunkInstanceEngine, so consecutive
-// inserts pay the O(n+|Δ|) delta sweep of kIncremental/kSparse (with
-// GuardOptions integrity audits) instead of a dense O(n·m) rebuild per
-// chunk; kRebuild remains the stateless reference mode and reproduces the
-// historical per-insert placements bit-identically. Access-cost and fetch
-// queries reuse the same engine state (ChunkInstanceEngine::sync) instead
-// of materializing an n×n ContentionMatrix per call — the property that
-// makes sim::ServingEngine's request hot path O(holders) per request.
+// inserts pay the O(n+|Δ|) delta sweep (with GuardOptions integrity audits)
+// instead of a dense O(n·m) rebuild per chunk; the placements are
+// bit-identical to the historical stateless per-insert loop over
+// try_build_chunk_instance. Access-cost and fetch queries reuse the same
+// engine state (ChunkInstanceEngine::sync) instead of materializing an n×n
+// ContentionMatrix per call. A fetch still lists the chunk's holders by
+// scanning all n nodes (CacheState::holders) before its O(holders · log
+// row) cost lookups, so sim::ServingEngine's request hot path is O(n) per
+// request.
 
 #include <unordered_set>
 #include <vector>
@@ -90,8 +92,9 @@ class OnlineFairCaching {
   // from engine state — no per-call matrix build.
   double access_cost(metrics::ChunkId chunk);
 
-  // Cheapest source for one request under the current placement —
-  // O(holders · log row) per call, the serving hot path.
+  // Cheapest source for one request under the current placement — the
+  // serving hot path: an O(n) holder scan plus O(holders · log row) cost
+  // lookups per call.
   FetchDecision fetch(graph::NodeId requester, metrics::ChunkId chunk);
 
   // Structural self-check: state_.verify_integrity() plus the ages_ ↔
@@ -101,9 +104,11 @@ class OnlineFairCaching {
   // insert/retire/adopt preserves this.
   util::Status verify_consistency() const;
 
-  // The contention engine the inserts actually run (kRebuild fallback
-  // applied) and its integrity-guard activity.
-  ContentionMode contention_mode_used() const { return engine_.mode_used(); }
+  // The configured row layout; kept only for benchmark/ (ROADMAP item 9).
+  ContentionMode contention_mode_used() const {
+    return config_.approx.instance.contention_mode;
+  }
+  // The engine's integrity-guard activity.
   const CorruptionReport& guard_report() const {
     return engine_.guard_report();
   }

@@ -3,7 +3,9 @@
 // "Brtf": the brute-force reference of the paper's evaluation — the optimal
 // solution of transform (8), i.e. each chunk's ConFL instance solved
 // *exactly* (MILP) with fairness/contention state updated between chunks.
-// This is the quantity Theorem 1's 6.55 ratio is stated against.
+// This is the quantity Theorem 1's 6.55 ratio is stated against (for the
+// 1.55-approximate Robins–Zelikovsky tree; core/approx.h says what that
+// means for this library's 2-approximate tree).
 //
 // A joint all-chunks MILP (tiny instances only) is provided separately in
 // exact/joint_milp.h.

@@ -146,7 +146,8 @@ class ContentionUpdater {
   util::StateDigest recompute_digest() const;
 
   // Stateless recompute of row i from the tracked weights (the exact
-  // kRebuild arithmetic); true when the stored row matches bitwise.
+  // arithmetic of a fresh ContentionMatrix); true when the stored row
+  // matches bitwise.
   // Catches correctness-path corruption the checksums cannot see (a
   // tampered weight keeps the bookkeeping self-consistent while every
   // patched row drifts from the truth).

@@ -231,9 +231,7 @@ util::Result<ServingResult> ServingEngine::run(ServingPolicy* policy) {
   result.totals.requests = config_.requests;
   result.totals.evictions = online.total_evictions();
   result.state = current_state();
-  result.contention_mode_used = policy == nullptr
-                                    ? online.contention_mode_used()
-                                    : query_engine->mode_used();
+  result.contention_mode_used = config_.online.approx.instance.contention_mode;
   return result;
 }
 

@@ -50,7 +50,7 @@ class ServingPolicy {
 
 struct ServingConfig {
   // Placement engine + replacement policy for the built-in online driver.
-  // `online.approx.instance` (contention mode / radius / guard) also
+  // `online.approx.instance` (row layout / radius / guard) also
   // configures the cost-query engine used for external policies.
   core::OnlineConfig online;
   std::uint64_t seed = 0x5eed;
@@ -109,14 +109,16 @@ struct ServingResult {
   ServingTotals totals;
   std::vector<ServingSample> series;
   metrics::CacheState state;  // final placement
-  core::ContentionMode contention_mode_used = core::ContentionMode::kRebuild;
+  // The configured row layout; kept only for benchmark/ (ROADMAP item 9).
+  core::ContentionMode contention_mode_used =
+      core::ContentionMode::kIncremental;
   // Wall clock — excluded from serving_result_hash.
   double elapsed_seconds = 0.0;
   double requests_per_second = 0.0;
 };
 
 // FNV-1a over every deterministic field (policy, totals, series, final
-// placement, resolved contention mode — not wall clock). Fixed seed ⇒ the
+// placement, configured row layout — not wall clock). Fixed seed ⇒ the
 // same hash at any thread count.
 std::uint64_t serving_result_hash(const ServingResult& result);
 

@@ -1,7 +1,9 @@
 // Tests for the exact ConFL MILP: encoding validated against a brute-force
 // enumeration oracle (all facility subsets × exact Steiner trees), plus the
 // approximation-ratio property of the primal–dual algorithm against the
-// exact optimum (paper Theorem 1: ratio ≤ 6.55; observed ≤ 5.6).
+// exact optimum (paper Theorem 1: ratio ≤ 6.55 with the 1.55-approximate
+// Steiner tree — the 2(1 − 1/|T|) tree built here makes 6.55 a stricter
+// check, not a proven bound; observed ≤ 5.6).
 
 #include "exact/confl_milp.h"
 
@@ -204,7 +206,9 @@ TEST_P(ExactVsEnumerationTest, MilpMatchesEnumeration) {
 INSTANTIATE_TEST_SUITE_P(RandomTinyInstances, ExactVsEnumerationTest,
                          ::testing::Range(0, 15));
 
-// The headline property: primal–dual ≤ 6.55 × exact optimum per chunk.
+// The headline property: primal–dual ≤ 6.55 × exact optimum per chunk
+// (the paper's constant for the 1.55-approximate Steiner tree; stricter
+// than any constant proven for the 2-approximate tree built here).
 class ApproximationRatioTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(ApproximationRatioTest, PrimalDualWithinProvenRatio) {

@@ -211,15 +211,15 @@ TEST(OnlineTest, EvictRetireReinsertInterleavingsStayConsistent) {
 }
 
 TEST(OnlineTest, RebuildModeMatchesLegacyStatelessLoop) {
-  // The engine's kRebuild mode must reproduce the pre-engine online path
-  // bit for bit: a fresh dense instance per insert, the replacement
-  // penalty applied on top, one ConFL solve, oldest-first eviction.
+  // The engine-backed inserts (delta-patched rows) must reproduce the
+  // pre-engine online path bit for bit: a fresh stateless instance per
+  // insert, the replacement penalty applied on top, one ConFL solve,
+  // oldest-first eviction.
   const Graph g = graph::make_grid(3, 3);
   const auto problem = make_problem(g, 4, 0, 1);
   core::OnlineConfig config;
   config.replacement = core::ReplacementPolicy::kEvictOldest;
   config.approx.confl.span_threshold = 2;
-  config.approx.instance.contention_mode = core::ContentionMode::kRebuild;
   core::OnlineFairCaching online(problem, config);
 
   metrics::CacheState state = problem.make_initial_state();
@@ -263,34 +263,6 @@ TEST(OnlineTest, RebuildModeMatchesLegacyStatelessLoop) {
           << "chunk " << chunk << " node " << v;
     }
   }
-  EXPECT_EQ(online.contention_mode_used(), core::ContentionMode::kRebuild);
-}
-
-TEST(OnlineTest, IncrementalMatchesRebuildPlacements) {
-  // Same inserts, both contention modes of the ported path: the
-  // incremental delta updates must not change a single placement.
-  const Graph g = graph::make_grid(4, 4);
-  const auto problem = make_problem(g, 5, 0, 2);
-  core::OnlineConfig incremental;
-  incremental.replacement = core::ReplacementPolicy::kEvictOldest;
-  incremental.approx.confl.span_threshold = 2;
-  incremental.approx.instance.contention_mode =
-      core::ContentionMode::kIncremental;
-  core::OnlineConfig rebuild = incremental;
-  rebuild.approx.instance.contention_mode = core::ContentionMode::kRebuild;
-  core::OnlineFairCaching a(problem, incremental);
-  core::OnlineFairCaching b(problem, rebuild);
-  for (int chunk = 0; chunk < 24; ++chunk) {
-    ASSERT_TRUE(a.try_insert_chunk(chunk).ok());
-    ASSERT_TRUE(b.try_insert_chunk(chunk).ok());
-    for (NodeId v = 0; v < 16; ++v) {
-      ASSERT_EQ(a.state().chunks_on(v), b.state().chunks_on(v))
-          << "chunk " << chunk << " node " << v;
-    }
-    ASSERT_EQ(a.access_cost(chunk), b.access_cost(chunk)) << chunk;
-  }
-  EXPECT_EQ(a.contention_mode_used(), core::ContentionMode::kIncremental);
-  EXPECT_EQ(b.contention_mode_used(), core::ContentionMode::kRebuild);
 }
 
 TEST(OnlineTest, AdoptPlacementValidatesAndRestamps) {

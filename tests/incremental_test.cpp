@@ -4,7 +4,7 @@
 // paper's contention weights are integer-valued, so the delta path is not
 // just "within tolerance" but bit-identical — and
 // core::ChunkInstanceEngine / ApproxFairCaching must produce the same
-// placements in kIncremental and kRebuild modes at any thread count.
+// placements as the stateless per-chunk builder at any thread count.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +16,7 @@
 #include "core/approx.h"
 #include "core/instance_builder.h"
 #include "graph/generators.h"
+#include "metrics/contention.h"
 #include "metrics/contention_updater.h"
 #include "testutil.h"
 #include "util/hash.h"
@@ -348,7 +349,6 @@ TEST(ChunkInstanceEngineTest, IncrementalBuildsEqualStatelessBuilds) {
   const core::FairCachingProblem problem = grid_problem(g);
   core::InstanceOptions options;  // kIncremental default
   core::ChunkInstanceEngine engine(problem, options);
-  ASSERT_TRUE(engine.incremental());
 
   metrics::CacheState state = problem.make_initial_state();
   util::Rng rng(3);
@@ -379,7 +379,6 @@ TEST(ChunkInstanceEngineTest, MinContentionPolicyFallsBackToRebuild) {
   core::InstanceOptions options;
   options.path_policy = metrics::PathPolicy::kMinContention;
   core::ChunkInstanceEngine engine(problem, options);
-  EXPECT_FALSE(engine.incremental());  // weight-dependent paths can't pin
 
   const metrics::CacheState state = problem.make_initial_state();
   util::Result<confl::ConflInstance> built = engine.build(state, 0);
@@ -390,6 +389,48 @@ TEST(ChunkInstanceEngineTest, MinContentionPolicyFallsBackToRebuild) {
   EXPECT_TRUE(built.value().assign_cost == ref.value().assign_cost);
   engine.reclaim(std::move(built).value());  // must be a harmless no-op
   EXPECT_EQ(engine.stats().delta_seconds, 0.0);
+}
+
+TEST(ChunkInstanceEngineTest, QueryCostMatchesContentionMatrix) {
+  // sync() then query_cost() against a fresh ContentionMatrix on a churned
+  // state, for every way the engine answers queries: the dense updater, the
+  // kMinContention query matrix, and the CSR updater at radius 2 (+inf
+  // outside the ball; the producer's row is always full). The first sync
+  // sees the empty state, so the second patches (or, for the query matrix,
+  // rebuilds) rather than starting cold.
+  const Graph g = graph::make_grid(6, 6);
+  const core::FairCachingProblem problem = grid_problem(g);
+  util::Rng rng(11);
+  const metrics::CacheState state =
+      testutil::churned_state(g, rng, 60, /*capacity=*/5);
+  const struct {
+    const char* name;
+    core::ContentionMode mode;
+    metrics::PathPolicy policy;
+    int radius;
+  } cases[] = {
+      {"dense hop-shortest", core::ContentionMode::kIncremental,
+       metrics::PathPolicy::kHopShortest, 0},
+      {"dense min-contention", core::ContentionMode::kIncremental,
+       metrics::PathPolicy::kMinContention, 0},
+      {"csr radius 2", core::ContentionMode::kSparse,
+       metrics::PathPolicy::kHopShortest, 2},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    core::InstanceOptions options;
+    options.contention_mode = c.mode;
+    options.path_policy = c.policy;
+    options.contention_radius = c.radius;
+    core::ChunkInstanceEngine engine(problem, options);
+    ASSERT_TRUE(engine.sync(problem.make_initial_state()).ok());
+    ASSERT_TRUE(engine.sync(state).ok());
+    ASSERT_TRUE(engine.query_ready());
+    testutil::expect_costs_match(
+        g, metrics::ContentionMatrix(g, state, c.policy), c.radius,
+        problem.producer,
+        [&](NodeId i, NodeId j) { return engine.query_cost(i, j); });
+  }
 }
 
 TEST(ChunkInstanceEngineTest, ValidationMatchesStatelessBuilder) {
@@ -449,18 +490,12 @@ TEST(ChunkInstanceEngineTest, ReclaimOfSupersededInstanceIsDropped) {
 // ---------------------------------------------------- end-to-end solves ---
 
 TEST(IncrementalSolveTest, PlacementsIdenticalToRebuildMode) {
+  // The delta-patched default run against the stateless per-chunk loop.
   const Graph g = graph::make_grid(8, 8);
   const core::FairCachingProblem problem = grid_problem(g, 6);
 
-  core::ApproxConfig incremental;
-  incremental.instance.contention_mode = core::ContentionMode::kIncremental;
-  core::ApproxConfig rebuild = incremental;
-  rebuild.instance.contention_mode = core::ContentionMode::kRebuild;
-
-  const core::FairCachingResult a =
-      core::ApproxFairCaching(incremental).run(problem);
-  const core::FairCachingResult b =
-      core::ApproxFairCaching(rebuild).run(problem);
+  const core::FairCachingResult a = core::ApproxFairCaching().run(problem);
+  const core::FairCachingResult b = testutil::stateless_solve(problem);
   ASSERT_EQ(a.placements.size(), b.placements.size());
   for (std::size_t i = 0; i < a.placements.size(); ++i) {
     EXPECT_EQ(a.placements[i].cache_nodes, b.placements[i].cache_nodes);
@@ -491,13 +526,13 @@ TEST(IncrementalSolveTest, ReportSplitsBuildTime) {
   EXPECT_LE(report.build_tree_seconds + report.build_delta_seconds,
             report.build_seconds + 1e-9);
 
-  config.instance.contention_mode = core::ContentionMode::kRebuild;
-  core::SolveReport rebuild_report;
+  config.instance.path_policy = metrics::PathPolicy::kMinContention;
+  core::SolveReport stateless_report;
   ASSERT_TRUE(core::ApproxFairCaching(config)
-                  .solve(problem, {}, &rebuild_report)
+                  .solve(problem, {}, &stateless_report)
                   .ok());
-  EXPECT_GT(rebuild_report.build_tree_seconds, 0.0);
-  EXPECT_EQ(rebuild_report.build_delta_seconds, 0.0);  // never delta-patches
+  EXPECT_GT(stateless_report.build_tree_seconds, 0.0);
+  EXPECT_EQ(stateless_report.build_delta_seconds, 0.0);  // never patches
 }
 
 }  // namespace

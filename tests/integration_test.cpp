@@ -127,7 +127,9 @@ TEST(IntegrationTest, ContentionOrderingOnRandomNetwork) {
 
 TEST(IntegrationTest, ApproxWithinRatioOfBruteForceTotals) {
   // §V-B: the observed per-run ratio between Appx and Brtf stays well
-  // under the proven 6.55 (paper observes ≤ 5.6). Proven optimality is
+  // under 6.55 (paper observes ≤ 5.6; 6.55 is proven for the
+  // 1.55-approximate Steiner tree, a stricter check for the 2-approximate
+  // one built here). Proven optimality is
   // only asserted on the 3×3 grid — the single-commodity-flow MILP
   // relaxation is too weak to close 16-node instances quickly (see
   // DESIGN.md §2.6); larger grids are exercised with a time budget in

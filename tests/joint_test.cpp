@@ -83,7 +83,9 @@ TEST(JointExactTest, JointObjectiveConsistentWithSolver) {
 TEST(JointExactTest, ApproxPlacementWithinRatioOfJoint) {
   // End-to-end sanity: Algorithm 1's placement, scored under the joint
   // objective, stays within the 6.55 factor of the joint optimum (the
-  // paper's guarantee is against transform (8), which upper-bounds this).
+  // paper's guarantee is against transform (8), which upper-bounds this,
+  // and assumes the 1.55-approximate Steiner tree; for the 2-approximate
+  // one built here 6.55 is a stricter check, not a proven bound).
   const Graph g = graph::make_grid(2, 3);
   const auto problem = make_problem(g, 0, 2, 5);
 

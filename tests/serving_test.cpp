@@ -157,28 +157,6 @@ TEST(ServingTest, HashIsThreadInvariant) {
       sim::serving_result_hash);
 }
 
-TEST(ServingTest, ContentionModesAgreeOnServedStream) {
-  const Graph g = graph::make_grid(4, 4);
-  const auto problem = make_problem(g, 0, 6, 2);
-  sim::ServingConfig config = short_config(3000);
-  config.online.replacement = core::ReplacementPolicy::kEvictOldest;
-  config.online.approx.confl.span_threshold = 2;
-  sim::ServingConfig rebuild = config;
-  rebuild.online.approx.instance.contention_mode =
-      core::ContentionMode::kRebuild;
-  sim::ServingEngine a(problem, config);
-  sim::ServingEngine b(problem, rebuild);
-  const auto ra = a.run();
-  auto rb = b.run();
-  ASSERT_TRUE(ra.ok());
-  ASSERT_TRUE(rb.ok());
-  // Identical up to the resolved contention mode recorded in the result.
-  sim::ServingResult masked = rb.value();
-  masked.contention_mode_used = ra.value().contention_mode_used;
-  EXPECT_EQ(sim::serving_result_hash(ra.value()),
-            sim::serving_result_hash(masked));
-}
-
 // ------------------------------------------------------------ Validation
 
 TEST(ServingTest, RejectsMalformedConfigs) {

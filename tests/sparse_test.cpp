@@ -40,6 +40,7 @@ using metrics::ContentionUpdater;
 using metrics::ContentionUpdaterOptions;
 using metrics::SparseContention;
 using testutil::buffer_hash;
+using testutil::churned_state;
 using testutil::expect_matches_rebuild;
 using testutil::expect_thread_invariant;
 using testutil::placement_hash;
@@ -48,25 +49,6 @@ std::uint64_t edge_hash(const Graph& g) {
   util::Fnv1a h;
   for (const graph::Edge& e : g.edges()) h.value(e.u).value(e.v);
   return h.digest();
-}
-
-// A churned cache state exercising non-trivial contention weights,
-// mirroring the incremental_test idiom.
-CacheState churned_state(const Graph& g, util::Rng& rng, int steps,
-                         int capacity = 3) {
-  CacheState state(g.num_nodes(), capacity, /*producer=*/0);
-  const int chunks = 5;
-  for (int s = 0; s < steps; ++s) {
-    const auto v = static_cast<NodeId>(
-        rng.bounded(static_cast<std::uint64_t>(g.num_nodes())));
-    const auto k = static_cast<metrics::ChunkId>(rng.bounded(chunks));
-    if (rng.bernoulli(0.3) && state.holds(v, k)) {
-      state.remove(v, k);
-    } else if (state.can_cache(v, k)) {
-      state.add(v, k);
-    }
-  }
-  return state;
 }
 
 FairCachingProblem grid_problem(const Graph& g, int chunks = 5) {
@@ -284,16 +266,12 @@ TEST(SparseConflTest, FullRadiusSolveBitIdenticalToDense) {
   util::Rng rng(31);
   const CacheState state = churned_state(g, rng, 80, /*capacity=*/5);
 
-  core::InstanceOptions dense_options;
-  dense_options.contention_mode = ContentionMode::kRebuild;
-  core::ChunkInstanceEngine dense_engine(problem, dense_options);
-
   core::InstanceOptions sparse_options;
   sparse_options.contention_mode = ContentionMode::kSparse;
   sparse_options.contention_radius = 0;  // unbounded
   core::ChunkInstanceEngine sparse_engine(problem, sparse_options);
 
-  auto dense_instance = dense_engine.build(state, /*chunk=*/0);
+  auto dense_instance = core::try_build_chunk_instance(problem, state, {});
   auto sparse_instance = sparse_engine.build(state, /*chunk=*/0);
   ASSERT_TRUE(dense_instance.ok());
   ASSERT_TRUE(sparse_instance.ok());
@@ -426,7 +404,6 @@ TEST(SparseConflTest, EndToEndSparseMatchesIncrementalAtAnyThreadCount) {
             SolveReport report;
             auto result = ApproxFairCaching(config).solve(
                 problem, util::RunBudget::unlimited(), &report);
-            EXPECT_EQ(report.contention_mode_used, mode);
             EXPECT_FALSE(report.degraded());
             return std::move(result).value();
           },
@@ -436,42 +413,56 @@ TEST(SparseConflTest, EndToEndSparseMatchesIncrementalAtAnyThreadCount) {
   }
 }
 
-// ---------------------------------------------------------- mode surfacing --
+// ------------------------------------------------------ layout × policy --
 
-// Satellite 1: the silent kRebuild fallback of the delta-patching engines
-// under kMinContention is surfaced through SolveReport.
+// CSR rows pin hop-shortest trees, so kSparse with kMinContention is
+// kInvalidInput from every entry point; the solve surfaces it instead of
+// silently solving on dense rows, while kIncremental still solves it.
 TEST(ContentionModeTest, MinContentionFallbackIsSurfacedInReport) {
   const Graph g = graph::make_grid(6, 6);
   const FairCachingProblem problem = grid_problem(g, 3);
-  for (const ContentionMode mode :
-       {ContentionMode::kIncremental, ContentionMode::kSparse}) {
-    ApproxConfig config;
-    config.instance.contention_mode = mode;
-    config.instance.path_policy = metrics::PathPolicy::kMinContention;
-    ApproxFairCaching algorithm(config);
-    SolveReport report;
-    auto result =
-        algorithm.solve(problem, util::RunBudget::unlimited(), &report);
-    ASSERT_TRUE(result.ok());
-    EXPECT_EQ(report.contention_mode_used, ContentionMode::kRebuild);
-  }
+  ApproxConfig config;
+  config.instance.path_policy = metrics::PathPolicy::kMinContention;
+
+  config.instance.contention_mode = ContentionMode::kIncremental;
+  SolveReport report;
+  ASSERT_TRUE(ApproxFairCaching(config)
+                  .solve(problem, util::RunBudget::unlimited(), &report)
+                  .ok());
+  EXPECT_FALSE(report.degraded());
+
+  config.instance.contention_mode = ContentionMode::kSparse;
+  config.instance.contention_radius = 2;
+  EXPECT_EQ(ApproxFairCaching(config).solve(problem).status().code(),
+            util::StatusCode::kInvalidInput);
 }
 
+// The engine and the stateless builder resolve kSparse the same way: built
+// and queryable on hop-shortest paths, kInvalidInput under kMinContention.
 TEST(ContentionModeTest, EngineReportsResolvedMode) {
   const Graph g = graph::make_grid(6, 6);
-  const FairCachingProblem problem = grid_problem(g);
-
+  const FairCachingProblem problem = grid_problem(g, 3);
+  const CacheState state = problem.make_initial_state();
   core::InstanceOptions options;
   options.contention_mode = ContentionMode::kSparse;
   options.contention_radius = 2;
+
   core::ChunkInstanceEngine sparse_engine(problem, options);
-  EXPECT_EQ(sparse_engine.mode_used(), ContentionMode::kSparse);
-  EXPECT_TRUE(sparse_engine.incremental());
+  EXPECT_TRUE(sparse_engine.build(state, 0).ok());
+  EXPECT_TRUE(sparse_engine.sync(state).ok());
+  EXPECT_TRUE(sparse_engine.query_ready());
 
   options.path_policy = metrics::PathPolicy::kMinContention;
-  core::ChunkInstanceEngine fallback_engine(problem, options);
-  EXPECT_EQ(fallback_engine.mode_used(), ContentionMode::kRebuild);
-  EXPECT_FALSE(fallback_engine.incremental());
+  core::ChunkInstanceEngine rejecting_engine(problem, options);
+  EXPECT_EQ(rejecting_engine.build(state, 0).status().code(),
+            util::StatusCode::kInvalidInput);
+  EXPECT_EQ(rejecting_engine.sync(state).code(),
+            util::StatusCode::kInvalidInput);
+  EXPECT_FALSE(rejecting_engine.query_ready());
+  EXPECT_EQ(core::try_build_chunk_instance(problem, state, options)
+                .status()
+                .code(),
+            util::StatusCode::kInvalidInput);
 }
 
 // ----------------------------------------------------- degraded fallback --

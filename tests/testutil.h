@@ -1,22 +1,27 @@
 #pragma once
 
-// Test harness shared by the test files: problem fixtures, the
-// thread-invariance check, the pair-by-pair comparison of a contention
-// updater against a fresh ContentionMatrix, and FNV-1a fingerprints of
-// updater buffers and solve placements.
+// Test harness shared by the test files: problem and cache-state
+// fixtures, the thread-invariance check, the stateless reference chunk loop, the
+// pair-by-pair comparison of a contention updater against a fresh
+// ContentionMatrix, and FNV-1a fingerprints of updater buffers and solve
+// placements.
 
 #include <cstdint>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "confl/confl.h"
 #include "core/approx.h"
+#include "core/instance_builder.h"
 #include "graph/shortest_paths.h"
 #include "metrics/contention.h"
 #include "metrics/contention_updater.h"
 #include "util/hash.h"
 #include "util/parallel.h"
+#include "util/rng.h"
 
 namespace faircache::testutil {
 
@@ -30,6 +35,26 @@ inline core::FairCachingProblem make_problem(const graph::Graph& g,
   problem.num_chunks = chunks;
   problem.uniform_capacity = capacity;
   return problem;
+}
+
+// A churned cache state (producer 0) exercising non-trivial contention
+// weights: `steps` random adds over 5 chunks, some of them removals.
+inline metrics::CacheState churned_state(const graph::Graph& g,
+                                         util::Rng& rng, int steps,
+                                         int capacity = 3) {
+  metrics::CacheState state(g.num_nodes(), capacity, /*producer=*/0);
+  const int chunks = 5;
+  for (int s = 0; s < steps; ++s) {
+    const auto v = static_cast<graph::NodeId>(
+        rng.bounded(static_cast<std::uint64_t>(g.num_nodes())));
+    const auto k = static_cast<metrics::ChunkId>(rng.bounded(chunks));
+    if (rng.bernoulli(0.3) && state.holds(v, k)) {
+      state.remove(v, k);
+    } else if (state.can_cache(v, k)) {
+      state.add(v, k);
+    }
+  }
+  return state;
 }
 
 // Overrides the process-wide thread count (util::set_parallel_threads)
@@ -71,6 +96,36 @@ auto expect_thread_invariant(Run&& run, Hash&& hash = Hash{}) {
   return reference;
 }
 
+// Algorithm 1 without engine state: a fresh try_build_chunk_instance per
+// chunk, one ConFL solve, the opened facilities cached. The chunk loop of
+// core::ApproxFairCaching must reproduce it bit for bit (integer weights).
+inline core::FairCachingResult stateless_solve(
+    const core::FairCachingProblem& problem,
+    const core::ApproxConfig& config = {}) {
+  core::FairCachingResult result;
+  result.state = problem.make_initial_state();
+  for (metrics::ChunkId chunk = 0; chunk < problem.num_chunks; ++chunk) {
+    const confl::ConflInstance instance =
+        core::try_build_chunk_instance(problem, result.state,
+                                       config.instance, chunk)
+            .value();
+    const confl::ConflSolution solution =
+        confl::try_solve_confl(instance, config.confl).value();
+    core::ChunkPlacement placement;
+    placement.chunk = chunk;
+    placement.solver_objective = solution.total();
+    placement.solver_rounds = solution.rounds;
+    for (graph::NodeId v : solution.open_facilities) {
+      if (result.state.can_cache(v, chunk)) {
+        result.state.add(v, chunk);
+        placement.cache_nodes.push_back(v);
+      }
+    }
+    result.placements.push_back(std::move(placement));
+  }
+  return result;
+}
+
 // Chunk ids, cache nodes, assignments and objective bits of every chunk.
 inline std::uint64_t placement_hash(const core::FairCachingResult& result) {
   util::Fnv1a h;
@@ -98,17 +153,13 @@ inline std::uint64_t buffer_hash(const metrics::ContentionUpdater& u) {
   return h.digest();
 }
 
-// Expects every pair the updater stores (all reachable pairs; for a
-// truncated CSR row, those within the radius) to match a fresh
-// ContentionMatrix bit for bit, every other pair to read +∞, and the edge
-// costs to match too.
-inline void expect_matches_rebuild(const graph::Graph& g,
-                                   const metrics::ContentionUpdater& u,
-                                   const metrics::CacheState& state) {
-  const metrics::ContentionMatrix fresh(g, state);
-  const metrics::SparseContention& s = u.store();
-  const bool truncated =
-      u.layout() == metrics::ContentionLayout::kCsr && s.radius > 0;
+// Expects `cost(i, j)` to match `fresh` bit for bit on every stored pair
+// (all reachable pairs; with `radius` > 0, only those within the radius on
+// every row but `full_row`) and every other pair to read +∞.
+template <typename Cost>
+void expect_costs_match(const graph::Graph& g,
+                        const metrics::ContentionMatrix& fresh, int radius,
+                        graph::NodeId full_row, Cost&& cost) {
   const int n = g.num_nodes();
   std::vector<int> hops(static_cast<std::size_t>(n));
   std::vector<graph::NodeId> queue;
@@ -116,14 +167,27 @@ inline void expect_matches_rebuild(const graph::Graph& g,
     graph::bfs_hops(g, i, hops.data(), queue);
     for (graph::NodeId j = 0; j < n; ++j) {
       const int hop = hops[static_cast<std::size_t>(j)];
-      const bool stored =
-          hop != graph::kUnreachable &&
-          (!truncated || i == s.full_row || hop <= s.radius);
-      ASSERT_EQ(u.cost(i, j), stored ? fresh.cost(i, j)
-                                     : std::numeric_limits<double>::infinity())
+      const bool stored = hop != graph::kUnreachable &&
+                          (radius <= 0 || i == full_row || hop <= radius);
+      ASSERT_EQ(cost(i, j), stored ? fresh.cost(i, j)
+                                   : std::numeric_limits<double>::infinity())
           << "entry (" << i << ", " << j << ")";
     }
   }
+}
+
+// expect_costs_match for every pair the updater stores (a CSR row is
+// truncated at the store's radius), and the edge costs match too.
+inline void expect_matches_rebuild(const graph::Graph& g,
+                                   const metrics::ContentionUpdater& u,
+                                   const metrics::CacheState& state) {
+  const metrics::ContentionMatrix fresh(g, state);
+  const metrics::SparseContention& s = u.store();
+  const bool csr = u.layout() == metrics::ContentionLayout::kCsr;
+  expect_costs_match(g, fresh, csr ? s.radius : 0, s.full_row,
+                     [&](graph::NodeId i, graph::NodeId j) {
+                       return u.cost(i, j);
+                     });
   ASSERT_EQ(u.edge_costs(), fresh.edge_costs());
 }
 
