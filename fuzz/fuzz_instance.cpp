@@ -25,6 +25,8 @@
 #include "fuzz/targets.h"
 #include "graph/shortest_paths.h"
 #include "metrics/sparse_contention.h"
+#include "steiner/steiner.h"
+#include "tests/kmb_reference.h"
 #include "util/matrix.h"
 
 namespace faircache::fuzz {
@@ -87,6 +89,27 @@ confl::ConflSolution expect_reference_solution(
     std::abort();
   }
   return got;
+}
+
+// Aborts unless the KMB tree connecting the solution's open facilities and
+// the root over the instance's edge costs — built with the batch's bounded
+// runs — equals the unpruned reference construction: edges, cost bits and
+// status.
+void expect_reference_kmb_tree(const confl::ConflInstance& instance,
+                               const confl::ConflSolution& solution) {
+  const graph::Graph& g = *instance.network;
+  std::vector<graph::NodeId> terminals = solution.open_facilities;
+  terminals.push_back(instance.root);
+  const util::Result<steiner::SteinerTree> got =
+      steiner::try_steiner_mst_approx(g, instance.edge_cost, terminals, 1, {},
+                                      steiner::Engine::kClosureKmb);
+  const util::Result<steiner::SteinerTree> want =
+      testutil::kmb_reference(g, instance.edge_cost, terminals);
+  if (got.code() != want.code()) std::abort();
+  if (got.ok() && (got.value().edges != want.value().edges ||
+                   !same_bits(got.value().cost, want.value().cost))) {
+    std::abort();
+  }
 }
 
 // The dense twin of a sparse instance: the stored pairs at their costs,
@@ -159,6 +182,7 @@ int run_instance_target(const std::uint8_t* data, std::size_t size) {
     // twin.
     const confl::ConflSolution solution = expect_reference_solution(
         stateless.value(), stateless.value(), d.config.confl);
+    expect_reference_kmb_tree(stateless.value(), solution);
     if (sparse) {
       expect_reference_solution(built.value(), dense_twin(built.value()),
                                 d.config.confl);

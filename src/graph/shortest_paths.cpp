@@ -284,9 +284,17 @@ const CsrAdjacency* resolve_adjacency(const Graph& g, const CsrAdjacency* adj,
 
 }  // namespace
 
+std::vector<double> slot_weights(const CsrAdjacency& adj,
+                                 const std::vector<double>& weight) {
+  std::vector<double> slot_weight(adj.incident.size());
+  for (std::size_t k = 0; k < adj.incident.size(); ++k) {
+    slot_weight[k] = weight[static_cast<std::size_t>(adj.incident[k])];
+  }
+  return slot_weight;
+}
+
 EdgeWeightedPaths dijkstra_edge_weights(const Graph& g, NodeId source,
                                         const std::vector<double>& weight,
-                                        const std::vector<char>* settle_only,
                                         const CsrAdjacency* adj,
                                         const std::vector<double>* slot_weight) {
   FAIRCACHE_CHECK(g.contains(source), "dijkstra source out of range");
@@ -294,68 +302,108 @@ EdgeWeightedPaths dijkstra_edge_weights(const Graph& g, NodeId source,
                   "edge weight vector size mismatch");
   CsrAdjacency local;
   adj = resolve_adjacency(g, adj, slot_weight, local);
+  std::vector<double> local_slot_weight;
+  if (slot_weight == nullptr) {
+    local_slot_weight = slot_weights(*adj, weight);
+    slot_weight = &local_slot_weight;
+  }
+  BoundedDijkstra search(*adj, *slot_weight);
+  search.run(source);
 
   EdgeWeightedPaths out;
   out.source = source;
   const auto n = static_cast<std::size_t>(g.num_nodes());
-
-  int wanted = 0;
-  if (settle_only != nullptr) {
-    FAIRCACHE_CHECK(settle_only->size() == n, "settle_only size mismatch");
-    for (char f : *settle_only) wanted += f != 0;
+  out.cost.resize(n);
+  out.parent.resize(n, kInvalidNode);
+  out.parent_edge.resize(n);
+  for (std::size_t v = 0; v < n; ++v) {
+    const auto node = static_cast<NodeId>(v);
+    out.cost[v] = search.cost(node);
+    out.parent_edge[v] = search.parent_edge(node);
+    if (out.parent_edge[v] >= 0) {
+      const Edge& edge = g.edge(out.parent_edge[v]);
+      out.parent[v] = edge.u == node ? edge.v : edge.u;
+    }
   }
+  return out;
+}
 
-  // Per-node search state, packed so that one relaxation touches one cache
-  // line instead of four parallel arrays; copied into `out` at the end.
-  struct NodeState {
-    double cost = kInfCost;
-    NodeId parent = kInvalidNode;
-    EdgeId parent_edge = -1;
-    int pos = kUnvisited;
-  };
-  std::vector<NodeState> state(n);
-  IndexedCostHeap<NodeState> heap{{}, state.data()};
+BoundedDijkstra::BoundedDijkstra(const CsrAdjacency& adj,
+                                 const std::vector<double>& slot_weight)
+    : adj_(&adj),
+      slot_weight_(&slot_weight),
+      state_(adj.offset.size() - 1),
+      target_(adj.offset.size() - 1, 0) {
+  FAIRCACHE_CHECK(slot_weight.size() == adj.incident.size(),
+                  "slot weight size mismatch");
+}
 
-  state[static_cast<std::size_t>(source)].cost = 0.0;
-  state[static_cast<std::size_t>(source)].pos = 0;
+void BoundedDijkstra::run(NodeId source, std::span<const NodeId> targets,
+                          const std::vector<char>* blocked, double limit) {
+  FAIRCACHE_CHECK(source >= 0 && static_cast<std::size_t>(source) <
+                                     state_.size(),
+                  "dijkstra source out of range");
+  FAIRCACHE_CHECK(blocked == nullptr || blocked->size() == state_.size(),
+                  "blocked flag vector size mismatch");
+  for (NodeId v : touched_) state_[static_cast<std::size_t>(v)] = {};
+  touched_.clear();
+  int wanted = 0;
+  for (NodeId t : targets) {
+    FAIRCACHE_CHECK(t >= 0 && static_cast<std::size_t>(t) < state_.size(),
+                    "dijkstra target out of range");
+    char& flag = target_[static_cast<std::size_t>(t)];
+    wanted += flag == 0;
+    flag = 1;
+  }
+  const bool stop_at_targets = wanted > 0;
+
+  IndexedCostHeap<NodeState> heap{std::move(heap_), state_.data()};
+  heap.slots.clear();
+  state_[static_cast<std::size_t>(source)].cost = 0.0;
+  state_[static_cast<std::size_t>(source)].pos = 0;
+  touched_.push_back(source);
   heap.slots.push_back(make_key(0.0, source));
-  while (!heap.empty()) {
+  while (!heap.empty() && key_cost(heap.slots[0]) <= limit) {
     const HeapKey top = heap.pop_min();
     const NodeId v = key_id(top);
     const double cost = key_cost(top);
-    if (settle_only != nullptr &&
-        (*settle_only)[static_cast<std::size_t>(v)] != 0 && --wanted == 0) {
-      break;  // everything the caller reads is final now
+    if (target_[static_cast<std::size_t>(v)] != 0 && stop_at_targets &&
+        --wanted == 0) {
+      break;  // every target is final now
     }
-    const int end = adj->offset[static_cast<std::size_t>(v) + 1];
-    for (int k = adj->offset[static_cast<std::size_t>(v)]; k < end; ++k) {
-      const NodeId w = adj->neighbor[static_cast<std::size_t>(k)];
-      NodeState& ws = state[static_cast<std::size_t>(w)];
+    if (v != source && blocked != nullptr &&
+        (*blocked)[static_cast<std::size_t>(v)] != 0) {
+      continue;
+    }
+    const int end = adj_->offset[static_cast<std::size_t>(v) + 1];
+    for (int k = adj_->offset[static_cast<std::size_t>(v)]; k < end; ++k) {
+      const NodeId w = adj_->neighbor[static_cast<std::size_t>(k)];
+      NodeState& ws = state_[static_cast<std::size_t>(w)];
       if (ws.pos == kSettled) continue;
-      const EdgeId e = adj->incident[static_cast<std::size_t>(k)];
-      const double ew = slot_weight != nullptr
-                            ? (*slot_weight)[static_cast<std::size_t>(k)]
-                            : weight[static_cast<std::size_t>(e)];
+      const double ew = (*slot_weight_)[static_cast<std::size_t>(k)];
       FAIRCACHE_DCHECK(ew >= 0, "edge weights must be non-negative");
       const double cand = cost + ew;
       if (cand < ws.cost || (cand == ws.cost && v < ws.parent)) {
+        if (ws.pos == kUnvisited) touched_.push_back(w);
         ws.cost = cand;
         ws.parent = v;
-        ws.parent_edge = e;
+        ws.parent_edge = adj_->incident[static_cast<std::size_t>(k)];
         heap.push_or_decrease(cand, w, ws.pos);
       }
     }
   }
+  heap_ = std::move(heap.slots);
+  for (NodeId t : targets) target_[static_cast<std::size_t>(t)] = 0;
+}
 
-  out.cost.resize(n);
-  out.parent.resize(n);
-  out.parent_edge.resize(n);
-  for (std::size_t v = 0; v < n; ++v) {
-    out.cost[v] = state[v].cost;
-    out.parent[v] = state[v].parent;
-    out.parent_edge[v] = state[v].parent_edge;
-  }
-  return out;
+double BoundedDijkstra::cost(NodeId v) const {
+  const NodeState& vs = state_[static_cast<std::size_t>(v)];
+  return vs.pos == kSettled ? vs.cost : kInfCost;
+}
+
+EdgeId BoundedDijkstra::parent_edge(NodeId v) const {
+  const NodeState& vs = state_[static_cast<std::size_t>(v)];
+  return vs.pos == kSettled ? vs.parent_edge : -1;
 }
 
 VoronoiPartition voronoi_partition(const Graph& g,

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "graph/graph.h"
@@ -77,25 +78,71 @@ struct EdgeWeightedPaths {
   std::vector<EdgeId> parent_edge;  // edge to parent, -1 if none
 };
 
-// When `settle_only` is non-null (size n, 1 = node of interest), the run
-// stops as soon as every flagged node is settled; cost/parent/parent_edge
-// are then final (and identical to the full run) for every settled node,
-// but unspecified for the rest. Callers that only consume flagged nodes —
-// the Steiner metric closure and its path expansion walk only settled
-// nodes — get bit-identical results for less work.
-//
+// Edge weights aligned with adj.incident: slot_weights(adj, w)[k] =
+// w[adj.incident[k]], so a CSR relaxation loop reads them contiguously.
+std::vector<double> slot_weights(const CsrAdjacency& adj,
+                                 const std::vector<double>& weight);
+
 // `adj` is an optional pre-built CSR copy of g's adjacency (build_csr):
 // callers running many sources over one graph build it once and amortize
 // the flattening; when null, a local copy is built. `slot_weight` is an
 // optional array aligned with adj.incident (slot_weight[k] =
 // weight[adj.incident[k]]) that turns the per-relaxation weight gather
 // into a contiguous read; it requires `adj`. The result does not depend
-// on whether either is supplied.
+// on whether either is supplied. Runs one BoundedDijkstra search with no
+// stop condition.
 EdgeWeightedPaths dijkstra_edge_weights(
     const Graph& g, NodeId source, const std::vector<double>& weight,
-    const std::vector<char>* settle_only = nullptr,
     const CsrAdjacency* adj = nullptr,
     const std::vector<double>* slot_weight = nullptr);
+
+// Single-source searches over reusable scratch, for callers that run many
+// short searches on one graph (the KMB metric closure of
+// steiner::try_steiner_mst_approx_sets). Scratch is sized once and reset
+// through the nodes the previous search touched, so a search costs what it
+// explores, not O(n). Costs and parents follow dijkstra_edge_weights'
+// rules (lower cost, then smaller parent id; the heap pops ascending
+// (cost, node id)) over the graph in which every blocked node other than
+// the source keeps its incoming edges but has no outgoing ones. So every
+// settled node whose shortest paths avoid the blocked nodes gets the full
+// run's cost and parent edge, bit for bit; any other settled node's cost
+// can only be larger.
+class BoundedDijkstra {
+ public:
+  // `adj` and `slot_weight` (aligned with adj.incident, see
+  // dijkstra_edge_weights) must outlive the runner.
+  BoundedDijkstra(const CsrAdjacency& adj,
+                  const std::vector<double>& slot_weight);
+
+  // One search from `source`. `blocked` (optional, n entries) flags the
+  // nodes that are settled but never expanded. The search stops once every
+  // node of `targets` is settled (never early when `targets` is empty), at
+  // the first pop whose cost exceeds `limit`, or when the heap runs dry.
+  void run(NodeId source, std::span<const NodeId> targets = {},
+           const std::vector<char>* blocked = nullptr,
+           double limit = kInfCost);
+
+  // The last search's cost of v, kInfCost unless v was settled.
+  double cost(NodeId v) const;
+  // The edge to v's parent in the last search; -1 for the source and for
+  // nodes it did not settle.
+  EdgeId parent_edge(NodeId v) const;
+
+ private:
+  // Packed so that one relaxation touches one cache line.
+  struct NodeState {
+    double cost = kInfCost;
+    NodeId parent = kInvalidNode;
+    EdgeId parent_edge = -1;
+    int pos = -1;  // -1 never enqueued, -2 settled, else the heap slot
+  };
+  const CsrAdjacency* adj_;
+  const std::vector<double>* slot_weight_;
+  std::vector<NodeState> state_;
+  std::vector<char> target_;
+  std::vector<NodeId> touched_;           // nodes whose state_ is set
+  std::vector<unsigned __int128> heap_;   // packed (cost bits, id) keys
+};
 
 // Nearest-seed partition from one multi-source Dijkstra sweep — the
 // Voronoi decomposition at the heart of Mehlhorn's Steiner construction.

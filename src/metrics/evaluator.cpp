@@ -110,7 +110,7 @@ PlacementEvaluation evaluate_placement(const graph::Graph& g,
   }
 
   // Dissemination phase: a Steiner tree from the producer to all holders,
-  // every chunk's from one batch that shares the shortest-path runs.
+  // every chunk's from one batch of short bounded shortest-path runs.
   const std::vector<steiner::SteinerTree> trees =
       steiner::try_steiner_mst_approx_sets(
           g, contention_edge_costs(g, weight), sources)

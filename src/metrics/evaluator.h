@@ -57,10 +57,12 @@ struct EvaluatorOptions {
 // one sweep over the distinct sources (alive holders of any chunk, plus the
 // producer) builds each source's row once and folds it into every chunk it
 // serves, and the dissemination trees of all chunks come from one
-// steiner::try_steiner_mst_approx_sets batch, which shares each source's
-// shortest-path run across chunks. Memory is O(num_chunks · n) per worker
-// plus one n-entry parent-edge row per distinct terminal. Sources
-// run in parallel; the result is bit-identical at any thread count.
+// steiner::try_steiner_mst_approx_sets batch, whose shortest-path runs on
+// the integer contention edge costs stop near their terminal. Memory is
+// O(num_chunks · n) per worker for the access tables, plus the batch's
+// O(n) search scratch per worker, the parent chains its runs keep and each
+// chunk's |T|² closure. Sources run in parallel; the result is
+// bit-identical at any thread count.
 // `alive` and every used `access_demand` row must have n entries.
 PlacementEvaluation evaluate_placement(const graph::Graph& g,
                                        const CacheState& state,

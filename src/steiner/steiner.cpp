@@ -1,10 +1,12 @@
 #include "steiner/steiner.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <numeric>
 #include <queue>
 #include <set>
+#include <span>
 #include <tuple>
 
 #include "graph/shortest_paths.h"
@@ -54,11 +56,31 @@ struct DisjointSet {
 
 // A terminal set of a KMB batch, sorted and deduplicated, with the metric
 // closure among its terminals: closure[a·|T| + b] = d(terminals[a],
-// terminals[b]).
+// terminals[b]) for a < b, the only entries Prim reads.
 struct ClosureSet {
   std::vector<NodeId> terminals;
   std::vector<double> closure;
 };
+
+// A node settled by a closure run and the edge to its parent in that run.
+// A run keeps only the parent chains of the terminals it settled, sorted
+// by node; the expansion of its closure edges walks nothing else.
+struct ChainLink {
+  NodeId node;
+  EdgeId parent_edge;
+};
+
+// True when every weight is a positive integer and the weights sum to less
+// than 2^53: then every path cost is an exact sum, and a path through a
+// further node costs at least 1 more than its part up to that node.
+bool exact_positive_integers(const std::vector<double>& edge_weight) {
+  double total = 0.0;
+  for (double w : edge_weight) {
+    if (!(w >= 1.0) || w != std::floor(w)) return false;
+    total += w;
+  }
+  return total < 0x1p53;
+}
 
 // Sorts and deduplicates `terminals` in place; kInvalidInput for an empty
 // set or an id outside g.
@@ -76,16 +98,6 @@ util::Status normalize_terminals(const Graph& g,
     }
   }
   return util::Status();
-}
-
-// Slot-aligned edge weights for the CSR relaxation loop.
-std::vector<double> slot_weights(const graph::CsrAdjacency& adj,
-                                 const std::vector<double>& edge_weight) {
-  std::vector<double> slot_weight(adj.incident.size());
-  for (std::size_t k = 0; k < adj.incident.size(); ++k) {
-    slot_weight[k] = edge_weight[static_cast<std::size_t>(adj.incident[k])];
-  }
-  return slot_weight;
 }
 
 // Shared tail of both engines: the MST of the union subgraph (the expanded
@@ -128,12 +140,11 @@ SteinerTree finish_tree(const Graph& g, const std::vector<double>& edge_weight,
 
 // Steps 2–5 of the KMB engine for one set: Prim over its metric closure,
 // expansion of the selected closure edges into real graph edges along the
-// shared shortest-path trees, then the shared tail. `parent_edge[k]` is the
-// shortest-path tree of source k and `source_of[v]` the k of terminal v.
+// closure runs' parent chains, then the shared tail. `chains[a]` holds the
+// parent chains of the run from terminals[a].
 util::Result<SteinerTree> closure_tree(
     const Graph& g, const std::vector<double>& edge_weight,
-    const ClosureSet& set, const std::vector<int>& source_of,
-    const std::vector<std::vector<EdgeId>>& parent_edge,
+    const ClosureSet& set, const std::vector<ChainLink>* chains,
     const util::RunBudget& budget) {
   // 2. MST of the terminal metric closure. Closure edge {a, b} (a < b)
   // carries the triple (w, a, b) with w = d(terminals[a], terminals[b]);
@@ -176,10 +187,14 @@ util::Result<SteinerTree> closure_tree(
     // 3. Expand the selected closure edge into real graph edges along the
     // shortest path from terminal key_a[o] to terminal key_b[o].
     const NodeId source = terminals[key_a[o]];
-    const std::vector<EdgeId>& tree = parent_edge[static_cast<std::size_t>(
-        source_of[static_cast<std::size_t>(source)])];
+    const std::vector<ChainLink>& chain = chains[key_a[o]];
     for (NodeId v = terminals[key_b[o]]; v != source;) {
-      const EdgeId e = tree[static_cast<std::size_t>(v)];
+      const EdgeId e =
+          std::lower_bound(chain.begin(), chain.end(), v,
+                           [](const ChainLink& link, NodeId node) {
+                             return link.node < node;
+                           })
+              ->parent_edge;
       union_edges.push_back(e);
       const auto& edge = g.edge(e);
       v = edge.u == v ? edge.v : edge.u;
@@ -201,113 +216,20 @@ util::Result<SteinerTree> closure_tree(
   return finish_tree(g, edge_weight, std::move(union_edges), is_terminal);
 }
 
-// The KMB engine over a batch of normalized sets, each with at least two
-// terminals. 1. One shortest-path tree per distinct terminal, shared by
-// every set that contains it — independent single-source runs, computed in
-// parallel. A run may stop once the union of its sets' terminals is
-// settled: the closure weights read only terminal costs, and the expansion
-// walks parent chains of settled nodes, both final by then and equal to
-// the full run's (dijkstra_edge_weights' early-exit contract). Each run
-// keeps only the closure rows its sets read and its parent-edge row.
-// Then steps 2–5 run per set: trees[i] receives set i's tree, and the
-// returned status[i] is non-OK when set i failed.
-std::vector<util::Status> closure_trees(
-    const Graph& g, const std::vector<double>& edge_weight,
-    std::vector<ClosureSet>& sets, int threads, const util::RunBudget& budget,
-    std::vector<SteinerTree>& trees) {
-  if (sets.empty()) return {};
-  const auto n = static_cast<std::size_t>(g.num_nodes());
-  // The distinct sources, and per source the (set, row) pairs of the
-  // closures it fills. Source order does not matter: runs are independent.
-  struct Row {
-    std::size_t set, row;
-  };
-  std::vector<int> source_of(n, -1);
-  std::vector<NodeId> sources;
-  std::vector<std::vector<Row>> rows;
-  for (std::size_t s = 0; s < sets.size(); ++s) {
-    ClosureSet& set = sets[s];
-    set.closure.resize(set.terminals.size() * set.terminals.size());
-    for (std::size_t a = 0; a < set.terminals.size(); ++a) {
-      int& k = source_of[static_cast<std::size_t>(set.terminals[a])];
-      if (k < 0) {
-        k = static_cast<int>(sources.size());
-        sources.push_back(set.terminals[a]);
-        rows.emplace_back();
-      }
-      rows[static_cast<std::size_t>(k)].push_back({s, a});
-    }
-  }
-
-  const graph::CsrAdjacency adj = graph::build_csr(g);
-  const std::vector<double> slot_weight = slot_weights(adj, edge_weight);
-  std::vector<std::vector<EdgeId>> parent_edge(sources.size());
-  threads = util::resolve_parallel_threads(threads, sources.size());
-  std::vector<std::vector<char>> settle(static_cast<std::size_t>(threads),
-                                        std::vector<char>(n, 0));
-  util::parallel_for(
-      sources.size(),
-      [&](std::size_t k, int worker) {
-        budget.charge();
-        std::vector<char>& target = settle[static_cast<std::size_t>(worker)];
-        const auto set_target = [&](char flag) {
-          for (const Row& r : rows[k]) {
-            for (NodeId t : sets[r.set].terminals) {
-              target[static_cast<std::size_t>(t)] = flag;
-            }
-          }
-        };
-        set_target(1);
-        graph::EdgeWeightedPaths paths = graph::dijkstra_edge_weights(
-            g, sources[k], edge_weight, &target, &adj, &slot_weight);
-        set_target(0);
-        for (const Row& r : rows[k]) {
-          ClosureSet& set = sets[r.set];
-          double* row = set.closure.data() + r.row * set.terminals.size();
-          for (NodeId t : set.terminals) {
-            *row++ = paths.cost[static_cast<std::size_t>(t)];
-          }
-        }
-        parent_edge[k] = std::move(paths.parent_edge);
-      },
-      threads, budget);
-  std::vector<util::Status> status(sets.size());
-  if (budget.expired()) {
-    // The fan-out drained early; some trees are missing.
-    for (util::Status& st : status) {
-      st = budget.status("steiner per-terminal SSSP fan-out");
-    }
-    return status;
-  }
-  trees.resize(sets.size());
-  util::parallel_for(sets.size(), [&](std::size_t s) {
-    util::Result<SteinerTree> tree = closure_tree(
-        g, edge_weight, sets[s], source_of, parent_edge, budget);
-    if (tree.ok()) {
-      trees[s] = std::move(tree).value();
-    } else {
-      status[s] = tree.status();
-    }
-  });
-  return status;
-}
-
-// The Mehlhorn engine: one multi-source Dijkstra partitions the graph into
-// terminal Voronoi regions; every edge crossing two regions proposes a
-// terminal-graph edge of weight dist(u, s(u)) + w(e) + dist(v, s(v)).
-// Mehlhorn's lemma: the terminal graph induced by these boundary candidates
-// contains an MST of the full terminal metric closure, so Kruskal over the
-// candidates selects a closure MST and the KMB analysis carries over
-// unchanged — at O(m log n) total instead of |T| single-source runs.
-util::Result<std::vector<EdgeId>> voronoi_union_edges(
-    const Graph& g, const std::vector<NodeId>& terminals,
-    const graph::CsrAdjacency& adj, const std::vector<double>& slot_weight,
-    const std::vector<double>& edge_weight, const util::RunBudget& budget) {
-  budget.charge();  // one unit: the single multi-source sweep
-  const graph::VoronoiPartition vor =
-      graph::voronoi_partition(g, terminals, edge_weight, &adj, &slot_weight);
-  if (budget.expired()) return budget.status("steiner voronoi sweep");
-
+// Kruskal over the Voronoi boundary candidates of `terminals`: every edge
+// crossing two regions proposes a terminal-graph edge of weight
+// dist(u, s(u)) + w(e) + dist(v, s(v)). Mehlhorn's lemma: the terminal
+// graph induced by these candidates contains an MST of the full terminal
+// metric closure, so Kruskal over them selects a closure MST (a spanning
+// forest when the terminals are not mutually reachable). Calls
+// on_select(w, e) for each selected candidate, in selection order, and
+// returns how many it selected.
+template <typename OnSelect>
+std::size_t mehlhorn_terminal_mst(const Graph& g,
+                                  const std::vector<NodeId>& terminals,
+                                  const graph::VoronoiPartition& vor,
+                                  const std::vector<double>& edge_weight,
+                                  OnSelect&& on_select) {
   // Dense terminal-id → terminal-ordinal map for the Kruskal union-find.
   std::vector<int> ordinal(static_cast<std::size_t>(g.num_nodes()), -1);
   for (std::size_t t = 0; t < terminals.size(); ++t) {
@@ -339,18 +261,8 @@ util::Result<std::vector<EdgeId>> voronoi_union_edges(
                      std::tie(y.w, y.a, y.b, y.e);
             });
 
-  // Kruskal over terminal ordinals; every selected candidate expands to the
-  // two walks back to the owning terminals plus the crossing edge itself.
   DisjointSet dsu(terminals.size());
-  std::vector<EdgeId> union_edges;
   std::size_t joined = 0;
-  const auto walk_to_seed = [&](NodeId from) {
-    for (NodeId x = from;
-         vor.parent[static_cast<std::size_t>(x)] != kInvalidNode;
-         x = vor.parent[static_cast<std::size_t>(x)]) {
-      union_edges.push_back(vor.parent_edge[static_cast<std::size_t>(x)]);
-    }
-  };
   for (const Candidate& c : candidates) {
     if (joined + 1 == terminals.size()) break;
     if (!dsu.unite(static_cast<std::size_t>(ordinal[
@@ -360,11 +272,186 @@ util::Result<std::vector<EdgeId>> voronoi_union_edges(
       continue;
     }
     ++joined;
-    const auto& edge = g.edge(c.e);
-    walk_to_seed(edge.u);
-    walk_to_seed(edge.v);
-    union_edges.push_back(c.e);
+    on_select(c.w, c.e);
   }
+  return joined;
+}
+
+// The KMB engine over a batch of normalized sets, each with at least two
+// terminals. 1. One shortest-path run per (set, terminal a), in parallel
+// with per-worker scratch. Prim reads closure entries (a, b) with a < b
+// only, so the run from terminals[a] stops once terminals[a+1..] are
+// settled (the last terminal runs nothing), and the expansion walks parent
+// chains of settled nodes, all final by then.
+//
+// When exact_positive_integers(edge_weight) holds, two limits make a run
+// far shorter without changing any output bit. It never expands out of
+// another terminal of its set, and it stops at the first pop whose cost
+// exceeds B, the bottleneck of the set's Mehlhorn terminal MST. The
+// argument: if a shortest a–b path passes through another terminal c, then
+// d(a, c) < d(a, b) and d(c, b) < d(a, b), so {a, b} is the strict maximum
+// of the triangle a–c–b under Prim's (w, a, b) order and not in the unique
+// closure MST. So every shortest path of an MST edge {a, b} — and every
+// tight predecessor the least-id parent rule can pick on the walk back
+// from b — avoids the other terminals and lies within d(a, b) ≤ B: the
+// limited run yields the full run's distance and parent chain for every
+// MST edge. Every other closure entry can only grow (+inf when unsettled),
+// and raising edges outside a unique MST leaves it unchanged, so Prim
+// selects the same closure edges and expands them along the same paths.
+// For any other weights the runs go with both limits off.
+//
+// One work unit is charged per distinct terminal, at its first run in set
+// order. Then steps 2–5 run per set: trees[i] receives set i's tree, and
+// the returned status[i] is non-OK when set i failed.
+std::vector<util::Status> closure_trees(
+    const Graph& g, const std::vector<double>& edge_weight,
+    std::vector<ClosureSet>& sets, int threads, const util::RunBudget& budget,
+    std::vector<SteinerTree>& trees) {
+  if (sets.empty()) return {};
+  const auto n = static_cast<std::size_t>(g.num_nodes());
+  struct Run {
+    std::size_t set, row;
+    bool charge;  // the first run of its terminal in set order
+  };
+  std::vector<Run> runs;
+  std::vector<std::size_t> first_run;
+  std::vector<char> seen(n, 0);
+  for (std::size_t s = 0; s < sets.size(); ++s) {
+    ClosureSet& set = sets[s];
+    set.closure.resize(set.terminals.size() * set.terminals.size());
+    first_run.push_back(runs.size());
+    for (std::size_t a = 0; a < set.terminals.size(); ++a) {
+      char& was_seen = seen[static_cast<std::size_t>(set.terminals[a])];
+      runs.push_back({s, a, was_seen == 0});
+      was_seen = 1;
+    }
+  }
+
+  const graph::CsrAdjacency adj = graph::build_csr(g);
+  const std::vector<double> slot_weight =
+      graph::slot_weights(adj, edge_weight);
+  const bool limited = exact_positive_integers(edge_weight);
+  threads = util::resolve_parallel_threads(threads, runs.size());
+  std::vector<double> bottleneck(sets.size(), kInfCost);
+  if (limited) {
+    util::parallel_for(
+        sets.size(),
+        [&](std::size_t s) {
+          const std::vector<NodeId>& terminals = sets[s].terminals;
+          const graph::VoronoiPartition vor = graph::voronoi_partition(
+              g, terminals, edge_weight, &adj, &slot_weight);
+          double& b = bottleneck[s] = 0.0;
+          mehlhorn_terminal_mst(g, terminals, vor, edge_weight,
+                                [&](double w, EdgeId) { b = std::max(b, w); });
+        },
+        threads, budget);
+  }
+
+  std::vector<std::vector<ChainLink>> chains(runs.size());
+  std::vector<graph::BoundedDijkstra> search(
+      static_cast<std::size_t>(threads),
+      graph::BoundedDijkstra(adj, slot_weight));
+  // Per worker: the current set's terminals, then the chain nodes kept.
+  std::vector<std::vector<char>> is_terminal(
+      static_cast<std::size_t>(threads), std::vector<char>(n, 0));
+  std::vector<std::vector<char>> kept(static_cast<std::size_t>(threads),
+                                      std::vector<char>(n, 0));
+  util::parallel_for(
+      runs.size(),
+      [&](std::size_t r, int worker) {
+        const Run& run = runs[r];
+        if (run.charge) budget.charge();
+        ClosureSet& set = sets[run.set];
+        const std::vector<NodeId>& terminals = set.terminals;
+        const std::size_t nt = terminals.size();
+        if (run.row + 1 == nt) return;
+        const auto w = static_cast<std::size_t>(worker);
+        graph::BoundedDijkstra& dijkstra = search[w];
+        std::vector<char>& terminal = is_terminal[w];
+        const NodeId source = terminals[run.row];
+        for (NodeId t : terminals) terminal[static_cast<std::size_t>(t)] = 1;
+        dijkstra.run(source,
+                     std::span<const NodeId>(terminals).subspan(run.row + 1),
+                     limited ? &terminal : nullptr, bottleneck[run.set]);
+        for (NodeId t : terminals) terminal[static_cast<std::size_t>(t)] = 0;
+
+        // The closure row, and the parent chains back to the source; a
+        // chain stops where it meets one already kept.
+        double* row = set.closure.data() + run.row * nt;
+        std::vector<ChainLink>& chain = chains[r];
+        std::vector<char>& on_chain = kept[w];
+        for (std::size_t b = run.row + 1; b < nt; ++b) {
+          row[b] = dijkstra.cost(terminals[b]);
+          if (row[b] == kInfCost) continue;
+          for (NodeId v = terminals[b];
+               v != source && !on_chain[static_cast<std::size_t>(v)];) {
+            on_chain[static_cast<std::size_t>(v)] = 1;
+            const EdgeId e = dijkstra.parent_edge(v);
+            chain.push_back({v, e});
+            const auto& edge = g.edge(e);
+            v = edge.u == v ? edge.v : edge.u;
+          }
+        }
+        for (const ChainLink& link : chain) {
+          on_chain[static_cast<std::size_t>(link.node)] = 0;
+        }
+        std::sort(chain.begin(), chain.end(),
+                  [](const ChainLink& x, const ChainLink& y) {
+                    return x.node < y.node;
+                  });
+      },
+      threads, budget);
+  std::vector<util::Status> status(sets.size());
+  if (budget.expired()) {
+    // The runs drained early; some closures are missing.
+    for (util::Status& st : status) {
+      st = budget.status("steiner closure runs");
+    }
+    return status;
+  }
+  trees.resize(sets.size());
+  util::parallel_for(sets.size(), [&](std::size_t s) {
+    util::Result<SteinerTree> tree = closure_tree(
+        g, edge_weight, sets[s], chains.data() + first_run[s], budget);
+    if (tree.ok()) {
+      trees[s] = std::move(tree).value();
+    } else {
+      status[s] = tree.status();
+    }
+  });
+  return status;
+}
+
+// The Mehlhorn engine: one multi-source Dijkstra partitions the graph into
+// terminal Voronoi regions, Kruskal over the boundary candidates selects a
+// closure MST, and every selected candidate expands to the two walks back
+// to the owning terminals plus the crossing edge itself — the KMB analysis
+// carries over unchanged at O(m log n) total instead of |T| single-source
+// runs.
+util::Result<std::vector<EdgeId>> voronoi_union_edges(
+    const Graph& g, const std::vector<NodeId>& terminals,
+    const graph::CsrAdjacency& adj, const std::vector<double>& slot_weight,
+    const std::vector<double>& edge_weight, const util::RunBudget& budget) {
+  budget.charge();  // one unit: the single multi-source sweep
+  const graph::VoronoiPartition vor =
+      graph::voronoi_partition(g, terminals, edge_weight, &adj, &slot_weight);
+  if (budget.expired()) return budget.status("steiner voronoi sweep");
+
+  std::vector<EdgeId> union_edges;
+  const auto walk_to_seed = [&](NodeId from) {
+    for (NodeId x = from;
+         vor.parent[static_cast<std::size_t>(x)] != kInvalidNode;
+         x = vor.parent[static_cast<std::size_t>(x)]) {
+      union_edges.push_back(vor.parent_edge[static_cast<std::size_t>(x)]);
+    }
+  };
+  const std::size_t joined = mehlhorn_terminal_mst(
+      g, terminals, vor, edge_weight, [&](double, EdgeId e) {
+        const auto& edge = g.edge(e);
+        walk_to_seed(edge.u);
+        walk_to_seed(edge.v);
+        union_edges.push_back(e);
+      });
   if (joined + 1 != terminals.size()) {
     return util::Status::infeasible("terminals are not mutually reachable");
   }
@@ -466,7 +553,8 @@ util::Result<SteinerTree> try_steiner_mst_approx(
   std::vector<char> is_terminal(static_cast<std::size_t>(g.num_nodes()), 0);
   for (NodeId t : terminals) is_terminal[static_cast<std::size_t>(t)] = 1;
   const graph::CsrAdjacency adj = graph::build_csr(g);
-  const std::vector<double> slot_weight = slot_weights(adj, edge_weight);
+  const std::vector<double> slot_weight =
+      graph::slot_weights(adj, edge_weight);
   util::Result<std::vector<EdgeId>> union_edges = voronoi_union_edges(
       g, terminals, adj, slot_weight, edge_weight, budget);
   if (!union_edges.ok()) return union_edges.status();

@@ -14,8 +14,8 @@
 //    tree keeps the ConFL analysis intact, and KMB/Mehlhorn are the
 //    standard practical choices.
 //  * `try_steiner_mst_approx_sets` — the KMB engine over many terminal sets
-//    on one weighted graph, sharing one shortest-path run per distinct
-//    terminal (the evaluator's per-chunk dissemination trees).
+//    on one weighted graph, with short bounded shortest-path runs per set
+//    (the evaluator's per-chunk dissemination trees).
 //  * `steiner_exact_dreyfus_wagner` — exponential-in-|terminals| exact DP,
 //    used as the optimality oracle in tests and by the tiny-instance exact
 //    solver.
@@ -35,10 +35,11 @@ namespace faircache::steiner {
 // determinism contract.
 enum class Engine {
   // Kou–Markowsky–Berman over the terminal metric closure: one
-  // shortest-path tree per terminal (computed in parallel, with early exit
-  // once every terminal is settled), then Prim over the |T|×|T| closure.
-  // O(|T| · m log n). The historical default; golden outputs are pinned
-  // against it. try_steiner_mst_approx_sets runs it on many sets at once.
+  // shortest-path run per terminal (computed in parallel, each stopped as
+  // early as the closure MST allows — see try_steiner_mst_approx_sets),
+  // then Prim over the |T|×|T| closure. O(|T| · m log n) in the worst
+  // case. The historical default; golden outputs are pinned against it.
+  // try_steiner_mst_approx_sets runs it on many sets at once.
   kClosureKmb,
   // Mehlhorn's Voronoi-partition construction: one multi-source Dijkstra
   // labels every node with its nearest terminal, Voronoi boundary edges
@@ -66,12 +67,11 @@ struct SteinerTree {
 // Malformed input yields kInvalidInput, mutually unreachable terminals
 // kInfeasible, and an expired util::RunBudget the budget's own reason
 // (kCancelled / kDeadlineExceeded / kResourceExhausted). One work unit is
-// charged per shortest-path source under kClosureKmb (the budget is polled
-// in the fan-out, workers draining between sources, and once per
-// closure-MST round); kVoronoi charges a single unit for its one
-// multi-source sweep and is polled between pipeline phases. A run that
-// completes under an unexpired budget is bit-identical to an unbudgeted
-// one.
+// charged per terminal under kClosureKmb (the budget is polled between
+// shortest-path runs, workers draining, and once per closure-MST round);
+// kVoronoi charges a single unit for its one multi-source sweep and is
+// polled between pipeline phases. A run that completes under an unexpired
+// budget is bit-identical to an unbudgeted one.
 util::Result<SteinerTree> try_steiner_mst_approx(
     const graph::Graph& g, const std::vector<double>& edge_weight,
     std::vector<graph::NodeId> terminals, int threads = 0,
@@ -79,14 +79,18 @@ util::Result<SteinerTree> try_steiner_mst_approx(
 
 // One kClosureKmb tree per terminal set, over one graph and one weight
 // vector: trees[i] is bit-identical to
-// try_steiner_mst_approx(g, edge_weight, terminal_sets[i]). Sets that share
-// a terminal share its shortest-path run, which stops once the union of
-// those sets' terminals is settled, so k sets over |S| distinct terminals
-// cost |S| runs instead of Σ|T_i|. The runs go in parallel
-// (util::parallel_threads() workers); the result is bit-identical at any
-// thread count. One work unit is charged per distinct terminal of a set
-// with two or more terminals.
-//
+// try_steiner_mst_approx(g, edge_weight, terminal_sets[i]). Each set runs
+// one shortest-path run per terminal but its last (in ascending id), in
+// parallel (util::parallel_threads() workers); the result is bit-identical
+// at any thread count. A run stops once the set's later terminals are
+// settled. When every weight is a positive integer and the weights sum to
+// less than 2^53 — contention edge costs always do — a run also never
+// expands out of another terminal of its set and stops at the first pop
+// beyond the bottleneck of the set's Mehlhorn terminal MST (one Voronoi
+// sweep per set), so it settles the nodes near its terminal, not the
+// graph. One work unit is charged per distinct terminal of a set with two
+// or more terminals. Memory: per worker, O(n) search scratch; per run, the
+// parent chains of the terminals it settled; per set, its |T|×|T| closure.
 // Failure: the status of the first failing set in index order, with the
 // codes of the single-set call (kInvalidInput for a malformed set or a
 // weight vector of the wrong size, kInfeasible for a set whose terminals

@@ -163,52 +163,90 @@ TEST(BfsHopsTest, MatchesBfsOracle) {
   }
 }
 
-TEST(DijkstraEdgeWeightsTest, SettleOnlyMatchesFullRunOnFlaggedNodes) {
+// Every node a bounded search settles carries the full run's cost and
+// parent edge, bit for bit, whether the search stops at its targets or at
+// a cost limit; a limited search settles exactly the nodes within it.
+TEST(BoundedDijkstraTest, SettledEntriesMatchFullRun) {
   const Graph g = graph::make_grid(8, 8);
   util::Rng rng(21);
   std::vector<double> weight(static_cast<std::size_t>(g.num_edges()));
   for (double& w : weight) w = rng.uniform(0.5, 4.0);
-
-  std::vector<char> flags(static_cast<std::size_t>(g.num_nodes()), 0);
-  const std::vector<NodeId> targets = {3, 17, 40, 63};
-  for (NodeId t : targets) flags[static_cast<std::size_t>(t)] = 1;
-
+  const graph::CsrAdjacency adj = graph::build_csr(g);
+  const std::vector<double> slot = graph::slot_weights(adj, weight);
   const auto full = graph::dijkstra_edge_weights(g, 0, weight);
-  const auto part = graph::dijkstra_edge_weights(g, 0, weight, &flags);
-  for (NodeId t : targets) {
-    const auto ti = static_cast<std::size_t>(t);
-    EXPECT_EQ(full.cost[ti], part.cost[ti]);  // bitwise
-    EXPECT_EQ(full.parent[ti], part.parent[ti]);
-    EXPECT_EQ(full.parent_edge[ti], part.parent_edge[ti]);
+  graph::BoundedDijkstra search(adj, slot);
+  const auto expect_settled_match = [&](int min_settled, int max_settled) {
+    int settled = 0;
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      if (search.cost(v) == kInf) {
+        EXPECT_EQ(search.parent_edge(v), graph::EdgeId{-1});
+        continue;
+      }
+      ++settled;
+      const auto vi = static_cast<std::size_t>(v);
+      EXPECT_EQ(search.cost(v), full.cost[vi]);  // bitwise
+      EXPECT_EQ(search.parent_edge(v), full.parent_edge[vi]);
+    }
+    EXPECT_GE(settled, min_settled);
+    EXPECT_LE(settled, max_settled);
+  };
+
+  const std::vector<NodeId> targets = {1, 9, 17};
+  search.run(0, targets);
+  for (NodeId t : targets) EXPECT_NE(search.cost(t), kInf);
+  expect_settled_match(3, g.num_nodes() - 1);  // stopped before the end
+
+  const double limit = full.cost[27];
+  search.run(0, {}, nullptr, limit);
+  expect_settled_match(2, g.num_nodes() - 1);
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    EXPECT_EQ(search.cost(v) != kInf,
+              full.cost[static_cast<std::size_t>(v)] <= limit);
   }
+
+  search.run(0);  // no stop condition: the full run
+  expect_settled_match(g.num_nodes(), g.num_nodes());
 }
 
-TEST(DijkstraEdgeWeightsTest, SettleOnlyTerminatesWhenFlaggedUnreachable) {
-  // Two components plus an isolated node: flagged nodes 5 and 7 can never
-  // be settled from the source's component, so the settle-only countdown
-  // never reaches zero. The run must still terminate (heap exhaustion),
-  // with full-run-identical results for the reachable flagged node and
-  // kInfCost / no parent for the unreachable ones.
+// A target the source cannot reach ends the search by heap exhaustion,
+// with the reachable nodes at their full-run entries; a blocked node is
+// settled but never expanded; a second search on the same scratch starts
+// clean.
+TEST(BoundedDijkstraTest, UnreachableTargetEndsByHeapExhaustion) {
   Graph g(8);
   g.add_edge(0, 1);
   g.add_edge(1, 2);
   g.add_edge(2, 3);
   g.add_edge(4, 5);
   g.add_edge(5, 6);
-  std::vector<double> weight(static_cast<std::size_t>(g.num_edges()), 1.5);
-  std::vector<char> flags(static_cast<std::size_t>(g.num_nodes()), 0);
-  flags[2] = flags[5] = flags[7] = 1;
-
+  const std::vector<double> weight(static_cast<std::size_t>(g.num_edges()),
+                                   1.5);
+  const graph::CsrAdjacency adj = graph::build_csr(g);
+  const std::vector<double> slot(adj.incident.size(), 1.5);
+  graph::BoundedDijkstra search(adj, slot);
   const auto full = graph::dijkstra_edge_weights(g, 0, weight);
-  const auto part = graph::dijkstra_edge_weights(g, 0, weight, &flags);
-  EXPECT_EQ(part.cost[2], full.cost[2]);  // bitwise
-  EXPECT_EQ(part.parent[2], full.parent[2]);
-  EXPECT_EQ(part.parent_edge[2], full.parent_edge[2]);
-  for (const std::size_t v : {std::size_t{5}, std::size_t{7}}) {
-    EXPECT_EQ(part.cost[v], kInf);
-    EXPECT_EQ(part.parent[v], graph::kInvalidNode);
-    EXPECT_EQ(part.parent_edge[v], graph::EdgeId{-1});
+
+  search.run(0, std::vector<NodeId>{2, 5, 7});
+  for (NodeId v = 0; v < 4; ++v) {
+    EXPECT_EQ(search.cost(v), full.cost[static_cast<std::size_t>(v)]);
+    EXPECT_EQ(search.parent_edge(v),
+              full.parent_edge[static_cast<std::size_t>(v)]);
   }
+  for (NodeId v = 4; v < 8; ++v) {
+    EXPECT_EQ(search.cost(v), kInf);
+    EXPECT_EQ(search.parent_edge(v), graph::EdgeId{-1});
+  }
+
+  std::vector<char> blocked(8, 0);
+  blocked[2] = 1;
+  search.run(0, {}, &blocked);
+  EXPECT_EQ(search.cost(2), 3.0);
+  EXPECT_EQ(search.cost(3), kInf);
+
+  search.run(4);
+  EXPECT_EQ(search.cost(0), kInf);
+  EXPECT_EQ(search.cost(6), 3.0);
+  EXPECT_EQ(search.parent_edge(4), graph::EdgeId{-1});
 }
 
 TEST(DijkstraEdgeWeightsTest, CsrAndSlotWeightsDoNotChangeResult) {
@@ -219,13 +257,10 @@ TEST(DijkstraEdgeWeightsTest, CsrAndSlotWeightsDoNotChangeResult) {
   for (double& w : weight) w = rng.uniform(0.1, 2.0);
 
   const graph::CsrAdjacency adj = graph::build_csr(g);
-  std::vector<double> slot(adj.incident.size());
-  for (std::size_t k = 0; k < slot.size(); ++k) {
-    slot[k] = weight[static_cast<std::size_t>(adj.incident[k])];
-  }
+  const std::vector<double> slot = graph::slot_weights(adj, weight);
   const auto plain = graph::dijkstra_edge_weights(g, 4, weight);
   const auto fast =
-      graph::dijkstra_edge_weights(g, 4, weight, nullptr, &adj, &slot);
+      graph::dijkstra_edge_weights(g, 4, weight, &adj, &slot);
   EXPECT_EQ(plain.cost, fast.cost);  // bitwise, via vector ==
   EXPECT_EQ(plain.parent, fast.parent);
   EXPECT_EQ(plain.parent_edge, fast.parent_edge);

@@ -13,6 +13,7 @@
 #include <string>
 
 #include "graph/generators.h"
+#include "kmb_reference.h"
 #include "metrics/contention.h"
 #include "testutil.h"
 #include "util/deadline.h"
@@ -264,8 +265,9 @@ std::string describe(const util::Result<std::vector<SteinerTree>>& result) {
   std::string out;
   for (const SteinerTree& tree : result.value()) {
     for (EdgeId e : tree.edges) out += std::to_string(e) + ",";
-    out += "|" + std::to_string(std::bit_cast<std::uint64_t>(tree.cost)) +
-           ";";
+    out += '|';
+    out += std::to_string(std::bit_cast<std::uint64_t>(tree.cost));
+    out += ';';
   }
   return out;
 }
@@ -376,6 +378,122 @@ TEST(SteinerBatchTest, EdgeCasesMatchPerSetCalls) {
             util::StatusCode::kCancelled);
   EXPECT_EQ(try_steiner_mst_approx_sets(g, {1.0}, cases[2]).code(),
             util::StatusCode::kInvalidInput);
+}
+
+// `g` plus three nodes outside it: the edge n–(n+1) and the lone node n+2,
+// so a set that reaches into them has terminals that are not mutually
+// reachable.
+Graph with_island(const Graph& g) {
+  const NodeId n = g.num_nodes();
+  Graph out(n + 3);
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    out.add_edge(g.edge(e).u, g.edge(e).v);
+  }
+  out.add_edge(n, n + 1);
+  return out;
+}
+
+// The batch with its terminal-blocked, bottleneck-bounded runs equals the
+// unpruned KMB construction — trees, cost bits and the first failing
+// set's status — at 1, 2 and 8 threads, on grids, Erdős–Rényi,
+// Watts–Strogatz and Barabási–Albert graphs under tie-heavy integer
+// weights: unit, 1–3, and contention costs degree × (1 + used).
+TEST(SteinerBatchTest, PrunedRunsMatchFullClosure) {
+  util::Rng rng(1988);
+  int ok = 0;
+  int infeasible = 0;
+  for (int trial = 0; trial < 96; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const int n = static_cast<int>(rng.uniform_int(12, 70));
+    Graph g;
+    switch (trial % 4) {
+      case 0:
+        g = make_grid(static_cast<int>(rng.uniform_int(2, 9)),
+                      static_cast<int>(rng.uniform_int(3, 9)));
+        break;
+      case 1:
+        g = graph::make_erdos_renyi(n, rng.uniform(0.04, 0.2), rng);
+        break;
+      case 2:
+        g = graph::make_watts_strogatz(n, 4, 0.2, rng);
+        break;
+      default:
+        g = graph::make_barabasi_albert(
+            n, static_cast<int>(rng.uniform_int(1, 3)), rng);
+    }
+    if (trial % 3 == 0) g = with_island(g);
+    std::vector<double> w(static_cast<std::size_t>(g.num_edges()), 1.0);
+    if ((trial / 4) % 3 == 1) {
+      for (auto& x : w) x = static_cast<double>(rng.uniform_int(1, 3));
+    } else if ((trial / 4) % 3 == 2) {
+      metrics::CacheState state(g.num_nodes(), 3, /*producer=*/0);
+      for (int k = 0; k < g.num_nodes(); ++k) {
+        const auto v =
+            static_cast<NodeId>(rng.uniform_int(1, g.num_nodes() - 1));
+        const auto chunk =
+            static_cast<metrics::ChunkId>(rng.uniform_int(0, 3));
+        if (state.can_cache(v, chunk)) state.add(v, chunk);
+      }
+      w = metrics::contention_edge_costs(
+          g, metrics::contention_weights(g, state));
+    }
+    auto sets = random_sets(g, rng);
+    std::vector<NodeId> wide;  // many terminals: most runs meet another
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      if (rng.uniform_int(0, 3) == 0) wide.push_back(v);
+    }
+    sets.push_back(wide);
+    const auto expected = testutil::kmb_reference_sets(g, w, sets);
+    (expected.ok() ? ok : infeasible) += 1;
+    const std::string batch = testutil::expect_thread_invariant(
+        [&] { return try_steiner_mst_approx_sets(g, w, sets); }, describe);
+    EXPECT_EQ(batch, describe(expected));
+  }
+  EXPECT_GT(ok, 20);  // both outcomes are exercised
+  EXPECT_GT(infeasible, 20);
+}
+
+// Weights the limits cannot rely on — fractional weights, a zero-weight
+// edge, a weight total of 2^53 or more — build the unpruned construction's
+// trees. On the zero-weight triangle below, a run blocked at terminal 1
+// would reach 2 through 3 instead and return a different tree.
+TEST(SteinerBatchTest, LimitsOffWeightsMatchFullClosure) {
+  Graph tie(4);
+  tie.add_edge(0, 1);  // 0
+  tie.add_edge(1, 2);  // 1
+  tie.add_edge(0, 3);  // 2
+  tie.add_edge(3, 2);  // 3
+  const std::vector<double> zero_tie{0.0, 1.0, 1.0, 0.0};
+  const std::vector<std::vector<NodeId>> tie_sets{{0, 1, 2}};
+  const auto tie_trees = try_steiner_mst_approx_sets(tie, zero_tie, tie_sets);
+  EXPECT_EQ(describe(tie_trees),
+            describe(testutil::kmb_reference_sets(tie, zero_tie, tie_sets)));
+  EXPECT_EQ(tie_trees.value()[0].edges, (std::vector<EdgeId>{0, 1}));
+
+  util::Rng rng(53);
+  for (int trial = 0; trial < 30; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const Graph g = graph::make_watts_strogatz(
+        static_cast<int>(rng.uniform_int(12, 50)), 4, 0.3, rng);
+    std::vector<double> w(static_cast<std::size_t>(g.num_edges()));
+    for (auto& x : w) x = static_cast<double>(rng.uniform_int(1, 3));
+    switch (trial % 3) {
+      case 0:  // fractional
+        for (auto& x : w) x += 0.5 * static_cast<double>(rng.uniform_int(0, 1));
+        break;
+      case 1:  // zero-weight edges
+        for (auto& x : w) x *= static_cast<double>(rng.uniform_int(0, 3) > 0);
+        break;
+      default:  // a total of at least 2^53
+        w[static_cast<std::size_t>(rng.uniform_int(0, g.num_edges() - 1))] =
+            0x1p53;
+    }
+    auto sets = random_sets(g, rng);
+    const auto expected = testutil::kmb_reference_sets(g, w, sets);
+    const std::string batch = testutil::expect_thread_invariant(
+        [&] { return try_steiner_mst_approx_sets(g, w, sets); }, describe);
+    EXPECT_EQ(batch, describe(expected));
+  }
 }
 
 // The one-set batch charges the single-set call's work units: one per
