@@ -17,10 +17,12 @@ namespace faircache::fuzz {
 // try_solve_confl differs from solve_confl_reference.
 int run_instance_target(const std::uint8_t* data, std::size_t size);
 
-// Decode → validate → anytime solve under a tiny work-unit budget.
-// Verifies the anytime contract: an OK result is complete and feasible, an
-// error is kInvalidInput or kInfeasible — never a budget code, never a
-// throw.
+// Decode → validate → anytime solve under a tiny work-unit budget →
+// unbudgeted churn repair of the solved placement. Verifies the anytime
+// contract: an OK result is complete and feasible, an error is
+// kInvalidInput or kInfeasible — never a budget code, never a throw. The
+// repair must succeed, validate, and match the fresh-build reference in
+// tests/repair_reference.h.
 int run_solve_target(const std::uint8_t* data, std::size_t size);
 
 // Decode → replay a short serving trace (online driver or the

@@ -1,5 +1,8 @@
 #include "core/repair.h"
 
+#include <memory>
+#include <utility>
+
 #include "core/instance_builder.h"
 #include "core/rehost.h"
 #include "core/validate.h"
@@ -72,6 +75,13 @@ util::Result<RepairReport> PlacementRepairEngine::repair(
   }
   if (num_chunks < 0) {
     return Status::invalid_input("negative chunk count");
+  }
+  // Every escalation build would refuse the pair; refuse it before the
+  // eviction and the local pass have touched `state`.
+  if (options_.approx.instance.contention_mode == ContentionMode::kSparse &&
+      options_.approx.instance.path_policy !=
+          metrics::PathPolicy::kHopShortest) {
+    return Status::invalid_input("kSparse rows need hop-shortest paths");
   }
   const NodeId producer = state.producer();
   if (producer < 0 || producer >= n) {
@@ -199,48 +209,62 @@ util::Result<RepairReport> PlacementRepairEngine::repair(
   }
 
   // --- Phase 2: escalation — per-chunk ConFL re-solves over the
-  // producer's alive component, applied transactionally. ---
+  // producer's alive component, applied transactionally. The snapshot and
+  // the liveness mask are fixed for the pass, so the first escalation
+  // induces the component and pins the engine's BFS trees once; every
+  // later one delta-patches them. `component.state` mirrors `state` on the
+  // component's nodes throughout. ---
   phase.reset();
+  AliveComponent component;
+  FairCachingProblem sub_problem;
+  std::unique_ptr<ChunkInstanceEngine> engine;
+  auto stop_escalation = [&](Status stop, int chunks_left) {
+    if (engine != nullptr) report.guard.merge(engine->guard_report());
+    report.resolve_seconds = phase.elapsed_seconds();
+    return finish(std::move(stop), chunks_left);
+  };
   for (std::size_t e = 0; e < escalate.size(); ++e) {
     const ChunkId c = escalate[e];
     charge(static_cast<std::uint64_t>(n));
     if (budget.expired()) {
-      report.resolve_seconds = phase.elapsed_seconds();
-      return finish(budget.status("repair escalation"),
-                    static_cast<int>(escalate.size() - e));
+      return stop_escalation(budget.status("repair escalation"),
+                             static_cast<int>(escalate.size() - e));
     }
-    AliveComponent component = induce_alive_component(snapshot, alive, state);
+    if (engine == nullptr) {
+      component = induce_alive_component(snapshot, alive, state);
+      sub_problem.network = &component.sub.graph;
+      sub_problem.producer = component.state.producer();
+      sub_problem.num_chunks = num_chunks;
+      sub_problem.capacities.reserve(
+          static_cast<std::size_t>(component.state.num_nodes()));
+      for (NodeId v = 0; v < component.state.num_nodes(); ++v) {
+        sub_problem.capacities.push_back(component.state.capacity(v));
+      }
+      InstanceOptions instance_options = options_.approx.instance;
+      instance_options.demand = nullptr;  // demand rows index original ids
+      engine =
+          std::make_unique<ChunkInstanceEngine>(sub_problem, instance_options);
+    }
     // Re-solve chunk c from scratch: the solver sees the component without
     // any copy of c (fairness costs still reflect every other chunk).
-    for (NodeId v = 0; v < component.state.num_nodes(); ++v) {
-      if (component.state.holds(v, c)) component.state.remove(v, c);
+    metrics::CacheState without_c = component.state;
+    for (NodeId v = 0; v < without_c.num_nodes(); ++v) {
+      if (without_c.holds(v, c)) without_c.remove(v, c);
     }
-    FairCachingProblem sub_problem;
-    sub_problem.network = &component.sub.graph;
-    sub_problem.producer = component.state.producer();
-    sub_problem.num_chunks = num_chunks;
-    sub_problem.capacities.reserve(
-        static_cast<std::size_t>(component.state.num_nodes()));
-    for (NodeId v = 0; v < component.state.num_nodes(); ++v) {
-      sub_problem.capacities.push_back(component.state.capacity(v));
-    }
-    InstanceOptions instance_options = options_.approx.instance;
-    instance_options.demand = nullptr;  // demand rows index original ids
-    ChunkInstanceEngine engine(sub_problem, instance_options);
-    util::Result<confl::ConflInstance> instance =
-        engine.build(component.state, c);
-    report.guard.merge(engine.guard_report());
+    util::Result<confl::ConflInstance> instance = engine->build(without_c, c);
     if (!instance.ok()) return instance.status();
     util::Result<confl::ConflSolution> solution =
         confl::try_solve_confl(instance.value(), options_.approx.confl,
                                budget);
+    // The solver is done with the cost buffers: hand them back so the next
+    // escalation's build patches them in place.
+    engine->reclaim(std::move(instance).value());
     if (!solution.ok()) {
       if (budget.expired()) {
         // Mid-solve expiry: the chunk keeps its (partial) local repair —
         // still a valid placement — and is reported unrepaired.
-        report.resolve_seconds = phase.elapsed_seconds();
-        return finish(budget.status("repair escalation"),
-                      static_cast<int>(escalate.size() - e));
+        return stop_escalation(budget.status("repair escalation"),
+                               static_cast<int>(escalate.size() - e));
       }
       // Solver failure on this component (e.g. dual growth hit its round
       // cap): the chunk keeps its partial local repair and stays counted
@@ -256,17 +280,20 @@ util::Result<RepairReport> PlacementRepairEngine::repair(
           component.sub.to_original[static_cast<std::size_t>(v)];
       if (state.holds(orig, c)) state.remove(orig, c);
     }
+    component.state = std::move(without_c);
     for (NodeId v : solution.value().open_facilities) {
       const NodeId orig =
           component.sub.to_original[static_cast<std::size_t>(v)];
-      if (state.can_cache(orig, c)) state.add(orig, c);
+      if (state.can_cache(orig, c)) {
+        state.add(orig, c);
+        component.state.add(v, c);
+      }
     }
     report.replicas_restored +=
         static_cast<int>(state.holders(c).size()) - before;
     ++report.chunks_resolved;
   }
-  report.resolve_seconds = phase.elapsed_seconds();
-  return finish(Status(), 0);
+  return stop_escalation(Status(), 0);
 }
 
 }  // namespace faircache::core

@@ -17,9 +17,11 @@
 //      fallback in core/approx also runs, in O(n + m) memory.
 //   2. Escalation: a chunk whose local pass could not restore every lost
 //      replica is re-solved from scratch — one per-chunk ConFL solve over
-//      the producer's alive component through core::ChunkInstanceEngine,
-//      applied transactionally (the old copies are only dropped once the
-//      solver has succeeded).
+//      the producer's alive component, applied transactionally (the old
+//      copies are only dropped once the solver has succeeded). One
+//      core::ChunkInstanceEngine serves the whole pass: the first
+//      escalation induces the component and pins its BFS trees, every
+//      later one delta-patches them (the topology is fixed for the pass).
 //
 // All three phases are cooperatively charged against a util::RunBudget and
 // the result is *anytime*: whenever the budget expires (work cap, deadline
@@ -82,11 +84,12 @@ struct RepairReport {
   double cost_after = -1.0;
   double detect_seconds = 0.0;   // eviction + reachability scan
   double local_seconds = 0.0;    // greedy re-hosting (BFS-ball sweeps)
-  double resolve_seconds = 0.0;  // escalation ConFL solves
+  // Escalation: component induction, instance builds and ConFL solves.
+  double resolve_seconds = 0.0;
   double total_seconds = 0.0;
-  // Integrity-guard activity of the escalation engines, merged across all
-  // per-chunk re-solves (core/engine_guard.h). guard.clean() for any
-  // healthy pass.
+  // Integrity-guard activity of the pass's escalation engine, which audits
+  // its builds on the configured cadence (core/engine_guard.h).
+  // guard.clean() for any healthy pass.
   CorruptionReport guard;
 
   bool complete() const { return chunks_unrepaired == 0; }
@@ -115,8 +118,9 @@ class PlacementRepairEngine {
   // liveness mask `alive` (dead nodes must be isolated in or absent from
   // the BFS reachability sense — the engine never routes through them).
   //
-  //  * kInvalidInput for size mismatches, a negative chunk count or a dead
-  //    producer — returned before any mutation.
+  //  * kInvalidInput for size mismatches, a negative chunk count, a dead
+  //    producer, or kSparse rows with kMinContention paths in
+  //    options().approx.instance — returned before any mutation.
   //  * Budget expiry is NOT an error: the result is OK, `state` is valid
   //    (eviction always completes) and the report's stop_reason carries
   //    the typed reason with per-chunk truncation counts.

@@ -19,12 +19,15 @@
 #include <cstdio>
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "core/approx.h"
 #include "core/repair.h"
 #include "core/validate.h"
 #include "graph/generators.h"
 #include "sim/distributed.h"
+#include "sim/state_faults.h"
 #include "testutil.h"
 #include "util/check.h"
 #include "util/hash.h"
@@ -44,6 +47,23 @@ std::uint64_t placement_hash(const metrics::CacheState& state) {
     for (metrics::ChunkId c : state.chunks_on(v)) h.value(c);
   }
   return h.digest();
+}
+
+// Every deterministic RepairReport counter plus the repaired placement's
+// hash, as one line for the repair goldens.
+std::string repair_summary(const core::RepairReport& r,
+                           const metrics::CacheState& state) {
+  char text[256];
+  std::snprintf(text, sizeof(text),
+                "stop=%d lost=%d restored=%d affected=%d local=%d "
+                "resolved=%d unrepaired=%d stranded=%ld work=%llu "
+                "placement=%016llx",
+                static_cast<int>(r.stop_reason.code()), r.replicas_lost,
+                r.replicas_restored, r.chunks_affected, r.chunks_local,
+                r.chunks_resolved, r.chunks_unrepaired, r.unservable_pairs,
+                static_cast<unsigned long long>(r.work_units),
+                static_cast<unsigned long long>(placement_hash(state)));
+  return std::string(text);
 }
 
 // --- (a) Zero-churn bit-identity. --------------------------------------
@@ -357,6 +377,28 @@ TEST(PlacementRepairTest, StarTopologyEscalatesToResolve) {
   EXPECT_TRUE(core::validate_placement(state, 1, &alive).ok());
 }
 
+TEST(PlacementRepairTest, RejectsSparseMinContentionBeforeAnyMutation) {
+  // CSR rows pin hop-shortest trees, so the pair can never build an
+  // escalation instance. The star's dead holder would be evicted and its
+  // chunk escalated; the options must be refused before either happens.
+  const Graph g = graph::make_star(8);
+  metrics::CacheState state(8, 2, 0);
+  state.add(3, 0);
+  state.add(5, 0);
+  const metrics::CacheState before = state;
+  std::vector<char> alive(8, 1);
+  alive[3] = 0;
+
+  core::RepairOptions options;
+  options.approx.instance.contention_mode = core::ContentionMode::kSparse;
+  options.approx.instance.path_policy = metrics::PathPolicy::kMinContention;
+  core::PlacementRepairEngine engine(options);
+  EXPECT_EQ(engine.repair(g, alive, 1, state).code(),
+            util::StatusCode::kInvalidInput);
+  EXPECT_EQ(state.stored_counts(), before.stored_counts());
+  EXPECT_EQ(placement_hash(state), placement_hash(before));
+}
+
 TEST(PlacementRepairTest, CountsUnservableStrandedDemand) {
   // Path 0-1-2-3 with the middle node dead: nodes 2, 3 are cut off from
   // the producer's component and hold no copy — stranded, not repairable.
@@ -541,21 +583,119 @@ TEST(RepairGoldenTest, DepartureWaveRepairIsPinned) {
       EXPECT_TRUE(
           core::validate_placement(state, problem.num_chunks, &sim.alive())
               .ok());
-      char text[256];
-      std::snprintf(text, sizeof(text),
-                    "stop=%d lost=%d restored=%d affected=%d local=%d "
-                    "resolved=%d unrepaired=%d stranded=%ld work=%llu "
-                    "placement=%016llx",
-                    static_cast<int>(r.stop_reason.code()), r.replicas_lost,
-                    r.replicas_restored, r.chunks_affected, r.chunks_local,
-                    r.chunks_resolved, r.chunks_unrepaired,
-                    r.unservable_pairs,
-                    static_cast<unsigned long long>(r.work_units),
-                    static_cast<unsigned long long>(placement_hash(state)));
-      return std::string(text);
+      return repair_summary(r, state);
     });
     EXPECT_EQ(report, golden.report) << "cap " << golden.cap;
   }
+}
+
+// A departure wave whose repair pass escalates six chunks: connected ER
+// (n = 40, 8 chunks, capacity 2), half the nodes gone in two waves.
+struct EscalationWave {
+  EscalationWave() {
+    util::Rng rng(1);
+    g = graph::make_erdos_renyi(40, 0.10, rng);
+    problem = make_problem(g, 0, 8, 2);
+    solved = core::ApproxFairCaching().run(problem).state;
+    ChurnSimulator sim(g, make_departure_waves(40, 0, 2, 10, 1, 1));
+    while (!sim.done()) sim.advance();
+    snapshot = sim.snapshot();
+    alive = sim.alive();
+  }
+  EscalationWave(const EscalationWave&) = delete;
+  EscalationWave& operator=(const EscalationWave&) = delete;
+
+  // Repairs a copy of the solved placement; returns the report and the
+  // repaired state.
+  std::pair<core::RepairReport, metrics::CacheState> repair(
+      const core::RepairOptions& options,
+      const util::RunBudget& budget = {}) const {
+    metrics::CacheState state = solved;
+    core::PlacementRepairEngine engine(options);
+    core::RepairReport report =
+        engine.repair(snapshot, alive, problem.num_chunks, state, budget)
+            .value();
+    EXPECT_TRUE(
+        core::validate_placement(state, problem.num_chunks, &alive).ok());
+    return {std::move(report), std::move(state)};
+  }
+
+  Graph g;
+  core::FairCachingProblem problem;  // borrows g
+  metrics::CacheState solved;
+  Graph snapshot;
+  std::vector<char> alive;
+};
+
+// The escalation wave's report string plus placement hash, pinned
+// unlimited and under two work caps inside Phase 2 — one right after the
+// third escalation's charge(n), one inside the fourth escalation's ConFL
+// solve — each thread-invariant. The pins were recorded against the
+// implementation that built a fresh instance engine per escalated chunk.
+TEST(RepairGoldenTest, EscalationRepairIsPinned) {
+  const EscalationWave wave;
+  ASSERT_TRUE(wave.g.is_connected());
+  // Budget work (the repair's own charges plus the ConFL growth rounds)
+  // reaches 892 when the third escalation starts; its charge(n) takes it
+  // to 932, and the fourth escalation's solve runs from 994 to 1020.
+  const struct {
+    std::uint64_t cap;
+    const char* report;
+  } goldens[] = {
+      {util::kNoWorkCap,
+       "stop=0 lost=22 restored=7 affected=8 local=2 resolved=6 "
+       "unrepaired=0 stranded=26 work=1008 placement=4d863a68e922e690"},
+      {931,
+       "stop=5 lost=22 restored=10 affected=8 local=2 resolved=2 "
+       "unrepaired=4 stranded=26 work=888 placement=b011090b4f9461f5"},
+      {1005,
+       "stop=5 lost=22 restored=7 affected=8 local=2 resolved=3 "
+       "unrepaired=3 stranded=26 work=928 placement=5594d3318401d381"},
+  };
+  for (const auto& golden : goldens) {
+    const std::string report = testutil::expect_thread_invariant([&] {
+      const auto [r, state] = wave.repair(
+          {}, golden.cap == util::kNoWorkCap
+                  ? util::RunBudget()
+                  : util::RunBudget::work_units(golden.cap));
+      return repair_summary(r, state);
+    });
+    EXPECT_EQ(report, golden.report) << "cap " << golden.cap;
+  }
+}
+
+// One instance engine serves every escalation of a pass, so a guard with
+// cadence 1 audits each build after the first. A cost bit flip injected
+// before build 2 is caught by that build's audit and quarantined; the
+// rebuilt updater carries the pass to the unguarded pass's placement.
+TEST(PlacementRepairTest, GuardAuditsTheSharedEscalationEngine) {
+  const EscalationWave wave;
+  core::RepairOptions unguarded;
+  unguarded.approx.instance.guard.enabled = false;
+  const auto [plain, plain_state] = wave.repair(unguarded);
+  ASSERT_GE(plain.chunks_resolved, 2);
+  const std::uint64_t want = placement_hash(plain_state);
+
+  core::RepairOptions guarded;
+  guarded.approx.instance.guard.cadence = 1;
+  guarded.approx.instance.guard.budget_share = 1.0;  // never throttled
+  {
+    const auto [r, state] = wave.repair(guarded);
+    EXPECT_EQ(r.guard.audits, plain.chunks_resolved - 1);
+    EXPECT_TRUE(r.guard.clean());
+    EXPECT_EQ(placement_hash(state), want);
+  }
+  StateFaultInjector injector(
+      {/*seed=*/3, {{StateFaultClass::kCostBitFlip, /*build=*/2}}});
+  injector.attach(guarded.approx.instance);
+  const auto [r, state] = wave.repair(guarded);
+  EXPECT_EQ(injector.injected(), 1);
+  EXPECT_EQ(r.guard.quarantines, 1);
+  ASSERT_FALSE(r.guard.events.empty());
+  for (const core::CorruptionEvent& event : r.guard.events) {
+    EXPECT_EQ(event.build, 2) << event.what;
+  }
+  EXPECT_EQ(placement_hash(state), want);
 }
 
 TEST(RepairCancellationTest, MidRepairCancelNeverTearsThePlacement) {
