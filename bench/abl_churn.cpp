@@ -1,10 +1,13 @@
-// Ablation — self-healing under peer churn (docs/CHURN.md). Replays two
+// Ablation — self-healing under peer churn (docs/CHURN.md). Replays three
 // seeded churn timelines against a placement computed on the full network
 // and compares graceful degradation with repair disabled (evict only)
 // against the budgeted PlacementRepairEngine: reachable-fraction and
 // component contention cost after every event and every repair pass, the
 // repair work spent, and — the headline — how close the repaired placement
 // stays to the pre-fault quality at a small fraction of a full re-solve.
+// The third timeline escalates chunks to ConFL re-solves with the
+// integrity guard auditing every escalation build, so its guard line
+// counts real audits.
 
 #include <iostream>
 
@@ -42,11 +45,14 @@ struct ScenarioOutcome {
   std::uint64_t unguarded_hash = 0;
 };
 
+// `guard` configures the integrity guard of the repair-enabled run.
 ScenarioOutcome run_scenario(const core::FairCachingProblem& problem,
                              const metrics::CacheState& initial,
-                             const sim::ChurnPlan& plan) {
+                             const sim::ChurnPlan& plan,
+                             const core::GuardOptions& guard = {}) {
   ScenarioOutcome outcome;
   sim::ChurnRunConfig repair_on;
+  repair_on.repair.approx.instance.guard = guard;
   const auto on = sim::run_churn(problem, initial, plan, repair_on);
   FAIRCACHE_CHECK(on.ok(), "repair-enabled churn run failed");
   outcome.with_repair = on.value();
@@ -108,10 +114,12 @@ void print_timeline(const ScenarioOutcome& outcome) {
 // topology. Within the producer's component every chunk is always
 // *reachable* (the producer serves it), so the quality axis is hop
 // distance and contention cost, not raw coverage. Returns false when a
-// deterministic check fails (reachability, guarded vs unguarded hash); the
-// timing line is informational.
+// deterministic check fails (reachability, guarded vs unguarded hash, and
+// with `expect_audits` at least one escalated chunk and one audited build);
+// the timing line is informational.
 bool print_final_comparison(const core::FairCachingProblem& problem,
-                            const ScenarioOutcome& outcome) {
+                            const ScenarioOutcome& outcome,
+                            bool expect_audits = false) {
   const sim::ChurnSample& on = outcome.with_repair.timeline.samples().back();
   const sim::ChurnSample& off = outcome.no_repair.timeline.samples().back();
   std::cout << "\nFinal state (repair on vs evict-only):\n"
@@ -171,7 +179,18 @@ bool print_final_comparison(const core::FairCachingProblem& problem,
             << ": total repair time below one re-solve per event\n"
             << (guard_ok ? "PASS" : "FAIL")
             << ": guarded churn_result_hash bit-identical to unguarded\n";
-  return reach_ok && guard_ok;
+  bool audits_ok = true;
+  if (expect_audits) {
+    int resolved = 0;
+    for (const core::RepairReport& r : outcome.with_repair.reports) {
+      resolved += r.chunks_resolved;
+    }
+    audits_ok = resolved >= 1 && outcome.guard.audits >= 1;
+    std::cout << (audits_ok ? "PASS" : "FAIL") << ": " << resolved
+              << " chunks escalated, " << outcome.guard.audits
+              << " escalation builds audited\n";
+  }
+  return reach_ok && guard_ok && audits_ok;
 }
 
 }  // namespace
@@ -226,6 +245,32 @@ int main() {
     const ScenarioOutcome outcome = run_scenario(problem, initial, plan);
     print_timeline(outcome);
     ok = print_final_comparison(problem, outcome) && ok;
+  }
+
+  // --- Scenario 3: departure waves that escalate, guard auditing every
+  // build. ---
+  {
+    util::Rng rng(1);
+    const graph::Graph g = graph::make_erdos_renyi(40, 0.10, rng);
+    const auto problem =
+        bench::grid_problem(g, /*producer=*/0, /*chunks=*/8, /*capacity=*/2);
+    core::ApproxFairCaching appx;
+    const metrics::CacheState initial = appx.run(problem).state;
+    const sim::ChurnPlan plan = sim::make_departure_waves(
+        40, /*producer=*/0, /*waves=*/2, /*per_wave=*/10, /*period=*/1,
+        /*seed=*/1);
+    core::GuardOptions guard;
+    guard.cadence = 1;
+    guard.budget_share = 1.0;  // never throttled
+
+    std::cout << "\nScenario 3 — 2 waves x 10 permanent departures, "
+                 "Erdos-Renyi n = 40, p = 0.10, Q = 8, capacity = 2; guard "
+                 "audits every escalation build\n\n";
+    const ScenarioOutcome outcome =
+        run_scenario(problem, initial, plan, guard);
+    print_timeline(outcome);
+    ok = print_final_comparison(problem, outcome, /*expect_audits=*/true) &&
+         ok;
   }
 
   std::cout << "\nEvict-only keeps the placement *valid* but increasingly "

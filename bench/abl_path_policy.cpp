@@ -1,7 +1,10 @@
 // Ablation — path model for the contention cost c_ij: the paper routes on
 // hop-shortest paths (its simulation methodology); the alternative is to
 // route on minimum-contention paths (node-weighted Dijkstra). Compares
-// both the algorithm-side model and the evaluation-side model.
+// both the algorithm-side model and the evaluation-side model. The
+// algorithm side runs Algorithm 1's stateless chunk loop
+// (core::stateless_solve), the one solve path for min-contention rows; on
+// hop-shortest rows it places bit for bit like ApproxFairCaching.
 
 #include <iostream>
 
@@ -22,13 +25,13 @@ int main() {
 
   for (const auto algo_policy : {metrics::PathPolicy::kHopShortest,
                                  metrics::PathPolicy::kMinContention}) {
-    core::ApproxConfig config;
-    config.instance.path_policy = algo_policy;
-    core::ApproxFairCaching appx(config);
-    const auto result = appx.run(problem);
+    const auto result = core::stateless_solve(problem, {}, algo_policy).value();
     for (const auto eval_policy : {metrics::PathPolicy::kHopShortest,
                                    metrics::PathPolicy::kMinContention}) {
-      const auto eval = result.evaluate(problem, eval_policy);
+      metrics::EvaluatorOptions options;
+      options.num_chunks = problem.num_chunks;
+      options.path_policy = eval_policy;
+      const auto eval = metrics::evaluate_placement(g, result.state, options);
       const auto counts = result.state.stored_counts();
       table.add_row()
           << (algo_policy == metrics::PathPolicy::kHopShortest ? "hop"

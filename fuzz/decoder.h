@@ -16,6 +16,7 @@
 #include "core/approx.h"
 #include "core/problem.h"
 #include "graph/graph.h"
+#include "metrics/contention.h"
 #include "sim/serving.h"
 #include "util/parallel.h"
 
@@ -54,6 +55,9 @@ struct DecodedProblem {
   graph::Graph network;
   core::FairCachingProblem problem;
   core::ApproxConfig config;
+  // Path policy of fuzz_instance's stateless builder; the stateful engines
+  // always run hop-shortest paths.
+  metrics::PathPolicy stateless_policy = metrics::PathPolicy::kHopShortest;
   sim::ServingConfig serving;  // solver options mirrored into .online.approx
   bool serving_adaptive = false;  // drive the adaptive-gradient policy
 };
@@ -84,18 +88,19 @@ inline void decode_problem(const std::uint8_t* data, std::size_t size,
   }
 
   // Solver options: positive steps, small span thresholds, both Steiner
-  // engines, both row layouts and both path policies. Single-threaded —
-  // fuzz iterations must stay cheap. Bit 0 of the options byte is unused;
-  // the other fields keep their bits so the committed corpus decodes to the
-  // same options.
+  // engines, both row layouts and both path policies of the stateless
+  // builder. Single-threaded — fuzz iterations must stay cheap. Bit 0 of
+  // the options byte is unused; the other fields keep their bits so the
+  // committed corpus decodes to the same options.
   const std::uint8_t opt = in.u8();
   out.config.confl.gamma_step = 0.5 * (1 + ((opt >> 4) & 0x7));
   out.config.confl.steiner_engine = (opt & 0x80) != 0
                                         ? steiner::Engine::kVoronoi
                                         : steiner::Engine::kClosureKmb;
   // The span byte's low bits pick the threshold; its high bit selects
-  // min-contention paths, so the targets drive both the stateless per-chunk
-  // rows and the delta-update paths of hop-shortest trees.
+  // min-contention paths for the stateless builder, so fuzz_instance drives
+  // min-contention rows next to the delta-update paths of hop-shortest
+  // trees.
   const std::uint8_t span_byte = in.u8();
   out.config.confl.span_threshold = 1 + span_byte % 4;
   // α step: k/4 or k/10, k = 1..8 from the options byte. Bits 2–3 of the
@@ -105,13 +110,14 @@ inline void decode_problem(const std::uint8_t* data, std::size_t size,
   // ceil(c / step) guess.
   const double alpha_parts = (span_byte & 0xC) == 0 ? 4.0 : 10.0;
   out.config.confl.alpha_step = (1 + ((opt >> 1) & 0x7)) / alpha_parts;
-  out.config.instance.path_policy = (span_byte & 0x80) != 0
-                                        ? metrics::PathPolicy::kMinContention
-                                        : metrics::PathPolicy::kHopShortest;
+  out.stateless_policy = (span_byte & 0x80) != 0
+                              ? metrics::PathPolicy::kMinContention
+                              : metrics::PathPolicy::kHopShortest;
   // The sparse byte drives the row layout: low two bits equal to 1 pick
-  // kSparse (which kMinContention makes an expected kInvalidInput), any
-  // other value kIncremental; the remaining six are the truncation radius —
-  // 0 (unbounded) through 63, far past any 32-node diameter.
+  // kSparse (which makes min-contention stateless rows an expected
+  // kInvalidInput), any other value kIncremental; the remaining six are the
+  // truncation radius — 0 (unbounded) through 63, far past any 32-node
+  // diameter.
   const std::uint8_t sparse_byte = in.u8();
   out.config.instance.contention_mode =
       (sparse_byte & 0x3) == 1 ? core::ContentionMode::kSparse

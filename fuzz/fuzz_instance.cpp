@@ -1,16 +1,17 @@
 // Fuzz target: the instance-construction boundary and the growth engine.
 // Arbitrary bytes decode to a problem; validation must classify it with a
 // typed Status, and a validated problem must always yield a well-formed
-// ConFL instance — except kSparse rows under kMinContention paths, which
-// every builder must reject as kInvalidInput. Over two chunks (the second
-// after placing the first, so the chunk engine takes its delta path) the
-// engine's costs must equal the stateless builder's bit for bit, and the
-// stateless instance must solve under the decoded options to the dense
-// reference engine's solution, bit for bit (n ≤ 32 keeps the reference
-// cheap). When the decoded layout is kSparse, the CSR instance at the
-// decoded radius must solve to the reference's solution on its dense twin
-// (+inf outside the radius) too. Any uncaught exception or abort is a
-// finding.
+// ConFL instance. Over two chunks (the second after placing the first, so
+// the chunk engine takes its delta path) the engine's costs must equal the
+// stateless builder's on hop-shortest paths bit for bit, and the stateless
+// instance on the decoded path policy must solve under the decoded options
+// to the dense reference engine's solution, bit for bit (n ≤ 32 keeps the
+// reference cheap); that solution places the chunk. Min-contention rows
+// with the kSparse layout must be rejected as kInvalidInput, and the
+// hop-shortest instance stands in for them. When the decoded layout is
+// kSparse, the CSR instance at the decoded radius must solve to the
+// reference's solution on its dense twin (+inf outside the radius) too.
+// Any uncaught exception or abort is a finding.
 
 #include <cstdint>
 #include <cstdlib>
@@ -150,18 +151,8 @@ int run_instance_target(const std::uint8_t* data, std::size_t size) {
   core::ChunkInstanceEngine engine(d.problem, d.config.instance);
   const bool sparse =
       d.config.instance.contention_mode == core::ContentionMode::kSparse;
-  if (sparse &&
-      d.config.instance.path_policy != metrics::PathPolicy::kHopShortest) {
-    // CSR rows pin hop-shortest trees: every builder rejects the pair.
-    if (core::try_build_chunk_instance(d.problem, state, d.config.instance)
-                .code() != util::StatusCode::kInvalidInput ||
-        engine.build(state, /*chunk=*/0).code() !=
-            util::StatusCode::kInvalidInput ||
-        engine.sync(state).code() != util::StatusCode::kInvalidInput) {
-      std::abort();
-    }
-    return 0;
-  }
+  const bool min_contention =
+      d.stateless_policy == metrics::PathPolicy::kMinContention;
 
   for (metrics::ChunkId chunk = 0; chunk < 2; ++chunk) {
     const util::Result<confl::ConflInstance> stateless =
@@ -176,13 +167,28 @@ int run_instance_target(const std::uint8_t* data, std::size_t size) {
     if (!confl::validate_confl_instance(stateless.value()).ok()) std::abort();
     expect_same_costs(built.value(), stateless.value());
 
+    // The instance on the decoded path policy. Min-contention rows come
+    // from the stateless builder only, and never with kSparse (CSR rows
+    // pin hop-shortest trees); there the hop-shortest instance stands in.
+    const util::Result<confl::ConflInstance> min_rows =
+        core::try_build_chunk_instance(d.problem, state, d.config.instance,
+                                       chunk,
+                                       metrics::PathPolicy::kMinContention);
+    if (sparse ? min_rows.code() != util::StatusCode::kInvalidInput
+               : !min_rows.ok() ||
+                     !confl::validate_confl_instance(min_rows.value()).ok()) {
+      std::abort();
+    }
+    const confl::ConflInstance& decoded =
+        min_contention && !sparse ? min_rows.value() : stateless.value();
+
     // Differential check of the growth engine against the reference (the
     // stateless builder always yields the dense matrix the reference
     // needs), and of the CSR rows against the reference on their dense
     // twin.
-    const confl::ConflSolution solution = expect_reference_solution(
-        stateless.value(), stateless.value(), d.config.confl);
-    expect_reference_kmb_tree(stateless.value(), solution);
+    const confl::ConflSolution solution =
+        expect_reference_solution(decoded, decoded, d.config.confl);
+    expect_reference_kmb_tree(decoded, solution);
     if (sparse) {
       expect_reference_solution(built.value(), dense_twin(built.value()),
                                 d.config.confl);

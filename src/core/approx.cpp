@@ -7,6 +7,49 @@
 
 namespace faircache::core {
 
+namespace {
+
+// Caches `chunk` on the solution's open facilities. A node with finite f_i
+// always has room (full nodes are +inf), and the solver never opens the
+// producer; can_cache guards anyway for robustness.
+ChunkPlacement place_chunk(const confl::ConflSolution& solution,
+                           metrics::ChunkId chunk, metrics::CacheState& state) {
+  ChunkPlacement placement;
+  placement.chunk = chunk;
+  placement.solver_objective = solution.total();
+  placement.solver_rounds = solution.rounds;
+  for (graph::NodeId v : solution.open_facilities) {
+    if (state.can_cache(v, chunk)) {
+      state.add(v, chunk);
+      placement.cache_nodes.push_back(v);
+    }
+  }
+  return placement;
+}
+
+}  // namespace
+
+util::Result<FairCachingResult> stateless_solve(
+    const FairCachingProblem& problem, const ApproxConfig& config,
+    metrics::PathPolicy policy) {
+  if (util::Status status = validate_problem(problem); !status.ok()) {
+    return status;
+  }
+  FairCachingResult result;
+  result.state = problem.make_initial_state();
+  for (metrics::ChunkId chunk = 0; chunk < problem.num_chunks; ++chunk) {
+    util::Result<confl::ConflInstance> instance = try_build_chunk_instance(
+        problem, result.state, config.instance, chunk, policy);
+    if (!instance.ok()) return instance.status();
+    util::Result<confl::ConflSolution> solution =
+        confl::try_solve_confl(instance.value(), config.confl);
+    if (!solution.ok()) return solution.status();
+    result.placements.push_back(
+        place_chunk(solution.value(), chunk, result.state));
+  }
+  return result;
+}
+
 FairCachingResult ApproxFairCaching::run(const FairCachingProblem& problem) {
   return solve(problem).value();
 }
@@ -34,8 +77,7 @@ util::Result<FairCachingResult> ApproxFairCaching::solve(
     if (budget.expired()) break;
     util::Stopwatch phase;
     // Lines 5–16: refresh f_i and c_ij from the current storage state —
-    // incrementally when the engine can delta-patch the previous chunk's
-    // buffers, from scratch otherwise.
+    // a delta patch of the previous chunk's buffers after chunk 0.
     util::Result<confl::ConflInstance> instance =
         engine.build(result.state, chunk);
     rep.build_seconds += phase.elapsed_seconds();
@@ -55,20 +97,8 @@ util::Result<FairCachingResult> ApproxFairCaching::solve(
     // The solver is done with the cost buffers: hand them back so the next
     // chunk's build can patch them in place.
     engine.reclaim(std::move(instance).value());
-
-    ChunkPlacement placement;
-    placement.chunk = chunk;
-    placement.solver_objective = solution.value().total();
-    placement.solver_rounds = solution.value().rounds;
-    for (graph::NodeId v : solution.value().open_facilities) {
-      // A node with finite f_i always has room (full nodes are +inf), and
-      // the solver never opens the producer; guard anyway for robustness.
-      if (result.state.can_cache(v, chunk)) {
-        result.state.add(v, chunk);
-        placement.cache_nodes.push_back(v);
-      }
-    }
-    result.placements.push_back(std::move(placement));
+    result.placements.push_back(
+        place_chunk(solution.value(), chunk, result.state));
   }
   rep.build_tree_seconds = engine.stats().tree_seconds;
   rep.build_delta_seconds = engine.stats().delta_seconds;

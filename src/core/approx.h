@@ -33,8 +33,8 @@ struct ApproxConfig {
   // bit-identical to the pre-PR-5 golden outputs.
   confl::ConflOptions confl;
   // `instance.contention_mode` selects the per-chunk row layout (dense or
-  // CSR); under hop-shortest paths either delta-patches pinned BFS trees
-  // between chunks (core/instance_builder.h).
+  // CSR); either delta-patches pinned BFS trees between chunks
+  // (core/instance_builder.h).
   InstanceOptions instance;
 };
 
@@ -49,10 +49,9 @@ struct SolveReport {
   std::vector<metrics::ChunkId> degraded_chunks;
   double build_seconds = 0.0;     // per-chunk instance builds (lines 5–16)
   // Split of the contention-cost share of build_seconds: full builds
-  // (pinning the BFS trees on chunk 0, and every stateless chunk under
-  // kMinContention) vs the delta sweeps of hop-shortest chunks after the
-  // first. Their sum is ≤ build_seconds (the remainder is fairness costs
-  // and plumbing).
+  // (pinning the BFS trees on chunk 0, or again after a quarantine) vs the
+  // delta sweeps of the chunks after it. Their sum is ≤ build_seconds (the
+  // remainder is fairness costs and plumbing).
   double build_tree_seconds = 0.0;
   double build_delta_seconds = 0.0;
   double solve_seconds = 0.0;     // ConFL solves (lines 17–47)
@@ -69,6 +68,19 @@ struct SolveReport {
     return chunks_total - static_cast<int>(degraded_chunks.size());
   }
 };
+
+// Algorithm 1 without engine state: a fresh try_build_chunk_instance per
+// chunk on `policy` paths, one ConFL solve, the opened facilities cached.
+// The one solve path for min-contention routing, which the paper does not
+// use: it prices hop-shortest paths, and min-contention routing is only
+// the path-model ablation's variant. Under hop-shortest paths it is the
+// reference that ApproxFairCaching's delta-patched chunk loop reproduces
+// bit for bit (integer weights). Unbudgeted. kInvalidInput / kInfeasible as
+// ApproxFairCaching::solve, and kInvalidInput for kSparse rows with
+// kMinContention.
+util::Result<FairCachingResult> stateless_solve(
+    const FairCachingProblem& problem, const ApproxConfig& config = {},
+    metrics::PathPolicy policy = metrics::PathPolicy::kHopShortest);
 
 class ApproxFairCaching : public CachingAlgorithm {
  public:

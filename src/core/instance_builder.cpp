@@ -2,16 +2,12 @@
 
 #include <optional>
 #include <utility>
-#include <vector>
-
-#include "util/stopwatch.h"
 
 namespace faircache::core {
 
 namespace {
 
-// `chunk` is empty for a query-only sync(), which reads no demand row. CSR
-// rows pin hop-shortest trees, so kSparse rejects kMinContention.
+// `chunk` is empty for a query-only sync(), which reads no demand row.
 util::Status validate_build_inputs(const FairCachingProblem& problem,
                                    const metrics::CacheState& state,
                                    const InstanceOptions& options,
@@ -21,11 +17,6 @@ util::Status validate_build_inputs(const FairCachingProblem& problem,
   }
   if (state.num_nodes() != problem.network->num_nodes()) {
     return util::Status::invalid_input("state / network size mismatch");
-  }
-  if (options.contention_mode == ContentionMode::kSparse &&
-      options.path_policy != metrics::PathPolicy::kHopShortest) {
-    return util::Status::invalid_input(
-        "kSparse rows need hop-shortest paths");
   }
   if (options.demand != nullptr && chunk.has_value() &&
       (*chunk < 0 ||
@@ -56,16 +47,22 @@ confl::ConflInstance instance_shell(const FairCachingProblem& problem,
 
 util::Result<confl::ConflInstance> try_build_chunk_instance(
     const FairCachingProblem& problem, const metrics::CacheState& state,
-    const InstanceOptions& options, metrics::ChunkId chunk) {
+    const InstanceOptions& options, metrics::ChunkId chunk,
+    metrics::PathPolicy policy) {
   if (util::Status status =
           validate_build_inputs(problem, state, options, chunk);
       !status.ok()) {
     return status;
   }
+  // CSR rows pin hop-shortest trees.
+  if (options.contention_mode == ContentionMode::kSparse &&
+      policy != metrics::PathPolicy::kHopShortest) {
+    return util::Status::invalid_input(
+        "kSparse rows need hop-shortest paths");
+  }
   confl::ConflInstance instance =
       instance_shell(problem, state, options, chunk);
-  metrics::ContentionMatrix contention(*problem.network, state,
-                                       options.path_policy);
+  metrics::ContentionMatrix contention(*problem.network, state, policy);
   instance.assign_cost = contention.take_matrix();
   instance.edge_cost = contention.take_edge_costs();
   return instance;
@@ -74,10 +71,7 @@ util::Result<confl::ConflInstance> try_build_chunk_instance(
 ChunkInstanceEngine::ChunkInstanceEngine(const FairCachingProblem& problem,
                                          const InstanceOptions& options)
     : problem_(&problem), options_(options), guard_(options_.guard) {
-  // The updater pins hop-shortest BFS trees; kMinContention paths depend
-  // on the weights themselves, so they get stateless rows every chunk.
-  if (problem_->network != nullptr &&
-      options_.path_policy == metrics::PathPolicy::kHopShortest) {
+  if (problem_->network != nullptr) {
     updater_ = make_updater(options_.guard.enabled);
   }
 }
@@ -110,19 +104,12 @@ double ChunkInstanceEngine::update_updater(const metrics::CacheState& state) {
 util::Result<confl::ConflInstance> ChunkInstanceEngine::build(
     const metrics::CacheState& state, metrics::ChunkId chunk) {
   const int build_index = ++builds_;
-  if (options_.pre_build_hook) options_.pre_build_hook(*this, build_index);
-  if (updater_ == nullptr) {
-    util::Stopwatch timer;
-    util::Result<confl::ConflInstance> instance =
-        try_build_chunk_instance(*problem_, state, options_, chunk);
-    stats_.tree_seconds += timer.elapsed_seconds();
-    return instance;
-  }
   if (util::Status status =
           validate_build_inputs(*problem_, state, options_, chunk);
       !status.ok()) {
     return status;
   }
+  if (options_.pre_build_hook) options_.pre_build_hook(*this, build_index);
   confl::ConflInstance instance =
       instance_shell(*problem_, state, options_, chunk);
   // Audit BEFORE update(): a corrupted pinned tree must be caught before
@@ -141,7 +128,7 @@ util::Result<confl::ConflInstance> ChunkInstanceEngine::build(
 }
 
 void ChunkInstanceEngine::reclaim(confl::ConflInstance&& instance) {
-  if (updater_ == nullptr) return;
+  FAIRCACHE_DCHECK(updater_ != nullptr, "reclaim without a built instance");
   updater_->restore({std::move(instance.assign_cost),
                      std::move(instance.sparse_cost),
                      std::move(instance.edge_cost)});
@@ -154,30 +141,18 @@ util::Status ChunkInstanceEngine::sync(const metrics::CacheState& state) {
       !status.ok()) {
     return status;
   }
-  if (updater_ != nullptr) {
-    update_updater(state);
-    return util::Status();  // OK
-  }
-  std::vector<int> counts = state.stored_counts();
-  if (query_matrix_ == nullptr || counts != query_counts_) {
-    util::Stopwatch timer;
-    query_matrix_ = std::make_unique<metrics::ContentionMatrix>(
-        *problem_->network, state, options_.path_policy);
-    query_counts_ = std::move(counts);
-    stats_.tree_seconds += timer.elapsed_seconds();
-  }
+  update_updater(state);
   return util::Status();  // OK
 }
 
 bool ChunkInstanceEngine::query_ready() const {
-  return updater_ != nullptr ? updater_->ready() : query_matrix_ != nullptr;
+  return updater_ != nullptr && updater_->ready();
 }
 
 double ChunkInstanceEngine::query_cost(graph::NodeId i,
                                        graph::NodeId j) const {
   FAIRCACHE_DCHECK(query_ready());
-  return updater_ != nullptr ? updater_->cost(i, j)
-                             : query_matrix_->cost(i, j);
+  return updater_->cost(i, j);
 }
 
 void ChunkInstanceEngine::guard_tick(int build_index) {
@@ -195,7 +170,7 @@ void ChunkInstanceEngine::guard_tick(int build_index) {
 
 bool ChunkInstanceEngine::corrupt_for_testing(
     const util::StateCorruption& corruption) {
-  return updater_ != nullptr && updater_->corrupt_for_testing(corruption);
+  return updater_->corrupt_for_testing(corruption);
 }
 
 }  // namespace faircache::core

@@ -6,14 +6,15 @@
 // *current* cache state, which is how Algorithm 1 couples consecutive
 // chunks (caching a chunk raises a node's f_i and its 1+S(k) factor).
 //
-// Under hop-shortest paths core::ChunkInstanceEngine keeps one
-// metrics::ContentionUpdater alive across the chunk loop: BFS trees are
-// pinned once and each later chunk only applies the weight deltas from the
-// nodes the previous placement touched (docs/PERF.md, "Contention
-// updater"). Min-contention paths depend on the weights themselves, so
-// there every chunk gets fresh rows from the stateless builder
-// (try_build_chunk_instance). On the paper's integer-valued contention
-// weights both paths are bit-identical.
+// core::ChunkInstanceEngine keeps one metrics::ContentionUpdater alive
+// across the chunk loop: hop-shortest BFS trees are pinned once and each
+// later chunk only applies the weight deltas from the nodes the previous
+// placement touched (docs/PERF.md, "Contention updater"). The engine runs
+// the paper's hop-shortest paths only. Min-contention paths (an ablation)
+// depend on the weights themselves, so no tree can be pinned: their rows
+// come from the stateless builder try_build_chunk_instance, chunk by chunk
+// (core::stateless_solve). On the paper's integer-valued contention
+// weights both builders are bit-identical under hop-shortest paths.
 
 #include <functional>
 #include <memory>
@@ -31,22 +32,19 @@ class ChunkInstanceEngine;
 
 // The row layout of the contention costs: a dense n×n
 // ConflInstance::assign_cost, or ConflInstance::sparse_cost candidate rows.
-// Whether rows are delta-patched or rebuilt follows the path policy.
 enum class ContentionMode {
-  // Dense rows: exact on integer-valued weights, and under hop-shortest
-  // paths the full build of every chunk after the first drops from O(n·m)
-  // to one linear sweep. The default.
+  // Dense rows: exact on integer-valued weights; the full build of every
+  // chunk after the first drops from O(n·m) to one linear sweep. The
+  // default.
   kIncremental,
   // CSR rows (metrics::SparseContention): only pairs within
   // `contention_radius` hops are materialized, breaking the O(n²) memory
-  // wall (docs/PERF.md). Hop-shortest only: kMinContention is rejected as
-  // kInvalidInput. With radius ≥ the graph diameter the placements are
-  // bit-identical to kIncremental on connected networks.
+  // wall (docs/PERF.md). With radius ≥ the graph diameter the placements
+  // are bit-identical to kIncremental on connected networks.
   kSparse,
 };
 
 struct InstanceOptions {
-  metrics::PathPolicy path_policy = metrics::PathPolicy::kHopShortest;
   double edge_scale = 1.0;  // the M multiplier on dissemination edges
   metrics::FairnessModel fairness;
   // Optional demand matrix demand[chunk][node] (e.g. from
@@ -56,7 +54,7 @@ struct InstanceOptions {
   const std::vector<std::vector<double>>* demand = nullptr;
   // Row layout used by ChunkInstanceEngine (and thus by ApproxFairCaching's
   // chunk loop). The stateless try_build_chunk_instance below always builds
-  // dense rows, but rejects kSparse with kMinContention like the engine.
+  // dense rows.
   ContentionMode contention_mode = ContentionMode::kIncremental;
   // Hop radius for kSparse: each facility row materializes only the
   // clients within this many hops (the producer's row is always full so
@@ -68,16 +66,16 @@ struct InstanceOptions {
   // docs/ROBUSTNESS.md, "Integrity guard"). Defaults keep checksums
   // maintained and audit every 16th build.
   GuardOptions guard;
-  // Test-only: called at the top of every ChunkInstanceEngine::build()
-  // with the engine and the 1-based build index, before validation and
+  // Test-only: called by every ChunkInstanceEngine::build() that passes
+  // validation, with the engine and the 1-based build index, before
   // auditing. sim::StateFaultInjector binds corruption campaigns here;
   // production code leaves it empty.
   std::function<void(ChunkInstanceEngine&, int)> pre_build_hook;
 };
 
 // Where the contention-build time went, cumulative over an engine's life:
-// full builds (BFS trees + initial matrix, and every stateless chunk under
-// kMinContention) vs delta sweeps (hop-shortest chunks after the first).
+// full builds (BFS trees + initial rows) vs delta sweeps (chunks after the
+// first).
 struct InstanceBuildStats {
   double tree_seconds = 0.0;
   double delta_seconds = 0.0;
@@ -85,22 +83,23 @@ struct InstanceBuildStats {
 
 // The returned instance borrows `problem.network`; it must outlive the
 // instance. `chunk` selects the demand row when `options.demand` is set.
-// Stateless and one-shot: fresh dense rows from a metrics::ContentionMatrix.
-// kInvalidInput for a missing network, a state sized for a different
-// network, a demand matrix without a row for `chunk`, or kSparse with
-// kMinContention.
+// Stateless and one-shot: fresh dense rows from a metrics::ContentionMatrix
+// on `policy` paths — the one builder of min-contention rows. kInvalidInput
+// for a missing network, a state sized for a different network, a demand
+// matrix without a row for `chunk`, or kSparse with kMinContention (CSR
+// rows pin hop-shortest trees; the pair never falls back to dense rows).
 util::Result<confl::ConflInstance> try_build_chunk_instance(
     const FairCachingProblem& problem, const metrics::CacheState& state,
-    const InstanceOptions& options, metrics::ChunkId chunk = 0);
+    const InstanceOptions& options, metrics::ChunkId chunk = 0,
+    metrics::PathPolicy policy = metrics::PathPolicy::kHopShortest);
 
-// Stateful instance factory for a chunk loop over one problem. Under
-// hop-shortest paths the contention buffers and pinned BFS trees persist
+// Stateful instance factory for a chunk loop over one problem, on
+// hop-shortest paths. The contention buffers and pinned BFS trees persist
 // between build() calls; hand each solved instance back via reclaim() so
 // the next build() can delta-patch the rows the solver just used instead
-// of reconstructing them. Without reclaim() (or under kMinContention) every
-// build() is a full rebuild — still correct, just slower. The problem's
-// network must outlive the engine and must not change topology while it is
-// alive.
+// of reconstructing them. Without reclaim() every build() is a full
+// rebuild — still correct, just slower. The problem's network must outlive
+// the engine and must not change topology while it is alive.
 class ChunkInstanceEngine {
  public:
   ChunkInstanceEngine(const FairCachingProblem& problem,
@@ -112,19 +111,17 @@ class ChunkInstanceEngine {
                                            metrics::ChunkId chunk);
 
   // Returns the cost buffers of an instance produced by build() to the
-  // live updater. The instance is consumed. No-op under kMinContention.
+  // live updater. The instance is consumed.
   void reclaim(confl::ConflInstance&& instance);
 
   // Query-only synchronisation: brings the engine's contention costs in
   // line with `state` WITHOUT building a ConflInstance, so point queries
   // stay O(log row) instead of an n×n materialisation per caller
   // (core::OnlineFairCaching::access_cost / fetch, sim::ServingEngine).
-  // Hop-shortest paths delta-patch the live updater (the first call pays
-  // the full build); kMinContention keeps a private dense matrix that is
-  // rebuilt only when the stored counts actually changed. kInvalidInput
-  // like build() (missing network, state sized for a different network,
-  // kSparse with kMinContention). Audits ride build()'s cadence only —
-  // sync() never consumes guard budget.
+  // Delta-patches the live updater (the first call pays the full build).
+  // kInvalidInput like build() (missing network, state sized for a
+  // different network). Audits ride build()'s cadence only — sync() never
+  // consumes guard budget.
   util::Status sync(const metrics::CacheState& state);
 
   // True once sync() (or a build()/reclaim() round-trip) has costs home
@@ -145,8 +142,7 @@ class ChunkInstanceEngine {
 
   // Test-only fault hook: forwards to the live updater's
   // corrupt_for_testing (sim/state_faults.h drives this through
-  // InstanceOptions::pre_build_hook). False under kMinContention (stateless
-  // — nothing persists to corrupt) or before the first build.
+  // InstanceOptions::pre_build_hook). False before the first build.
   bool corrupt_for_testing(const util::StateCorruption& corruption);
 
  private:
@@ -166,13 +162,8 @@ class ChunkInstanceEngine {
 
   const FairCachingProblem* problem_;
   InstanceOptions options_;
-  // Non-null exactly when the network is set and paths are hop-shortest.
+  // Non-null exactly when the network is set, so after validation.
   std::unique_ptr<metrics::ContentionUpdater> updater_;
-  // kMinContention query cache for sync()/query_cost(): the dense matrix
-  // of the last synced state plus the stored counts it reflects (rebuilt
-  // only when they change). Never set while an updater is live.
-  std::unique_ptr<metrics::ContentionMatrix> query_matrix_;
-  std::vector<int> query_counts_;
   InstanceBuildStats stats_;
   EngineGuard guard_;
   int builds_ = 0;          // build() calls so far (1-based index source)

@@ -88,15 +88,12 @@ struct FairCachingResult {
                             static_cast<double>(pairs);
   }
 
-  // Scores the final placement with the shared evaluator. Casualties are
-  // excluded both as consumers and as sources.
+  // Scores the final placement with the shared evaluator on hop-shortest
+  // paths. Casualties are excluded both as consumers and as sources.
   metrics::PlacementEvaluation evaluate(
-      const FairCachingProblem& problem,
-      metrics::PathPolicy policy =
-          metrics::PathPolicy::kHopShortest) const {
+      const FairCachingProblem& problem) const {
     metrics::EvaluatorOptions options;
     options.num_chunks = problem.num_chunks;
-    options.path_policy = policy;
     options.alive = alive.empty() ? nullptr : &alive;
     return metrics::evaluate_placement(*problem.network, state, options);
   }

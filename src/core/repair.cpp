@@ -76,13 +76,6 @@ util::Result<RepairReport> PlacementRepairEngine::repair(
   if (num_chunks < 0) {
     return Status::invalid_input("negative chunk count");
   }
-  // Every escalation build would refuse the pair; refuse it before the
-  // eviction and the local pass have touched `state`.
-  if (options_.approx.instance.contention_mode == ContentionMode::kSparse &&
-      options_.approx.instance.path_policy !=
-          metrics::PathPolicy::kHopShortest) {
-    return Status::invalid_input("kSparse rows need hop-shortest paths");
-  }
   const NodeId producer = state.producer();
   if (producer < 0 || producer >= n) {
     return Status::invalid_input("placement has no valid producer");

@@ -118,9 +118,8 @@ class PlacementRepairEngine {
   // liveness mask `alive` (dead nodes must be isolated in or absent from
   // the BFS reachability sense — the engine never routes through them).
   //
-  //  * kInvalidInput for size mismatches, a negative chunk count, a dead
-  //    producer, or kSparse rows with kMinContention paths in
-  //    options().approx.instance — returned before any mutation.
+  //  * kInvalidInput for size mismatches, a negative chunk count or a dead
+  //    producer — returned before any mutation.
   //  * Budget expiry is NOT an error: the result is OK, `state` is valid
   //    (eviction always completes) and the report's stop_reason carries
   //    the typed reason with per-chunk truncation counts.

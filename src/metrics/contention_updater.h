@@ -82,8 +82,9 @@ class ContentionUpdater {
  public:
   // The graph must outlive the updater; its topology must not change
   // (edges added after construction would invalidate the pinned trees).
-  // Only PathPolicy::kHopShortest is supported — weight-dependent paths
-  // (kMinContention) cannot be pinned.
+  // Rows follow hop-shortest paths, the only paths that can be pinned:
+  // min-contention paths depend on the weights themselves, so their rows
+  // come from ContentionMatrix.
   ContentionUpdater(const graph::Graph& g, ContentionLayout layout,
                     ContentionUpdaterOptions options = {});
   ~ContentionUpdater();

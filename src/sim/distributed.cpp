@@ -143,8 +143,7 @@ core::FairCachingResult DistributedFairCaching::run(
     // every reply arrives and the local view equals the global contention
     // matrix restricted to k-hop pairs (summing per-node CC replies along
     // the BFS path yields exactly that). ---
-    const metrics::ContentionMatrix contention(
-        g, result.state, config_.instance.path_policy);
+    const metrics::ContentionMatrix contention(g, result.state);
     const std::vector<double> fairness =
         config_.instance.fairness.costs(result.state);
 

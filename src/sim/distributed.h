@@ -49,7 +49,7 @@ struct DistributedConfig {
   double gamma_step = 4.0;  // U_γ (see confl::ConflOptions::gamma_step)
   int span_threshold = 3;   // M SPAN requests to become ADMIN
   int max_rounds = 0;       // 0 = automatic bound
-  core::InstanceOptions instance;  // fairness model, path policy
+  core::InstanceOptions instance;  // fairness model (hop-shortest paths)
   // Fault injection: when set (even to an all-zero plan) every message
   // crosses a FaultyChannel and the reliability layer is enabled.
   std::optional<FaultPlan> faults;

@@ -56,9 +56,9 @@ util::Status validate_state_fault_plan(const StateFaultPlan& plan);
 
 // Executes a StateFaultPlan against one engine. Bind with attach() before
 // the first build(); the injector must outlive the engine's option copy's
-// last build() call. Faults whose class does not apply to the engine
-// (any fault under kMinContention, whose rows come from the stateless
-// builder try_build_chunk_instance) are counted as skipped, not errors.
+// last build() call. A fault the engine cannot take (no rows before the
+// first build, or an empty block) is counted as skipped, not as an error;
+// a build that fails validation runs no hook.
 class StateFaultInjector {
  public:
   explicit StateFaultInjector(StateFaultPlan plan);

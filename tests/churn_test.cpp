@@ -377,28 +377,6 @@ TEST(PlacementRepairTest, StarTopologyEscalatesToResolve) {
   EXPECT_TRUE(core::validate_placement(state, 1, &alive).ok());
 }
 
-TEST(PlacementRepairTest, RejectsSparseMinContentionBeforeAnyMutation) {
-  // CSR rows pin hop-shortest trees, so the pair can never build an
-  // escalation instance. The star's dead holder would be evicted and its
-  // chunk escalated; the options must be refused before either happens.
-  const Graph g = graph::make_star(8);
-  metrics::CacheState state(8, 2, 0);
-  state.add(3, 0);
-  state.add(5, 0);
-  const metrics::CacheState before = state;
-  std::vector<char> alive(8, 1);
-  alive[3] = 0;
-
-  core::RepairOptions options;
-  options.approx.instance.contention_mode = core::ContentionMode::kSparse;
-  options.approx.instance.path_policy = metrics::PathPolicy::kMinContention;
-  core::PlacementRepairEngine engine(options);
-  EXPECT_EQ(engine.repair(g, alive, 1, state).code(),
-            util::StatusCode::kInvalidInput);
-  EXPECT_EQ(state.stored_counts(), before.stored_counts());
-  EXPECT_EQ(placement_hash(state), placement_hash(before));
-}
-
 TEST(PlacementRepairTest, CountsUnservableStrandedDemand) {
   // Path 0-1-2-3 with the middle node dead: nodes 2, 3 are cut off from
   // the producer's component and hold no copy — stranded, not repairable.

@@ -210,7 +210,7 @@ TEST(OnlineTest, EvictRetireReinsertInterleavingsStayConsistent) {
   }
 }
 
-TEST(OnlineTest, RebuildModeMatchesLegacyStatelessLoop) {
+TEST(OnlineTest, EngineInsertsMatchLegacyStatelessLoop) {
   // The engine-backed inserts (delta-patched rows) must reproduce the
   // pre-engine online path bit for bit: a fresh stateless instance per
   // insert, the replacement penalty applied on top, one ConFL solve,

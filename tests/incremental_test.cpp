@@ -373,31 +373,33 @@ TEST(ChunkInstanceEngineTest, IncrementalBuildsEqualStatelessBuilds) {
   EXPECT_GT(engine.stats().delta_seconds, 0.0);
 }
 
+// Min-contention rows never reach the engine: the stateless builder makes
+// them from a min-contention ContentionMatrix, on a churned state whose
+// weights make the two path policies disagree.
 TEST(ChunkInstanceEngineTest, MinContentionPolicyFallsBackToRebuild) {
   const Graph g = graph::make_grid(5, 5);
   const core::FairCachingProblem problem = grid_problem(g);
-  core::InstanceOptions options;
-  options.path_policy = metrics::PathPolicy::kMinContention;
-  core::ChunkInstanceEngine engine(problem, options);
-
-  const metrics::CacheState state = problem.make_initial_state();
-  util::Result<confl::ConflInstance> built = engine.build(state, 0);
+  util::Rng rng(5);
+  const metrics::CacheState state =
+      testutil::churned_state(g, rng, 40, /*capacity=*/5);
+  const util::Result<confl::ConflInstance> built =
+      core::try_build_chunk_instance(problem, state, {}, 0,
+                                     metrics::PathPolicy::kMinContention);
   ASSERT_TRUE(built.ok());
-  const util::Result<confl::ConflInstance> ref =
-      core::try_build_chunk_instance(problem, state, options, 0);
-  ASSERT_TRUE(ref.ok());
-  EXPECT_TRUE(built.value().assign_cost == ref.value().assign_cost);
-  engine.reclaim(std::move(built).value());  // must be a harmless no-op
-  EXPECT_EQ(engine.stats().delta_seconds, 0.0);
+  const metrics::ContentionMatrix want(g, state,
+                                       metrics::PathPolicy::kMinContention);
+  EXPECT_TRUE(built.value().assign_cost == want.matrix());
+  EXPECT_EQ(built.value().edge_cost, want.edge_costs());
+  EXPECT_FALSE(built.value().assign_cost ==
+               metrics::ContentionMatrix(g, state).matrix());
 }
 
 TEST(ChunkInstanceEngineTest, QueryCostMatchesContentionMatrix) {
   // sync() then query_cost() against a fresh ContentionMatrix on a churned
-  // state, for every way the engine answers queries: the dense updater, the
-  // kMinContention query matrix, and the CSR updater at radius 2 (+inf
-  // outside the ball; the producer's row is always full). The first sync
-  // sees the empty state, so the second patches (or, for the query matrix,
-  // rebuilds) rather than starting cold.
+  // state, for both row layouts: the dense updater and the CSR updater at
+  // radius 2 (+inf outside the ball; the producer's row is always full).
+  // The first sync sees the empty state, so the second patches rather than
+  // starting cold.
   const Graph g = graph::make_grid(6, 6);
   const core::FairCachingProblem problem = grid_problem(g);
   util::Rng rng(11);
@@ -406,28 +408,22 @@ TEST(ChunkInstanceEngineTest, QueryCostMatchesContentionMatrix) {
   const struct {
     const char* name;
     core::ContentionMode mode;
-    metrics::PathPolicy policy;
     int radius;
   } cases[] = {
-      {"dense hop-shortest", core::ContentionMode::kIncremental,
-       metrics::PathPolicy::kHopShortest, 0},
-      {"dense min-contention", core::ContentionMode::kIncremental,
-       metrics::PathPolicy::kMinContention, 0},
-      {"csr radius 2", core::ContentionMode::kSparse,
-       metrics::PathPolicy::kHopShortest, 2},
+      {"dense", core::ContentionMode::kIncremental, 0},
+      {"csr radius 2", core::ContentionMode::kSparse, 2},
   };
   for (const auto& c : cases) {
     SCOPED_TRACE(c.name);
     core::InstanceOptions options;
     options.contention_mode = c.mode;
-    options.path_policy = c.policy;
     options.contention_radius = c.radius;
     core::ChunkInstanceEngine engine(problem, options);
     ASSERT_TRUE(engine.sync(problem.make_initial_state()).ok());
     ASSERT_TRUE(engine.sync(state).ok());
     ASSERT_TRUE(engine.query_ready());
     testutil::expect_costs_match(
-        g, metrics::ContentionMatrix(g, state, c.policy), c.radius,
+        g, metrics::ContentionMatrix(g, state), c.radius,
         problem.producer,
         [&](NodeId i, NodeId j) { return engine.query_cost(i, j); });
   }
@@ -489,13 +485,13 @@ TEST(ChunkInstanceEngineTest, ReclaimOfSupersededInstanceIsDropped) {
 
 // ---------------------------------------------------- end-to-end solves ---
 
-TEST(IncrementalSolveTest, PlacementsIdenticalToRebuildMode) {
+TEST(IncrementalSolveTest, PlacementsIdenticalToStatelessLoop) {
   // The delta-patched default run against the stateless per-chunk loop.
   const Graph g = graph::make_grid(8, 8);
   const core::FairCachingProblem problem = grid_problem(g, 6);
 
   const core::FairCachingResult a = core::ApproxFairCaching().run(problem);
-  const core::FairCachingResult b = testutil::stateless_solve(problem);
+  const core::FairCachingResult b = core::stateless_solve(problem).value();
   ASSERT_EQ(a.placements.size(), b.placements.size());
   for (std::size_t i = 0; i < a.placements.size(); ++i) {
     EXPECT_EQ(a.placements[i].cache_nodes, b.placements[i].cache_nodes);
@@ -525,14 +521,25 @@ TEST(IncrementalSolveTest, ReportSplitsBuildTime) {
   EXPECT_GT(report.build_delta_seconds, 0.0);  // chunks 1+ delta-patched
   EXPECT_LE(report.build_tree_seconds + report.build_delta_seconds,
             report.build_seconds + 1e-9);
+}
 
-  config.instance.path_policy = metrics::PathPolicy::kMinContention;
-  core::SolveReport stateless_report;
-  ASSERT_TRUE(core::ApproxFairCaching(config)
-                  .solve(problem, {}, &stateless_report)
-                  .ok());
-  EXPECT_GT(stateless_report.build_tree_seconds, 0.0);
-  EXPECT_EQ(stateless_report.build_delta_seconds, 0.0);  // never patches
+// The min-contention solve on the 8x8 grid, pinned to the placements
+// ApproxFairCaching made on min-contention rows before its engine became
+// hop-shortest only. The hop-shortest placements differ, so the pin fails
+// if the policy stops reaching the stateless builder.
+TEST(StatelessSolveTest, MinContentionPlacementsArePinned) {
+  const Graph g = graph::make_grid(8, 8);
+  const core::FairCachingProblem problem = grid_problem(g, 6);
+  const std::uint64_t hash = testutil::expect_thread_invariant(
+      [&] {
+        return core::stateless_solve(problem, {},
+                                     metrics::PathPolicy::kMinContention)
+            .value();
+      },
+      testutil::placement_hash);
+  EXPECT_EQ(hash, 0xd71022ff0f6ee155ULL);
+  EXPECT_NE(testutil::placement_hash(core::stateless_solve(problem).value()),
+            hash);
 }
 
 }  // namespace

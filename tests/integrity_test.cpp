@@ -198,7 +198,7 @@ TEST_P(ChaosMatrixTest, EveryClassDetectedAndRecoveredToRebuildGolden) {
 
   // The recovery target: the pure stateless per-chunk rebuild.
   const std::uint64_t golden =
-      placement_hash(testutil::stateless_solve(grid_problem(g)));
+      placement_hash(core::stateless_solve(grid_problem(g)).value());
 
   for (const StateFaultClass cls : kAllClasses) {
     SCOPED_TRACE(class_name(cls));

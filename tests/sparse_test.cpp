@@ -415,30 +415,28 @@ TEST(SparseConflTest, EndToEndSparseMatchesIncrementalAtAnyThreadCount) {
 
 // ------------------------------------------------------ layout × policy --
 
-// CSR rows pin hop-shortest trees, so kSparse with kMinContention is
-// kInvalidInput from every entry point; the solve surfaces it instead of
-// silently solving on dense rows, while kIncremental still solves it.
+// CSR rows pin hop-shortest trees, so the stateless min-contention solve
+// surfaces kSparse as kInvalidInput instead of silently solving on dense
+// rows, while kIncremental still solves it.
 TEST(ContentionModeTest, MinContentionFallbackIsSurfacedInReport) {
   const Graph g = graph::make_grid(6, 6);
   const FairCachingProblem problem = grid_problem(g, 3);
   ApproxConfig config;
-  config.instance.path_policy = metrics::PathPolicy::kMinContention;
-
   config.instance.contention_mode = ContentionMode::kIncremental;
-  SolveReport report;
-  ASSERT_TRUE(ApproxFairCaching(config)
-                  .solve(problem, util::RunBudget::unlimited(), &report)
+  EXPECT_TRUE(core::stateless_solve(problem, config,
+                                    metrics::PathPolicy::kMinContention)
                   .ok());
-  EXPECT_FALSE(report.degraded());
 
   config.instance.contention_mode = ContentionMode::kSparse;
   config.instance.contention_radius = 2;
-  EXPECT_EQ(ApproxFairCaching(config).solve(problem).status().code(),
+  EXPECT_EQ(core::stateless_solve(problem, config,
+                                  metrics::PathPolicy::kMinContention)
+                .code(),
             util::StatusCode::kInvalidInput);
 }
 
-// The engine and the stateless builder resolve kSparse the same way: built
-// and queryable on hop-shortest paths, kInvalidInput under kMinContention.
+// A kSparse engine builds and answers queries; the stateless builder
+// rejects kSparse only with min-contention paths.
 TEST(ContentionModeTest, EngineReportsResolvedMode) {
   const Graph g = graph::make_grid(6, 6);
   const FairCachingProblem problem = grid_problem(g, 3);
@@ -452,15 +450,10 @@ TEST(ContentionModeTest, EngineReportsResolvedMode) {
   EXPECT_TRUE(sparse_engine.sync(state).ok());
   EXPECT_TRUE(sparse_engine.query_ready());
 
-  options.path_policy = metrics::PathPolicy::kMinContention;
-  core::ChunkInstanceEngine rejecting_engine(problem, options);
-  EXPECT_EQ(rejecting_engine.build(state, 0).status().code(),
-            util::StatusCode::kInvalidInput);
-  EXPECT_EQ(rejecting_engine.sync(state).code(),
-            util::StatusCode::kInvalidInput);
-  EXPECT_FALSE(rejecting_engine.query_ready());
-  EXPECT_EQ(core::try_build_chunk_instance(problem, state, options)
-                .status()
+  EXPECT_TRUE(core::try_build_chunk_instance(problem, state, options).ok());
+  EXPECT_EQ(core::try_build_chunk_instance(
+                problem, state, options, 0,
+                metrics::PathPolicy::kMinContention)
                 .code(),
             util::StatusCode::kInvalidInput);
 }

@@ -1,10 +1,10 @@
 #pragma once
 
 // Test harness shared by the test files: problem and cache-state
-// fixtures, the thread-invariance check, the stateless reference chunk loop, the
-// pair-by-pair comparison of a contention updater against a fresh
-// ContentionMatrix, and FNV-1a fingerprints of updater buffers and solve
-// placements.
+// fixtures, the thread-invariance check, the pair-by-pair comparison of a
+// contention updater against a fresh ContentionMatrix, and FNV-1a
+// fingerprints of updater buffers and solve placements. The stateless
+// reference chunk loop is core::stateless_solve.
 
 #include <cstdint>
 #include <limits>
@@ -13,9 +13,7 @@
 
 #include <gtest/gtest.h>
 
-#include "confl/confl.h"
 #include "core/approx.h"
-#include "core/instance_builder.h"
 #include "graph/shortest_paths.h"
 #include "metrics/contention.h"
 #include "metrics/contention_updater.h"
@@ -94,36 +92,6 @@ auto expect_thread_invariant(Run&& run, Hash&& hash = Hash{}) {
                                       << " threads";
   }
   return reference;
-}
-
-// Algorithm 1 without engine state: a fresh try_build_chunk_instance per
-// chunk, one ConFL solve, the opened facilities cached. The chunk loop of
-// core::ApproxFairCaching must reproduce it bit for bit (integer weights).
-inline core::FairCachingResult stateless_solve(
-    const core::FairCachingProblem& problem,
-    const core::ApproxConfig& config = {}) {
-  core::FairCachingResult result;
-  result.state = problem.make_initial_state();
-  for (metrics::ChunkId chunk = 0; chunk < problem.num_chunks; ++chunk) {
-    const confl::ConflInstance instance =
-        core::try_build_chunk_instance(problem, result.state,
-                                       config.instance, chunk)
-            .value();
-    const confl::ConflSolution solution =
-        confl::try_solve_confl(instance, config.confl).value();
-    core::ChunkPlacement placement;
-    placement.chunk = chunk;
-    placement.solver_objective = solution.total();
-    placement.solver_rounds = solution.rounds;
-    for (graph::NodeId v : solution.open_facilities) {
-      if (result.state.can_cache(v, chunk)) {
-        result.state.add(v, chunk);
-        placement.cache_nodes.push_back(v);
-      }
-    }
-    result.placements.push_back(std::move(placement));
-  }
-  return result;
 }
 
 // Chunk ids, cache nodes, assignments and objective bits of every chunk.
