@@ -2,22 +2,20 @@
 // job). Two layers of checks over a fixture set of grid and
 // random-geometric instances:
 //
-// Steiner engines (kClosureKmb vs kVoronoi):
+// Steiner trees (Mehlhorn's Voronoi construction, kVoronoi):
 //   1. deterministic across thread counts — the FNV-1a hash of the
 //      (edges, cost-bits) stream must be identical at 1, 2 and 8 threads;
-//   2. the documented cross-engine bound — the Voronoi tree may cost at
-//      most twice the KMB tree (both are ≤ 2·OPT and KMB ≥ OPT, see
-//      docs/PERF.md), and neither engine may beat the other by a factor
-//      that would indicate a broken construction.
+//   2. the batch agrees with the single-set call — at 1, 2 and 8 threads,
+//      try_steiner_mst_approx_sets over the fixture's terminals and its
+//      even- and odd-indexed halves must return each set's single-set
+//      tree, edges and cost bits.
 //
-// End-to-end ApproxFairCaching runs over every (Steiner engine ×
-// contention row layout) combination:
-//   3. each combination's placement/objective hash is identical at 1, 2
-//      and 8 threads;
+// End-to-end ApproxFairCaching runs over both contention row layouts:
+//   3. each layout's placement/objective hash is identical at 1, 2 and 8
+//      threads;
 //   4. kSparse (unbounded radius) agrees with kIncremental — identical
 //      placement hashes and per-chunk objectives within 1e-9 (they are in
-//      fact bit-identical on these connected integer-weight instances) for
-//      each Steiner engine.
+//      fact bit-identical on these connected integer-weight instances).
 //
 // Plus one 100k-node kSparse smoke run asserting the sparse engine's
 // memory budget: the run must finish without degrading to the greedy
@@ -117,9 +115,8 @@ std::uint64_t run_hash(const core::FairCachingResult& result) {
   return h.digest();
 }
 
-// End-to-end checks 3 and 4: thread-determinism of every (engine, layout)
-// combination, and cross-layout agreement per engine. Returns the number of
-// failures.
+// End-to-end checks 3 and 4: thread-determinism of each row layout, and
+// cross-layout agreement. Returns the number of failures.
 int check_end_to_end(const Fixture& f) {
   int failures = 0;
   core::FairCachingProblem problem;
@@ -128,67 +125,61 @@ int check_end_to_end(const Fixture& f) {
   problem.num_chunks = 3;
   problem.uniform_capacity = 5;
 
-  const steiner::Engine engines[2] = {steiner::Engine::kClosureKmb,
-                                      steiner::Engine::kVoronoi};
-  const char* engine_name[2] = {"kClosureKmb", "kVoronoi"};
   const core::ContentionMode modes[2] = {core::ContentionMode::kIncremental,
                                          core::ContentionMode::kSparse};
   const char* mode_name[2] = {"kIncremental", "kSparse"};
 
-  for (int e = 0; e < 2; ++e) {
-    std::uint64_t mode_hash[2] = {0, 0};
-    core::FairCachingResult mode_result[2];
-    for (int m = 0; m < 2; ++m) {
-      std::uint64_t hash1 = 0;
-      for (const int threads : {1, 2, 8}) {
-        util::set_parallel_threads(threads);
-        core::ApproxConfig config;
-        config.confl.steiner_engine = engines[e];
-        config.instance.contention_mode = modes[m];
-        core::FairCachingResult result =
-            core::ApproxFairCaching(config).run(problem);
-        const std::uint64_t h = run_hash(result);
-        if (threads == 1) {
-          hash1 = h;
-          mode_result[m] = std::move(result);
-        } else if (h != hash1) {
-          std::printf("FAIL %s appx %s %s: hash diverges at %d threads "
-                      "(%016llx vs %016llx)\n",
-                      f.name.c_str(), engine_name[e], mode_name[m], threads,
-                      static_cast<unsigned long long>(h),
-                      static_cast<unsigned long long>(hash1));
-          ++failures;
-        }
-      }
-      util::set_parallel_threads(0);
-      mode_hash[m] = hash1;
-      std::printf("%-18s appx %-11s %-12s hash=%016llx\n", f.name.c_str(),
-                  engine_name[e], mode_name[m],
-                  static_cast<unsigned long long>(hash1));
-    }
-    // Cross-layout agreement: same placements, per-chunk objectives
-    // within 1e-9 (the layouts are bit-identical on integer weights and
-    // these connected fixtures, so in practice the hashes — objective bits
-    // included — match).
-    if (mode_hash[0] != mode_hash[1]) {
-      std::printf("FAIL %s appx %s: kSparse disagrees with kIncremental "
-                  "(%016llx vs %016llx)\n",
-                  f.name.c_str(), engine_name[e],
-                  static_cast<unsigned long long>(mode_hash[1]),
-                  static_cast<unsigned long long>(mode_hash[0]));
-      ++failures;
-    }
-    for (std::size_t c = 0; c < mode_result[0].placements.size() &&
-                            c < mode_result[1].placements.size();
-         ++c) {
-      const double a = mode_result[0].placements[c].solver_objective;
-      const double b = mode_result[1].placements[c].solver_objective;
-      if (std::abs(a - b) > 1e-9) {
-        std::printf("FAIL %s appx %s chunk %zu: objectives diverge "
-                    "(%.12f vs %.12f)\n",
-                    f.name.c_str(), engine_name[e], c, a, b);
+  std::uint64_t mode_hash[2] = {0, 0};
+  core::FairCachingResult mode_result[2];
+  for (int m = 0; m < 2; ++m) {
+    std::uint64_t hash1 = 0;
+    for (const int threads : {1, 2, 8}) {
+      util::set_parallel_threads(threads);
+      core::ApproxConfig config;
+      config.instance.contention_mode = modes[m];
+      core::FairCachingResult result =
+          core::ApproxFairCaching(config).run(problem);
+      const std::uint64_t h = run_hash(result);
+      if (threads == 1) {
+        hash1 = h;
+        mode_result[m] = std::move(result);
+      } else if (h != hash1) {
+        std::printf("FAIL %s appx %s: hash diverges at %d threads "
+                    "(%016llx vs %016llx)\n",
+                    f.name.c_str(), mode_name[m], threads,
+                    static_cast<unsigned long long>(h),
+                    static_cast<unsigned long long>(hash1));
         ++failures;
       }
+    }
+    util::set_parallel_threads(0);
+    mode_hash[m] = hash1;
+    std::printf("%-18s appx %-11s %-12s hash=%016llx\n", f.name.c_str(),
+                "kVoronoi", mode_name[m],
+                static_cast<unsigned long long>(hash1));
+  }
+  // Cross-layout agreement: same placements, per-chunk objectives within
+  // 1e-9 (the layouts are bit-identical on integer weights and these
+  // connected fixtures, so in practice the hashes — objective bits
+  // included — match).
+  if (mode_hash[0] != mode_hash[1]) {
+    std::printf("FAIL %s appx: kSparse disagrees with kIncremental "
+                "(%016llx vs %016llx)\n",
+                f.name.c_str(),
+                static_cast<unsigned long long>(mode_hash[1]),
+                static_cast<unsigned long long>(mode_hash[0]));
+    ++failures;
+  }
+  for (std::size_t c = 0; c < mode_result[0].placements.size() &&
+                          c < mode_result[1].placements.size();
+       ++c) {
+    const double a = mode_result[0].placements[c].solver_objective;
+    const double b = mode_result[1].placements[c].solver_objective;
+    if (std::abs(a - b) > 1e-9) {
+      std::printf("FAIL %s appx chunk %zu: objectives diverge "
+                  "(%.12f vs %.12f)\n",
+                  f.name.c_str(), c, a, b);
+      ++failures;
     }
   }
   return failures;
@@ -332,48 +323,52 @@ int check_sparse_scale() {
 int main() {
   int failures = 0;
   for (const Fixture& f : make_fixtures()) {
-    steiner::SteinerTree trees[2];
-    const steiner::Engine engines[2] = {steiner::Engine::kClosureKmb,
-                                        steiner::Engine::kVoronoi};
-    const char* engine_name[2] = {"kClosureKmb", "kVoronoi"};
-    for (int e = 0; e < 2; ++e) {
-      std::uint64_t hash1 = 0;
-      for (const int threads : {1, 2, 8}) {
-        util::set_parallel_threads(threads);
-        const auto tree =
-            steiner::try_steiner_mst_approx(f.graph, f.weight, f.terminals,
-                                            0, {}, engines[e])
-                .value();
-        const std::uint64_t h = tree_hash(tree);
-        if (threads == 1) {
-          hash1 = h;
-          trees[e] = tree;
-        } else if (h != hash1) {
-          std::printf("FAIL %s %s: hash diverges at %d threads "
-                      "(%016llx vs %016llx)\n",
-                      f.name.c_str(), engine_name[e], threads,
-                      static_cast<unsigned long long>(h),
-                      static_cast<unsigned long long>(hash1));
+    // The batch's sets: every terminal, then the even- and odd-indexed.
+    std::vector<std::vector<NodeId>> sets(3);
+    for (std::size_t t = 0; t < f.terminals.size(); ++t) {
+      sets[0].push_back(f.terminals[t]);
+      sets[1 + t % 2].push_back(f.terminals[t]);
+    }
+    std::vector<std::uint64_t> set_hash;
+    for (const std::vector<NodeId>& set : sets) {
+      set_hash.push_back(tree_hash(
+          steiner::try_steiner_mst_approx(f.graph, f.weight, set).value()));
+    }
+    steiner::SteinerTree tree;
+    for (const int threads : {1, 2, 8}) {
+      util::set_parallel_threads(threads);
+      const steiner::SteinerTree single =
+          steiner::try_steiner_mst_approx(f.graph, f.weight, f.terminals)
+              .value();
+      if (threads == 1) {
+        tree = single;
+      } else if (tree_hash(single) != tree_hash(tree)) {
+        std::printf("FAIL %s kVoronoi: hash diverges at %d threads "
+                    "(%016llx vs %016llx)\n",
+                    f.name.c_str(), threads,
+                    static_cast<unsigned long long>(tree_hash(single)),
+                    static_cast<unsigned long long>(tree_hash(tree)));
+        ++failures;
+      }
+      const std::vector<steiner::SteinerTree> batch =
+          steiner::try_steiner_mst_approx_sets(f.graph, f.weight, sets)
+              .value();
+      for (std::size_t s = 0; s < sets.size(); ++s) {
+        if (tree_hash(batch[s]) != set_hash[s]) {
+          std::printf("FAIL %s: batch set %zu differs from the single-set "
+                      "tree at %d threads (%016llx vs %016llx)\n",
+                      f.name.c_str(), s, threads,
+                      static_cast<unsigned long long>(tree_hash(batch[s])),
+                      static_cast<unsigned long long>(set_hash[s]));
           ++failures;
         }
       }
-      util::set_parallel_threads(0);
-      std::printf("%-18s %-11s cost=%.6f hash=%016llx edges=%zu\n",
-                  f.name.c_str(), engine_name[e], trees[e].cost,
-                  static_cast<unsigned long long>(tree_hash(trees[e])),
-                  trees[e].edges.size());
     }
-    // Documented cross-engine bound (docs/PERF.md): each engine's tree is
-    // ≤ 2·OPT while the other's is ≥ OPT, so neither may exceed twice the
-    // other's cost.
-    const double kmb = trees[0].cost;
-    const double vor = trees[1].cost;
-    if (vor > 2.0 * kmb + 1e-9 || kmb > 2.0 * vor + 1e-9) {
-      std::printf("FAIL %s: cross-engine bound violated "
-                  "(kmb=%.9f voronoi=%.9f)\n",
-                  f.name.c_str(), kmb, vor);
-      ++failures;
-    }
+    util::set_parallel_threads(0);
+    std::printf("%-18s %-11s cost=%.6f hash=%016llx edges=%zu\n",
+                f.name.c_str(), "kVoronoi", tree.cost,
+                static_cast<unsigned long long>(tree_hash(tree)),
+                tree.edges.size());
     failures += check_end_to_end(f);
   }
   failures += check_guard_overhead();

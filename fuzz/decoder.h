@@ -87,16 +87,13 @@ inline void decode_problem(const std::uint8_t* data, std::size_t size,
     }
   }
 
-  // Solver options: positive steps, small span thresholds, both Steiner
-  // engines, both row layouts and both path policies of the stateless
-  // builder. Single-threaded — fuzz iterations must stay cheap. Bit 0 of
-  // the options byte is unused; the other fields keep their bits so the
+  // Solver options: positive steps, small span thresholds, both row
+  // layouts and both path policies of the stateless builder.
+  // Single-threaded — fuzz iterations must stay cheap. Bits 0 and 7 of the
+  // options byte are unused; the other fields keep their bits so the
   // committed corpus decodes to the same options.
   const std::uint8_t opt = in.u8();
   out.config.confl.gamma_step = 0.5 * (1 + ((opt >> 4) & 0x7));
-  out.config.confl.steiner_engine = (opt & 0x80) != 0
-                                        ? steiner::Engine::kVoronoi
-                                        : steiner::Engine::kClosureKmb;
   // The span byte's low bits pick the threshold; its high bit selects
   // min-contention paths for the stateless builder, so fuzz_instance drives
   // min-contention rows next to the delta-update paths of hop-shortest

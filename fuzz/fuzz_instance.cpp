@@ -6,13 +6,16 @@
 // stateless builder's on hop-shortest paths bit for bit, and the stateless
 // instance on the decoded path policy must solve under the decoded options
 // to the dense reference engine's solution, bit for bit (n ≤ 32 keeps the
-// reference cheap); that solution places the chunk. Min-contention rows
+// reference cheap); that solution places the chunk, and the Steiner tree
+// joining its facilities to the root must be a valid tree and come out
+// bit-identical from the single-set and the batch entry. Min-contention rows
 // with the kSparse layout must be rejected as kInvalidInput, and the
 // hop-shortest instance stands in for them. When the decoded layout is
 // kSparse, the CSR instance at the decoded radius must solve to the
 // reference's solution on its dense twin (+inf outside the radius) too.
 // Any uncaught exception or abort is a finding.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -27,7 +30,6 @@
 #include "graph/shortest_paths.h"
 #include "metrics/sparse_contention.h"
 #include "steiner/steiner.h"
-#include "tests/kmb_reference.h"
 #include "util/matrix.h"
 
 namespace faircache::fuzz {
@@ -92,24 +94,65 @@ confl::ConflSolution expect_reference_solution(
   return got;
 }
 
-// Aborts unless the KMB tree connecting the solution's open facilities and
-// the root over the instance's edge costs — built with the batch's bounded
-// runs — equals the unpruned reference construction: edges, cost bits and
-// status.
-void expect_reference_kmb_tree(const confl::ConflInstance& instance,
-                               const confl::ConflSolution& solution) {
+// Aborts unless the Steiner tree connecting the solution's open
+// facilities and the root over the instance's edge costs is the same, bit
+// for bit and with the same status, from the single-set call and from the
+// batch, and unless it is a tree: it spans the terminals, has no cycle,
+// every leaf is a terminal, and its cost is the sum of its edges.
+void expect_consistent_tree(const confl::ConflInstance& instance,
+                            const confl::ConflSolution& solution) {
   const graph::Graph& g = *instance.network;
   std::vector<graph::NodeId> terminals = solution.open_facilities;
   terminals.push_back(instance.root);
   const util::Result<steiner::SteinerTree> got =
-      steiner::try_steiner_mst_approx(g, instance.edge_cost, terminals, 1, {},
-                                      steiner::Engine::kClosureKmb);
-  const util::Result<steiner::SteinerTree> want =
-      testutil::kmb_reference(g, instance.edge_cost, terminals);
-  if (got.code() != want.code()) std::abort();
-  if (got.ok() && (got.value().edges != want.value().edges ||
-                   !same_bits(got.value().cost, want.value().cost))) {
+      steiner::try_steiner_mst_approx(g, instance.edge_cost, terminals);
+  const util::Result<std::vector<steiner::SteinerTree>> batch =
+      steiner::try_steiner_mst_approx_sets(g, instance.edge_cost,
+                                           {terminals, {instance.root}});
+  if (got.code() != batch.code()) std::abort();
+  if (!got.ok()) return;
+  const steiner::SteinerTree& tree = got.value();
+  if (tree.edges != batch.value()[0].edges ||
+      !same_bits(tree.cost, batch.value()[0].cost) ||
+      !batch.value()[1].edges.empty()) {
     std::abort();
+  }
+
+  const auto n = static_cast<std::size_t>(g.num_nodes());
+  std::vector<int> degree(n, 0);
+  std::vector<graph::NodeId> root(n);
+  for (std::size_t v = 0; v < n; ++v) root[v] = static_cast<graph::NodeId>(v);
+  const auto find = [&](graph::NodeId v) {
+    while (root[static_cast<std::size_t>(v)] != v) {
+      v = root[static_cast<std::size_t>(v)];
+    }
+    return v;
+  };
+  double cost = 0.0;
+  for (const graph::EdgeId e : tree.edges) {
+    const graph::Edge& edge = g.edge(e);
+    const graph::NodeId a = find(edge.u);
+    const graph::NodeId b = find(edge.v);
+    if (a == b) std::abort();  // a cycle
+    root[static_cast<std::size_t>(a)] = b;
+    ++degree[static_cast<std::size_t>(edge.u)];
+    ++degree[static_cast<std::size_t>(edge.v)];
+    cost += instance.edge_cost[static_cast<std::size_t>(e)];
+  }
+  if (!same_bits(cost, tree.cost)) std::abort();
+  std::vector<char> is_terminal(n, 0);
+  for (const graph::NodeId t : terminals) {
+    is_terminal[static_cast<std::size_t>(t)] = 1;
+  }
+  const std::size_t distinct =
+      static_cast<std::size_t>(std::count(is_terminal.begin(), is_terminal.end(), 1));
+  for (std::size_t v = 0; v < n; ++v) {
+    const auto node = static_cast<graph::NodeId>(v);
+    if (degree[v] == 1 && !is_terminal[v]) std::abort();  // a Steiner leaf
+    if (is_terminal[v] && distinct > 1 &&
+        (degree[v] == 0 || find(node) != find(instance.root))) {
+      std::abort();  // a terminal the tree does not reach
+    }
   }
 }
 
@@ -188,7 +231,7 @@ int run_instance_target(const std::uint8_t* data, std::size_t size) {
     // twin.
     const confl::ConflSolution solution =
         expect_reference_solution(decoded, decoded, d.config.confl);
-    expect_reference_kmb_tree(decoded, solution);
+    expect_consistent_tree(decoded, solution);
     if (sparse) {
       expect_reference_solution(built.value(), dense_twin(built.value()),
                                 d.config.confl);

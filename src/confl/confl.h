@@ -81,21 +81,11 @@ struct ConflOptions {
   // Safety valve on growth rounds; 0 derives it from the root row's
   // largest finite cost. Negative values are rejected as kInvalidInput.
   int max_rounds = 0;
-  // Worker threads for the Phase 2 Steiner shortest paths. 0 = the
-  // util::parallel_threads() default, 1 = fully serial. The solution is
-  // bit-identical at any setting; threading never changes the dual-growth
-  // arithmetic.
+  // Inert: the solver reads neither. Phase 2 always builds Mehlhorn's tree
+  // from one serial sweep (steiner::try_steiner_mst_approx). Both fields
+  // stay only while the benchmark harness names them, and go when it
+  // stops (ROADMAP item 5).
   int threads = 0;
-  // Engine used for the Phase 2 Steiner tree. The default kVoronoi builds
-  // the 2-approximate tree from one multi-source sweep (asymptotically
-  // |A|× cheaper than KMB) and is deterministic and thread-invariant; its
-  // outputs are pinned by their own golden fixtures. kClosureKmb is the
-  // historical per-terminal-SSSP construction, bit-identical to the
-  // pre-flip golden outputs. Both are 2-approximations but may select
-  // different trees — switching engines changes which solution is
-  // produced, not its quality guarantee. Note only the dissemination tree
-  // differs: the open facilities and assignments of a ConFL solve are
-  // engine-independent (Phase 1 never consults the engine).
   steiner::Engine steiner_engine = steiner::Engine::kVoronoi;
 };
 

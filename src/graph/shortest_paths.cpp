@@ -174,8 +174,8 @@ NodeWeightedPaths dijkstra_node_weights(const Graph& g, NodeId source,
 
 namespace {
 
-// Indexed 4-ary min-heap machinery shared by the edge-weighted Dijkstra
-// variants. Keys pack the cost's bit pattern and the node id into one
+// Indexed 4-ary min-heap of voronoi_partition, the one edge-weighted
+// Dijkstra loop (dijkstra_edge_weights is its one-seed case). Keys pack the cost's bit pattern and the node id into one
 // 96-bit integer: path costs are sums of non-negative weights, and
 // non-negative IEEE doubles compare identically to their bit patterns, so a
 // single integer compare gives the lexicographic (cost, id) order without
@@ -298,112 +298,14 @@ EdgeWeightedPaths dijkstra_edge_weights(const Graph& g, NodeId source,
                                         const CsrAdjacency* adj,
                                         const std::vector<double>* slot_weight) {
   FAIRCACHE_CHECK(g.contains(source), "dijkstra source out of range");
-  FAIRCACHE_CHECK(static_cast<int>(weight.size()) == g.num_edges(),
-                  "edge weight vector size mismatch");
-  CsrAdjacency local;
-  adj = resolve_adjacency(g, adj, slot_weight, local);
-  std::vector<double> local_slot_weight;
-  if (slot_weight == nullptr) {
-    local_slot_weight = slot_weights(*adj, weight);
-    slot_weight = &local_slot_weight;
-  }
-  BoundedDijkstra search(*adj, *slot_weight);
-  search.run(source);
-
+  VoronoiPartition vor =
+      voronoi_partition(g, {source}, weight, adj, slot_weight);
   EdgeWeightedPaths out;
   out.source = source;
-  const auto n = static_cast<std::size_t>(g.num_nodes());
-  out.cost.resize(n);
-  out.parent.resize(n, kInvalidNode);
-  out.parent_edge.resize(n);
-  for (std::size_t v = 0; v < n; ++v) {
-    const auto node = static_cast<NodeId>(v);
-    out.cost[v] = search.cost(node);
-    out.parent_edge[v] = search.parent_edge(node);
-    if (out.parent_edge[v] >= 0) {
-      const Edge& edge = g.edge(out.parent_edge[v]);
-      out.parent[v] = edge.u == node ? edge.v : edge.u;
-    }
-  }
+  out.cost = std::move(vor.cost);
+  out.parent = std::move(vor.parent);
+  out.parent_edge = std::move(vor.parent_edge);
   return out;
-}
-
-BoundedDijkstra::BoundedDijkstra(const CsrAdjacency& adj,
-                                 const std::vector<double>& slot_weight)
-    : adj_(&adj),
-      slot_weight_(&slot_weight),
-      state_(adj.offset.size() - 1),
-      target_(adj.offset.size() - 1, 0) {
-  FAIRCACHE_CHECK(slot_weight.size() == adj.incident.size(),
-                  "slot weight size mismatch");
-}
-
-void BoundedDijkstra::run(NodeId source, std::span<const NodeId> targets,
-                          const std::vector<char>* blocked, double limit) {
-  FAIRCACHE_CHECK(source >= 0 && static_cast<std::size_t>(source) <
-                                     state_.size(),
-                  "dijkstra source out of range");
-  FAIRCACHE_CHECK(blocked == nullptr || blocked->size() == state_.size(),
-                  "blocked flag vector size mismatch");
-  for (NodeId v : touched_) state_[static_cast<std::size_t>(v)] = {};
-  touched_.clear();
-  int wanted = 0;
-  for (NodeId t : targets) {
-    FAIRCACHE_CHECK(t >= 0 && static_cast<std::size_t>(t) < state_.size(),
-                    "dijkstra target out of range");
-    char& flag = target_[static_cast<std::size_t>(t)];
-    wanted += flag == 0;
-    flag = 1;
-  }
-  const bool stop_at_targets = wanted > 0;
-
-  IndexedCostHeap<NodeState> heap{std::move(heap_), state_.data()};
-  heap.slots.clear();
-  state_[static_cast<std::size_t>(source)].cost = 0.0;
-  state_[static_cast<std::size_t>(source)].pos = 0;
-  touched_.push_back(source);
-  heap.slots.push_back(make_key(0.0, source));
-  while (!heap.empty() && key_cost(heap.slots[0]) <= limit) {
-    const HeapKey top = heap.pop_min();
-    const NodeId v = key_id(top);
-    const double cost = key_cost(top);
-    if (target_[static_cast<std::size_t>(v)] != 0 && stop_at_targets &&
-        --wanted == 0) {
-      break;  // every target is final now
-    }
-    if (v != source && blocked != nullptr &&
-        (*blocked)[static_cast<std::size_t>(v)] != 0) {
-      continue;
-    }
-    const int end = adj_->offset[static_cast<std::size_t>(v) + 1];
-    for (int k = adj_->offset[static_cast<std::size_t>(v)]; k < end; ++k) {
-      const NodeId w = adj_->neighbor[static_cast<std::size_t>(k)];
-      NodeState& ws = state_[static_cast<std::size_t>(w)];
-      if (ws.pos == kSettled) continue;
-      const double ew = (*slot_weight_)[static_cast<std::size_t>(k)];
-      FAIRCACHE_DCHECK(ew >= 0, "edge weights must be non-negative");
-      const double cand = cost + ew;
-      if (cand < ws.cost || (cand == ws.cost && v < ws.parent)) {
-        if (ws.pos == kUnvisited) touched_.push_back(w);
-        ws.cost = cand;
-        ws.parent = v;
-        ws.parent_edge = adj_->incident[static_cast<std::size_t>(k)];
-        heap.push_or_decrease(cand, w, ws.pos);
-      }
-    }
-  }
-  heap_ = std::move(heap.slots);
-  for (NodeId t : targets) target_[static_cast<std::size_t>(t)] = 0;
-}
-
-double BoundedDijkstra::cost(NodeId v) const {
-  const NodeState& vs = state_[static_cast<std::size_t>(v)];
-  return vs.pos == kSettled ? vs.cost : kInfCost;
-}
-
-EdgeId BoundedDijkstra::parent_edge(NodeId v) const {
-  const NodeState& vs = state_[static_cast<std::size_t>(v)];
-  return vs.pos == kSettled ? vs.parent_edge : -1;
 }
 
 VoronoiPartition voronoi_partition(const Graph& g,

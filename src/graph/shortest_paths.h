@@ -3,12 +3,11 @@
 // Shortest-path machinery. The paper routes all traffic along *hop-shortest*
 // paths ("a node will find the nearest copy of a chunk and go through the
 // shortest hop path", §V-A); contention weights are then summed along those
-// paths. We also provide node-weighted Dijkstra and Floyd–Warshall, used by
-// the Steiner/metric-closure layers and as test oracles.
+// paths. We also provide node-weighted Dijkstra, the edge-weighted Voronoi
+// sweep behind the Steiner trees, and Floyd–Warshall as a test oracle.
 
 #include <cstdint>
 #include <limits>
-#include <span>
 #include <vector>
 
 #include "graph/graph.h"
@@ -69,8 +68,9 @@ struct NodeWeightedPaths {
 NodeWeightedPaths dijkstra_node_weights(const Graph& g, NodeId source,
                                         const std::vector<double>& weight);
 
-// Classic edge-weighted Dijkstra. Tie-breaking: lower cost, then smaller
-// parent id — deterministic path trees for the Steiner expansion step.
+// Classic edge-weighted Dijkstra: the exact Steiner DP's seeds and the
+// ConFL MILP's root distances. Tie-breaking: lower cost, then smaller
+// parent id.
 struct EdgeWeightedPaths {
   NodeId source = kInvalidNode;
   std::vector<double> cost;       // kInfCost if unreachable
@@ -89,60 +89,12 @@ std::vector<double> slot_weights(const CsrAdjacency& adj,
 // optional array aligned with adj.incident (slot_weight[k] =
 // weight[adj.incident[k]]) that turns the per-relaxation weight gather
 // into a contiguous read; it requires `adj`. The result does not depend
-// on whether either is supplied. Runs one BoundedDijkstra search with no
-// stop condition.
+// on whether either is supplied. Runs voronoi_partition with `source` as
+// its one seed.
 EdgeWeightedPaths dijkstra_edge_weights(
     const Graph& g, NodeId source, const std::vector<double>& weight,
     const CsrAdjacency* adj = nullptr,
     const std::vector<double>* slot_weight = nullptr);
-
-// Single-source searches over reusable scratch, for callers that run many
-// short searches on one graph (the KMB metric closure of
-// steiner::try_steiner_mst_approx_sets). Scratch is sized once and reset
-// through the nodes the previous search touched, so a search costs what it
-// explores, not O(n). Costs and parents follow dijkstra_edge_weights'
-// rules (lower cost, then smaller parent id; the heap pops ascending
-// (cost, node id)) over the graph in which every blocked node other than
-// the source keeps its incoming edges but has no outgoing ones. So every
-// settled node whose shortest paths avoid the blocked nodes gets the full
-// run's cost and parent edge, bit for bit; any other settled node's cost
-// can only be larger.
-class BoundedDijkstra {
- public:
-  // `adj` and `slot_weight` (aligned with adj.incident, see
-  // dijkstra_edge_weights) must outlive the runner.
-  BoundedDijkstra(const CsrAdjacency& adj,
-                  const std::vector<double>& slot_weight);
-
-  // One search from `source`. `blocked` (optional, n entries) flags the
-  // nodes that are settled but never expanded. The search stops once every
-  // node of `targets` is settled (never early when `targets` is empty), at
-  // the first pop whose cost exceeds `limit`, or when the heap runs dry.
-  void run(NodeId source, std::span<const NodeId> targets = {},
-           const std::vector<char>* blocked = nullptr,
-           double limit = kInfCost);
-
-  // The last search's cost of v, kInfCost unless v was settled.
-  double cost(NodeId v) const;
-  // The edge to v's parent in the last search; -1 for the source and for
-  // nodes it did not settle.
-  EdgeId parent_edge(NodeId v) const;
-
- private:
-  // Packed so that one relaxation touches one cache line.
-  struct NodeState {
-    double cost = kInfCost;
-    NodeId parent = kInvalidNode;
-    EdgeId parent_edge = -1;
-    int pos = -1;  // -1 never enqueued, -2 settled, else the heap slot
-  };
-  const CsrAdjacency* adj_;
-  const std::vector<double>* slot_weight_;
-  std::vector<NodeState> state_;
-  std::vector<char> target_;
-  std::vector<NodeId> touched_;           // nodes whose state_ is set
-  std::vector<unsigned __int128> heap_;   // packed (cost bits, id) keys
-};
 
 // Nearest-seed partition from one multi-source Dijkstra sweep — the
 // Voronoi decomposition at the heart of Mehlhorn's Steiner construction.
@@ -150,10 +102,10 @@ class BoundedDijkstra {
 // walk back toward that seed. One O(m log n) sweep replaces |seeds|
 // single-source runs when only nearest-seed information is needed.
 //
-// Tie-breaking matches dijkstra_edge_weights exactly (lower cost, then
-// smaller parent id; the heap pops ascending (cost, node id)), so the
-// partition is deterministic and independent of the seed order. Seeds have
-// cost 0, themselves as `nearest`, and no parent.
+// Tie-breaking: lower cost, then smaller parent id; the heap pops
+// ascending (cost, node id). So the partition is deterministic and
+// independent of the seed order. Seeds have cost 0, themselves as
+// `nearest`, and no parent.
 struct VoronoiPartition {
   std::vector<double> cost;         // distance to the nearest seed
   std::vector<NodeId> nearest;      // owning seed; kInvalidNode if unreached

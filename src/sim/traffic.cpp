@@ -158,7 +158,7 @@ DisseminationResult simulate_dissemination_phase(
   const std::vector<double> edge_cost = metrics::contention_edge_costs(
       g, metrics::contention_weights(g, state));
 
-  // Every cached chunk's tree, from one batch of shortest-path runs.
+  // Every cached chunk's tree, from one batch of Voronoi sweeps.
   std::vector<metrics::ChunkId> cached;
   std::vector<std::vector<NodeId>> terminal_sets;
   for (metrics::ChunkId chunk = 0; chunk < options.num_chunks; ++chunk) {

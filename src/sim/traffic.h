@@ -52,7 +52,7 @@ TrafficResult simulate_access_phase(const graph::Graph& g,
 
 // Simulates the dissemination phase: for each chunk, the producer pushes
 // one copy down the Steiner tree connecting it to the chunk's holders
-// (the same KMB tree the evaluator charges for); each tree node forwards
+// (the same tree the evaluator charges for); each tree node forwards
 // to its children serially under the DCF service model.
 struct DisseminationResult {
   // Per chunk: when the last holder received its copy.

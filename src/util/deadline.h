@@ -6,7 +6,7 @@
 // optional work-unit cap, and/or by an external CancelToken. It is a cheap
 // value type: copies share one state block, so the budget handed to
 // core::ApproxFairCaching::solve is the same object the confl dual-growth
-// loop, the Steiner SSSP fan-out and the parallel_for workers poll.
+// loop, the Steiner sweeps and the parallel_for workers poll.
 //
 // The contract is *cooperative and side-effect free*: checking a budget
 // never changes any solver arithmetic, so a run that completes without an
@@ -16,7 +16,7 @@
 // chunk in hand) and surfaces a typed Status instead of a partial answer.
 //
 // Work units are deterministic progress markers (dual-growth rounds,
-// shortest-path sources, matrix rows), charged at the same program points
+// Steiner sweeps, matrix rows), charged at the same program points
 // on every run. A work-unit budget therefore expires at a deterministic
 // point in the computation regardless of thread count or machine load —
 // the property the anytime-monotonicity tests pin.

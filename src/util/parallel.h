@@ -19,11 +19,10 @@
 // pre-parallel code path.
 //
 // Thread count resolution (first match wins):
-//   1. the explicit `threads` argument when > 0. Only two settings route
-//      here: confl::ConflOptions::threads and the `threads` argument of
-//      steiner::try_steiner_mst_approx. Every other region passes 0 and
-//      hands the count resolve_parallel_threads returned back to
-//      parallel_for, so its per-worker scratch matches the loop;
+//   1. the explicit `threads` argument when > 0. No library setting routes
+//      here: every region passes 0 and hands the count
+//      resolve_parallel_threads returned back to parallel_for, so its
+//      per-worker scratch matches the loop;
 //   2. set_parallel_threads(k) with k > 0 — the process-wide setting;
 //   3. the FAIRCACHE_THREADS environment variable;
 //   4. std::thread::hardware_concurrency().

@@ -1,5 +1,5 @@
 // Tests for the parallel, allocation-lean solver core: util::Matrix,
-// util::parallel_for, the CSR/partial Dijkstra fast paths, and — most
+// util::parallel_for, the CSR Dijkstra fast path, and — most
 // importantly — the determinism contract: the active-set try_solve_confl is
 // bit-identical to the dense reference engine and to itself at every
 // thread count.
@@ -163,92 +163,6 @@ TEST(BfsHopsTest, MatchesBfsOracle) {
   }
 }
 
-// Every node a bounded search settles carries the full run's cost and
-// parent edge, bit for bit, whether the search stops at its targets or at
-// a cost limit; a limited search settles exactly the nodes within it.
-TEST(BoundedDijkstraTest, SettledEntriesMatchFullRun) {
-  const Graph g = graph::make_grid(8, 8);
-  util::Rng rng(21);
-  std::vector<double> weight(static_cast<std::size_t>(g.num_edges()));
-  for (double& w : weight) w = rng.uniform(0.5, 4.0);
-  const graph::CsrAdjacency adj = graph::build_csr(g);
-  const std::vector<double> slot = graph::slot_weights(adj, weight);
-  const auto full = graph::dijkstra_edge_weights(g, 0, weight);
-  graph::BoundedDijkstra search(adj, slot);
-  const auto expect_settled_match = [&](int min_settled, int max_settled) {
-    int settled = 0;
-    for (NodeId v = 0; v < g.num_nodes(); ++v) {
-      if (search.cost(v) == kInf) {
-        EXPECT_EQ(search.parent_edge(v), graph::EdgeId{-1});
-        continue;
-      }
-      ++settled;
-      const auto vi = static_cast<std::size_t>(v);
-      EXPECT_EQ(search.cost(v), full.cost[vi]);  // bitwise
-      EXPECT_EQ(search.parent_edge(v), full.parent_edge[vi]);
-    }
-    EXPECT_GE(settled, min_settled);
-    EXPECT_LE(settled, max_settled);
-  };
-
-  const std::vector<NodeId> targets = {1, 9, 17};
-  search.run(0, targets);
-  for (NodeId t : targets) EXPECT_NE(search.cost(t), kInf);
-  expect_settled_match(3, g.num_nodes() - 1);  // stopped before the end
-
-  const double limit = full.cost[27];
-  search.run(0, {}, nullptr, limit);
-  expect_settled_match(2, g.num_nodes() - 1);
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    EXPECT_EQ(search.cost(v) != kInf,
-              full.cost[static_cast<std::size_t>(v)] <= limit);
-  }
-
-  search.run(0);  // no stop condition: the full run
-  expect_settled_match(g.num_nodes(), g.num_nodes());
-}
-
-// A target the source cannot reach ends the search by heap exhaustion,
-// with the reachable nodes at their full-run entries; a blocked node is
-// settled but never expanded; a second search on the same scratch starts
-// clean.
-TEST(BoundedDijkstraTest, UnreachableTargetEndsByHeapExhaustion) {
-  Graph g(8);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  g.add_edge(2, 3);
-  g.add_edge(4, 5);
-  g.add_edge(5, 6);
-  const std::vector<double> weight(static_cast<std::size_t>(g.num_edges()),
-                                   1.5);
-  const graph::CsrAdjacency adj = graph::build_csr(g);
-  const std::vector<double> slot(adj.incident.size(), 1.5);
-  graph::BoundedDijkstra search(adj, slot);
-  const auto full = graph::dijkstra_edge_weights(g, 0, weight);
-
-  search.run(0, std::vector<NodeId>{2, 5, 7});
-  for (NodeId v = 0; v < 4; ++v) {
-    EXPECT_EQ(search.cost(v), full.cost[static_cast<std::size_t>(v)]);
-    EXPECT_EQ(search.parent_edge(v),
-              full.parent_edge[static_cast<std::size_t>(v)]);
-  }
-  for (NodeId v = 4; v < 8; ++v) {
-    EXPECT_EQ(search.cost(v), kInf);
-    EXPECT_EQ(search.parent_edge(v), graph::EdgeId{-1});
-  }
-
-  std::vector<char> blocked(8, 0);
-  blocked[2] = 1;
-  search.run(0, {}, &blocked);
-  EXPECT_EQ(search.cost(2), 3.0);
-  EXPECT_EQ(search.cost(3), kInf);
-
-  search.run(4);
-  EXPECT_EQ(search.cost(0), kInf);
-  EXPECT_EQ(search.cost(6), 3.0);
-  EXPECT_EQ(search.parent_edge(4), graph::EdgeId{-1});
-}
-
 TEST(DijkstraEdgeWeightsTest, CsrAndSlotWeightsDoNotChangeResult) {
   util::Rng rng(5);
   const auto net = random_net(50, rng);
@@ -397,10 +311,6 @@ TEST(SolveConflEquivalenceTest, ActiveSetMatchesReferenceOnRandomInstances) {
     // exact α sequence.
     constexpr double kSteps[] = {1.0, 0.25, 0.1, 0.3, 1.0 / 3.0, 0.7};
     options.alpha_step = kSteps[rng.uniform_int(0, 5)];
-    // The equivalence contract holds under either Steiner engine (both
-    // solvers call the same Phase 2 with the same options).
-    options.steiner_engine = trial % 2 == 0 ? steiner::Engine::kClosureKmb
-                                            : steiner::Engine::kVoronoi;
     SCOPED_TRACE("trial " + std::to_string(trial) + " alpha_step " +
                  std::to_string(options.alpha_step));
     const confl::ConflSolution fast =
@@ -411,24 +321,11 @@ TEST(SolveConflEquivalenceTest, ActiveSetMatchesReferenceOnRandomInstances) {
   }
 }
 
-// KMB's per-terminal shortest-path trees are the solve's parallel step;
-// the default Voronoi engine is serial.
-TEST(SolveConflEquivalenceTest, ThreadCountDoesNotChangeSolution) {
-  const GridInstance grid;
-  confl::ConflOptions options;
-  options.steiner_engine = steiner::Engine::kClosureKmb;
-  expect_thread_invariant(
-      [&] { return confl::try_solve_confl(grid.instance, options).value(); },
-      solution_hash);
-}
-
-// The same contract under the Voronoi Steiner engine: it may select a
-// different (equally valid) Phase 2 tree than KMB, but that tree must be
-// identical at every thread count and across both solver engines.
+// The solve, Phase 2's Voronoi tree included, is identical at every thread
+// count and to the dense reference engine.
 TEST(SolveConflEquivalenceTest, VoronoiEngineThreadInvariantAndMatchesRef) {
   const GridInstance grid;
-  confl::ConflOptions options;
-  options.steiner_engine = steiner::Engine::kVoronoi;
+  const confl::ConflOptions options;
   const std::uint64_t h = expect_thread_invariant(
       [&] { return confl::try_solve_confl(grid.instance, options).value(); },
       solution_hash);
@@ -497,9 +394,8 @@ struct SteinerFixture {
       terminals.push_back(v);
     }
   }
-  steiner::SteinerTree solve(steiner::Engine engine) const {
-    return steiner::try_steiner_mst_approx(net.graph, weight, terminals, 0,
-                                           {}, engine)
+  steiner::SteinerTree solve() const {
+    return steiner::try_steiner_mst_approx(net.graph, weight, terminals)
         .value();
   }
 };
@@ -512,21 +408,11 @@ std::uint64_t tree_hash(const steiner::SteinerTree& tree) {
       .digest();
 }
 
-TEST(SteinerTest, ThreadCountDoesNotChangeTree) {
-  const SteinerFixture f;
-  expect_thread_invariant(
-      [&] { return f.solve(steiner::Engine::kClosureKmb); }, tree_hash);
-}
-
 TEST(SteinerTest, VoronoiEngineThreadCountDoesNotChangeTree) {
-  // The Voronoi sweep itself is serial, but the engine must honour the
-  // same end-to-end thread-invariance contract as KMB.
+  // The sweep itself is serial, but the tree must honour the library's
+  // end-to-end thread-invariance contract.
   const SteinerFixture f;
-  expect_thread_invariant(
-      [&] { return f.solve(steiner::Engine::kVoronoi); }, tree_hash);
-  // Never worse than twice the KMB tree (both ≤ 2·OPT, and KMB ≥ OPT).
-  EXPECT_LE(f.solve(steiner::Engine::kVoronoi).cost,
-            2.0 * f.solve(steiner::Engine::kClosureKmb).cost + 1e-9);
+  expect_thread_invariant([&] { return f.solve(); }, tree_hash);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
-// Unit + property tests for Steiner tree construction: the KMB and
-// Voronoi-partition 2-approximation engines against the exact
-// Dreyfus–Wagner oracle, the batched KMB entry against per-set calls, plus
-// the shared leaf-prune helper.
+// Unit + property tests for Steiner tree construction: Mehlhorn's
+// Voronoi-partition 2-approximation against the exact Dreyfus–Wagner
+// oracle, the batched entry against per-set calls, plus the leaf-prune
+// helper.
 
 #include "steiner/steiner.h"
 
@@ -9,11 +9,11 @@
 
 #include <bit>
 #include <cstdint>
+#include <functional>
 #include <set>
 #include <string>
 
 #include "graph/generators.h"
-#include "kmb_reference.h"
 #include "metrics/contention.h"
 #include "testutil.h"
 #include "util/deadline.h"
@@ -108,15 +108,11 @@ TEST(SteinerApproxTest, DisconnectedTerminalsRejected) {
   g.add_edge(2, 3);
   EXPECT_EQ(try_steiner_mst_approx(g, unit_weights(g), {0, 3}).code(),
             util::StatusCode::kInfeasible);
-  EXPECT_EQ(try_steiner_mst_approx(g, unit_weights(g), {0, 3}, 0, {},
-                                   Engine::kVoronoi)
-                .code(),
-            util::StatusCode::kInfeasible);
 }
 
-// Pinned deterministic outputs of the default (KMB) engine: edge sets and
-// cost bit patterns. The evaluator, sim/traffic and the exact local search
-// all score through this engine, so any change here is a behaviour change,
+// Pinned deterministic outputs: edge sets and cost bit patterns. The
+// evaluator, sim/traffic, the baselines, the exact local search and ConFL
+// Phase 2 all build their trees here, so any change is a behaviour change,
 // not a refactor.
 TEST(SteinerApproxTest, PinnedDeterministicOutputs) {
   {
@@ -158,7 +154,7 @@ TEST(SteinerApproxTest, PinnedDeterministicOutputs) {
   }
 }
 
-// ------------------------------------------------ Voronoi engine fixtures --
+// --------------------------------------- Voronoi fixtures, engine passed --
 
 TEST(SteinerVoronoiTest, MatchesKnownGridCosts) {
   const Graph g = make_grid(3, 3);
@@ -185,10 +181,9 @@ TEST(SteinerVoronoiTest, MatchesKnownGridCosts) {
   EXPECT_LE(corners.cost, 2.0 * 6.0 + 1e-9);
 }
 
-// Pinned deterministic outputs: the Voronoi engine's tie-breaking is part
-// of its determinism contract, so these exact edge sets are golden. Any
-// change here is a behaviour change for every kVoronoi consumer, not a
-// refactor.
+// The same pins with the (inert) engine argument passed explicitly: the
+// tie-breaking is part of the determinism contract, so these exact edge
+// sets are golden.
 TEST(SteinerVoronoiTest, PinnedDeterministicOutputs) {
   {
     const Graph g = make_grid(3, 3);
@@ -213,35 +208,9 @@ TEST(SteinerVoronoiTest, PinnedDeterministicOutputs) {
   }
 }
 
-// The Voronoi tree never costs more than twice the KMB tree: both are
-// ≤ 2·OPT and KMB ≥ OPT. (The CI engine-smoke harness enforces the same
-// bound on its fixture set.)
-TEST(SteinerVoronoiTest, WithinTwiceKmbOnRandomInstances) {
-  util::Rng rng(314);
-  for (int trial = 0; trial < 10; ++trial) {
-    graph::RandomGeometricConfig config;
-    config.num_nodes = static_cast<int>(rng.uniform_int(12, 60));
-    config.radius = 0.35;
-    const auto net = graph::make_random_geometric(config, rng);
-    std::vector<double> w(static_cast<std::size_t>(net.graph.num_edges()));
-    for (auto& x : w) x = rng.uniform(0.5, 4.0);
-    std::vector<NodeId> terminals;
-    for (NodeId v = 0; v < net.graph.num_nodes(); v += 4) {
-      terminals.push_back(v);
-    }
-    SCOPED_TRACE("trial " + std::to_string(trial));
-    const auto kmb = try_steiner_mst_approx(net.graph, w, terminals).value();
-    const auto vor =
-        try_steiner_mst_approx(net.graph, w, terminals, 0, {}, Engine::kVoronoi)
-            .value();
-    expect_valid_tree(net.graph, vor, terminals);
-    EXPECT_LE(vor.cost, 2.0 * kmb.cost + 1e-9);
-  }
-}
+// ---------------------------------------------------------------- batched --
 
-// ------------------------------------------------------------ batched KMB --
-
-// What the batch entry must equal: one single-set KMB call per set, in set
+// What the batch entry must equal: one single-set call per set, in set
 // order, stopping at the first failure. `budget` makes a fresh budget per
 // call.
 template <typename MakeBudget>
@@ -252,7 +221,7 @@ util::Result<std::vector<SteinerTree>> per_set_reference(
   std::vector<SteinerTree> trees;
   for (const auto& set : sets) {
     util::Result<SteinerTree> tree =
-        try_steiner_mst_approx(g, w, set, 0, shared, Engine::kClosureKmb);
+        try_steiner_mst_approx(g, w, set, 0, shared);
     if (!tree.ok()) return tree.status();
     trees.push_back(std::move(tree).value());
   }
@@ -294,7 +263,7 @@ std::vector<std::vector<NodeId>> random_sets(const Graph& g, util::Rng& rng) {
   return sets;
 }
 
-// try_steiner_mst_approx_sets equals per-set KMB calls — trees, costs and
+// try_steiner_mst_approx_sets equals per-set calls — trees, costs and
 // the first failing set's status — on random graphs with tie-heavy integer
 // and with real weights, sparse enough that some sets are unreachable, at
 // 1, 2 and 8 threads.
@@ -329,7 +298,7 @@ TEST(SteinerBatchTest, MatchesPerSetCalls) {
 
 // Hand-made edge cases: duplicates, single-terminal sets, disjoint and
 // overlapping sets, an unreachable set behind a feasible one, malformed
-// sets, and expired budgets.
+// sets, and expired budgets, at 1, 2 and 8 threads.
 TEST(SteinerBatchTest, EdgeCasesMatchPerSetCalls) {
   Graph g(8);  // a 2×3 grid (0..5) plus the separate edge 6–7
   g.add_edge(0, 1);
@@ -358,18 +327,23 @@ TEST(SteinerBatchTest, EdgeCasesMatchPerSetCalls) {
     return util::RunBudget::cancellable(token);
   };
   const auto no_work = [] { return util::RunBudget::work_units(0); };
+  const auto unlimited = [] { return util::RunBudget(); };
   for (std::size_t c = 0; c < cases.size(); ++c) {
     SCOPED_TRACE("case " + std::to_string(c));
     const auto& sets = cases[c];
-    EXPECT_EQ(describe(try_steiner_mst_approx_sets(g, w, sets)),
-              describe(per_set_reference(g, w, sets,
-                                         [] { return util::RunBudget(); })));
-    EXPECT_EQ(describe(try_steiner_mst_approx_sets(g, w, sets, cancel())),
-              describe(per_set_reference(g, w, sets, cancel)));
-    EXPECT_EQ(describe(try_steiner_mst_approx_sets(g, w, sets, no_work())),
-              describe(per_set_reference(g, w, sets, no_work)));
+    for (const auto& budget : std::vector<std::function<util::RunBudget()>>{
+             unlimited, cancel, no_work}) {
+      EXPECT_EQ(testutil::expect_thread_invariant(
+                    [&] { return try_steiner_mst_approx_sets(g, w, sets,
+                                                             budget()); },
+                    describe),
+                describe(per_set_reference(g, w, sets, budget)));
+    }
   }
-  EXPECT_EQ(try_steiner_mst_approx_sets(g, w, cases[4]).value()[1].cost, 3.0);
+  // {0, 2, 4}: the optimum is 3 (0–1–2 plus 1–4), but the Voronoi sweep
+  // puts 1 and 3 in 0's region and joins 0–4 through the lower edge id
+  // 3–4, so the 2-approximate tree costs 4.
+  EXPECT_EQ(try_steiner_mst_approx_sets(g, w, cases[4]).value()[1].cost, 4.0);
   EXPECT_EQ(try_steiner_mst_approx_sets(g, w, cases[5]).code(),
             util::StatusCode::kInfeasible);
   EXPECT_EQ(try_steiner_mst_approx_sets(g, w, cases[6]).code(),
@@ -380,125 +354,9 @@ TEST(SteinerBatchTest, EdgeCasesMatchPerSetCalls) {
             util::StatusCode::kInvalidInput);
 }
 
-// `g` plus three nodes outside it: the edge n–(n+1) and the lone node n+2,
-// so a set that reaches into them has terminals that are not mutually
-// reachable.
-Graph with_island(const Graph& g) {
-  const NodeId n = g.num_nodes();
-  Graph out(n + 3);
-  for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    out.add_edge(g.edge(e).u, g.edge(e).v);
-  }
-  out.add_edge(n, n + 1);
-  return out;
-}
-
-// The batch with its terminal-blocked, bottleneck-bounded runs equals the
-// unpruned KMB construction — trees, cost bits and the first failing
-// set's status — at 1, 2 and 8 threads, on grids, Erdős–Rényi,
-// Watts–Strogatz and Barabási–Albert graphs under tie-heavy integer
-// weights: unit, 1–3, and contention costs degree × (1 + used).
-TEST(SteinerBatchTest, PrunedRunsMatchFullClosure) {
-  util::Rng rng(1988);
-  int ok = 0;
-  int infeasible = 0;
-  for (int trial = 0; trial < 96; ++trial) {
-    SCOPED_TRACE("trial " + std::to_string(trial));
-    const int n = static_cast<int>(rng.uniform_int(12, 70));
-    Graph g;
-    switch (trial % 4) {
-      case 0:
-        g = make_grid(static_cast<int>(rng.uniform_int(2, 9)),
-                      static_cast<int>(rng.uniform_int(3, 9)));
-        break;
-      case 1:
-        g = graph::make_erdos_renyi(n, rng.uniform(0.04, 0.2), rng);
-        break;
-      case 2:
-        g = graph::make_watts_strogatz(n, 4, 0.2, rng);
-        break;
-      default:
-        g = graph::make_barabasi_albert(
-            n, static_cast<int>(rng.uniform_int(1, 3)), rng);
-    }
-    if (trial % 3 == 0) g = with_island(g);
-    std::vector<double> w(static_cast<std::size_t>(g.num_edges()), 1.0);
-    if ((trial / 4) % 3 == 1) {
-      for (auto& x : w) x = static_cast<double>(rng.uniform_int(1, 3));
-    } else if ((trial / 4) % 3 == 2) {
-      metrics::CacheState state(g.num_nodes(), 3, /*producer=*/0);
-      for (int k = 0; k < g.num_nodes(); ++k) {
-        const auto v =
-            static_cast<NodeId>(rng.uniform_int(1, g.num_nodes() - 1));
-        const auto chunk =
-            static_cast<metrics::ChunkId>(rng.uniform_int(0, 3));
-        if (state.can_cache(v, chunk)) state.add(v, chunk);
-      }
-      w = metrics::contention_edge_costs(
-          g, metrics::contention_weights(g, state));
-    }
-    auto sets = random_sets(g, rng);
-    std::vector<NodeId> wide;  // many terminals: most runs meet another
-    for (NodeId v = 0; v < g.num_nodes(); ++v) {
-      if (rng.uniform_int(0, 3) == 0) wide.push_back(v);
-    }
-    sets.push_back(wide);
-    const auto expected = testutil::kmb_reference_sets(g, w, sets);
-    (expected.ok() ? ok : infeasible) += 1;
-    const std::string batch = testutil::expect_thread_invariant(
-        [&] { return try_steiner_mst_approx_sets(g, w, sets); }, describe);
-    EXPECT_EQ(batch, describe(expected));
-  }
-  EXPECT_GT(ok, 20);  // both outcomes are exercised
-  EXPECT_GT(infeasible, 20);
-}
-
-// Weights the limits cannot rely on — fractional weights, a zero-weight
-// edge, a weight total of 2^53 or more — build the unpruned construction's
-// trees. On the zero-weight triangle below, a run blocked at terminal 1
-// would reach 2 through 3 instead and return a different tree.
-TEST(SteinerBatchTest, LimitsOffWeightsMatchFullClosure) {
-  Graph tie(4);
-  tie.add_edge(0, 1);  // 0
-  tie.add_edge(1, 2);  // 1
-  tie.add_edge(0, 3);  // 2
-  tie.add_edge(3, 2);  // 3
-  const std::vector<double> zero_tie{0.0, 1.0, 1.0, 0.0};
-  const std::vector<std::vector<NodeId>> tie_sets{{0, 1, 2}};
-  const auto tie_trees = try_steiner_mst_approx_sets(tie, zero_tie, tie_sets);
-  EXPECT_EQ(describe(tie_trees),
-            describe(testutil::kmb_reference_sets(tie, zero_tie, tie_sets)));
-  EXPECT_EQ(tie_trees.value()[0].edges, (std::vector<EdgeId>{0, 1}));
-
-  util::Rng rng(53);
-  for (int trial = 0; trial < 30; ++trial) {
-    SCOPED_TRACE("trial " + std::to_string(trial));
-    const Graph g = graph::make_watts_strogatz(
-        static_cast<int>(rng.uniform_int(12, 50)), 4, 0.3, rng);
-    std::vector<double> w(static_cast<std::size_t>(g.num_edges()));
-    for (auto& x : w) x = static_cast<double>(rng.uniform_int(1, 3));
-    switch (trial % 3) {
-      case 0:  // fractional
-        for (auto& x : w) x += 0.5 * static_cast<double>(rng.uniform_int(0, 1));
-        break;
-      case 1:  // zero-weight edges
-        for (auto& x : w) x *= static_cast<double>(rng.uniform_int(0, 3) > 0);
-        break;
-      default:  // a total of at least 2^53
-        w[static_cast<std::size_t>(rng.uniform_int(0, g.num_edges() - 1))] =
-            0x1p53;
-    }
-    auto sets = random_sets(g, rng);
-    const auto expected = testutil::kmb_reference_sets(g, w, sets);
-    const std::string batch = testutil::expect_thread_invariant(
-        [&] { return try_steiner_mst_approx_sets(g, w, sets); }, describe);
-    EXPECT_EQ(batch, describe(expected));
-  }
-}
-
 // The one-set batch charges the single-set call's work units: one per
-// distinct terminal.
-TEST(SteinerBatchTest, ChargesOneUnitPerDistinctTerminal) {
+// sweep, so one per set with two or more distinct terminals.
+TEST(SteinerBatchTest, ChargesOneUnitPerSet) {
   const Graph g = make_grid(4, 4);
   const auto w = unit_weights(g);
   const util::RunBudget single = util::RunBudget::work_units(1000);
@@ -506,14 +364,15 @@ TEST(SteinerBatchTest, ChargesOneUnitPerDistinctTerminal) {
   const util::RunBudget batch = util::RunBudget::work_units(1000);
   ASSERT_TRUE(
       try_steiner_mst_approx_sets(g, w, {{0, 3, 12, 15, 3}}, batch).ok());
-  EXPECT_EQ(single.work_charged(), 4u);
-  EXPECT_EQ(batch.work_charged(), 4u);
-  // Two sets sharing terminals 0 and 15 run four sources, not six.
+  EXPECT_EQ(single.work_charged(), 1u);
+  EXPECT_EQ(batch.work_charged(), 1u);
+  // Two sets sharing terminals sweep twice; the one-terminal sets {5} and
+  // {4, 4} sweep nothing.
   const util::RunBudget shared = util::RunBudget::work_units(1000);
-  ASSERT_TRUE(
-      try_steiner_mst_approx_sets(g, w, {{0, 15, 3}, {0, 15, 12}, {5}}, shared)
-          .ok());
-  EXPECT_EQ(shared.work_charged(), 4u);
+  ASSERT_TRUE(try_steiner_mst_approx_sets(
+                  g, w, {{0, 15, 3}, {0, 15, 12}, {5}, {4, 4}}, shared)
+                  .ok());
+  EXPECT_EQ(shared.work_charged(), 2u);
 }
 
 // ------------------------------------------------------------ leaf prune --
@@ -609,14 +468,10 @@ TEST_P(SteinerRatioTest, ApproxWithinTwiceExact) {
 
   const double exact =
       steiner_exact_dreyfus_wagner(net.graph, w, terminals);
-  for (Engine engine : {Engine::kClosureKmb, Engine::kVoronoi}) {
-    SCOPED_TRACE(engine == Engine::kVoronoi ? "kVoronoi" : "kClosureKmb");
-    const auto approx =
-        try_steiner_mst_approx(net.graph, w, terminals, 0, {}, engine).value();
-    expect_valid_tree(net.graph, approx, terminals);
-    EXPECT_GE(approx.cost, exact - 1e-6);
-    EXPECT_LE(approx.cost, 2.0 * exact + 1e-6);
-  }
+  const auto approx = try_steiner_mst_approx(net.graph, w, terminals).value();
+  expect_valid_tree(net.graph, approx, terminals);
+  EXPECT_GE(approx.cost, exact - 1e-6);
+  EXPECT_LE(approx.cost, 2.0 * exact + 1e-6);
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomInstances, SteinerRatioTest,
